@@ -2,7 +2,8 @@
 Berwald-defect and local-flatness checks, and conformal-factor recovery.
 
 A structure is a chart box plus a point-indexed norm oracle.  The metric
-field evaluates the norm's metric on a regular lattice and interpolates it
+field evaluates the norm's metric on a regular lattice (one solve per
+distinct base norm, by GL-equivariance; see ``bl_field``) and interpolates it
 componentwise with cubic splines; Christoffel symbols use the analytic
 derivatives of the interpolant (see ``christoffel``), so the transport ODE
 preserves the interpolated metric to integrator accuracy -- that
@@ -17,17 +18,17 @@ flat) and after the full loop (holonomy defect)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline, RegularGridInterpolator
 
 from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
-from .metric import bl_metric
+from .metric import CONDITION_LIMIT, bl_metric
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
                     PolytopeGauge, WeightedSum, rescale, validate)
-from .quadrature import SphericalQuadrature, auto_quadrature
+from .quadrature import auto_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +358,25 @@ def default_lattice_shape(dim: int) -> tuple:
     return (33, 33) if dim == 2 else (9,) * dim
 
 
+def _linear_chain(norm: MinkowskiNorm):
+    """(A, base) with norm = base o A, peeling nested ``LinearImage`` layers."""
+    A = np.eye(norm.dim)
+    while isinstance(norm, LinearImage):
+        A = norm.matrix @ A
+        norm = norm.inner
+    return A, norm
+
+
 def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
-             quad: Optional[SphericalQuadrature] = None, level: int = 0,
-             seed: int = 0) -> MetricField:
+             level: int = 0, seed: int = 0) -> MetricField:
     """Metric of the structure's norm at every lattice node.
 
-    Deterministic given the quadrature.  A failure at any node aborts with
-    the offending node in the error message.
+    Each node's norm is peeled into base o A (``A = I`` when it is not a
+    linear image), the metric of every distinct base is solved once with
+    its own ``auto_quadrature``, and the node tensors are assembled as
+    A^T g_base A by GL-equivariance, g_{F o A} = A^T g_F A.  A failure at
+    any node, or a node tensor that is not positive definite or exceeds
+    ``CONDITION_LIMIT``, aborts with the offending node in the message.
     """
     n = structure.dim
     if shape is None:
@@ -376,14 +389,38 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
         raise InputError("need at least 5 lattice nodes per axis for cubic interpolation")
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    values = np.empty((len(pts), n, n))
+    maps = np.empty((len(pts), n, n))
+    base_of_node = np.empty(len(pts), dtype=int)
+    # id(base) -> (index, base): holding the base keeps its id from being reused
+    bases: dict = {}
+    base_metrics = []
     for k, x in enumerate(pts):
-        norm = structure.norm_at(x)
-        q = quad if quad is not None else auto_quadrature(norm, level=level, seed=seed)
         try:
-            values[k] = bl_metric(norm, q)
+            maps[k], base = _linear_chain(structure.norm_at(x))
+            if id(base) not in bases:
+                q = auto_quadrature(base, level=level, seed=seed)
+                base_metrics.append(bl_metric(base, q))
+                bases[id(base)] = (len(bases), base)
         except Exception as exc:
             raise NumericalFailure(f"metric evaluation failed at node {x}: {exc}") from exc
+        base_of_node[k] = bases[id(base)][0]
+    g0 = np.array(base_metrics)[base_of_node]
+    values = np.einsum("kai,kab,kbj->kij", maps, g0, maps)
+    values = 0.5 * (values + np.swapaxes(values, 1, 2))
+    finite = np.isfinite(values).all(axis=(1, 2))
+    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], values, np.eye(n)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = eigs[:, -1] / eigs[:, 0]
+    bad = ~finite | (eigs[:, 0] <= 0.0) | ~(cond <= CONDITION_LIMIT)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            problem = "metric tensor is not finite"
+        elif eigs[k, 0] <= 0.0:
+            problem = f"metric tensor is not positive definite (min eigenvalue {eigs[k, 0]:.3e})"
+        else:
+            problem = f"metric tensor is too ill-conditioned (cond = {cond[k]:.3e})"
+        raise NumericalFailure(f"metric evaluation failed at node {pts[k]}: {problem}")
     field = MetricField(axes, values.reshape(tuple(len(a) for a in axes) + (n, n)))
     field.check_positive_definite()
     return field

@@ -122,10 +122,10 @@ class MinkowskiNorm:
     # boundary cloud cache, shared by generic support/extrema scans
     _cloud: Optional[np.ndarray] = None
 
-    def boundary_cloud(self, size: int = 0) -> np.ndarray:
-        """Dense sample of the unit-ball boundary, u / F(u)."""
+    def boundary_cloud(self) -> np.ndarray:
+        """Dense sample of the unit-ball boundary, u / F(u), computed once."""
         if self._cloud is None:
-            dirs = sphere_grid(self.dim, size or _default_cloud_size(self.dim))
+            dirs = sphere_grid(self.dim, _default_cloud_size(self.dim))
             extra = self.extremal_candidates()
             if extra is not None and len(extra):
                 dirs = np.vstack([dirs, extra])

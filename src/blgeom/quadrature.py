@@ -16,6 +16,7 @@ expected, so no half-sphere shortcut is ever taken.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -85,6 +86,15 @@ class SphericalQuadrature:
         raise InputError(f"unknown scheme {self.scheme!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    x, w = leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def circle_trapezoid(nodes: int = 2048, level: int = 0) -> SphericalQuadrature:
     if nodes < 4:
         raise InputError("need at least 4 circle nodes")
@@ -102,7 +112,7 @@ def circle_panels(break_angles, subdiv: int = 2, order: int = 32,
     if len(br) == 0:
         br = np.array([0.0])
     bounds = np.concatenate([br, [br[0] + _TWO_PI]])
-    x, w = leggauss(order)
+    x, w = _gauss_legendre(order)
     angles, weights = [], []
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a < 1e-14:
@@ -121,7 +131,7 @@ def circle_panels(break_angles, subdiv: int = 2, order: int = 32,
 def sphere_product_gauss(n_polar: int = 64, n_azimuth: int = 128,
                          level: int = 0) -> SphericalQuadrature:
     """Gauss-Legendre in cos(theta) x uniform trapezoid in phi on S^2."""
-    t, wt = leggauss(n_polar)          # t = cos(theta) on [-1, 1]
+    t, wt = _gauss_legendre(n_polar)   # t = cos(theta) on [-1, 1]
     phi = np.arange(n_azimuth) * (_TWO_PI / n_azimuth)
     wp = _TWO_PI / n_azimuth
     st = np.sqrt(1.0 - t ** 2)

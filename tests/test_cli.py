@@ -169,5 +169,27 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert code == 3
 
 
+_SQUARE_SPEC = catalog.BUILTIN_NORMS["square-max"][1]
+
+
+@pytest.mark.parametrize("field", [
+    {"family": "conformal-rescale",
+     "base": {"family": "constant",
+              "norm": {"family": "euclidean", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+     "factor": {"kind": "linear", "slope": 1.0}},
+    {"family": "constant",
+     "norm": {"family": "linear-image", "matrix": [[1.0, 0.0], [0.0, 1e-7]],
+              "inner": _SQUARE_SPEC}},
+], ids=["factor-crosses-zero", "ill-conditioned"])
+def test_field_exit_code_numerical_failure(field, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"chart": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                                "field": field}))
+    code = main(["field", "--structure", str(spec), "--grid", "9x9",
+                 "--out", str(tmp_path / "bad.csv")])
+    assert code == 3
+    assert "at node" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2

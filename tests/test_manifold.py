@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as quad1d
 
-from blgeom import (Euclidean, InputError, PolytopeGauge, berwald_defect,
-                    bl_field, conformal_factor, conformal_rescale,
-                    constant_structure, default_loops, default_probes,
-                    fingerprint_cloud, holonomy_angle, holonomy_extension,
-                    is_locally_minkowski, l1_l2_interpolation,
-                    parallel_transport, rectangle_loop, rigid_motion,
-                    rotor_structure, smoothstep, square_gauge)
+from blgeom import (Euclidean, InputError, LinearImage, NumericalFailure,
+                    PolytopeGauge, QuarticAxial, auto_quadrature,
+                    berwald_defect, bl_field, bl_metric, conformal_factor,
+                    conformal_rescale, constant_structure, default_loops,
+                    default_probes, fingerprint_cloud, holonomy_angle,
+                    holonomy_extension, is_locally_minkowski,
+                    l1_l2_interpolation, parallel_transport, rectangle_loop,
+                    rigid_motion, rotor_structure, smoothstep, square_gauge)
 from blgeom import catalog
 from oracles import conformal_christoffel
 
@@ -110,6 +111,67 @@ class TestField:
         fb = bl_field(constant_structure(square_gauge()), shape=(11, 9))
         with pytest.raises(InputError):
             conformal_factor(fa, fb)
+
+
+def _assembly_cases():
+    cases = {name: catalog.builtin_structure(name)
+             for name in catalog.BUILTIN_STRUCTURES}
+    angle = np.pi / 7.0
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    cases["moved-rotor"] = rigid_motion(catalog.builtin_structure("rotor-linear"),
+                                        rot, [0.3, -0.2])
+    # three nested linear maps that do not commute, over an anisotropic base
+    sheared_rotor = rotor_structure({"kind": "linear", "slope": 0.8},
+                                    base=catalog.builtin_norm("sheared-square"))
+    cases["moved-sheared-rotor"] = rigid_motion(sheared_rotor, rot, [0.3, -0.2])
+    cube = ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+    cases["3d-quartic"] = constant_structure(QuarticAxial(3), *cube)
+    cases["3d-conformal"] = conformal_rescale(
+        constant_structure(Euclidean(np.eye(3)), *cube),
+        lambda x: 1.0 + 0.3 * np.sin(2.0 * x[0]))
+    return cases
+
+
+ASSEMBLY_CASES = _assembly_cases()
+
+FAILING_CASES = {
+    # the linear factor x1 is not positive on the left half of the chart
+    "factor-crosses-zero": (
+        conformal_rescale(constant_structure(Euclidean(np.eye(2))),
+                          {"kind": "linear", "slope": 1.0}), "factor"),
+    "ill-conditioned": (
+        constant_structure(LinearImage(np.diag([1.0, 1e-7]), square_gauge())),
+        "ill-conditioned"),
+    # each map is invertible in floating point, their product overflows
+    "overflowing-chain": (
+        constant_structure(LinearImage(1e100 * np.eye(2),
+                                       LinearImage(1e100 * np.eye(2), square_gauge()))),
+        "not finite"),
+}
+
+
+class TestFieldAssembly:
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+    def test_matches_direct_solve_per_node(self, name):
+        # reference: the metric of each node's own norm with its own quadrature
+        st = ASSEMBLY_CASES[name]
+        field = bl_field(st)
+        mesh = np.meshgrid(*field.axes, indexing="ij")
+        pts = np.column_stack([m.ravel() for m in mesh])
+        values = field.values.reshape(len(pts), st.dim, st.dim)
+        rng = np.random.default_rng(7)
+        for k in rng.choice(len(pts), size=24, replace=False):
+            norm = st.norm_at(pts[k])
+            want = bl_metric(norm, auto_quadrature(norm))
+            err = np.linalg.norm(values[k] - want) / np.linalg.norm(want)
+            assert err <= 1e-10, (name, pts[k], err)
+
+    @pytest.mark.parametrize("name", sorted(FAILING_CASES))
+    def test_failure_names_node(self, name):
+        st, problem = FAILING_CASES[name]
+        with pytest.raises(NumericalFailure, match=rf"failed at node \[.*{problem}"):
+            bl_field(st, shape=(9, 9))
 
 
 class TestChristoffel:
