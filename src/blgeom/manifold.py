@@ -4,9 +4,10 @@ Berwald-defect and local-flatness checks, and conformal-factor recovery.
 A structure is a chart box plus a point-indexed norm oracle.  The metric
 field evaluates the norm's metric on a regular lattice (one solve per
 distinct base norm, by GL-equivariance; see ``bl_field``) and interpolates it
-componentwise with cubic splines; Christoffel symbols use the analytic
-derivatives of the interpolant (see ``christoffel``), so the transport ODE
-preserves the interpolated metric to integrator accuracy -- that
+with one tensor-product cubic spline.  In 2D the Christoffel symbols use the
+spline's exact derivatives, so the transport ODE preserves the interpolated
+metric to integrator accuracy; for n >= 3 they use central differences of the
+spline at half spacing, which do not, so 3D transport can fail.  That
 preservation is monitored on every transport and doubles as the accuracy
 gate.
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline, RegularGridInterpolator
+from scipy.interpolate import BSpline, NdBSpline, make_interp_spline
 
 from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
@@ -236,7 +237,9 @@ def _box_corners(lo, hi):
 
 
 class MetricField:
-    """Metric tensors on a regular lattice with componentwise cubic interpolation."""
+    """Metric tensors on a regular lattice with one tensor-product cubic spline
+    for all components.  ``at``, ``christoffel`` and ``riemann`` take a point
+    (n,) or a batch (..., n) of points."""
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
@@ -248,102 +251,93 @@ class MetricField:
         self.spacing = np.array([a[1] - a[0] for a in self.axes])
         self.lo = np.array([a[0] for a in self.axes])
         self.hi = np.array([a[-1] for a in self.axes])
-        if self.dim == 2:
-            self._splines = {}
-            x, y = self.axes
-            for i in range(2):
-                for j in range(i, 2):
-                    self._splines[(i, j)] = RectBivariateSpline(
-                        x, y, self.values[:, :, i, j], kx=3, ky=3, s=0)
-        else:
-            self._interp = RegularGridInterpolator(
-                tuple(self.axes), self.values, method="cubic",
-                bounds_error=True)
+        # not-a-knot interpolation along one axis at a time (non-finite data is
+        # left to check_positive_definite); BSpline.c puts the interpolated
+        # axis first, so move it back into place
+        coeffs = self.values
+        knots = []
+        for i, a in enumerate(self.axes):
+            sp = make_interp_spline(a, coeffs, k=3, axis=i, check_finite=False)
+            coeffs = np.moveaxis(sp.c, 0, i)
+            knots.append(sp.t)
+        self._spline = NdBSpline(tuple(knots), coeffs, 3)
+
+    def _eval(self, x, nu=None) -> np.ndarray:
+        g = self._spline(x, nu=nu)
+        return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def at(self, x) -> np.ndarray:
-        """Interpolated metric tensor at a chart point."""
+        """Interpolated metric tensor at chart points, shape (..., n, n)."""
         x = np.asarray(x, dtype=float)
-        if self.dim == 2:
-            g = np.empty((2, 2))
-            for (i, j), sp in self._splines.items():
-                g[i, j] = g[j, i] = sp.ev(x[0], x[1])
-            return g
-        g = self._interp(x[None, :])[0]
-        return 0.5 * (g + g.T)
+        self._check_inside(x, 0.0, "is outside the lattice box")
+        return self._eval(x)
+
+    def _check_inside(self, x, margin, problem):
+        outside = np.any((x < self.lo + margin - 1e-12)
+                         | (x > self.hi - margin + 1e-12), axis=-1)
+        if np.any(outside):
+            raise InputError(f"point {x[outside][0]} {problem}")
 
     def _jacobian(self, x) -> np.ndarray:
-        """d G / d x_k, shape (n, n, n) with the derivative axis first."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 2:
-            jac = np.empty((2, 2, 2))
-            for (i, j), sp in self._splines.items():
-                jac[0, i, j] = jac[0, j, i] = sp.ev(x[0], x[1], dx=1)
-                jac[1, i, j] = jac[1, j, i] = sp.ev(x[0], x[1], dy=1)
-            return jac
+        """d G / d x_k, shape (..., n, n, n) with the derivative axis first."""
+        n = self.dim
+        if n == 2:
+            return np.stack([self._eval(x, nu) for nu in ((1, 0), (0, 1))], axis=-3)
         # n >= 3: central differences of the interpolant at half spacing
-        jac = np.empty((self.dim, self.dim, self.dim))
-        for k in range(self.dim):
-            h = 0.5 * self.spacing[k]
-            e = np.zeros(self.dim)
-            e[k] = h
-            jac[k] = (self.at(x + e) - self.at(x - e)) / (2.0 * h)
-        return jac
+        h = 0.5 * self.spacing
+        shifts = np.concatenate([np.diag(h), -np.diag(h)])
+        g = self._eval(x[..., None, :] + shifts)
+        return (g[..., :n, :, :] - g[..., n:, :, :]) / (2.0 * h)[:, None, None]
 
     def christoffel(self, x) -> np.ndarray:
-        """Levi-Civita symbols Gamma[k, i, j] at x (symmetric in i, j).
+        """Levi-Civita symbols Gamma[..., k, i, j] at x (symmetric in i, j).
 
-        Derivatives are those of the cubic interpolant itself (for n = 2
-        exact spline derivatives, i.e. a high-order difference of the
-        lattice data), so transport through the returned symbols preserves
-        the interpolated metric to integrator accuracy.
+        For n = 2 they use the exact derivatives of the spline, so transport
+        preserves the interpolated metric to integrator accuracy.  For n >= 3
+        they use central differences of the spline at half spacing, which
+        do not match it exactly: transport can fail the Gram gate.
         """
         x = np.asarray(x, dtype=float)
-        margin = 2.0 * self.spacing
-        if np.any(x < self.lo + margin - 1e-12) or np.any(x > self.hi - margin + 1e-12):
-            raise InputError(
-                f"point {x} is within two lattice spacings of the chart boundary")
-        g = self.at(x)
+        self._check_inside(x, 2.0 * self.spacing,
+                           "is within two lattice spacings of the chart boundary")
+        ginv = np.linalg.inv(self._eval(x))
         jac = self._jacobian(x)
-        ginv = np.linalg.inv(g)
-        t = jac + np.transpose(jac, (1, 0, 2)) - np.transpose(jac, (1, 2, 0))
-        return 0.5 * np.einsum("kl,ijl->kij", ginv, t)
+        t = jac + np.swapaxes(jac, -3, -2) - np.moveaxis(jac, -3, -1)
+        return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, t)
 
     def riemann(self, x, step: float | None = None) -> np.ndarray:
-        """Curvature R[l, k, i, j] by central differences of the symbols."""
+        """Curvature R[..., l, k, i, j] by central differences of the symbols."""
         x = np.asarray(x, dtype=float)
         n = self.dim
         h = step if step is not None else float(self.spacing.min())
-        dgam = np.empty((n, n, n, n))
-        for d in range(n):
-            e = np.zeros(n)
-            e[d] = h
-            dgam[d] = (self.christoffel(x + e) - self.christoffel(x - e)) / (2.0 * h)
-        gam = self.christoffel(x)
-        t1 = np.transpose(dgam, (1, 3, 0, 2))          # d_i Gamma^l_{jk}
-        t2 = np.transpose(t1, (0, 1, 3, 2))            # d_j Gamma^l_{ik}
-        t3 = np.einsum("lis,sjk->lkij", gam, gam)      # Gamma^l_{is} Gamma^s_{jk}
-        t4 = np.transpose(t3, (0, 1, 3, 2))
+        shifts = np.concatenate([np.zeros((1, n)), h * np.eye(n), -h * np.eye(n)])
+        gam_all = self.christoffel(x[..., None, :] + shifts)
+        gam = gam_all[..., 0, :, :, :]
+        dgam = (gam_all[..., 1:n + 1, :, :, :] - gam_all[..., n + 1:, :, :, :]) / (2.0 * h)
+        t1 = np.einsum("...iljk->...lkij", dgam)        # d_i Gamma^l_{jk}
+        t2 = np.swapaxes(t1, -1, -2)                    # d_j Gamma^l_{ik}
+        t3 = np.einsum("...lis,...sjk->...lkij", gam, gam)   # Gamma^l_{is} Gamma^s_{jk}
+        t4 = np.swapaxes(t3, -1, -2)
         return t1 - t2 + t3 - t4
 
     def check_positive_definite(self, refine: int = 4):
-        """Eigenvalue check of the interpolated tensor on a denser grid."""
+        """Eigenvalue check of the interpolated tensor on a ``refine`` times
+        finer grid, in slabs of about 4096 points along axis 0; on that tensor
+        grid the spline is its coefficients times one basis matrix per axis."""
         axes = [np.linspace(a[0], a[-1], refine * (len(a) - 1) + 1) for a in self.axes]
-        if self.dim == 2:
-            xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            pts = np.column_stack([xx.ravel(), yy.ravel()])
-            g = np.empty((len(pts), 2, 2))
-            for (i, j), sp in self._splines.items():
-                vals = sp.ev(pts[:, 0], pts[:, 1])
-                g[:, i, j] = g[:, j, i] = vals
-        else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.column_stack([m.ravel() for m in mesh])
-            g = self._interp(pts)
-        eigs = np.linalg.eigvalsh(g)
-        if eigs.min() <= 0.0:
-            k = int(np.argmin(eigs.min(axis=-1)))
-            raise NumericalFailure(
-                f"interpolated metric loses positive definiteness near {pts[k]}")
+        basis = [BSpline.design_matrix(a, t, 3).toarray()
+                 for a, t in zip(axes, self._spline.t)]
+        rows = max(1, 4096 // int(np.prod([len(a) for a in axes[1:]])))
+        for start in range(0, len(axes[0]), rows):
+            g = self._spline.c
+            for i, b in enumerate([basis[0][start:start + rows]] + basis[1:]):
+                g = np.moveaxis(np.tensordot(b, g, axes=(1, i)), 0, i)
+            low = np.linalg.eigvalsh(g)[..., 0]
+            if not (low.min() > 0.0):
+                k = np.unravel_index(np.argmin(low), low.shape)  # NaN counts as the minimum
+                point = [a[j] for a, j in zip(axes, (start + k[0],) + k[1:])]
+                raise NumericalFailure(
+                    f"interpolated metric loses positive definiteness near {np.array(point)}")
 
     def neighbor_variation(self) -> float:
         """Max Frobenius difference between lattice neighbors (continuity probe)."""
@@ -352,6 +346,14 @@ class MetricField:
             diff = np.diff(self.values, axis=axis)
             out = max(out, float(np.sqrt((diff ** 2).sum(axis=(-2, -1))).max()))
         return out
+
+
+def _norm_at(structure: FinslerStructure, x) -> MinkowskiNorm:
+    """``structure.norm_at(x)``; a failure becomes a ``NumericalFailure`` naming x."""
+    try:
+        return structure.norm_at(x)
+    except Exception as exc:
+        raise NumericalFailure(f"norm evaluation failed at point {x}: {exc}") from exc
 
 
 def default_lattice_shape(dim: int) -> tuple:
@@ -493,50 +495,49 @@ def parallel_transport(field: MetricField, path, frame, *,
         raise InputError("frame vectors must match the field dimension")
 
     base_h = 0.25 * float(field.spacing.min())
+    segs = np.diff(path, axis=0)
+    lengths = np.linalg.norm(segs, axis=1)
     for attempt in range(max_halvings + 1):
         h_target = base_h / 2 ** attempt
+        steps = np.maximum(4, np.ceil(lengths / h_target).astype(int)) * (lengths > 0)
+        # xi' = A(t) xi with A = -Gamma(a + t seg) . seg, evaluated in one batch
+        # at every RK4 stage point t = j / (2 steps), j = 0..2 steps
+        counts = 2 * steps + (steps > 0)
+        seg_of = np.repeat(np.arange(len(segs)), counts)
+        stage = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        t = stage / (2 * steps[seg_of])
+        gamma = field.christoffel(path[seg_of] + t[:, None] * segs[seg_of])
+        rates = -np.einsum("pkij,pi->pkj", gamma, segs[seg_of])
         frames = [frame.copy()]
         xi = frame.copy()
-        total_steps = 0
-        for a, b in zip(path[:-1], path[1:]):
-            seg = b - a
-            length = float(np.linalg.norm(seg))
-            if length == 0.0:
+        first = 0
+        for m in steps:
+            if m == 0:
                 frames.append(xi.copy())
                 continue
-            steps = max(4, int(np.ceil(length / h_target)))
-            dt = 1.0 / steps
-
-            def rhs(t, mat):
-                gamma = field.christoffel(a + t * seg)
-                return -np.einsum("kij,i,jm->km", gamma, seg, mat)
-
-            t = 0.0
-            for _ in range(steps):
-                k1 = rhs(t, xi)
-                k2 = rhs(t + 0.5 * dt, xi + 0.5 * dt * k1)
-                k3 = rhs(t + 0.5 * dt, xi + 0.5 * dt * k2)
-                k4 = rhs(t + dt, xi + dt * k3)
+            dt = 1.0 / m
+            for j in range(first, first + 2 * m, 2):
+                a1, a2, a4 = rates[j], rates[j + 1], rates[j + 2]
+                k1 = a1 @ xi
+                k2 = a2 @ (xi + 0.5 * dt * k1)
+                k3 = a2 @ (xi + 0.5 * dt * k2)
+                k4 = a4 @ (xi + dt * k3)
                 xi = xi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                t += dt
-            total_steps += steps
+            first += 2 * m + 1
             frames.append(xi.copy())
-        residual = _gram_residual(field, path, frame, frames)
+        residual = _gram_residual(field, path, frames)
         if residual <= gram_tol:
-            return TransportResult(path, frame, frames, total_steps, residual)
+            return TransportResult(path, frame, frames, int(steps.sum()), residual)
     raise TransportAccuracyError(
         f"transport Gram residual {residual:.3e} exceeds {gram_tol:.1e} after "
         f"{max_halvings} step halvings; use a finer lattice or looser tolerance")
 
 
-def _gram_residual(field, path, frame, frames):
-    g0 = frame.T @ field.at(path[0]) @ frame
-    scale = float(np.linalg.norm(g0))
-    worst = 0.0
-    for x, f in zip(path, frames):
-        g = f.T @ field.at(x) @ f
-        worst = max(worst, float(np.linalg.norm(g - g0)) / scale)
-    return worst
+def _gram_residual(field, path, frames):
+    f = np.array(frames)
+    gram = np.swapaxes(f, 1, 2) @ field.at(path) @ f
+    drift = np.linalg.norm(gram - gram[0], axis=(1, 2))
+    return float(drift.max()) / float(np.linalg.norm(gram[0]))
 
 
 def holonomy_angle(field: MetricField, result: TransportResult) -> float:
@@ -647,10 +648,10 @@ def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
     for loop in loops:
         result = parallel_transport(field, loop, probes, gram_tol=gram_tol)
         gram_worst = max(gram_worst, result.gram_residual)
-        f0 = structure.norm_at(loop[0]).values(probes.T)
+        f0 = _norm_at(structure, loop[0]).values(probes.T)
         loop_worst = 0.0
         for x, fr in zip(loop[1:], result.frames[1:]):
-            fx = structure.norm_at(x).values(fr.T)
+            fx = _norm_at(structure, x).values(fr.T)
             loop_worst = max(loop_worst, float((np.abs(fx - f0) / f0).max()))
         per_loop.append(loop_worst)
         worst = max(worst, loop_worst)
@@ -680,15 +681,10 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
     tolerances for a positive verdict.
     """
     field = bl_field(structure, shape=shape, level=level)
-    h = field.spacing
-    flat = 0.0
-    interior_axes = [a[(a >= field.lo[i] + 3.0 * h[i] - 1e-12)
-                       & (a <= field.hi[i] - 3.0 * h[i] + 1e-12)]
-                     for i, a in enumerate(field.axes)]
-    mesh = np.meshgrid(*interior_axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    for x in pts:
-        flat = max(flat, float(np.abs(field.riemann(x)).max()))
+    # nodes at least three spacings inside: riemann's stencil reaches one
+    # spacing out, christoffel's margin is two
+    interior = np.meshgrid(*[a[3:-3] for a in field.axes], indexing="ij")
+    flat = float(np.abs(field.riemann(np.stack(interior, axis=-1))).max(initial=0.0))
     report = berwald_defect(structure, field=field, shape=shape, level=level)
     ok = flat < flat_tol and report.defect < berwald_tol
     return FlatnessReport(flat, report.defect, ok, flat_tol, berwald_tol)
@@ -714,5 +710,5 @@ def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *,
                         int(grid[i])) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    rows = [fingerprint_point(structure.norm_at(x), level=level) for x in pts]
+    rows = [fingerprint_point(_norm_at(structure, x), level=level) for x in pts]
     return pts, np.array(rows)

@@ -36,11 +36,13 @@ CONDITION_LIMIT = 1e12
 
 def assert_spd(matrix: np.ndarray, what: str = "matrix", sym_tol: float = 1e-12):
     """Raise unless ``matrix`` is symmetric (to sym_tol) positive definite."""
+    if not np.isfinite(matrix).all():
+        raise NumericalFailure(f"{what} is not finite")
     scale = max(1.0, float(np.abs(matrix).max()))
     if np.abs(matrix - matrix.T).max() > sym_tol * scale:
         raise NumericalFailure(f"{what} is not symmetric")
     eigs = np.linalg.eigvalsh(matrix)
-    if eigs[0] <= 0.0:
+    if not (eigs[0] > 0.0):
         raise NumericalFailure(f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})")
 
 
@@ -70,8 +72,12 @@ def dual_scalar_matrix(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.nda
     wf = quad.weights * f ** (-(n + 2))
     m = np.einsum("k,ki,kj->ij", wf, quad.nodes, quad.nodes) / vol
     m = 0.5 * (m + m.T)
+    if not np.isfinite(m).all():
+        raise NumericalFailure(
+            "moment matrix is not finite (the norm's values over- or underflow "
+            f"in the powers F^-{n} and F^-{n + 2})")
     eigs = np.linalg.eigvalsh(m)
-    if eigs[0] <= 0.0:
+    if not (eigs[0] > 0.0):
         raise QuadratureFailure(
             "moment matrix is not positive definite after symmetrization "
             f"(eigenvalues {eigs}, scheme {quad.scheme}, {len(quad)} nodes); "
@@ -84,10 +90,12 @@ def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
     m = dual_scalar_matrix(norm, quad)
     eigs = np.linalg.eigvalsh(m)
     cond = eigs[-1] / eigs[0]
-    if cond > CONDITION_LIMIT:
+    if not (cond <= CONDITION_LIMIT):
         raise NumericalFailure(
             f"dual moment matrix is too ill-conditioned to invert (cond = {cond:.3e})")
     g = np.linalg.inv(m)
+    if not np.isfinite(g).all():
+        raise NumericalFailure("metric is not finite (the moment matrix is too small to invert)")
     return 0.5 * (g + g.T)
 
 

@@ -191,5 +191,33 @@ def test_field_exit_code_numerical_failure(field, tmp_path, capsys):
     assert "at node" in capsys.readouterr().err
 
 
+def test_metric_exit_code_non_finite(tmp_path, capsys):
+    # F ~ 1e200 |x| over- and underflows in the moment integrals
+    inner = {"family": "linear-image", "matrix": [[1e100, 0.0], [0.0, 1e100]],
+             "inner": _SQUARE_SPEC}
+    spec = tmp_path / "nested.json"
+    spec.write_text(json.dumps({"family": "linear-image",
+                                "matrix": [[1e100, 0.0], [0.0, 1e100]],
+                                "inner": inner}))
+    code, out = run(capsys, "metric", "--norm", str(spec))
+    assert code == 3 and out == ""
+
+
+def test_fingerprint_exit_code_numerical_failure(tmp_path, capsys):
+    # the conformal factor 0.2 + x1 is negative on the left of the chart
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({
+        "chart": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "field": {"family": "conformal-rescale",
+                  "base": {"family": "constant",
+                           "norm": {"family": "euclidean",
+                                    "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+                  "factor": {"kind": "linear", "slope": 1.0, "offset": 0.2}}}))
+    code = main(["fingerprint", "--structure", str(spec), "--grid", "4x4",
+                 "--out", str(tmp_path / "bad.csv")])
+    assert code == 3
+    assert "at point" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad as quad1d
+from scipy.interpolate import RectBivariateSpline, RegularGridInterpolator
+from scipy.sparse.linalg import spsolve
 
-from blgeom import (Euclidean, InputError, LinearImage, NumericalFailure,
+from blgeom import (Euclidean, InputError, LinearImage, MetricField, NumericalFailure,
                     PolytopeGauge, QuarticAxial, auto_quadrature,
                     berwald_defect, bl_field, bl_metric, conformal_factor,
                     conformal_rescale, constant_structure, default_loops,
@@ -174,6 +176,72 @@ class TestFieldAssembly:
             bl_field(st, shape=(9, 9))
 
 
+def _interior_points(field, margin, count):
+    rng = np.random.default_rng(3)
+    return rng.uniform(field.lo + margin * field.spacing,
+                       field.hi - margin * field.spacing, (count, field.dim))
+
+
+class TestInterpolant:
+    # references: RectBivariateSpline(s=0) and cubic RegularGridInterpolator
+    # build the same not-a-knot spline as the field's NdBSpline
+    def test_matches_rect_bivariate_spline_2d(self):
+        field = bl_field(ASSEMBLY_CASES["moved-sheared-rotor"])
+        pts = _interior_points(field, 0.0, 200)
+        jac = field._jacobian(pts)
+        got = {"": field.at(pts), "dx": jac[:, 0], "dy": jac[:, 1]}
+        for kind, values in got.items():
+            want = np.empty_like(values)
+            for i in range(2):
+                for j in range(2):
+                    sp = RectBivariateSpline(*field.axes, field.values[:, :, i, j],
+                                             kx=3, ky=3, s=0)
+                    kw = {kind: 1} if kind else {}
+                    want[:, i, j] = sp.ev(pts[:, 0], pts[:, 1], **kw)
+            assert np.abs(values - want).max() <= 1e-12 * np.abs(want).max(), kind
+
+    def test_matches_cubic_grid_interpolator_3d(self):
+        field = bl_field(ASSEMBLY_CASES["3d-conformal"])
+        pts = _interior_points(field, 0.0, 200)
+        # a direct solve; the default iterative one (gcrotmk) stops near 1e-7
+        rgi = RegularGridInterpolator(tuple(field.axes), field.values, method="cubic",
+                                      solver=spsolve)
+        want = rgi(pts)
+        assert np.abs(field.at(pts) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["moved-sheared-rotor", "3d-conformal"])
+    def test_batched_calls_match_single_points(self, name):
+        field = bl_field(ASSEMBLY_CASES[name])
+        pts = _interior_points(field, 3.0, 12)
+        for method in (field.at, field.christoffel, field.riemann):
+            batch = method(pts.reshape(3, 4, field.dim))
+            single = np.array([method(x) for x in pts])
+            assert batch.shape == (3, 4) + single.shape[1:]
+            scale = np.abs(single).max()
+            np.testing.assert_allclose(batch.reshape(single.shape), single,
+                                       rtol=0, atol=1e-12 * scale)
+
+    def test_outside_lattice_rejected(self, interp_field):
+        with pytest.raises(InputError, match="outside"):
+            interp_field.at([[0.5, 0.0], [2.5, 0.0]])
+
+    def test_positive_definite_check_locates_bad_node(self):
+        axes = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 2.0, 7), np.linspace(1.0, 2.0, 5)]
+        values = np.broadcast_to(np.eye(3), (9, 7, 5, 3, 3)).copy()
+        values[6, 4, 1] = -np.eye(3)
+        with pytest.raises(NumericalFailure, match="positive definiteness") as info:
+            MetricField(axes, values).check_positive_definite()
+        found = np.array(info.value.args[0].split("near [")[1].rstrip("]").split(), float)
+        node = np.array([axes[0][6], axes[1][4], axes[2][1]])
+        spacing = np.array([a[1] - a[0] for a in axes])
+        assert np.all(np.abs(found - node) <= spacing), found
+
+    def test_nan_field_fails_positive_definite_check(self):
+        axes = [np.linspace(0.0, 1.0, 5)] * 2
+        with pytest.raises(NumericalFailure, match="positive definiteness"):
+            MetricField(axes, np.full((5, 5, 2, 2), np.nan)).check_positive_definite()
+
+
 class TestChristoffel:
     def test_constant_field_zero(self):
         field = bl_field(constant_structure(square_gauge()), shape=(9, 9))
@@ -260,6 +328,37 @@ class TestTransport:
         res = parallel_transport(interp_field, loop, probes)
         assert res.gram_residual < 1e-6
 
+    def test_matches_scalar_rk4_reference(self):
+        # one christoffel call per RK4 stage, the frame advanced step by step
+        st = catalog.builtin_structure("conformal-euclidean")
+        field = bl_field(st)
+        probes = default_probes(2)
+        h_target = 0.25 * float(field.spacing.min())
+        for loop in default_loops(st, 3.0 * float(field.spacing.max())):
+            res = parallel_transport(field, loop, probes)
+            xi, frames, total = probes.copy(), [probes.copy()], 0
+            for a, b in zip(loop[:-1], loop[1:]):
+                seg = b - a
+                steps = max(4, int(np.ceil(np.linalg.norm(seg) / h_target)))
+                dt = 1.0 / steps
+
+                def rhs(t, mat):
+                    return -np.einsum("kij,i,jm->km", field.christoffel(a + t * seg),
+                                      seg, mat)
+
+                for s in range(steps):
+                    t = s * dt
+                    k1 = rhs(t, xi)
+                    k2 = rhs(t + 0.5 * dt, xi + 0.5 * dt * k1)
+                    k3 = rhs(t + 0.5 * dt, xi + 0.5 * dt * k2)
+                    k4 = rhs(t + dt, xi + dt * k3)
+                    xi = xi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                total += steps
+                frames.append(xi)
+            assert res.steps == total
+            np.testing.assert_allclose(np.array(res.frames), np.array(frames),
+                                       rtol=0, atol=1e-12)
+
     def test_bad_path_rejected(self, interp_field):
         with pytest.raises(InputError):
             parallel_transport(interp_field, np.array([[0.0, 0.0]]), np.eye(2))
@@ -285,6 +384,14 @@ class TestBerwald:
                                 shape=(17, 17))
         assert moving.defect > 1e-4
         assert frozen.defect < 1e-6
+
+    def test_norm_failure_names_point(self):
+        # the field is fine; the structure's factor x1 is not positive for x1 <= 0
+        field = bl_field(constant_structure(Euclidean(np.eye(2))), shape=(9, 9))
+        bad = conformal_rescale(constant_structure(Euclidean(np.eye(2))),
+                                {"kind": "linear", "slope": 1.0})
+        with pytest.raises(NumericalFailure, match=r"failed at point \[.*factor"):
+            berwald_defect(bad, field=field)
 
     def test_default_loops_stay_inside(self):
         st = constant_structure(square_gauge())

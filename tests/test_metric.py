@@ -153,6 +153,12 @@ class TestMetric:
         with pytest.raises(NumericalFailure):
             bl_metric(squashed, auto_quadrature(squashed))
 
+    def test_overflowing_norm_rejected(self):
+        # F ~ 1e200 |x|: F^-4 underflows to 0 and the moments turn into NaN
+        nested = linear_image(linear_image(SQUARE, 1e100 * np.eye(2)), 1e100 * np.eye(2))
+        with pytest.raises(NumericalFailure, match="not finite"):
+            bl_metric(nested, auto_quadrature(nested))
+
     def test_convergence_driver(self):
         g, info = bl_metric_converged(QuarticAxial(2), tol=1e-10)
         assert info.converged and info.achieved_tol < 1e-10
