@@ -32,6 +32,13 @@ def _parse_grid(text, dim):
     return tuple(parts)
 
 
+def quad_level(text):
+    level = int(text)
+    if level < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {level}")
+    return level
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -217,7 +224,7 @@ def build_parser():
         if structure:
             p.add_argument("--structure", required=True,
                            help="path to a structure spec JSON")
-        p.add_argument("--quad-level", type=int, default=0,
+        p.add_argument("--quad-level", type=quad_level, default=0,
                        help="quadrature refinement level (default 0)")
         p.add_argument("--mc-seed", type=int, default=0,
                        help="seed for Monte Carlo quadrature (ignored by "

@@ -22,10 +22,9 @@ from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import InputError, UnsupportedDimensionError
 from .metric import assert_spd, bl_metric, unit_ball_volume
-from .norms import LinearImage, MinkowskiNorm, sphere_grid
+from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, _tangent_basis,
+                    sphere_grid)
 from .quadrature import SphericalQuadrature, auto_quadrature, ball_volume
-
-_TWO_PI = 2.0 * np.pi
 
 
 def orthonormalize(norm: MinkowskiNorm, metric: np.ndarray) -> LinearImage:
@@ -93,22 +92,15 @@ def quermassintegrals(norm: MinkowskiNorm, metric: np.ndarray, *,
 
 def _polytope_mean_width_term(hull: ConvexHull) -> float:
     """sum over hull edges of edge length times exterior dihedral angle."""
+    simplices, neighbors = hull.simplices, hull.neighbors
+    # each edge once: facet k meets its neighbour m > k across the edge
+    # opposite vertex slot i, whose end points are the other two slots
+    k, i = np.nonzero(neighbors > np.arange(len(simplices))[:, None])
+    m = neighbors[k, i]
+    ends = hull.points[simplices[k, (i + 1) % 3]] - hull.points[simplices[k, (i + 2) % 3]]
     normals = hull.equations[:, :3]
-    pts = hull.points
-    simplices = hull.simplices
-    neighbors = hull.neighbors
-    total = 0.0
-    nfac = len(simplices)
-    for k in range(nfac):
-        for i in range(3):
-            m = neighbors[k, i]
-            if m < k:
-                continue  # each edge once
-            shared = [simplices[k, j] for j in range(3) if j != i]
-            length = np.linalg.norm(pts[shared[0]] - pts[shared[1]])
-            c = float(np.clip(normals[k] @ normals[m], -1.0, 1.0))
-            total += length * np.arccos(c)
-    return total
+    cos = np.clip(np.einsum("ij,ij->i", normals[k], normals[m]), -1.0, 1.0)
+    return float(np.linalg.norm(ends, axis=1) @ np.arccos(cos))
 
 
 def roundness(norm: MinkowskiNorm, metric: np.ndarray, *,
@@ -161,12 +153,6 @@ def _refine_extremum(body, dirs, vals, grid, sign):
                             "maxiter": 600})
     refined = sign * res.fun
     return min(best, refined) if sign > 0 else max(best, refined)
-
-
-def _tangent_basis(u):
-    n = len(u)
-    q, _ = np.linalg.qr(np.column_stack([u, np.eye(n)[:, : n - 1]]))
-    return q[:, 1:]
 
 
 def isotropy_defect(norm: MinkowskiNorm, *, quad: SphericalQuadrature | None = None,

@@ -321,9 +321,11 @@ class MetricField:
         return t1 - t2 + t3 - t4
 
     def check_positive_definite(self, refine: int = 4):
-        """Eigenvalue check of the interpolated tensor on a ``refine`` times
+        """Definiteness check of the interpolated tensor on a ``refine`` times
         finer grid, in slabs of about 4096 points along axis 0; on that tensor
-        grid the spline is its coefficients times one basis matrix per axis."""
+        grid the spline is its coefficients times one basis matrix per axis.
+        Each slab is tested with one batched Cholesky factorization;
+        eigenvalues are computed only to locate a failure."""
         axes = [np.linspace(a[0], a[-1], refine * (len(a) - 1) + 1) for a in self.axes]
         basis = [BSpline.design_matrix(a, t, 3).toarray()
                  for a, t in zip(axes, self._spline.t)]
@@ -332,8 +334,13 @@ class MetricField:
             g = self._spline.c
             for i, b in enumerate([basis[0][start:start + rows]] + basis[1:]):
                 g = np.moveaxis(np.tensordot(b, g, axes=(1, i)), 0, i)
-            low = np.linalg.eigvalsh(g)[..., 0]
-            if not (low.min() > 0.0):
+            try:
+                # a NaN tensor does not raise, it gives a non-finite factor
+                definite = np.isfinite(np.linalg.cholesky(g)).all()
+            except np.linalg.LinAlgError:
+                definite = False
+            if not definite:
+                low = np.linalg.eigvalsh(g)[..., 0]
                 k = np.unravel_index(np.argmin(low), low.shape)  # NaN counts as the minimum
                 point = [a[j] for a, j in zip(axes, (start + k[0],) + k[1:])]
                 raise NumericalFailure(
@@ -369,6 +376,47 @@ def _linear_chain(norm: MinkowskiNorm):
     return A, norm
 
 
+def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int,
+                seed: int, site: str):
+    """Checked metric tensors at ``pts`` by GL-equivariance, as ``bl_field``
+    describes; a failure names its point, called ``site`` in the message.
+    Returns (tensors, base index of each point, [(base, quadrature), ...])."""
+    n = structure.dim
+    maps = np.empty((len(pts), n, n))
+    base_of_point = np.empty(len(pts), dtype=int)
+    # id(base) -> (index, base, quadrature); holding the base keeps its id unique
+    bases: dict = {}
+    base_metrics = []
+    for k, x in enumerate(pts):
+        try:
+            maps[k], base = _linear_chain(structure.norm_at(x))
+            if id(base) not in bases:
+                q = auto_quadrature(base, level=level, seed=seed)
+                base_metrics.append(bl_metric(base, q))
+                bases[id(base)] = (len(bases), base, q)
+        except Exception as exc:
+            raise NumericalFailure(f"metric evaluation failed at {site} {x}: {exc}") from exc
+        base_of_point[k] = bases[id(base)][0]
+    g0 = np.array(base_metrics)[base_of_point]
+    values = np.einsum("kai,kab,kbj->kij", maps, g0, maps)
+    values = 0.5 * (values + np.swapaxes(values, 1, 2))
+    finite = np.isfinite(values).all(axis=(1, 2))
+    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], values, np.eye(n)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = eigs[:, -1] / eigs[:, 0]
+    bad = ~finite | (eigs[:, 0] <= 0.0) | ~(cond <= CONDITION_LIMIT)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            problem = "metric tensor is not finite"
+        elif eigs[k, 0] <= 0.0:
+            problem = f"metric tensor is not positive definite (min eigenvalue {eigs[k, 0]:.3e})"
+        else:
+            problem = f"metric tensor is too ill-conditioned (cond = {cond[k]:.3e})"
+        raise NumericalFailure(f"metric evaluation failed at {site} {pts[k]}: {problem}")
+    return values, base_of_point, [(base, q) for _, base, q in bases.values()]
+
+
 def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
              level: int = 0, seed: int = 0) -> MetricField:
     """Metric of the structure's norm at every lattice node.
@@ -391,38 +439,7 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
         raise InputError("need at least 5 lattice nodes per axis for cubic interpolation")
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    maps = np.empty((len(pts), n, n))
-    base_of_node = np.empty(len(pts), dtype=int)
-    # id(base) -> (index, base): holding the base keeps its id from being reused
-    bases: dict = {}
-    base_metrics = []
-    for k, x in enumerate(pts):
-        try:
-            maps[k], base = _linear_chain(structure.norm_at(x))
-            if id(base) not in bases:
-                q = auto_quadrature(base, level=level, seed=seed)
-                base_metrics.append(bl_metric(base, q))
-                bases[id(base)] = (len(bases), base)
-        except Exception as exc:
-            raise NumericalFailure(f"metric evaluation failed at node {x}: {exc}") from exc
-        base_of_node[k] = bases[id(base)][0]
-    g0 = np.array(base_metrics)[base_of_node]
-    values = np.einsum("kai,kab,kbj->kij", maps, g0, maps)
-    values = 0.5 * (values + np.swapaxes(values, 1, 2))
-    finite = np.isfinite(values).all(axis=(1, 2))
-    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], values, np.eye(n)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = eigs[:, -1] / eigs[:, 0]
-    bad = ~finite | (eigs[:, 0] <= 0.0) | ~(cond <= CONDITION_LIMIT)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        if not finite[k]:
-            problem = "metric tensor is not finite"
-        elif eigs[k, 0] <= 0.0:
-            problem = f"metric tensor is not positive definite (min eigenvalue {eigs[k, 0]:.3e})"
-        else:
-            problem = f"metric tensor is too ill-conditioned (cond = {cond[k]:.3e})"
-        raise NumericalFailure(f"metric evaluation failed at node {pts[k]}: {problem}")
+    values, _, _ = _gl_metrics(structure, pts, level, seed, "node")
     field = MetricField(axes, values.reshape(tuple(len(a) for a in axes) + (n, n)))
     field.check_positive_definite()
     return field
@@ -699,7 +716,14 @@ def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *,
                       level: int = 0, margin_fraction: float = 0.05):
     """Fingerprints of the pointwise norms over a chart grid.
 
-    Returns (points, cloud) with one fingerprint row per grid point.
+    Returns (points, cloud) with one fingerprint row per grid point.  The
+    fingerprint is taken in coordinates where the norm's own metric is the
+    identity, so it is GL-invariant: base o A has the fingerprint of base.
+    Each point's norm is peeled into base o A and ``fingerprint_point`` runs
+    once per distinct base.  Every point's tensor A^T g_base A still passes
+    the finite, positive-definite and ``CONDITION_LIMIT`` gate of
+    ``bl_field``, so a point whose own metric would fail raises
+    ``NumericalFailure`` naming that point.
     """
     n = structure.dim
     if len(grid) != n:
@@ -710,5 +734,6 @@ def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *,
                         int(grid[i])) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    rows = [fingerprint_point(_norm_at(structure, x), level=level) for x in pts]
-    return pts, np.array(rows)
+    _, base_of_point, bases = _gl_metrics(structure, pts, level, 0, "point")
+    rows = np.array([fingerprint_point(base, level=level, quad=q) for base, q in bases])
+    return pts, rows[base_of_point]

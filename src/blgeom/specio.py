@@ -111,12 +111,20 @@ def load_json(path) -> dict:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _load(build, path):
+    spec = load_json(path)
+    try:
+        return build(spec)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise InputError(f"invalid spec in {path}: {exc}") from exc
+
+
 def load_norm(path) -> MinkowskiNorm:
-    return norm_from_spec(load_json(path))
+    return _load(norm_from_spec, path)
 
 
 def load_structure(path) -> FinslerStructure:
-    return structure_from_spec(load_json(path))
+    return _load(structure_from_spec, path)
 
 
 def dump_json(obj, path=None) -> str:

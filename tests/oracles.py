@@ -151,3 +151,20 @@ def conformal_christoffel(phi_grad):
                 gam[k, i, j] = ((k == i) * g[j] + (k == j) * g[i]
                                 - (i == j) * g[k])
     return gam
+
+
+def polytope_mean_width_term(hull):
+    """sum over the edges of a 3D hull of edge length times exterior dihedral
+    angle, one edge at a time (each edge seen from its lower-index facet)."""
+    normals = hull.equations[:, :3]
+    total = 0.0
+    for k in range(len(hull.simplices)):
+        for i in range(3):
+            m = hull.neighbors[k, i]
+            if m < k:
+                continue
+            a, b = [hull.simplices[k, j] for j in range(3) if j != i]
+            length = np.linalg.norm(hull.points[a] - hull.points[b])
+            c = float(np.clip(normals[k] @ normals[m], -1.0, 1.0))
+            total += length * np.arccos(c)
+    return total

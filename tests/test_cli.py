@@ -219,5 +219,43 @@ def test_fingerprint_exit_code_numerical_failure(tmp_path, capsys):
     assert "at point" in capsys.readouterr().err
 
 
+def test_fingerprint_exit_code_ill_conditioned(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({
+        "chart": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "field": {"family": "constant",
+                  "norm": {"family": "linear-image", "matrix": [[1.0, 0.0], [0.0, 1e-7]],
+                           "inner": _SQUARE_SPEC}}}))
+    code = main(["fingerprint", "--structure", str(spec), "--grid", "4x4",
+                 "--out", str(tmp_path / "bad.csv")])
+    assert code == 3
+    assert "at point" in capsys.readouterr().err
+
+
+def test_exit_code_non_numeric_matrix(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"family": "euclidean", "matrix": [["a", 0], [0, 1]]}')
+    code = main(["metric", "--norm", str(bad)])
+    assert code == 2
+    assert "bad.json" in capsys.readouterr().err
+
+
+def test_exit_code_non_numeric_scalar_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "chart": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "field": {"family": "rotor", "psi": {"kind": "linear", "slope": "x"}}}))
+    code = main(["field", "--structure", str(bad), "--grid", "9x9",
+                 "--out", str(tmp_path / "bad.csv")])
+    assert code == 2
+    assert "bad.json" in capsys.readouterr().err
+
+
+def test_exit_code_negative_quad_level(spec_dir, capsys):
+    code, _ = run(capsys, "metric", "--norm", str(spec_dir / "norm-square-max.json"),
+                  "--quad-level", "-3")
+    assert code == 2
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from blgeom import (Euclidean, InputError, LpNorm, PolytopeGauge, QuarticAxial,
                     UnsupportedDimensionError, auto_quadrature, bl_metric,
@@ -7,7 +10,9 @@ from blgeom import (Euclidean, InputError, LpNorm, PolytopeGauge, QuarticAxial,
                     linear_image, orthonormalize, quermassintegrals, rescale,
                     roundness)
 from blgeom import catalog
-from oracles import mc_dilated_area
+from blgeom.invariants import _polytope_mean_width_term
+from blgeom.norms import sphere_grid
+from oracles import mc_dilated_area, polytope_mean_width_term
 
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -57,6 +62,20 @@ class TestQuermassintegrals:
         qm = quermassintegrals(Euclidean(np.eye(3)), np.eye(3))
         np.testing.assert_allclose(qm.values, 4.0 * np.pi / 3.0, rtol=1e-2)
         assert qm.values[3] == pytest.approx(4.0 * np.pi / 3.0)
+
+    def test_mean_width_term_of_cube(self):
+        # 12 edges of length 2 with exterior angle pi/2; facet diagonals add 0
+        hull = ConvexHull(np.array(list(itertools.product([-1.0, 1.0], repeat=3))))
+        assert _polytope_mean_width_term(hull) == pytest.approx(12.0 * np.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["euclidean-3d", "quartic-axial-3d"])
+    def test_mean_width_term_matches_edge_loop(self, name):
+        # the inscribed hull quermassintegrals builds, at its default size
+        norm = catalog.builtin_norm(name)
+        dirs = sphere_grid(3, 20000)
+        hull = ConvexHull(dirs / norm.values(dirs)[:, None])
+        want = polytope_mean_width_term(hull)
+        assert _polytope_mean_width_term(hull) == pytest.approx(want, rel=1e-11)
 
     def test_unsupported_dimension_is_loud(self):
         with pytest.raises(UnsupportedDimensionError):

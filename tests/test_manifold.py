@@ -8,8 +8,8 @@ from blgeom import (Euclidean, InputError, LinearImage, MetricField, NumericalFa
                     PolytopeGauge, QuarticAxial, auto_quadrature,
                     berwald_defect, bl_field, bl_metric, conformal_factor,
                     conformal_rescale, constant_structure, default_loops,
-                    default_probes, fingerprint_cloud, holonomy_angle,
-                    holonomy_extension, is_locally_minkowski,
+                    default_probes, fingerprint_cloud, fingerprint_point,
+                    holonomy_angle, holonomy_extension, is_locally_minkowski,
                     l1_l2_interpolation, parallel_transport, rectangle_loop,
                     rigid_motion, rotor_structure, smoothstep, square_gauge)
 from blgeom import catalog
@@ -485,3 +485,18 @@ class TestFingerprintCloud:
         scaled = conformal_rescale(st, sin_factor)
         _, cloud2 = fingerprint_cloud(scaled, grid=(5, 2))
         np.testing.assert_allclose(cloud2, cloud, rtol=1e-6)
+
+    @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_STRUCTURES)
+                             + ["moved-sheared-rotor"])
+    def test_matches_fingerprint_per_point(self, name):
+        # reference: the fingerprint of each point's own norm
+        st = ASSEMBLY_CASES[name]
+        pts, cloud = fingerprint_cloud(st, grid=(6, 4))
+        want = np.array([fingerprint_point(st.norm_at(x)) for x in pts])
+        np.testing.assert_allclose(cloud, want, rtol=1e-10, atol=0)
+
+    def test_ill_conditioned_point_fails(self):
+        # the base square is fine; its image under diag(1, 1e-7) is not
+        st, problem = FAILING_CASES["ill-conditioned"]
+        with pytest.raises(NumericalFailure, match=rf"failed at point \[.*{problem}"):
+            fingerprint_cloud(st, grid=(4, 4))
