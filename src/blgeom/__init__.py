@@ -21,8 +21,7 @@ from .metric import (Ellipsoid, MomentResult, binet_ellipsoid, bl_metric,
                      relative_qf_deviation, unit_ball_volume)
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
                     PolytopeGauge, QuarticAxial, ValidationReport, WeightedSum,
-                    eval_norm, gauge_of_polytope, linear_image, rescale,
-                    support, validate)
+                    gauge_of_polytope, linear_image, rescale, validate)
 from .quadrature import (SphericalQuadrature, auto_quadrature, ball_volume,
                          circle_panels, circle_trapezoid, sphere_monte_carlo,
                          sphere_product_gauss, sphere_surface_area)

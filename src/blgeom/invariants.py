@@ -166,13 +166,12 @@ def isotropy_defect(norm: MinkowskiNorm, *, quad: SphericalQuadrature | None = N
 
 
 def fingerprint_point(norm: MinkowskiNorm, *, level: int = 0,
-                      quad: SphericalQuadrature | None = None) -> np.ndarray:
-    """(W_0, ..., W_{n-1}, mu, M) against the norm's own metric."""
+                      metric: np.ndarray | None = None) -> np.ndarray:
+    """(W_0, ..., W_{n-1}, mu, M) against the norm's own metric, solved
+    here unless the caller passes it as ``metric``."""
     if norm.dim not in (2, 3):
         raise UnsupportedDimensionError("fingerprints are implemented for n in {2, 3}")
-    if quad is None:
-        quad = auto_quadrature(norm, level=level)
-    g = bl_metric(norm, quad)
+    g = bl_metric(norm, auto_quadrature(norm, level=level)) if metric is None else metric
     qm = quermassintegrals(norm, g, level=level)
     mu, big_m = roundness(norm, g)
     return np.concatenate([qm.values[: norm.dim], [mu, big_m]])

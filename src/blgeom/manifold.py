@@ -1,9 +1,11 @@
 """Finsler structures over chart boxes: metric fields, parallel transport,
 Berwald-defect and local-flatness checks, and conformal-factor recovery.
 
-A structure is a chart box plus a point-indexed norm oracle.  The metric
-field evaluates the norm's metric on a regular lattice (one solve per
-distinct base norm, by GL-equivariance; see ``bl_field``) and interpolates it
+A structure is a chart box plus a batched norm oracle: the norms at an
+array of points are base o A(x), with one linear map per point and bases
+keyed by value (see ``FinslerStructure``).  The metric field evaluates the
+norm's metric on a regular lattice (one solve per distinct base norm, by
+GL-equivariance; see ``bl_field``) and interpolates it
 with one tensor-product cubic spline.  In 2D the Christoffel symbols use the
 spline's exact derivatives, so the transport ODE preserves the interpolated
 metric to integrator accuracy; for n >= 3 they use central differences of the
@@ -27,8 +29,8 @@ from scipy.interpolate import BSpline, NdBSpline, make_interp_spline
 from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
 from .metric import CONDITION_LIMIT, bl_metric
-from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
-                    PolytopeGauge, WeightedSum, rescale, validate)
+from .norms import (LinearImage, LpNorm, MinkowskiNorm, PolytopeGauge,
+                    WeightedSum, as_integer, validate)
 from .quadrature import auto_quadrature
 
 
@@ -39,11 +41,21 @@ from .quadrature import auto_quadrature
 
 @dataclass
 class FinslerStructure:
-    """Chart box [lo, hi] with a norm oracle x -> MinkowskiNorm."""
+    """Chart box [lo, hi] with a batched norm oracle ``peel``.
+
+    ``peel(X)`` takes chart points X of shape (k, n) and returns
+    ``(maps, bases, base_index)``: the norm at X[i] is
+    xi -> bases[base_index[i]](maps[i] @ xi), so every structure is a
+    field base o A(x).  The maps have shape (k, n, n); the bases are
+    distinct by value (equal norms share one entry, so callers solve one
+    metric per entry), none is a ``LinearImage``, and each is used by some
+    point.  A failure at a point raises ``PointFailure`` with the row of
+    that point.  ``norm_at`` is the one-point view.
+    """
 
     chart_lo: np.ndarray
     chart_hi: np.ndarray
-    norm_at: Callable[[np.ndarray], MinkowskiNorm]
+    peel: Callable[[np.ndarray], tuple]
     smoothness: str = "smooth"  # {"smooth", "partially-smooth", "continuous"}
     label: str = ""
     spec: dict | None = None
@@ -60,6 +72,15 @@ class FinslerStructure:
     def dim(self) -> int:
         return len(self.chart_lo)
 
+    def norm_at(self, x) -> MinkowskiNorm:
+        """The norm at one chart point: its base, or ``LinearImage(A, base)``."""
+        try:
+            maps, bases, index = self.peel(np.asarray(x, dtype=float)[None, :])
+        except PointFailure as exc:
+            raise exc.__cause__ from None
+        A, base = maps[0], bases[index[0]]
+        return base if np.array_equal(A, np.eye(self.dim)) else LinearImage(A, base)
+
     def contains(self, x, margin: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.chart_lo + margin) and np.all(x <= self.chart_hi - margin))
@@ -72,6 +93,26 @@ class FinslerStructure:
             x = rng.uniform(self.chart_lo, self.chart_hi)
             reports.append((x, validate(self.norm_at(x), samples, seed=seed)))
         return reports
+
+
+class PointFailure(Exception):
+    """A structure oracle failed at row ``index`` of its points; the error
+    itself is the ``__cause__``."""
+
+    def __init__(self, index):
+        super().__init__(f"failure at point row {index}")
+        self.index = int(index)
+
+
+def _sample(field: Callable[[np.ndarray], float], pts: np.ndarray) -> np.ndarray:
+    """field(x) at every row x of pts; a failure raises ``PointFailure``."""
+    out = np.empty(len(pts))
+    for k, x in enumerate(pts):
+        try:
+            out[k] = field(x)
+        except Exception as exc:
+            raise PointFailure(k) from exc
+    return out
 
 
 def smoothstep(t):
@@ -89,13 +130,16 @@ def smoothstep(t):
     return num / den
 
 
-def scalar_field_from_spec(spec: dict) -> Callable[[np.ndarray], float]:
-    """Named scalar fields usable in JSON structure specs."""
+def scalar_field_from_spec(spec: dict, dim: int) -> Callable[[np.ndarray], float]:
+    """Named scalar fields usable in JSON structure specs, on a chart of
+    dimension ``dim``."""
     kind = spec.get("kind")
     if kind == "constant":
         value = float(spec["value"])
         return lambda x: value
-    axis = int(spec.get("axis", 0))
+    axis = as_integer(spec.get("axis", 0), "scalar field axis")
+    if not 0 <= axis < dim:
+        raise InputError(f"scalar field axis {axis} is not an axis of the {dim}D chart")
     if kind == "one-plus-sin":
         amp = float(spec["amp"])
         freq = float(spec.get("freq", 1.0))
@@ -111,11 +155,25 @@ def scalar_field_from_spec(spec: dict) -> Callable[[np.ndarray], float]:
     raise InputError(f"unknown scalar field kind {spec.get('kind')!r}")
 
 
+def _linear_chain(norm: MinkowskiNorm):
+    """(A, base) with norm = base o A, peeling nested ``LinearImage`` layers."""
+    A = np.eye(norm.dim)
+    while isinstance(norm, LinearImage):
+        A = norm.matrix @ A
+        norm = norm.inner
+    return A, norm
+
+
 def constant_structure(norm: MinkowskiNorm, lo=(-1.0, -1.0), hi=(1.0, 1.0),
                        label: str = "constant") -> FinslerStructure:
     """Same Minkowski norm in every tangent space."""
-    return FinslerStructure(np.asarray(lo, float), np.asarray(hi, float),
-                            lambda x: norm, smoothness="smooth", label=label)
+    A, base = _linear_chain(norm)
+
+    def peel(X):
+        return np.broadcast_to(A, (len(X),) + A.shape), [base], np.zeros(len(X), dtype=int)
+
+    return FinslerStructure(np.asarray(lo, float), np.asarray(hi, float), peel,
+                            smoothness="smooth", label=label)
 
 
 def l1_l2_interpolation(lo=(-1.0, -1.0), hi=(2.0, 1.0)) -> FinslerStructure:
@@ -125,20 +183,19 @@ def l1_l2_interpolation(lo=(-1.0, -1.0), hi=(2.0, 1.0)) -> FinslerStructure:
     C-infinity step f that is 0 for x_1 <= 0 and 1 for x_1 >= 1.  The norm
     depends only on x_1; every unit ball is symmetric under the axis
     reflections and the coordinate swap, so the metric field is a scalar
-    multiple of the identity at every point.
+    multiple of the identity at every point.  Points with one weight f
+    share one base norm.
     """
     l1 = LpNorm(1, 2)
     l2 = LpNorm(2, 2)
 
-    def norm_at(x):
-        f = float(smoothstep(np.array([x[0]]))[0])
-        if f <= 0.0:
-            return l1
-        if f >= 1.0:
-            return l2
-        return WeightedSum(1.0 - f, f, l1, l2)
+    def peel(X):
+        weights, index = np.unique(smoothstep(X[:, 0]), return_inverse=True)
+        bases = [l1 if f <= 0.0 else l2 if f >= 1.0 else WeightedSum(1.0 - f, f, l1, l2)
+                 for f in weights]
+        return np.broadcast_to(np.eye(2), (len(X), 2, 2)), bases, index
 
-    return FinslerStructure(np.asarray(lo, float), np.asarray(hi, float), norm_at,
+    return FinslerStructure(np.asarray(lo, float), np.asarray(hi, float), peel,
                             smoothness="continuous", label="l1-l2-interpolation")
 
 
@@ -157,18 +214,20 @@ def rotor_structure(psi: Callable[[np.ndarray], float] | dict,
     the structure is Berwald exactly when psi is constant.
     """
     if isinstance(psi, dict):
-        psi = scalar_field_from_spec(psi)
+        psi = scalar_field_from_spec(psi, 2)
     if base is None:
         base = square_gauge()
     if base.dim != 2:
         raise InputError("rotor structures are planar")
+    A, base = _linear_chain(base)
 
-    def norm_at(x):
-        a = float(psi(x))
+    def peel(X):
+        a = _sample(psi, X)
         c, s = np.cos(a), np.sin(a)
-        return LinearImage(np.array([[c, -s], [s, c]]), base)
+        rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+        return A @ rot, [base], np.zeros(len(X), dtype=int)
 
-    return FinslerStructure(np.asarray(lo, float), np.asarray(hi, float), norm_at,
+    return FinslerStructure(np.asarray(lo, float), np.asarray(hi, float), peel,
                             smoothness="partially-smooth", label="rotor")
 
 
@@ -176,15 +235,19 @@ def conformal_rescale(base: FinslerStructure,
                       factor: Callable[[np.ndarray], float] | dict) -> FinslerStructure:
     """Pointwise rescaled structure x -> factor(x) * F_x."""
     if isinstance(factor, dict):
-        factor = scalar_field_from_spec(factor)
+        factor = scalar_field_from_spec(factor, base.dim)
 
-    def norm_at(x):
-        lam = float(factor(x))
-        if not lam > 0:
-            raise InputError(f"conformal factor must be positive, got {lam} at {x}")
-        return rescale(base.norm_at(x), lam)
+    def peel(X):
+        maps, bases, index = base.peel(X)
+        lam = _sample(factor, X)
+        bad = ~(lam > 0)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise PointFailure(k) from InputError(
+                f"conformal factor must be positive, got {lam[k]} at {X[k]}")
+        return maps * lam[:, None, None], bases, index
 
-    return FinslerStructure(base.chart_lo.copy(), base.chart_hi.copy(), norm_at,
+    return FinslerStructure(base.chart_lo.copy(), base.chart_hi.copy(), peel,
                             smoothness=base.smoothness,
                             label=f"conformal({base.label})")
 
@@ -211,13 +274,13 @@ def rigid_motion(structure: FinslerStructure, rotation, translation) -> FinslerS
     if not np.allclose(R @ R.T, np.eye(len(t)), atol=1e-12):
         raise InputError("rotation matrix must be orthogonal")
     corners = _box_corners(structure.chart_lo, structure.chart_hi) @ R.T + t
-    Rinv = R.T
 
-    def norm_at(y):
-        x = Rinv @ (np.asarray(y, float) - t)
-        return LinearImage(Rinv, structure.norm_at(x))
+    def peel(Y):
+        # x = R^T (y - t) for every row y; F_y(xi) = F_x(R^T xi)
+        maps, bases, index = structure.peel((Y - t) @ R)
+        return maps @ R.T, bases, index
 
-    return FinslerStructure(corners.min(axis=0), corners.max(axis=0), norm_at,
+    return FinslerStructure(corners.min(axis=0), corners.max(axis=0), peel,
                             smoothness=structure.smoothness,
                             label=f"moved({structure.label})")
 
@@ -355,48 +418,35 @@ class MetricField:
         return out
 
 
-def _norm_at(structure: FinslerStructure, x) -> MinkowskiNorm:
-    """``structure.norm_at(x)``; a failure becomes a ``NumericalFailure`` naming x."""
-    try:
-        return structure.norm_at(x)
-    except Exception as exc:
-        raise NumericalFailure(f"norm evaluation failed at point {x}: {exc}") from exc
-
-
 def default_lattice_shape(dim: int) -> tuple:
     return (33, 33) if dim == 2 else (9,) * dim
 
 
-def _linear_chain(norm: MinkowskiNorm):
-    """(A, base) with norm = base o A, peeling nested ``LinearImage`` layers."""
-    A = np.eye(norm.dim)
-    while isinstance(norm, LinearImage):
-        A = norm.matrix @ A
-        norm = norm.inner
-    return A, norm
+def _peel(structure: FinslerStructure, pts: np.ndarray, failure: str):
+    """``structure.peel(pts)``; a failure at a point becomes a
+    ``NumericalFailure`` that reads ``failure``, then the point."""
+    try:
+        return structure.peel(pts)
+    except PointFailure as exc:
+        raise NumericalFailure(
+            f"{failure} {pts[exc.index]}: {exc.__cause__}") from exc.__cause__
 
 
 def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int,
                 seed: int, site: str):
     """Checked metric tensors at ``pts`` by GL-equivariance, as ``bl_field``
     describes; a failure names its point, called ``site`` in the message.
-    Returns (tensors, base index of each point, [(base, quadrature), ...])."""
+    Returns (tensors, base index of each point, bases, base metrics)."""
     n = structure.dim
-    maps = np.empty((len(pts), n, n))
-    base_of_point = np.empty(len(pts), dtype=int)
-    # id(base) -> (index, base, quadrature); holding the base keeps its id unique
-    bases: dict = {}
+    failure = f"metric evaluation failed at {site}"
+    maps, bases, base_of_point = _peel(structure, pts, failure)
     base_metrics = []
-    for k, x in enumerate(pts):
+    for b, base in enumerate(bases):
         try:
-            maps[k], base = _linear_chain(structure.norm_at(x))
-            if id(base) not in bases:
-                q = auto_quadrature(base, level=level, seed=seed)
-                base_metrics.append(bl_metric(base, q))
-                bases[id(base)] = (len(bases), base, q)
+            base_metrics.append(bl_metric(base, auto_quadrature(base, level=level, seed=seed)))
         except Exception as exc:
-            raise NumericalFailure(f"metric evaluation failed at {site} {x}: {exc}") from exc
-        base_of_point[k] = bases[id(base)][0]
+            x = pts[np.argmax(base_of_point == b)]
+            raise NumericalFailure(f"{failure} {x}: {exc}") from exc
     g0 = np.array(base_metrics)[base_of_point]
     values = np.einsum("kai,kab,kbj->kij", maps, g0, maps)
     values = 0.5 * (values + np.swapaxes(values, 1, 2))
@@ -413,16 +463,16 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int,
             problem = f"metric tensor is not positive definite (min eigenvalue {eigs[k, 0]:.3e})"
         else:
             problem = f"metric tensor is too ill-conditioned (cond = {cond[k]:.3e})"
-        raise NumericalFailure(f"metric evaluation failed at {site} {pts[k]}: {problem}")
-    return values, base_of_point, [(base, q) for _, base, q in bases.values()]
+        raise NumericalFailure(f"{failure} {pts[k]}: {problem}")
+    return values, base_of_point, bases, base_metrics
 
 
 def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
              level: int = 0, seed: int = 0) -> MetricField:
     """Metric of the structure's norm at every lattice node.
 
-    Each node's norm is peeled into base o A (``A = I`` when it is not a
-    linear image), the metric of every distinct base is solved once with
+    One ``structure.peel`` call gives every node's norm as base o A, the
+    metric of every distinct base is solved once with
     its own ``auto_quadrature``, and the node tensors are assembled as
     A^T g_base A by GL-equivariance, g_{F o A} = A^T g_F A.  A failure at
     any node, or a node tensor that is not positive definite or exceeds
@@ -439,7 +489,7 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
         raise InputError("need at least 5 lattice nodes per axis for cubic interpolation")
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    values, _, _ = _gl_metrics(structure, pts, level, seed, "node")
+    values = _gl_metrics(structure, pts, level, seed, "node")[0]
     field = MetricField(axes, values.reshape(tuple(len(a) for a in axes) + (n, n)))
     field.check_positive_definite()
     return field
@@ -644,9 +694,12 @@ def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
     For every loop, every probe vector is transported with the metric
     field's connection; the defect compares F at each reached point against
     F at the start, i.e. |F(y, P xi) - F(x, xi)| / F(x, xi) along the path
-    and around the full loop.  A Berwald structure keeps this at numerical
-    noise; the report also carries the worst metric-preservation residual
-    of the transports.
+    and around the full loop.  F at the vertices of a loop comes from one
+    ``structure.peel`` of the loop, as base(A xi), with one ``values`` call
+    per distinct base.  A Berwald structure keeps this at numerical noise;
+    the report also carries the worst metric-preservation residual of the
+    transports.  A structure that fails at a vertex raises
+    ``NumericalFailure`` naming the vertex.
     """
     if field is None:
         field = bl_field(structure, shape=shape, level=level)
@@ -659,17 +712,21 @@ def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
     if probes.ndim == 1:
         probes = probes[:, None]
 
+    n = structure.dim
     worst = 0.0
     gram_worst = 0.0
     per_loop = []
     for loop in loops:
         result = parallel_transport(field, loop, probes, gram_tol=gram_tol)
         gram_worst = max(gram_worst, result.gram_residual)
-        f0 = _norm_at(structure, loop[0]).values(probes.T)
-        loop_worst = 0.0
-        for x, fr in zip(loop[1:], result.frames[1:]):
-            fx = _norm_at(structure, x).values(fr.T)
-            loop_worst = max(loop_worst, float((np.abs(fx - f0) / f0).max()))
+        maps, bases, base_of_vertex = _peel(structure, loop, "norm evaluation failed at point")
+        # F at vertex v of its frame's column p is base_v(A_v xi_vp)
+        vecs = np.einsum("vij,vjp->vpi", maps, np.array(result.frames))
+        f = np.empty(vecs.shape[:2])
+        for b, base in enumerate(bases):
+            at = base_of_vertex == b
+            f[at] = base.values(vecs[at].reshape(-1, n)).reshape(-1, f.shape[1])
+        loop_worst = float((np.abs(f[1:] - f[0]) / f[0]).max())
         per_loop.append(loop_worst)
         worst = max(worst, loop_worst)
     return BerwaldReport(worst, per_loop, gram_worst)
@@ -720,7 +777,8 @@ def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *,
     fingerprint is taken in coordinates where the norm's own metric is the
     identity, so it is GL-invariant: base o A has the fingerprint of base.
     Each point's norm is peeled into base o A and ``fingerprint_point`` runs
-    once per distinct base.  Every point's tensor A^T g_base A still passes
+    once per distinct base, on the base metric the gate already solved.
+    Every point's tensor A^T g_base A still passes
     the finite, positive-definite and ``CONDITION_LIMIT`` gate of
     ``bl_field``, so a point whose own metric would fail raises
     ``NumericalFailure`` naming that point.
@@ -734,6 +792,7 @@ def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *,
                         int(grid[i])) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    _, base_of_point, bases = _gl_metrics(structure, pts, level, 0, "point")
-    rows = np.array([fingerprint_point(base, level=level, quad=q) for base, q in bases])
+    _, base_of_point, bases, metrics = _gl_metrics(structure, pts, level, 0, "point")
+    rows = np.array([fingerprint_point(base, level=level, metric=g)
+                     for base, g in zip(bases, metrics)])
     return pts, rows[base_of_point]

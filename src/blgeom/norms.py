@@ -17,6 +17,7 @@ Families implemented here:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,15 @@ from .errors import ConstructionError, InputError
 ZERO_VECTOR_CUTOFF = 1e-30
 
 _TWO_PI = 2.0 * np.pi
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an int; a bool, a non-number or a fraction is an InputError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_points(xi, dim):
@@ -245,10 +255,11 @@ class LpNorm(MinkowskiNorm):
         p = float(p)
         if not (p >= 1.0):
             raise InputError("p must be >= 1")
+        dim = as_integer(dim, "dimension")
         if dim < 1:
             raise InputError("dimension must be positive")
         self.p = p
-        self.dim = int(dim)
+        self.dim = dim
 
     def _values(self, pts):
         if np.isinf(self.p):
@@ -408,8 +419,10 @@ class LinearImage(MinkowskiNorm):
         A = np.asarray(matrix, dtype=float)
         if A.shape != (inner.dim, inner.dim):
             raise InputError("matrix shape must match the inner norm dimension")
-        det = np.linalg.det(A)
-        if not np.isfinite(det) or abs(det) < 1e-300:
+        # the determinant of A scaled to unit entries, so that a folded chain
+        # such as 1e200 I, whose own determinant overflows, still passes
+        scale = np.abs(A).max()
+        if not (np.isfinite(scale) and scale > 0) or abs(np.linalg.det(A / scale)) < 1e-300:
             raise InputError("matrix must be invertible")
         self.dim = inner.dim
         self.matrix = A
@@ -508,9 +521,10 @@ class QuarticAxial(MinkowskiNorm):
     """
 
     def __init__(self, dim):
+        dim = as_integer(dim, "dimension")
         if dim < 2:
             raise InputError("dimension must be >= 2")
-        self.dim = int(dim)
+        self.dim = dim
 
     def _values(self, pts):
         ssq = np.einsum("ki,ki->k", pts, pts)
@@ -531,11 +545,6 @@ class QuarticAxial(MinkowskiNorm):
 # ---------------------------------------------------------------------------
 
 
-def eval_norm(norm: MinkowskiNorm, xi):
-    """F(xi); exactly 0 iff xi = 0 up to the floating-point zero cutoff."""
-    return norm.values(xi)
-
-
 def gauge_of_polytope(vertices, xi):
     """One-shot polytope gauge min{t > 0 : xi/t in hull(vertices)}."""
     return PolytopeGauge(vertices).values(xi)
@@ -551,10 +560,6 @@ def rescale(norm: MinkowskiNorm, kappa: float) -> LinearImage:
     if not (kappa > 0):
         raise InputError("scale factor must be positive")
     return LinearImage(kappa * np.eye(norm.dim), norm)
-
-
-def support(norm: MinkowskiNorm, theta):
-    return norm.support(theta)
 
 
 @dataclass

@@ -41,19 +41,27 @@ def norm_from_spec(spec: dict) -> MinkowskiNorm:
     if family == "lp":
         p = _require(spec, "p", "lp")
         p = np.inf if p in ("inf", "infinity") else float(p)
-        return LpNorm(p, int(_require(spec, "dim", "lp")))
+        return LpNorm(p, _require(spec, "dim", "lp"))
     if family == "polytope":
         return PolytopeGauge(np.asarray(_require(spec, "vertices", "polytope"), dtype=float))
     if family == "linear-image":
-        inner = norm_from_spec(_require(spec, "inner", "linear-image"))
-        return LinearImage(np.asarray(_require(spec, "matrix", "linear-image"), dtype=float), inner)
+        # fold nested images into one matrix product: no recursion per layer
+        matrix = np.asarray(_require(spec, "matrix", "linear-image"), dtype=float)
+        inner = _require(spec, "inner", "linear-image")
+        while isinstance(inner, dict) and inner.get("family") == "linear-image":
+            layer = np.asarray(_require(inner, "matrix", "linear-image"), dtype=float)
+            if layer.shape != matrix.shape:
+                raise InputError("nested linear-image matrices must have one shape")
+            matrix = layer @ matrix
+            inner = _require(inner, "inner", "linear-image")
+        return LinearImage(matrix, norm_from_spec(inner))
     if family == "weighted-sum":
         return WeightedSum(float(_require(spec, "w1", "weighted-sum")),
                            float(_require(spec, "w2", "weighted-sum")),
                            norm_from_spec(_require(spec, "first", "weighted-sum")),
                            norm_from_spec(_require(spec, "second", "weighted-sum")))
     if family == "quartic-axial":
-        return QuarticAxial(int(_require(spec, "dim", "quartic-axial")))
+        return QuarticAxial(_require(spec, "dim", "quartic-axial"))
     raise InputError(
         f"unknown norm family {family!r}; expected one of {', '.join(NORM_FAMILIES)}")
 

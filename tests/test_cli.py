@@ -259,3 +259,43 @@ def test_exit_code_negative_quad_level(spec_dir, capsys):
 
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_metric_of_deeply_nested_linear_images(tmp_path, capsys):
+    # 900 identity layers fold into one image; no recursion per layer
+    spec = _SQUARE_SPEC
+    for _ in range(900):
+        spec = {"family": "linear-image", "matrix": [[1.0, 0.0], [0.0, 1.0]], "inner": spec}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "metric", "--norm", str(path))
+    assert code == 0
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(_SQUARE_SPEC))
+    _, want = run(capsys, "metric", "--norm", str(square))
+    np.testing.assert_allclose(json.loads(out)["metric"], json.loads(want)["metric"],
+                               rtol=1e-12, atol=0)
+
+
+_CHART = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("command, spec, problem", [
+    ("metric", {"family": "lp", "p": 2, "dim": 2.7}, "must be an integer"),
+    ("metric", {"family": "quartic-axial", "dim": 2.7}, "must be an integer"),
+    ("field", {"chart": _CHART, "field": {
+        "family": "rotor", "psi": {"kind": "linear", "slope": 0.8, "axis": 1.7}}},
+     "must be an integer"),
+    ("field", {"chart": _CHART, "field": {
+        "family": "rotor", "psi": {"kind": "linear", "slope": 0.8, "axis": 5}}},
+     "axis 5 is not an axis"),
+], ids=["lp-dim", "quartic-dim", "fractional-axis", "axis-off-chart"])
+def test_exit_code_bad_integer_field(tmp_path, capsys, command, spec, problem):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    flag = "--norm" if command == "metric" else "--structure"
+    argv = [command, flag, str(bad)]
+    if command == "field":
+        argv += ["--grid", "9x9", "--out", str(tmp_path / "bad.csv")]
+    assert main(argv) == 2
+    assert problem in capsys.readouterr().err

@@ -12,7 +12,7 @@ from blgeom import (Euclidean, InputError, LinearImage, MetricField, NumericalFa
                     holonomy_angle, holonomy_extension, is_locally_minkowski,
                     l1_l2_interpolation, parallel_transport, rectangle_loop,
                     rigid_motion, rotor_structure, smoothstep, square_gauge)
-from blgeom import catalog
+from blgeom import catalog, invariants, manifold
 from oracles import conformal_christoffel
 
 
@@ -174,6 +174,49 @@ class TestFieldAssembly:
         st, problem = FAILING_CASES[name]
         with pytest.raises(NumericalFailure, match=rf"failed at node \[.*{problem}"):
             bl_field(st, shape=(9, 9))
+
+
+class TestPeel:
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+    def test_batch_matches_norm_at(self, name):
+        # each row of one batched peel against the one-point oracle norm_at
+        st = ASSEMBLY_CASES[name]
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(st.chart_lo, st.chart_hi, (40, st.dim))
+        vecs = rng.standard_normal((16, st.dim))
+        maps, bases, index = st.peel(pts)
+        assert maps.shape == (40, st.dim, st.dim) and index.shape == (40,)
+        for x, A, b in zip(pts, maps, index):
+            norm = st.norm_at(x)
+            want = norm.matrix if isinstance(norm, LinearImage) else np.eye(st.dim)
+            np.testing.assert_allclose(A, want, rtol=0, atol=1e-14)
+            f = norm.values(vecs)
+            np.testing.assert_allclose(bases[b].values(vecs @ A.T), f, rtol=1e-13, atol=0)
+
+    def test_interpolation_bases_keyed_by_weight(self, monkeypatch):
+        # 33 columns: 11 interior weights plus the pure l1 and l2 norms
+        calls = []
+
+        def counting(norm, quad):
+            calls.append(norm)
+            return bl_metric(norm, quad)
+
+        monkeypatch.setattr(manifold, "bl_metric", counting)
+        bl_field(catalog.builtin_structure("l1-l2-interpolation"), shape=(33, 33))
+        assert len(calls) == 13
+
+    def test_fingerprint_cloud_solves_each_base_once(self, monkeypatch):
+        calls = []
+
+        def counting(norm, quad):
+            calls.append(norm)
+            return bl_metric(norm, quad)
+
+        monkeypatch.setattr(manifold, "bl_metric", counting)
+        monkeypatch.setattr(invariants, "bl_metric", counting)
+        pts, cloud = fingerprint_cloud(catalog.builtin_structure("l1-l2-interpolation"))
+        # one solve per distinct weight, none repeated inside fingerprint_point
+        assert len(calls) == len(np.unique(smoothstep(pts[:, 0]))) == 4
 
 
 def _interior_points(field, margin, count):
