@@ -12,7 +12,7 @@ from .manifold import (BerwaldReport, FinslerStructure, FlatnessReport,
                        MetricField, TransportResult, berwald_defect, bl_field,
                        conformal_factor, conformal_rescale, constant_structure,
                        default_loops, default_probes, fingerprint_cloud,
-                       holonomy_angle, holonomy_extension, is_locally_minkowski,
+                       holonomy_angle, is_locally_minkowski,
                        l1_l2_interpolation, parallel_transport, rectangle_loop,
                        rigid_motion, rotor_structure, smoothstep, square_gauge)
 from .metric import (Ellipsoid, MomentResult, binet_ellipsoid, bl_metric,
@@ -21,7 +21,7 @@ from .metric import (Ellipsoid, MomentResult, binet_ellipsoid, bl_metric,
                      relative_qf_deviation, unit_ball_volume)
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
                     PolytopeGauge, QuarticAxial, ValidationReport, WeightedSum,
-                    gauge_of_polytope, linear_image, rescale, validate)
+                    linear_image, rescale, validate)
 from .quadrature import (SphericalQuadrature, auto_quadrature, ball_volume,
                          circle_panels, circle_trapezoid, sphere_monte_carlo,
                          sphere_product_gauss, sphere_surface_area)

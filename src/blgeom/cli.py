@@ -29,6 +29,8 @@ def _parse_grid(text, dim):
         raise InputError(f"bad grid spec {text!r}; expected e.g. 32x32") from exc
     if len(parts) != dim:
         raise InputError(f"grid spec {text!r} has {len(parts)} axes, chart has {dim}")
+    if min(parts) < 1:
+        raise InputError(f"grid spec {text!r} has an axis with fewer than 1 point")
     return tuple(parts)
 
 
@@ -37,6 +39,13 @@ def quad_level(text):
     if level < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {level}")
     return level
+
+
+def tolerance(text):
+    tol = float(text)
+    if not (np.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return tol
 
 
 def _emit(text, out_path):
@@ -235,7 +244,7 @@ def build_parser():
 
     p = sub.add_parser("metric", help="metric, dual matrix, volume, condition")
     add_common(p, norm=True)
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=tolerance, default=1e-8,
                    help="refinement-doubling acceptance tolerance")
     p.set_defaults(func=cmd_metric)
 
@@ -255,7 +264,7 @@ def build_parser():
     p = sub.add_parser("compare", help="compare two fingerprint clouds")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=tolerance, default=1e-3,
                    help="normalized Hausdorff tolerance")
     p.add_argument("--assert", dest="assert_verdict", action="store_true",
                    help="exit 1 when the clouds are distinguishable")
@@ -270,7 +279,7 @@ def build_parser():
     p = sub.add_parser("berwald", help="Berwald defect and local flatness")
     add_common(p, structure=True)
     p.add_argument("--grid", default="33x33")
-    p.add_argument("--tol", type=float, default=1e-4,
+    p.add_argument("--tol", type=tolerance, default=1e-4,
                    help="verdict tolerance for both legs")
     p.add_argument("--assert", dest="assert_verdict", action="store_true",
                    help="exit 1 when the structure is not locally Minkowski")

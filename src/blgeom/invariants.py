@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import InputError, UnsupportedDimensionError
 from .metric import assert_spd, bl_metric, unit_ball_volume
-from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, _tangent_basis,
-                    sphere_grid)
-from .quadrature import SphericalQuadrature, auto_quadrature, ball_volume
+from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, sphere_directions,
+                    sphere_polish)
+from .quadrature import auto_quadrature
 
 
 def orthonormalize(norm: MinkowskiNorm, metric: np.ndarray) -> LinearImage:
@@ -56,15 +55,15 @@ class Quermassintegrals:
 
 
 def quermassintegrals(norm: MinkowskiNorm, metric: np.ndarray, *,
-                      level: int = 0, nodes_3d: int = 20000) -> Quermassintegrals:
+                      level: int = 0) -> Quermassintegrals:
     """Steiner coefficients of the unit ball in G-orthonormal coordinates.
 
     n = 2: W_0 = area (radial integral), W_1 = half the support-function
     integral over the circle (Cauchy's perimeter formula), W_2 = pi.
-    n = 3: the body is approximated by the polytope inscribed through a
-    fine direction set; W_0 = volume, W_1 = surface/3, and W_2 comes from
-    the exact polytope mean-width term sum(edge length * exterior dihedral
-    angle) / 6, with W_3 = 4 pi / 3.
+    n = 3: the body is approximated by the polytope inscribed through
+    20000 * 2^level directions; W_0 = volume, W_1 = surface/3, and W_2 comes
+    from the exact polytope mean-width term sum(edge length * exterior
+    dihedral angle) / 6, with W_3 = 4 pi / 3.
     Other dimensions raise; there is no silent fallback.
     """
     n = norm.dim
@@ -76,10 +75,7 @@ def quermassintegrals(norm: MinkowskiNorm, metric: np.ndarray, *,
         w1 = 0.5 * float(np.dot(squad.weights, h))
         return Quermassintegrals(np.array([w0, w1, np.pi]), 2)
     if n == 3:
-        dirs = sphere_grid(3, nodes_3d << level)
-        cand = body.extremal_candidates()
-        if cand is not None:
-            dirs = np.vstack([dirs, cand])
+        dirs = sphere_directions(body, 20000 << level)
         verts = dirs / body.values(dirs)[:, None]
         hull = ConvexHull(verts)
         w0 = hull.volume
@@ -103,64 +99,35 @@ def _polytope_mean_width_term(hull: ConvexHull) -> float:
     return float(np.linalg.norm(ends, axis=1) @ np.arccos(cos))
 
 
-def roundness(norm: MinkowskiNorm, metric: np.ndarray, *,
-              grid: int | None = None) -> tuple[float, float]:
+def roundness(norm: MinkowskiNorm, metric: np.ndarray) -> tuple[float, float]:
     """(mu, M): min and max of F(xi)/sqrt(xi^T G xi) over xi != 0.
 
-    Dense sampling of the G-unit sphere followed by local refinement
-    (bracketed scalar search in 2D, simplex descent on a tangent chart in
-    higher dimension).  For polytope gauges the candidate set includes the
-    vertex and facet-normal directions, where the extrema provably sit.
+    Dense sampling of the G-unit sphere (4096 directions in 2D, 20000
+    otherwise) followed by ``sphere_polish`` at the best sample.  For
+    polytope gauges the candidate set includes the vertex and facet-normal
+    directions, where the extrema provably sit.
     """
     body = orthonormalize(norm, metric)
-    n = body.dim
-    if grid is None:
-        grid = 4096 if n == 2 else 20000
-    dirs = sphere_grid(n, grid)
-    cand = body.extremal_candidates()
-    if cand is not None:
-        dirs = np.vstack([dirs, cand])
+    grid = 4096 if body.dim == 2 else 20000
+    dirs = sphere_directions(body, grid)
     vals = body.values(dirs)
-    lo = _refine_extremum(body, dirs, vals, grid, sign=+1)
-    hi = _refine_extremum(body, dirs, vals, grid, sign=-1)
-    return lo, hi
+    width = _TWO_PI / grid * 4.0
+    return (_refine_extremum(body, dirs, vals, width, sign=+1),
+            _refine_extremum(body, dirs, vals, width, sign=-1))
 
 
-def _refine_extremum(body, dirs, vals, grid, sign):
+def _refine_extremum(body, dirs, vals, width, sign):
     # sign=+1 refines the minimum, sign=-1 the maximum
     idx = int(np.argmin(sign * vals))
-    u0 = dirs[idx] / np.linalg.norm(dirs[idx])
     best = float(vals[idx])
-    if body.dim == 2:
-        a0 = np.arctan2(u0[1], u0[0])
-        width = _TWO_PI / grid * 4.0
-
-        def obj(a):
-            return sign * float(body.values(np.array([np.cos(a), np.sin(a)])))
-
-        res = minimize_scalar(obj, bounds=(a0 - width, a0 + width),
-                              method="bounded", options={"xatol": 1e-12})
-        refined = sign * res.fun
-        return min(best, refined) if sign > 0 else max(best, refined)
-    basis = _tangent_basis(u0)
-
-    def obj(t):
-        v = u0 + basis @ t
-        return sign * float(body.values(v / np.linalg.norm(v)))
-
-    res = minimize(obj, np.zeros(body.dim - 1), method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-12 * max(1.0, best),
-                            "maxiter": 600})
-    refined = sign * res.fun
+    refined = sign * sphere_polish(lambda u: sign * float(body.values(u)),
+                                   dirs[idx] / np.linalg.norm(dirs[idx]), width, best)
     return min(best, refined) if sign > 0 else max(best, refined)
 
 
-def isotropy_defect(norm: MinkowskiNorm, *, quad: SphericalQuadrature | None = None,
-                    level: int = 0) -> float:
+def isotropy_defect(norm: MinkowskiNorm) -> float:
     """M/mu - 1 against the norm's own metric; ~0 certifies a euclidean norm."""
-    if quad is None:
-        quad = auto_quadrature(norm, level=level)
-    g = bl_metric(norm, quad)
+    g = bl_metric(norm, auto_quadrature(norm))
     mu, big_m = roundness(norm, g)
     return big_m / mu - 1.0
 

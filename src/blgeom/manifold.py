@@ -56,9 +56,6 @@ class FinslerStructure:
     chart_lo: np.ndarray
     chart_hi: np.ndarray
     peel: Callable[[np.ndarray], tuple]
-    smoothness: str = "smooth"  # {"smooth", "partially-smooth", "continuous"}
-    label: str = ""
-    spec: dict | None = None
 
     def __post_init__(self):
         self.chart_lo = np.asarray(self.chart_lo, dtype=float)
@@ -164,16 +161,23 @@ def _linear_chain(norm: MinkowskiNorm):
     return A, norm
 
 
-def constant_structure(norm: MinkowskiNorm, lo=(-1.0, -1.0), hi=(1.0, 1.0),
-                       label: str = "constant") -> FinslerStructure:
+def _norm_field(dim: int, lo, hi, peel) -> FinslerStructure:
+    """The structure ``peel`` of norms on R^dim over the chart [lo, hi]."""
+    structure = FinslerStructure(lo, hi, peel)
+    if structure.dim != dim:
+        raise InputError(f"a field of norms on R^{dim} needs a {dim}D chart, "
+                         f"got a {structure.dim}D chart")
+    return structure
+
+
+def constant_structure(norm: MinkowskiNorm, lo=(-1.0, -1.0), hi=(1.0, 1.0)) -> FinslerStructure:
     """Same Minkowski norm in every tangent space."""
     A, base = _linear_chain(norm)
 
     def peel(X):
         return np.broadcast_to(A, (len(X),) + A.shape), [base], np.zeros(len(X), dtype=int)
 
-    return FinslerStructure(np.asarray(lo, float), np.asarray(hi, float), peel,
-                            smoothness="smooth", label=label)
+    return _norm_field(norm.dim, lo, hi, peel)
 
 
 def l1_l2_interpolation(lo=(-1.0, -1.0), hi=(2.0, 1.0)) -> FinslerStructure:
@@ -195,8 +199,7 @@ def l1_l2_interpolation(lo=(-1.0, -1.0), hi=(2.0, 1.0)) -> FinslerStructure:
                  for f in weights]
         return np.broadcast_to(np.eye(2), (len(X), 2, 2)), bases, index
 
-    return FinslerStructure(np.asarray(lo, float), np.asarray(hi, float), peel,
-                            smoothness="continuous", label="l1-l2-interpolation")
+    return _norm_field(2, lo, hi, peel)
 
 
 def square_gauge() -> PolytopeGauge:
@@ -227,8 +230,7 @@ def rotor_structure(psi: Callable[[np.ndarray], float] | dict,
         rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
         return A @ rot, [base], np.zeros(len(X), dtype=int)
 
-    return FinslerStructure(np.asarray(lo, float), np.asarray(hi, float), peel,
-                            smoothness="partially-smooth", label="rotor")
+    return _norm_field(2, lo, hi, peel)
 
 
 def conformal_rescale(base: FinslerStructure,
@@ -247,19 +249,7 @@ def conformal_rescale(base: FinslerStructure,
                 f"conformal factor must be positive, got {lam[k]} at {X[k]}")
         return maps * lam[:, None, None], bases, index
 
-    return FinslerStructure(base.chart_lo.copy(), base.chart_hi.copy(), peel,
-                            smoothness=base.smoothness,
-                            label=f"conformal({base.label})")
-
-
-def holonomy_extension(norm: MinkowskiNorm, lo=(-1.0, -1.0), hi=(1.0, 1.0)) -> FinslerStructure:
-    """Extend a seed norm over a flat chart by parallel translation.
-
-    The Levi-Civita transport of a flat chart is trivial, so the extension
-    is the constant field with the seed norm; by construction it is Berwald
-    and locally flat.
-    """
-    return constant_structure(norm, lo, hi, label="holonomy-extension")
+    return FinslerStructure(base.chart_lo.copy(), base.chart_hi.copy(), peel)
 
 
 def rigid_motion(structure: FinslerStructure, rotation, translation) -> FinslerStructure:
@@ -280,9 +270,7 @@ def rigid_motion(structure: FinslerStructure, rotation, translation) -> FinslerS
         maps, bases, index = structure.peel((Y - t) @ R)
         return maps @ R.T, bases, index
 
-    return FinslerStructure(corners.min(axis=0), corners.max(axis=0), peel,
-                            smoothness=structure.smoothness,
-                            label=f"moved({structure.label})")
+    return FinslerStructure(corners.min(axis=0), corners.max(axis=0), peel)
 
 
 def _box_corners(lo, hi):
@@ -368,11 +356,12 @@ class MetricField:
         t = jac + np.swapaxes(jac, -3, -2) - np.moveaxis(jac, -3, -1)
         return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, t)
 
-    def riemann(self, x, step: float | None = None) -> np.ndarray:
-        """Curvature R[..., l, k, i, j] by central differences of the symbols."""
+    def riemann(self, x) -> np.ndarray:
+        """Curvature R[..., l, k, i, j] by central differences of the symbols
+        at the smallest lattice spacing."""
         x = np.asarray(x, dtype=float)
         n = self.dim
-        h = step if step is not None else float(self.spacing.min())
+        h = float(self.spacing.min())
         shifts = np.concatenate([np.zeros((1, n)), h * np.eye(n), -h * np.eye(n)])
         gam_all = self.christoffel(x[..., None, :] + shifts)
         gam = gam_all[..., 0, :, :, :]
@@ -383,13 +372,13 @@ class MetricField:
         t4 = np.swapaxes(t3, -1, -2)
         return t1 - t2 + t3 - t4
 
-    def check_positive_definite(self, refine: int = 4):
-        """Definiteness check of the interpolated tensor on a ``refine`` times
-        finer grid, in slabs of about 4096 points along axis 0; on that tensor
+    def check_positive_definite(self):
+        """Definiteness check of the interpolated tensor on a 4 times finer
+        grid, in slabs of about 4096 points along axis 0; on that tensor
         grid the spline is its coefficients times one basis matrix per axis.
         Each slab is tested with one batched Cholesky factorization;
         eigenvalues are computed only to locate a failure."""
-        axes = [np.linspace(a[0], a[-1], refine * (len(a) - 1) + 1) for a in self.axes]
+        axes = [np.linspace(a[0], a[-1], 4 * (len(a) - 1) + 1) for a in self.axes]
         basis = [BSpline.design_matrix(a, t, 3).toarray()
                  for a, t in zip(axes, self._spline.t)]
         rows = max(1, 4096 // int(np.prod([len(a) for a in axes[1:]])))
@@ -530,6 +519,12 @@ def conformal_factor(field_a: MetricField, field_b: MetricField,
 # ---------------------------------------------------------------------------
 
 
+# Relative drift of the transported frame's Gram matrix that a transport
+# accepts, and the step halvings it tries before giving up.
+GRAM_TOL = 1e-6
+MAX_HALVINGS = 4
+
+
 @dataclass
 class TransportResult:
     path: np.ndarray                 # polyline vertices, shape (m, n)
@@ -543,14 +538,14 @@ class TransportResult:
         return self.frames[-1]
 
 
-def parallel_transport(field: MetricField, path, frame, *,
-                       gram_tol: float = 1e-6, max_halvings: int = 4) -> TransportResult:
+def parallel_transport(field: MetricField, path, frame) -> TransportResult:
     """Transport a frame along a polyline with the field's connection.
 
-    Classical fixed-step RK4 on the linear transport ODE, with step halving
-    until the frame's Gram matrix in the interpolated metric is preserved
-    within ``gram_tol`` (metric preservation is exact for the continuous
-    problem, so the drift measures integration error).
+    Classical fixed-step RK4 on the linear transport ODE, with up to
+    ``MAX_HALVINGS`` step halvings until the frame's Gram matrix in the
+    interpolated metric is preserved within ``GRAM_TOL`` (metric
+    preservation is exact for the continuous problem, so the drift
+    measures integration error).
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or len(path) < 2 or path.shape[1] != field.dim:
@@ -564,7 +559,7 @@ def parallel_transport(field: MetricField, path, frame, *,
     base_h = 0.25 * float(field.spacing.min())
     segs = np.diff(path, axis=0)
     lengths = np.linalg.norm(segs, axis=1)
-    for attempt in range(max_halvings + 1):
+    for attempt in range(MAX_HALVINGS + 1):
         h_target = base_h / 2 ** attempt
         steps = np.maximum(4, np.ceil(lengths / h_target).astype(int)) * (lengths > 0)
         # xi' = A(t) xi with A = -Gamma(a + t seg) . seg, evaluated in one batch
@@ -593,11 +588,11 @@ def parallel_transport(field: MetricField, path, frame, *,
             first += 2 * m + 1
             frames.append(xi.copy())
         residual = _gram_residual(field, path, frames)
-        if residual <= gram_tol:
+        if residual <= GRAM_TOL:
             return TransportResult(path, frame, frames, int(steps.sum()), residual)
     raise TransportAccuracyError(
-        f"transport Gram residual {residual:.3e} exceeds {gram_tol:.1e} after "
-        f"{max_halvings} step halvings; use a finer lattice or looser tolerance")
+        f"transport Gram residual {residual:.3e} exceeds {GRAM_TOL:.1e} after "
+        f"{MAX_HALVINGS} step halvings; use a finer lattice")
 
 
 def _gram_residual(field, path, frames):
@@ -621,7 +616,7 @@ def holonomy_angle(field: MetricField, result: TransportResult) -> float:
 
 
 def default_loops(structure: FinslerStructure, margin: float,
-                  scales=(0.25, 0.5, 0.75), points_per_edge: int = 8) -> list:
+                  scales=(0.25, 0.5, 0.75)) -> list:
     """Axis-aligned rectangles at three scales centered in the chart.
 
     In dimension >= 3 every coordinate plane through the center gets its
@@ -636,14 +631,12 @@ def default_loops(structure: FinslerStructure, margin: float,
     loops = []
     for s in scales:
         for axes in planes:
-            loops.append(rectangle_loop(center, s * half_max, points_per_edge,
-                                        axes=axes))
+            loops.append(rectangle_loop(center, s * half_max, axes=axes))
     return loops
 
 
-def rectangle_loop(center, half, points_per_edge: int = 8,
-                   axes: tuple = (0, 1)) -> np.ndarray:
-    """Closed rectangle polyline in a coordinate plane, edges subdivided.
+def rectangle_loop(center, half, axes: tuple = (0, 1)) -> np.ndarray:
+    """Closed rectangle polyline in a coordinate plane, each edge cut into 8.
 
     ``axes`` selects the plane; coordinates off that plane stay at the
     center value.  Counterclockwise in the chosen plane.
@@ -662,7 +655,7 @@ def rectangle_loop(center, half, points_per_edge: int = 8,
         corners.append(c)
     pts = []
     for a, b in zip(corners[:-1], corners[1:]):
-        for t in np.linspace(0.0, 1.0, points_per_edge + 1)[:-1]:
+        for t in np.linspace(0.0, 1.0, 9)[:-1]:
             pts.append(a + t * (b - a))
     pts.append(corners[-1])
     return np.array(pts)
@@ -688,7 +681,7 @@ class BerwaldReport:
 
 def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
                    field: MetricField | None = None, shape=None,
-                   level: int = 0, gram_tol: float = 1e-6) -> BerwaldReport:
+                   level: int = 0) -> BerwaldReport:
     """Max relative change of F under transport along the given loops.
 
     For every loop, every probe vector is transported with the metric
@@ -717,7 +710,7 @@ def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
     gram_worst = 0.0
     per_loop = []
     for loop in loops:
-        result = parallel_transport(field, loop, probes, gram_tol=gram_tol)
+        result = parallel_transport(field, loop, probes)
         gram_worst = max(gram_worst, result.gram_residual)
         maps, bases, base_of_vertex = _peel(structure, loop, "norm evaluation failed at point")
         # F at vertex v of its frame's column p is base_v(A_v xi_vp)
@@ -769,10 +762,10 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
 # ---------------------------------------------------------------------------
 
 
-def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *,
-                      level: int = 0, margin_fraction: float = 0.05):
+def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *, level: int = 0):
     """Fingerprints of the pointwise norms over a chart grid.
 
+    The grid spans the chart box shrunk by 5% of its width on every side.
     Returns (points, cloud) with one fingerprint row per grid point.  The
     fingerprint is taken in coordinates where the norm's own metric is the
     identity, so it is GL-invariant: base o A has the fingerprint of base.
@@ -787,8 +780,8 @@ def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *,
     if len(grid) != n:
         raise InputError("grid shape must match the chart dimension")
     width = structure.chart_hi - structure.chart_lo
-    axes = [np.linspace(structure.chart_lo[i] + margin_fraction * width[i],
-                        structure.chart_hi[i] - margin_fraction * width[i],
+    axes = [np.linspace(structure.chart_lo[i] + 0.05 * width[i],
+                        structure.chart_hi[i] - 0.05 * width[i],
                         int(grid[i])) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])

@@ -32,6 +32,7 @@ from .quadrature import (SphericalQuadrature, auto_quadrature, ball_volume,
                          sphere_surface_area)
 
 CONDITION_LIMIT = 1e12
+MAX_QUAD_LEVEL = 4  # refinement cap of bl_metric_converged
 
 
 def assert_spd(matrix: np.ndarray, what: str = "matrix", sym_tol: float = 1e-12):
@@ -102,7 +103,7 @@ def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
 @dataclass
 class ConvergenceInfo:
     converged: bool
-    achieved_tol: float
+    achieved_tol: Optional[float]  # None when no two levels were compared
     level: int
     scheme: str
 
@@ -125,7 +126,7 @@ def _mc_metric_standard_error(norm: MinkowskiNorm, quad: SphericalQuadrature,
 
 
 def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0,
-                        max_level: int = 4, seed: int = 0, mc_tol: float = 1e-3):
+                        seed: int = 0, mc_tol: float = 1e-3):
     """Metric with a refinement acceptance rule.
 
     Deterministic schemes compute at consecutive refinement levels and
@@ -133,19 +134,20 @@ def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0,
     Monte-Carlo schemes use variance-based stopping instead: accept when
     the batch-means relative standard error falls below ``mc_tol``, and
     report that standard error as the achieved tolerance.  Either way
-    refinement is capped at ``max_level``.
+    refinement is capped at ``MAX_QUAD_LEVEL``; a deterministic start there
+    compares no two levels and reports ``achieved_tol`` None.
     """
     quad = auto_quadrature(norm, level=level, seed=seed)
     if quad.scheme == "monte-carlo":
         while True:
             g, rel_se = _mc_metric_standard_error(norm, quad)
-            if rel_se <= mc_tol or quad.level >= max_level:
+            if rel_se <= mc_tol or quad.level >= MAX_QUAD_LEVEL:
                 return g, ConvergenceInfo(rel_se <= mc_tol, rel_se,
                                           quad.level, quad.scheme)
             quad = quad.refined()
     g = bl_metric(norm, quad)
-    achieved = np.inf
-    while quad.level < max_level:
+    achieved = None
+    while quad.level < MAX_QUAD_LEVEL:
         finer = quad.refined()
         g_fine = bl_metric(norm, finer)
         achieved = float(np.linalg.norm(g_fine - g) / np.linalg.norm(g_fine))
@@ -242,14 +244,14 @@ def _ellipsoid_bounding_box(ell: Ellipsoid):
 def moment_of_inertia(body: Union[MinkowskiNorm, Ellipsoid], theta, *,
                       quad: Optional[SphericalQuadrature] = None,
                       method: str = "radial", samples: int = 1_000_000,
-                      seed: int = 0, chunk: int = 2 ** 20) -> MomentResult:
+                      seed: int = 0) -> MomentResult:
     """integral over the body of (theta . xi)^2 d xi.
 
     ``body`` is either a norm (its unit sublevel set) or an ellipsoid.
     method="radial" uses the polar-coordinate reduction (deterministic,
     needs ``quad`` for norm bodies; closed form for ellipsoids);
-    method="mc" uses seeded rejection sampling in the bounding box and
-    reports a standard-error estimate.
+    method="mc" uses seeded rejection sampling in the bounding box, in
+    chunks of 2^20 points, and reports a standard-error estimate.
     """
     theta = np.asarray(theta, dtype=float)
     if method == "radial":
@@ -279,7 +281,7 @@ def moment_of_inertia(body: Union[MinkowskiNorm, Ellipsoid], theta, *,
     total_sq = 0.0
     count = 0
     while count < samples:
-        m = min(chunk, samples - count)
+        m = min(2 ** 20, samples - count)
         pts = rng.uniform(lo, hi, size=(m, n))
         vals = np.where(inside(pts), (pts @ theta) ** 2, 0.0)
         total += float(vals.sum())

@@ -110,7 +110,7 @@ class MinkowskiNorm:
         return out
 
     def _support_one(self, theta):
-        return _generic_support(self, theta, refine=True)
+        return _generic_support(self, theta)
 
     # -- structure hints used by quadrature and sphere optimizers ---------
 
@@ -126,26 +126,15 @@ class MinkowskiNorm:
         """Unit directions where extrema of F over the sphere may sit."""
         return None
 
-    def spec(self) -> dict:
-        raise NotImplementedError
-
     # boundary cloud cache, shared by generic support/extrema scans
     _cloud: Optional[np.ndarray] = None
 
     def boundary_cloud(self) -> np.ndarray:
         """Dense sample of the unit-ball boundary, u / F(u), computed once."""
         if self._cloud is None:
-            dirs = sphere_grid(self.dim, _default_cloud_size(self.dim))
-            extra = self.extremal_candidates()
-            if extra is not None and len(extra):
-                dirs = np.vstack([dirs, extra])
-            vals = self.values(dirs)
-            self._cloud = dirs / vals[:, None]
+            dirs = sphere_directions(self, 16384 if self.dim == 3 else 8192)
+            self._cloud = dirs / self.values(dirs)[:, None]
         return self._cloud
-
-
-def _default_cloud_size(dim):
-    return {2: 8192, 3: 16384}.get(dim, 8192)
 
 
 def sphere_grid(dim: int, size: int, seed: int = 0) -> np.ndarray:
@@ -172,38 +161,49 @@ def _tangent_basis(u):
     return q[:, 1:]
 
 
-def _generic_support(norm, theta, refine):
+def sphere_directions(norm: MinkowskiNorm, size: int) -> np.ndarray:
+    """``sphere_grid(norm.dim, size)`` followed by the norm's extremal candidates."""
+    dirs = sphere_grid(norm.dim, size)
+    extra = norm.extremal_candidates()
+    return dirs if extra is None or not len(extra) else np.vstack([dirs, extra])
+
+
+def sphere_polish(objective, u0, width: float, scale: float) -> float:
+    """Local minimum of ``objective`` over unit vectors, started at the unit
+    vector u0.
+
+    In 2D a bounded scalar search over the angles within ``width`` of u0;
+    otherwise Nelder-Mead on the tangent chart at u0, with value tolerance
+    1e-12 * max(1, |scale|) for objectives of size ``scale``.
+    """
+    if len(u0) == 2:
+        a0 = np.arctan2(u0[1], u0[0])
+        res = minimize_scalar(lambda a: objective(np.array([np.cos(a), np.sin(a)])),
+                              bounds=(a0 - width, a0 + width), method="bounded",
+                              options={"xatol": 1e-12})
+        return float(res.fun)
+    basis = _tangent_basis(u0)
+
+    def on_chart(t):
+        v = u0 + basis @ t
+        return objective(v / np.linalg.norm(v))
+
+    res = minimize(on_chart, np.zeros(len(u0) - 1), method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-12 * max(1.0, abs(scale)),
+                            "maxiter": 600})
+    return float(res.fun)
+
+
+def _generic_support(norm, theta):
+    # the best boundary-cloud point, polished on the sphere
     cloud = norm.boundary_cloud()
     scores = cloud @ theta
     best = int(np.argmax(scores))
     h0 = scores[best]
-    if not refine:
-        return float(h0)
-    u0 = cloud[best]
-    u0 = u0 / np.linalg.norm(u0)
-
-    if norm.dim == 2:
-        a0 = np.arctan2(u0[1], u0[0])
-        width = _TWO_PI / len(cloud) * 4.0
-
-        def neg(a):
-            u = np.array([np.cos(a), np.sin(a)])
-            return -(theta @ u) / norm.values(u)
-
-        res = minimize_scalar(neg, bounds=(a0 - width, a0 + width), method="bounded",
-                              options={"xatol": 1e-12})
-        return float(max(h0, -res.fun))
-
-    basis = _tangent_basis(u0)
-
-    def neg(t):
-        v = u0 + basis @ t
-        v = v / np.linalg.norm(v)
-        return -(theta @ v) / norm.values(v)
-
-    res = minimize(neg, np.zeros(norm.dim - 1), method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-12 * max(1.0, abs(h0)), "maxiter": 600})
-    return float(max(h0, -res.fun))
+    u0 = cloud[best] / np.linalg.norm(cloud[best])
+    neg = sphere_polish(lambda u: -(theta @ u) / norm.values(u), u0,
+                        _TWO_PI / len(cloud) * 4.0, h0)
+    return float(max(h0, -neg))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +240,6 @@ class Euclidean(MinkowskiNorm):
     def extremal_candidates(self):
         _, vecs = np.linalg.eigh(self.matrix)
         return np.vstack([vecs.T, -vecs.T])
-
-    def spec(self):
-        return {"family": "euclidean", "matrix": self.matrix.tolist()}
 
     def __repr__(self):
         return f"Euclidean(dim={self.dim})"
@@ -318,9 +315,6 @@ class LpNorm(MinkowskiNorm):
         corners = np.sign(diags)
         corners = corners / np.linalg.norm(corners, axis=1, keepdims=True)
         return np.vstack([axes, corners])
-
-    def spec(self):
-        return {"family": "lp", "p": "inf" if np.isinf(self.p) else self.p, "dim": self.dim}
 
     def __repr__(self):
         return f"LpNorm(p={self.p}, dim={self.dim})"
@@ -405,9 +399,6 @@ class PolytopeGauge(MinkowskiNorm):
             ndirs = self._facet_normals / np.linalg.norm(self._facet_normals, axis=1, keepdims=True)
         return np.vstack([vdirs, ndirs])
 
-    def spec(self):
-        return {"family": "polytope", "vertices": self.vertices.tolist()}
-
     def __repr__(self):
         return f"PolytopeGauge(dim={self.dim}, vertices={len(self.vertices)})"
 
@@ -459,10 +450,6 @@ class LinearImage(MinkowskiNorm):
         mapped = np.vstack([cand @ self._inv.T, cand @ self.matrix])
         return mapped / np.linalg.norm(mapped, axis=1, keepdims=True)
 
-    def spec(self):
-        return {"family": "linear-image", "matrix": self.matrix.tolist(),
-                "inner": self.inner.spec()}
-
     def __repr__(self):
         return f"LinearImage({self.inner!r})"
 
@@ -474,8 +461,8 @@ class WeightedSum(MinkowskiNorm):
         if first.dim != second.dim:
             raise InputError("component norms must share a dimension")
         w1, w2 = float(w1), float(w2)
-        if w1 < 0 or w2 < 0 or w1 + w2 <= 0:
-            raise InputError("weights must be nonnegative with positive sum")
+        if not (np.isfinite([w1, w2]).all() and w1 >= 0 and w2 >= 0 and w1 + w2 > 0):
+            raise InputError("weights must be finite and nonnegative with positive sum")
         self.dim = first.dim
         self.w1, self.w2 = w1, w2
         self.first, self.second = first, second
@@ -505,10 +492,6 @@ class WeightedSum(MinkowskiNorm):
                              self.second.extremal_candidates()) if c is not None]
         return np.vstack(parts) if parts else None
 
-    def spec(self):
-        return {"family": "weighted-sum", "w1": self.w1, "w2": self.w2,
-                "first": self.first.spec(), "second": self.second.spec()}
-
     def __repr__(self):
         return f"WeightedSum({self.w1}*{self.first!r} + {self.w2}*{self.second!r})"
 
@@ -533,9 +516,6 @@ class QuarticAxial(MinkowskiNorm):
     def extremal_candidates(self):
         return np.vstack([np.eye(self.dim), -np.eye(self.dim)])
 
-    def spec(self):
-        return {"family": "quartic-axial", "dim": self.dim}
-
     def __repr__(self):
         return f"QuarticAxial(dim={self.dim})"
 
@@ -543,11 +523,6 @@ class QuarticAxial(MinkowskiNorm):
 # ---------------------------------------------------------------------------
 # free-function interface
 # ---------------------------------------------------------------------------
-
-
-def gauge_of_polytope(vertices, xi):
-    """One-shot polytope gauge min{t > 0 : xi/t in hull(vertices)}."""
-    return PolytopeGauge(vertices).values(xi)
 
 
 def linear_image(norm: MinkowskiNorm, matrix) -> LinearImage:

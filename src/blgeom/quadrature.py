@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError
-from .norms import MinkowskiNorm
-
-_TWO_PI = 2.0 * np.pi
+from .norms import _TWO_PI, MinkowskiNorm
 
 
 def sphere_surface_area(dim: int) -> float:

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalFailure
 from .manifold import (FinslerStructure, conformal_rescale, constant_structure,
-                       holonomy_extension, l1_l2_interpolation, rotor_structure)
+                       l1_l2_interpolation, rotor_structure)
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
                     PolytopeGauge, QuarticAxial, WeightedSum)
 
@@ -23,6 +23,8 @@ NORM_FAMILIES = ("euclidean", "lp", "polytope", "linear-image", "weighted-sum",
                  "quartic-axial")
 FIELD_FAMILIES = ("constant", "l1-l2-interpolation", "rotor",
                   "conformal-rescale", "holonomy-extension")
+# Nesting bound of a norm spec; a chain of linear-image layers counts once.
+MAX_NORM_DEPTH = 64
 
 
 def _require(spec: dict, key: str, what: str):
@@ -32,7 +34,14 @@ def _require(spec: dict, key: str, what: str):
 
 
 def norm_from_spec(spec: dict) -> MinkowskiNorm:
-    """Build a norm from its JSON dictionary."""
+    """Build a norm from its JSON dictionary, nested at most
+    ``MAX_NORM_DEPTH`` layers deep."""
+    return _norm_from_spec(spec, MAX_NORM_DEPTH)
+
+
+def _norm_from_spec(spec, depth):
+    if depth == 0:
+        raise InputError(f"norm spec is nested more than {MAX_NORM_DEPTH} layers deep")
     if not isinstance(spec, dict):
         raise InputError(f"norm spec must be an object, got {type(spec).__name__}")
     family = _require(spec, "family", "norm")
@@ -54,12 +63,12 @@ def norm_from_spec(spec: dict) -> MinkowskiNorm:
                 raise InputError("nested linear-image matrices must have one shape")
             matrix = layer @ matrix
             inner = _require(inner, "inner", "linear-image")
-        return LinearImage(matrix, norm_from_spec(inner))
+        return LinearImage(matrix, _norm_from_spec(inner, depth - 1))
     if family == "weighted-sum":
         return WeightedSum(float(_require(spec, "w1", "weighted-sum")),
                            float(_require(spec, "w2", "weighted-sum")),
-                           norm_from_spec(_require(spec, "first", "weighted-sum")),
-                           norm_from_spec(_require(spec, "second", "weighted-sum")))
+                           _norm_from_spec(_require(spec, "first", "weighted-sum"), depth - 1),
+                           _norm_from_spec(_require(spec, "second", "weighted-sum"), depth - 1))
     if family == "quartic-axial":
         return QuarticAxial(_require(spec, "dim", "quartic-axial"))
     raise InputError(
@@ -80,32 +89,23 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         return (np.asarray(_require(chart, "lo", "chart"), dtype=float),
                 np.asarray(_require(chart, "hi", "chart"), dtype=float))
 
-    if family == "constant":
-        norm = norm_from_spec(_require(field, "norm", "constant field"))
-        lo, hi = box(-np.ones(norm.dim), np.ones(norm.dim))
-        st = constant_structure(norm, lo, hi)
-    elif family == "l1-l2-interpolation":
-        lo, hi = box((-1.0, -1.0), (2.0, 1.0))
-        st = l1_l2_interpolation(lo, hi)
-    elif family == "rotor":
-        base = None
-        if "base" in field:
-            base = norm_from_spec(field["base"])
-        lo, hi = box((-1.0, -1.0), (1.0, 1.0))
-        st = rotor_structure(_require(field, "psi", "rotor field"), base, lo, hi)
-    elif family == "conformal-rescale":
+    if family in ("constant", "holonomy-extension"):
+        # a flat chart's transport is trivial, so extending a seed norm by
+        # parallel translation gives the constant field of that norm
+        norm = norm_from_spec(_require(field, "norm", f"{family} field"))
+        return constant_structure(norm, *box(-np.ones(norm.dim), np.ones(norm.dim)))
+    if family == "l1-l2-interpolation":
+        return l1_l2_interpolation(*box((-1.0, -1.0), (2.0, 1.0)))
+    if family == "rotor":
+        base = norm_from_spec(field["base"]) if "base" in field else None
+        return rotor_structure(_require(field, "psi", "rotor field"), base,
+                               *box((-1.0, -1.0), (1.0, 1.0)))
+    if family == "conformal-rescale":
         inner = structure_from_spec({"field": _require(field, "base", "conformal-rescale"),
                                      "chart": chart})
-        st = conformal_rescale(inner, _require(field, "factor", "conformal-rescale"))
-    elif family == "holonomy-extension":
-        norm = norm_from_spec(_require(field, "norm", "holonomy-extension"))
-        lo, hi = box(-np.ones(norm.dim), np.ones(norm.dim))
-        st = holonomy_extension(norm, lo, hi)
-    else:
-        raise InputError(f"unknown field family {family!r}; expected one of "
-                         f"{', '.join(FIELD_FAMILIES)}")
-    st.spec = spec
-    return st
+        return conformal_rescale(inner, _require(field, "factor", "conformal-rescale"))
+    raise InputError(f"unknown field family {family!r}; expected one of "
+                     f"{', '.join(FIELD_FAMILIES)}")
 
 
 def load_json(path) -> dict:
@@ -115,7 +115,7 @@ def load_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -136,8 +136,12 @@ def load_structure(path) -> FinslerStructure:
 
 
 def dump_json(obj, path=None) -> str:
-    """Serialize deterministically (sorted keys, stable float repr)."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Serialize deterministically (sorted keys, stable float repr) as strict
+    JSON: a NaN or an infinity raises ``NumericalFailure``."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"output is not finite: {exc}") from exc
     if path is not None:
         Path(path).write_text(text + "\n")
     return text

@@ -10,6 +10,21 @@ from scipy.optimize import nnls
 from scipy.spatial import cKDTree
 
 
+def random_spd(rng, n, lo=0.5, hi=2.0):
+    """Random symmetric positive definite matrix with eigenvalues in [lo, hi]."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ np.diag(rng.uniform(lo, hi, n)) @ q.T
+
+
+def random_invertible(rng, n):
+    """Random matrix with smallest singular value > 0.2 and condition < 8."""
+    while True:
+        a = rng.standard_normal((n, n))
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[-1] > 0.2 and s[0] / s[-1] < 8.0:
+            return a
+
+
 def in_hull(vertices, point, tol=1e-10):
     """Convex-combination membership via NNLS (no half-space data).
 

@@ -18,6 +18,7 @@ from blgeom import (Euclidean, LpNorm, PolytopeGauge, QuarticAxial,
                     legendre_ellipsoid, linear_image, moment_of_inertia,
                     rectangle_loop, rescale, rotor_structure, square_gauge)
 from blgeom import catalog
+from oracles import random_invertible, random_spd
 
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 DIAMOND = PolytopeGauge([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -27,19 +28,6 @@ def report(num, name, value, tol, ok, unit="residual"):
     flag = "PASS" if ok else "FAIL"
     print(f"[{flag}] criterion {num}: {name}: {unit} {value:.3e} (tol {tol:.1e})")
     assert ok, f"criterion {num} failed: {name}: {value} vs {tol}"
-
-
-def random_spd(rng, n, lo=0.5, hi=2.0):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return q @ np.diag(rng.uniform(lo, hi, n)) @ q.T
-
-
-def random_invertible(rng, n):
-    while True:
-        a = rng.standard_normal((n, n))
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] > 0.2 and s[0] / s[-1] < 8.0:
-            return a
 
 
 def test_criterion_1_euclidean_recovery():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blgeom import catalog
+from blgeom import NumericalFailure, catalog, specio
 from blgeom.cli import main
 
 
@@ -12,6 +12,15 @@ def spec_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("specs")
     catalog.emit_examples(d)
     return d
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """Parse CLI output as strict JSON: NaN and Infinity fail the test."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def run(capsys, *argv):
@@ -23,7 +32,7 @@ def run(capsys, *argv):
 def test_metric_square(spec_dir, capsys):
     code, out = run(capsys, "metric", "--norm", str(spec_dir / "norm-square-max.json"))
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     np.testing.assert_allclose(payload["metric"], 0.75 * np.eye(2), atol=1e-6)
     np.testing.assert_allclose(payload["unit_ball_volume"], 4.0, rtol=1e-10)
     assert payload["quadrature"]["converged"]
@@ -33,7 +42,7 @@ def test_every_emitted_norm_runs_metric(spec_dir, capsys):
     for path in sorted(spec_dir.glob("norm-*.json")):
         code, out = run(capsys, "metric", "--norm", str(path))
         assert code == 0, path
-        json.loads(out)
+        strict_json(out)
 
 
 def test_every_emitted_structure_runs_field(spec_dir, capsys, tmp_path):
@@ -58,7 +67,7 @@ def test_ellipsoid_command(spec_dir, capsys):
     code, out = run(capsys, "ellipsoid", "--norm",
                     str(spec_dir / "norm-square-max.json"))
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     np.testing.assert_allclose(payload["binet"]["shape"],
                                (4.0 / 3.0) * np.eye(2), atol=1e-10)
     assert payload["legendre"]["scale"] == pytest.approx(0.98853680, abs=1e-6)
@@ -68,7 +77,7 @@ def test_invariants_command(spec_dir, capsys):
     code, out = run(capsys, "invariants", "--norm",
                     str(spec_dir / "norm-square-max.json"))
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     np.testing.assert_allclose(payload["fingerprint"],
                                [3.0, 2 * np.sqrt(3.0), np.sqrt(2 / 3), 2 / np.sqrt(3)],
                                atol=1e-4)
@@ -88,11 +97,11 @@ def test_fingerprint_compare_pipeline(spec_dir, capsys, tmp_path):
 
     code, out = run(capsys, "compare", "--a", str(a), "--b", str(a))
     assert code == 0
-    assert json.loads(out)["verdict"] == "cannot distinguish"
+    assert strict_json(out)["verdict"] == "cannot distinguish"
 
     code, out = run(capsys, "compare", "--a", str(a), "--b", str(b), "--assert")
     assert code == 1
-    assert json.loads(out)["verdict"] == "not conformally equivalent"
+    assert strict_json(out)["verdict"] == "not conformally equivalent"
 
 
 def test_fingerprint_csv_deterministic(spec_dir, capsys, tmp_path):
@@ -110,7 +119,7 @@ def test_berwald_command(spec_dir, capsys):
                     str(spec_dir / "structure-rotor-linear.json"),
                     "--grid", "17x17")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["verdict"] == "not locally Minkowski"
     assert payload["defect"] > 1e-4
     assert payload["flat_residual"] < 1e-4
@@ -124,7 +133,7 @@ def test_berwald_command(spec_dir, capsys):
                     str(spec_dir / "structure-constant-square.json"),
                     "--grid", "17x17", "--assert")
     assert code == 0
-    assert json.loads(out)["verdict"] == "locally Minkowski"
+    assert strict_json(out)["verdict"] == "locally Minkowski"
 
 
 def test_examples_list(capsys):
@@ -273,7 +282,7 @@ def test_metric_of_deeply_nested_linear_images(tmp_path, capsys):
     square = tmp_path / "square.json"
     square.write_text(json.dumps(_SQUARE_SPEC))
     _, want = run(capsys, "metric", "--norm", str(square))
-    np.testing.assert_allclose(json.loads(out)["metric"], json.loads(want)["metric"],
+    np.testing.assert_allclose(strict_json(out)["metric"], strict_json(want)["metric"],
                                rtol=1e-12, atol=0)
 
 
@@ -299,3 +308,109 @@ def test_exit_code_bad_integer_field(tmp_path, capsys, command, spec, problem):
         argv += ["--grid", "9x9", "--out", str(tmp_path / "bad.csv")]
     assert main(argv) == 2
     assert problem in capsys.readouterr().err
+
+
+def _nested(spec, layers):
+    """``spec`` wrapped in one layer per entry of ``layers``, innermost first."""
+    for family in layers:
+        if family == "weighted-sum":
+            spec = {"family": "weighted-sum", "w1": 0.5, "w2": 0.5,
+                    "first": spec, "second": _SQUARE_SPEC}
+        else:
+            spec = {"family": "linear-image", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                    "inner": spec}
+    return spec
+
+
+_ALTERNATING = ["weighted-sum", "linear-image"] * 450
+
+
+@pytest.mark.parametrize("spec", [
+    _nested(_SQUARE_SPEC, ["weighted-sum"] * 900),
+    _nested(_SQUARE_SPEC, _ALTERNATING),
+    _nested(_SQUARE_SPEC, _ALTERNATING[:64]),
+    {"family": "weighted-sum", "w1": "nan", "w2": 0.5,
+     "first": _SQUARE_SPEC, "second": _SQUARE_SPEC},
+    {"family": "weighted-sum", "w1": "inf", "w2": 0.5,
+     "first": _SQUARE_SPEC, "second": _SQUARE_SPEC},
+], ids=["deep-weighted-sum", "deep-alternating", "past-bound", "nan-weight", "inf-weight"])
+def test_metric_exit_code_bad_norm_spec(tmp_path, capsys, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "metric", "--norm", str(path))
+    assert code == 2 and out == ""
+
+
+def test_exit_code_json_nested_past_the_parser(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out = run(capsys, "metric", "--norm", str(path))
+    assert code == 2 and out == ""
+
+
+def test_metric_of_norm_at_nesting_bound(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(_nested(_SQUARE_SPEC, _ALTERNATING[:63])))
+    code, out = run(capsys, "metric", "--norm", str(path))
+    assert code == 0
+    strict_json(out)
+
+
+_CHART_3D = {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]}
+
+
+@pytest.mark.parametrize("command, grid", [("field", "9x9x9"), ("fingerprint", "3x3x3")])
+@pytest.mark.parametrize("field", [
+    {"family": "constant", "norm": {"family": "euclidean", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+    {"family": "rotor", "psi": {"kind": "constant", "value": 0.4}},
+    {"family": "l1-l2-interpolation"},
+], ids=["constant-2d-norm", "rotor", "l1-l2"])
+def test_exit_code_norm_off_chart_dimension(tmp_path, capsys, command, grid, field):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"chart": _CHART_3D, "field": field}))
+    code = main([command, "--structure", str(spec), "--grid", grid,
+                 "--out", str(tmp_path / "bad.csv")])
+    assert code == 2
+    assert "3D chart" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("field", "-5x5"), ("fingerprint", "0x0"), ("fingerprint", "3x0"), ("berwald", "-1x9")])
+def test_exit_code_grid_axis_below_one(spec_dir, tmp_path, capsys, command, grid):
+    argv = [command, "--structure", str(spec_dir / "structure-constant-square.json"),
+            f"--grid={grid}"]
+    if command != "berwald":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("command", ["metric", "compare", "berwald"])
+def test_exit_code_bad_tol(spec_dir, tmp_path, capsys, command, tol):
+    if command == "metric":
+        argv = ["metric", "--norm", str(spec_dir / "norm-square-max.json")]
+    elif command == "berwald":
+        argv = ["berwald", "--structure", str(spec_dir / "structure-constant-square.json"),
+                "--grid", "9x9"]
+    else:
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("# blgeom cloud v1\nx1,x2,w0,w1,mu,m_max\n0,0,3,3.4,0.8,1.1\n")
+        argv = ["compare", "--a", str(cloud), "--b", str(cloud)]
+    code, out = run(capsys, *argv, f"--tol={tol}")
+    assert code == 2 and out == ""
+
+
+def test_metric_at_refinement_cap_reports_null_tolerance(spec_dir, capsys):
+    code, out = run(capsys, "metric", "--norm", str(spec_dir / "norm-square-max.json"),
+                    "--quad-level", "4")
+    assert code == 0
+    quadrature = strict_json(out)["quadrature"]
+    assert quadrature["achieved_tol"] is None and not quadrature["converged"]
+
+
+def test_dump_json_rejects_non_finite():
+    with pytest.raises(NumericalFailure):
+        specio.dump_json({"value": float("nan")})
+    with pytest.raises(NumericalFailure):
+        specio.dump_json([float("inf")])

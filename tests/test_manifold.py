@@ -9,9 +9,10 @@ from blgeom import (Euclidean, InputError, LinearImage, MetricField, NumericalFa
                     berwald_defect, bl_field, bl_metric, conformal_factor,
                     conformal_rescale, constant_structure, default_loops,
                     default_probes, fingerprint_cloud, fingerprint_point,
-                    holonomy_angle, holonomy_extension, is_locally_minkowski,
+                    holonomy_angle, is_locally_minkowski,
                     l1_l2_interpolation, parallel_transport, rectangle_loop,
-                    rigid_motion, rotor_structure, smoothstep, square_gauge)
+                    rigid_motion, rotor_structure, smoothstep, square_gauge,
+                    structure_from_spec)
 from blgeom import catalog, invariants, manifold
 from oracles import conformal_christoffel
 
@@ -451,9 +452,13 @@ class TestLocallyMinkowski:
         assert rep.verdict == "locally Minkowski"
 
     def test_holonomy_extension_positive(self):
-        rep = is_locally_minkowski(holonomy_extension(square_gauge()),
-                                   shape=(17, 17))
-        assert rep.locally_minkowski
+        # the holonomy-extension spec family is an alias of the constant one
+        spec = catalog.BUILTIN_STRUCTURES["holonomy-extension-square"][1]
+        alias = structure_from_spec(spec)
+        constant = structure_from_spec({**spec, "field": {**spec["field"], "family": "constant"}})
+        assert np.array_equal(bl_field(alias, shape=(17, 17)).values,
+                              bl_field(constant, shape=(17, 17)).values)
+        assert is_locally_minkowski(alias, shape=(17, 17)).locally_minkowski
 
     def test_interpolation_negative_by_curvature(self):
         rep = is_locally_minkowski(l1_l2_interpolation(), shape=(33, 17))

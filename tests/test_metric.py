@@ -7,23 +7,10 @@ from blgeom import (DefinitenessError, Ellipsoid, Euclidean, LpNorm,
                     bl_metric_converged, dual_scalar_matrix, legendre_ellipsoid,
                     linear_image, moment_of_inertia, rescale,
                     relative_qf_deviation, unit_ball_volume)
-from oracles import mc_body_moment
+from oracles import mc_body_moment, random_invertible, random_spd
 
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 DIAMOND = PolytopeGauge([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-
-
-def random_spd(rng, n, lo=0.5, hi=2.0):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return q @ np.diag(rng.uniform(lo, hi, n)) @ q.T
-
-
-def random_invertible(rng, n):
-    while True:
-        a = rng.standard_normal((n, n))
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] > 0.2 and s[0] / s[-1] < 8.0:
-            return a
 
 
 class TestDualMatrix:

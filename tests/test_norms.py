@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from blgeom import (ConstructionError, Euclidean, InputError, LinearImage,
                     LpNorm, PolytopeGauge, QuarticAxial, WeightedSum,
-                    gauge_of_polytope, linear_image, rescale, validate)
+                    linear_image, rescale, validate)
 from oracles import gauge_by_bisection
 
 SQUARE = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
@@ -56,10 +56,10 @@ class TestEval:
 
 class TestPolytopeGauge:
     def test_diamond_boundary(self):
-        assert gauge_of_polytope(DIAMOND, [0.5, 0.5]) == pytest.approx(1.0)
+        assert PolytopeGauge(DIAMOND).values([0.5, 0.5]) == pytest.approx(1.0)
 
     def test_square_homogeneity_from_boundary(self):
-        assert gauge_of_polytope(SQUARE, [2.0, 0.0]) == pytest.approx(2.0)
+        assert PolytopeGauge(SQUARE).values([2.0, 0.0]) == pytest.approx(2.0)
 
     def test_hexagon_against_bisection_oracle(self):
         verts = hexagon()
