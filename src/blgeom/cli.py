@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 negative verdict under --assert, 2 input error,
-3 numerical failure.
+3 numerical failure (or running out of memory).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from . import catalog, specio
 from .errors import BlgeomError, InputError, ValidationFailure
 from .invariants import (compare_fingerprints, quermassintegrals, roundness)
 from .manifold import bl_field, fingerprint_cloud, is_locally_minkowski
-from .metric import (binet_ellipsoid, bl_metric, bl_metric_converged,
+from .metric import (MAX_QUAD_LEVEL, binet_ellipsoid, bl_metric, bl_metric_converged,
                      dual_scalar_matrix, legendre_ellipsoid, unit_ball_volume)
 from .norms import validate
 from .quadrature import auto_quadrature
@@ -23,6 +23,9 @@ from .verify import run_suite
 
 
 def _parse_grid(text, dim):
+    """The lattice shape ``text`` names, or None (the library's default) for None."""
+    if text is None:
+        return None
     try:
         parts = [int(p) for p in text.lower().split("x")]
     except ValueError as exc:
@@ -36,8 +39,8 @@ def _parse_grid(text, dim):
 
 def quad_level(text):
     level = int(text)
-    if level < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {level}")
+    if not 0 <= level <= MAX_QUAD_LEVEL:
+        raise argparse.ArgumentTypeError(f"must be between 0 and {MAX_QUAD_LEVEL}, got {level}")
     return level
 
 
@@ -220,6 +223,9 @@ def cmd_examples(args):
     return 0
 
 
+_LATTICE_HELP = "lattice, e.g. 33x33 (default: 33x33 in 2D, 9 nodes per axis otherwise)"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="blgeom",
@@ -234,10 +240,11 @@ def build_parser():
             p.add_argument("--structure", required=True,
                            help="path to a structure spec JSON")
         p.add_argument("--quad-level", type=quad_level, default=0,
-                       help="quadrature refinement level (default 0)")
-        p.add_argument("--mc-seed", type=int, default=0,
-                       help="seed for Monte Carlo quadrature (ignored by "
-                            "deterministic schemes)")
+                       help=f"quadrature refinement level, 0 to {MAX_QUAD_LEVEL} (default 0)")
+        if norm:
+            p.add_argument("--mc-seed", type=int, default=0,
+                           help="seed for Monte Carlo quadrature (ignored by "
+                                "deterministic schemes)")
         p.add_argument("--out", required=out_required,
                        help="output path (default: stdout)" if not out_required
                        else "output path")
@@ -258,7 +265,7 @@ def build_parser():
 
     p = sub.add_parser("fingerprint", help="fingerprint cloud of a structure to CSV")
     add_common(p, structure=True, out_required=True)
-    p.add_argument("--grid", default="8x8", help="lattice, e.g. 32x32")
+    p.add_argument("--grid", help="grid, e.g. 32x32 (default: 8 points per axis)")
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("compare", help="compare two fingerprint clouds")
@@ -273,12 +280,12 @@ def build_parser():
 
     p = sub.add_parser("field", help="dump the metric field of a structure to CSV")
     add_common(p, structure=True, out_required=True)
-    p.add_argument("--grid", default="33x33")
+    p.add_argument("--grid", help=_LATTICE_HELP)
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("berwald", help="Berwald defect and local flatness")
     add_common(p, structure=True)
-    p.add_argument("--grid", default="33x33")
+    p.add_argument("--grid", help=_LATTICE_HELP)
     p.add_argument("--tol", type=tolerance, default=1e-4,
                    help="verdict tolerance for both legs")
     p.add_argument("--assert", dest="assert_verdict", action="store_true",
@@ -313,6 +320,10 @@ def main(argv=None) -> int:
         return 2
     except BlgeomError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("numerical failure: out of memory; try a lower --quad-level or a "
+              "coarser --grid", file=sys.stderr)
         return 3
 
 

@@ -20,6 +20,7 @@ flat) and after the full loop (holonomy defect)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,6 +63,10 @@ class FinslerStructure:
         self.chart_hi = np.asarray(self.chart_hi, dtype=float)
         if self.chart_lo.shape != self.chart_hi.shape or self.chart_lo.ndim != 1:
             raise InputError("chart bounds must be 1-d arrays of equal length")
+        with np.errstate(over="ignore"):
+            width = self.chart_hi - self.chart_lo
+        if not (np.isfinite(self.chart_lo).all() and np.isfinite(width).all()):
+            raise InputError("chart bounds and widths must be finite")
         if not np.all(self.chart_hi > self.chart_lo):
             raise InputError("chart box is degenerate")
 
@@ -127,29 +132,44 @@ def smoothstep(t):
     return num / den
 
 
-def scalar_field_from_spec(spec: dict, dim: int) -> Callable[[np.ndarray], float]:
+def scalar_field_from_spec(spec: dict, dim: int, name: str) -> Callable[[np.ndarray], float]:
     """Named scalar fields usable in JSON structure specs, on a chart of
-    dimension ``dim``."""
+    dimension ``dim``.  A spec that is not an object, or a parameter that is
+    missing, not a number or not finite, is an ``InputError`` naming the
+    field's key ``name`` and the parameter."""
+    if not isinstance(spec, dict):
+        raise InputError(f"scalar field {name!r} must be an object, got {spec!r}")
     kind = spec.get("kind")
+
+    def param(key, default=None):
+        if key not in spec and default is None:
+            raise InputError(f"scalar field {name!r} of kind {kind!r} is missing key {key!r}")
+        raw = spec.get(key, default)
+        try:
+            value = float(raw)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"scalar field {name!r} key {key!r} must be a number, "
+                             f"got {raw!r}") from exc
+        if not np.isfinite(value):
+            raise InputError(f"scalar field {name!r} key {key!r} must be finite, got {raw!r}")
+        return value
+
     if kind == "constant":
-        value = float(spec["value"])
+        value = param("value")
         return lambda x: value
     axis = as_integer(spec.get("axis", 0), "scalar field axis")
     if not 0 <= axis < dim:
         raise InputError(f"scalar field axis {axis} is not an axis of the {dim}D chart")
     if kind == "one-plus-sin":
-        amp = float(spec["amp"])
-        freq = float(spec.get("freq", 1.0))
-        phase = float(spec.get("phase", 0.0))
+        amp, freq, phase = param("amp"), param("freq", 1.0), param("phase", 0.0)
         return lambda x: 1.0 + amp * np.sin(freq * x[axis] + phase)
     if kind == "linear":
-        slope = float(spec["slope"])
-        offset = float(spec.get("offset", 0.0))
+        slope, offset = param("slope"), param("offset", 0.0)
         return lambda x: offset + slope * x[axis]
     if kind == "exp-linear":
-        rate = float(spec["rate"])
+        rate = param("rate")
         return lambda x: float(np.exp(rate * x[axis]))
-    raise InputError(f"unknown scalar field kind {spec.get('kind')!r}")
+    raise InputError(f"unknown scalar field kind {kind!r}")
 
 
 def _linear_chain(norm: MinkowskiNorm):
@@ -216,8 +236,8 @@ def rotor_structure(psi: Callable[[np.ndarray], float] | dict,
     every R(psi(x)) is metric-orthogonal, the metric field is constant, and
     the structure is Berwald exactly when psi is constant.
     """
-    if isinstance(psi, dict):
-        psi = scalar_field_from_spec(psi, 2)
+    if not callable(psi):
+        psi = scalar_field_from_spec(psi, 2, "psi")
     if base is None:
         base = square_gauge()
     if base.dim != 2:
@@ -236,8 +256,8 @@ def rotor_structure(psi: Callable[[np.ndarray], float] | dict,
 def conformal_rescale(base: FinslerStructure,
                       factor: Callable[[np.ndarray], float] | dict) -> FinslerStructure:
     """Pointwise rescaled structure x -> factor(x) * F_x."""
-    if isinstance(factor, dict):
-        factor = scalar_field_from_spec(factor, base.dim)
+    if not callable(factor):
+        factor = scalar_field_from_spec(factor, base.dim, "factor")
 
     def peel(X):
         maps, bases, index = base.peel(X)
@@ -411,6 +431,23 @@ def default_lattice_shape(dim: int) -> tuple:
     return (33, 33) if dim == 2 else (9,) * dim
 
 
+# Most nodes a lattice or fingerprint grid may have; checked before any
+# array is built.  The default lattices have at most 9^3 = 729 nodes.
+MAX_LATTICE_NODES = 1 << 18
+
+
+def _lattice(lo, hi, shape):
+    """Axes and row-stacked nodes of the regular lattice ``shape`` over [lo, hi]."""
+    if len(shape) != len(lo):
+        raise InputError(f"lattice shape {tuple(shape)} does not match the {len(lo)}D chart")
+    if math.prod(int(s) for s in shape) > MAX_LATTICE_NODES:
+        raise InputError(f"lattice shape {tuple(shape)} has more than "
+                         f"{MAX_LATTICE_NODES} nodes")
+    axes = [np.linspace(a, b, int(s)) for a, b, s in zip(lo, hi, shape)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes, np.column_stack([m.ravel() for m in mesh])
+
+
 def _peel(structure: FinslerStructure, pts: np.ndarray, failure: str):
     """``structure.peel(pts)``; a failure at a point becomes a
     ``NumericalFailure`` that reads ``failure``, then the point."""
@@ -421,8 +458,7 @@ def _peel(structure: FinslerStructure, pts: np.ndarray, failure: str):
             f"{failure} {pts[exc.index]}: {exc.__cause__}") from exc.__cause__
 
 
-def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int,
-                seed: int, site: str):
+def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: str):
     """Checked metric tensors at ``pts`` by GL-equivariance, as ``bl_field``
     describes; a failure names its point, called ``site`` in the message.
     Returns (tensors, base index of each point, bases, base metrics)."""
@@ -432,7 +468,7 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int,
     base_metrics = []
     for b, base in enumerate(bases):
         try:
-            base_metrics.append(bl_metric(base, auto_quadrature(base, level=level, seed=seed)))
+            base_metrics.append(bl_metric(base, auto_quadrature(base, level=level)))
         except Exception as exc:
             x = pts[np.argmax(base_of_point == b)]
             raise NumericalFailure(f"{failure} {x}: {exc}") from exc
@@ -457,7 +493,7 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int,
 
 
 def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
-             level: int = 0, seed: int = 0) -> MetricField:
+             level: int = 0) -> MetricField:
     """Metric of the structure's norm at every lattice node.
 
     One ``structure.peel`` call gives every node's norm as base o A, the
@@ -470,15 +506,10 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
     n = structure.dim
     if shape is None:
         shape = default_lattice_shape(n)
-    if len(shape) != n:
-        raise InputError("lattice shape must match the chart dimension")
-    axes = [np.linspace(structure.chart_lo[i], structure.chart_hi[i], int(shape[i]))
-            for i in range(n)]
+    axes, pts = _lattice(structure.chart_lo, structure.chart_hi, shape)
     if min(len(a) for a in axes) < 5:
         raise InputError("need at least 5 lattice nodes per axis for cubic interpolation")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    values = _gl_metrics(structure, pts, level, seed, "node")[0]
+    values = _gl_metrics(structure, pts, level, "node")[0]
     field = MetricField(axes, values.reshape(tuple(len(a) for a in axes) + (n, n)))
     field.check_positive_definite()
     return field
@@ -762,10 +793,11 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
 # ---------------------------------------------------------------------------
 
 
-def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *, level: int = 0):
+def fingerprint_cloud(structure: FinslerStructure, grid=None, *, level: int = 0):
     """Fingerprints of the pointwise norms over a chart grid.
 
-    The grid spans the chart box shrunk by 5% of its width on every side.
+    The grid (default 8 points per axis) spans the chart box shrunk by 5% of
+    its width on every side.
     Returns (points, cloud) with one fingerprint row per grid point.  The
     fingerprint is taken in coordinates where the norm's own metric is the
     identity, so it is GL-invariant: base o A has the fingerprint of base.
@@ -776,16 +808,11 @@ def fingerprint_cloud(structure: FinslerStructure, grid=(8, 8), *, level: int = 
     ``bl_field``, so a point whose own metric would fail raises
     ``NumericalFailure`` naming that point.
     """
-    n = structure.dim
-    if len(grid) != n:
-        raise InputError("grid shape must match the chart dimension")
+    if grid is None:
+        grid = (8,) * structure.dim
     width = structure.chart_hi - structure.chart_lo
-    axes = [np.linspace(structure.chart_lo[i] + 0.05 * width[i],
-                        structure.chart_hi[i] - 0.05 * width[i],
-                        int(grid[i])) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    _, base_of_point, bases, metrics = _gl_metrics(structure, pts, level, 0, "point")
+    _, pts = _lattice(structure.chart_lo + 0.05 * width, structure.chart_hi - 0.05 * width, grid)
+    _, base_of_point, bases, metrics = _gl_metrics(structure, pts, level, "point")
     rows = np.array([fingerprint_point(base, level=level, metric=g)
                      for base, g in zip(bases, metrics)])
     return pts, rows[base_of_point]

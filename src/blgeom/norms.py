@@ -33,6 +33,10 @@ ZERO_VECTOR_CUTOFF = 1e-30
 
 _TWO_PI = 2.0 * np.pi
 
+# Largest dimension of a norm: Monte-Carlo quadrature (n >= 4) holds 1e6 * 2^level
+# points of R^n, and a polytope hull can have exponentially many facets.
+MAX_DIM = 6
+
 
 def as_integer(value, what: str) -> int:
     """``value`` as an int; a bool, a non-number or a fraction is an InputError."""
@@ -41,6 +45,14 @@ def as_integer(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def as_dimension(value, least: int) -> int:
+    """``value`` as a norm dimension in [least, MAX_DIM]; otherwise an InputError."""
+    dim = as_integer(value, "dimension")
+    if not least <= dim <= MAX_DIM:
+        raise InputError(f"dimension must be between {least} and {MAX_DIM}, got {value!r}")
+    return dim
 
 
 def _as_points(xi, dim):
@@ -154,6 +166,13 @@ def sphere_grid(dim: int, size: int, seed: int = 0) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def _plane_angles(dirs: np.ndarray) -> np.ndarray:
+    """Sorted polar angles in [0, 2pi) of the rows of ``dirs``; none off the plane."""
+    if dirs.shape[1] != 2:
+        return np.empty(0)
+    return np.sort(np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), _TWO_PI))
+
+
 def _tangent_basis(u):
     # orthonormal basis of the hyperplane orthogonal to u
     n = len(u)
@@ -220,11 +239,11 @@ class Euclidean(MinkowskiNorm):
             raise InputError("euclidean norm needs a square matrix")
         if not np.allclose(G, G.T, atol=1e-12 * max(1.0, np.abs(G).max())):
             raise InputError("matrix must be symmetric")
+        self.dim = as_dimension(G.shape[0], 1)
         try:
             np.linalg.cholesky(G)
         except np.linalg.LinAlgError as exc:
             raise InputError("matrix must be positive definite") from exc
-        self.dim = G.shape[0]
         self.matrix = G
         self._inv = np.linalg.inv(G)
 
@@ -252,17 +271,12 @@ class LpNorm(MinkowskiNorm):
         p = float(p)
         if not (p >= 1.0):
             raise InputError("p must be >= 1")
-        dim = as_integer(dim, "dimension")
-        if dim < 1:
-            raise InputError("dimension must be positive")
         self.p = p
-        self.dim = dim
+        self.dim = as_dimension(dim, 1)
 
     def _values(self, pts):
         if np.isinf(self.p):
             return np.abs(pts).max(axis=1)
-        if self.p == 1.0:
-            return np.abs(pts).sum(axis=1)
         return (np.abs(pts) ** self.p).sum(axis=1) ** (1.0 / self.p)
 
     def _dual_exponent(self):
@@ -323,10 +337,9 @@ class LpNorm(MinkowskiNorm):
 class PolytopeGauge(MinkowskiNorm):
     """Gauge of the convex hull of ``vertices``; 0 must be strictly interior.
 
-    F(xi) = min { t > 0 : xi / t in hull }.  In 2D the hull vertices are
-    sorted by angle at construction and evaluation picks the crossed edge by
-    angular binary search; in dimension >= 3 the gauge is the maximum of the
-    facet functionals of the precomputed hull.
+    F(xi) = min { t > 0 : xi / t in hull } is the maximum of the facet
+    functionals xi -> n . xi / b of the precomputed hull, in every
+    dimension (in the plane the facets are the polygon's edges).
     """
 
     def __init__(self, vertices):
@@ -335,12 +348,13 @@ class PolytopeGauge(MinkowskiNorm):
             raise ConstructionError("need at least n+1 vertices of full dimension")
         if not np.all(np.isfinite(V)):
             raise ConstructionError("vertices contain non-finite entries")
-        self.dim = V.shape[1]
+        self.dim = as_dimension(V.shape[1], 1)
         try:
             hull = ConvexHull(V)
         except Exception as exc:  # qhull raises its own error types
             raise ConstructionError(f"convex hull construction failed: {exc}") from exc
-        # hull.equations rows are [normal, offset] with normal.x + offset <= 0 inside
+        # hull.equations rows are [unit outward normal, offset] with
+        # normal.x + offset <= 0 inside
         normals = hull.equations[:, :-1]
         offsets = -hull.equations[:, -1]
         scale = np.abs(V).max()
@@ -349,28 +363,8 @@ class PolytopeGauge(MinkowskiNorm):
         self.vertices = V[hull.vertices]
         self._facet_normals = normals
         self._facet_offsets = offsets
-        if self.dim == 2:
-            ang = np.mod(np.arctan2(self.vertices[:, 1], self.vertices[:, 0]), _TWO_PI)
-            order = np.argsort(ang)
-            self.vertices = self.vertices[order]
-            self._angles = ang[order]
-            nxt = np.roll(self.vertices, -1, axis=0)
-            edges = nxt - self.vertices
-            n = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for CCW order
-            b = np.einsum("ij,ij->i", n, self.vertices)
-            flip = b < 0
-            n[flip] *= -1.0
-            b = np.abs(b)
-            self._edge_normals = n
-            self._edge_offsets = b
 
     def _values(self, pts):
-        if self.dim == 2:
-            ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), _TWO_PI)
-            idx = np.searchsorted(self._angles, ang, side="right") - 1
-            idx[idx < 0] = len(self._angles) - 1
-            num = np.einsum("kj,kj->k", pts, self._edge_normals[idx])
-            return np.maximum(num / self._edge_offsets[idx], 0.0)
         ratios = (pts @ self._facet_normals.T) / self._facet_offsets
         return np.maximum(ratios.max(axis=1), 0.0)
 
@@ -381,23 +375,14 @@ class PolytopeGauge(MinkowskiNorm):
         return (thetas @ self.vertices.T).max(axis=1)
 
     def kink_angles(self):
-        if self.dim != 2:
-            return np.empty(0)
-        return np.sort(self._angles)
+        return _plane_angles(self.vertices)
 
     def support_kink_angles(self):
-        if self.dim != 2:
-            return np.empty(0)
-        return np.sort(np.mod(np.arctan2(self._edge_normals[:, 1],
-                                         self._edge_normals[:, 0]), _TWO_PI))
+        return _plane_angles(self._facet_normals)
 
     def extremal_candidates(self):
         vdirs = self.vertices / np.linalg.norm(self.vertices, axis=1, keepdims=True)
-        if self.dim == 2:
-            ndirs = self._edge_normals / np.linalg.norm(self._edge_normals, axis=1, keepdims=True)
-        else:
-            ndirs = self._facet_normals / np.linalg.norm(self._facet_normals, axis=1, keepdims=True)
-        return np.vstack([vdirs, ndirs])
+        return np.vstack([vdirs, self._facet_normals])
 
     def __repr__(self):
         return f"PolytopeGauge(dim={self.dim}, vertices={len(self.vertices)})"
@@ -432,9 +417,7 @@ class LinearImage(MinkowskiNorm):
     def _map_angles(self, angles, mat):
         if len(angles) == 0:
             return angles
-        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        imgs = dirs @ mat.T
-        return np.sort(np.mod(np.arctan2(imgs[:, 1], imgs[:, 0]), _TWO_PI))
+        return _plane_angles(np.column_stack([np.cos(angles), np.sin(angles)]) @ mat.T)
 
     def kink_angles(self):
         # F is non-smooth along A^{-1} d for every kink direction d of inner
@@ -504,10 +487,7 @@ class QuarticAxial(MinkowskiNorm):
     """
 
     def __init__(self, dim):
-        dim = as_integer(dim, "dimension")
-        if dim < 2:
-            raise InputError("dimension must be >= 2")
-        self.dim = dim
+        self.dim = as_dimension(dim, 2)
 
     def _values(self, pts):
         ssq = np.einsum("ki,ki->k", pts, pts)

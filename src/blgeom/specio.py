@@ -123,7 +123,7 @@ def _load(build, path):
     spec = load_json(path)
     try:
         return build(spec)
-    except (ValueError, TypeError, RecursionError) as exc:
+    except (InputError, ValueError, TypeError, RecursionError) as exc:
         raise InputError(f"invalid spec in {path}: {exc}") from exc
 
 

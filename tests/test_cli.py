@@ -289,6 +289,20 @@ def test_metric_of_deeply_nested_linear_images(tmp_path, capsys):
 _CHART = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
 
 
+_FIXED_ANGLE = {"kind": "constant", "value": 0.4}
+
+
+def _rotor(psi, chart=_CHART):
+    return {"chart": chart, "field": {"family": "rotor", "psi": psi}}
+
+
+def _conformal(factor):
+    return {"chart": _CHART, "field": {
+        "family": "conformal-rescale", "factor": factor,
+        "base": {"family": "constant",
+                 "norm": {"family": "euclidean", "matrix": [[1.0, 0.0], [0.0, 1.0]]}}}}
+
+
 @pytest.mark.parametrize("command, spec, problem", [
     ("metric", {"family": "lp", "p": 2, "dim": 2.7}, "must be an integer"),
     ("metric", {"family": "quartic-axial", "dim": 2.7}, "must be an integer"),
@@ -298,7 +312,29 @@ _CHART = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
     ("field", {"chart": _CHART, "field": {
         "family": "rotor", "psi": {"kind": "linear", "slope": 0.8, "axis": 5}}},
      "axis 5 is not an axis"),
-], ids=["lp-dim", "quartic-dim", "fractional-axis", "axis-off-chart"])
+    ("metric", {"family": "lp", "p": 2, "dim": 1e308}, "dimension must be between 1 and"),
+    ("metric", {"family": "quartic-axial", "dim": 7}, "dimension must be between 2 and"),
+    ("field", _rotor({"kind": "linear"}), "'psi' of kind 'linear' is missing key 'slope'"),
+    ("field", _rotor({"kind": "constant"}), "'psi' of kind 'constant' is missing key 'value'"),
+    ("field", _rotor({"kind": "linear", "slope": float("nan")}), "'slope' must be finite"),
+    ("field", _rotor({"kind": "constant", "value": "nan"}), "'value' must be finite"),
+    ("field", _rotor({"kind": "linear", "slope": 0.8, "offset": [1]}),
+     "'offset' must be a number"),
+    ("field", _conformal({"kind": "one-plus-sin", "amp": "inf"}), "'amp' must be finite"),
+    ("field", _conformal({"kind": "exp-linear", "rate": 1e400}), "'rate' must be finite"),
+    ("field", _rotor(1e308), "'psi' must be an object"),
+    ("field", _conformal(1e308), "'factor' must be an object"),
+    ("field", _rotor(_FIXED_ANGLE, {"lo": [-1.0, -1.0], "hi": [float("inf"), 1.0]}),
+     "chart bounds and widths must be finite"),
+    ("field", _rotor(_FIXED_ANGLE, {"lo": [-1.0, -1.0], "hi": ["inf", 1.0]}),
+     "chart bounds and widths must be finite"),
+    ("field", _rotor(_FIXED_ANGLE, {"lo": [-1e308, -1.0], "hi": [1e308, 1.0]}),
+     "chart bounds and widths must be finite"),
+], ids=["lp-dim", "quartic-dim", "fractional-axis", "axis-off-chart", "dim-1e308",
+        "dim-over-cap", "linear-without-slope", "constant-without-value", "nan-slope",
+        "nan-string-value", "list-offset", "inf-string-amp", "overflowing-rate",
+        "psi-not-an-object", "factor-not-an-object", "infinite-chart-bound",
+        "inf-string-chart-bound", "infinite-chart-width"])
 def test_exit_code_bad_integer_field(tmp_path, capsys, command, spec, problem):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
@@ -414,3 +450,57 @@ def test_dump_json_rejects_non_finite():
         specio.dump_json({"value": float("nan")})
     with pytest.raises(NumericalFailure):
         specio.dump_json([float("inf")])
+
+
+@pytest.mark.parametrize("argv", [
+    ("field", "--grid", "100000x100000"),
+    ("fingerprint", "--grid", "1000x1000"),
+    ("berwald", "--grid", "1000x1000"),
+    ("field", "--quad-level", "40"),
+], ids=["field-grid", "fingerprint-grid", "berwald-grid", "quad-level"])
+def test_exit_code_over_cap(spec_dir, tmp_path, capsys, argv):
+    # every input here is refused before any array is built
+    command = [*argv, "--structure", str(spec_dir / "structure-constant-square.json")]
+    if argv[0] != "berwald":
+        command += ["--out", str(tmp_path / "out.csv")]
+    code, out = run(capsys, *command)
+    assert code == 2 and out == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_out_of_memory_exits_3(spec_dir, tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("blgeom.cli.bl_field", exhausted)
+    code = main(["field", "--structure", str(spec_dir / "structure-constant-square.json"),
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert "out of memory" in capsys.readouterr().err
+
+
+_CONFORMAL_3D = {"chart": _CHART_3D, "field": {
+    "family": "conformal-rescale",
+    "base": {"family": "constant",
+             "norm": {"family": "euclidean", "matrix": np.eye(3).tolist()}},
+    "factor": {"kind": "one-plus-sin", "amp": 0.3, "axis": 0}}}
+
+
+@pytest.mark.parametrize("command, grid", [("field", "9x9x9"), ("fingerprint", "8x8x8")])
+def test_3d_structure_default_grid(tmp_path, capsys, command, grid):
+    spec = tmp_path / "conformal-3d.json"
+    spec.write_text(json.dumps(_CONFORMAL_3D))
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert main([command, "--structure", str(spec), "--out", str(default)]) == 0
+    assert main([command, "--structure", str(spec), "--grid", grid,
+                 "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["field", "berwald", "fingerprint"])
+def test_structure_commands_take_no_mc_seed(spec_dir, tmp_path, capsys, command):
+    argv = [command, "--structure", str(spec_dir / "structure-constant-square.json"),
+            "--mc-seed", "1"]
+    if command != "berwald":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2

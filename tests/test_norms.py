@@ -94,6 +94,19 @@ class TestPolytopeGauge:
         assert tri([1.0, 1.0]) == pytest.approx(2.0)
         assert tri([-1.0, -1.0]) == pytest.approx(1.0)
 
+    def test_kinks_are_vertex_and_edge_normal_angles(self):
+        tri = PolytopeGauge([[2.0, -1.0], [-1.0, 2.0], [-1.0, -1.0]])
+        vertex_angles = np.mod(np.arctan2([-1.0, 2.0, -1.0], [2.0, -1.0, -1.0]), 2 * np.pi)
+        np.testing.assert_allclose(tri.kink_angles(), np.sort(vertex_angles), atol=1e-14)
+        # outward edge normals (1, 1), (-1, 0), (0, -1)
+        np.testing.assert_allclose(tri.support_kink_angles(),
+                                   [0.25 * np.pi, np.pi, 1.5 * np.pi], atol=1e-14)
+        unit = tri.extremal_candidates()
+        np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-15)
+        cube = PolytopeGauge([[s1, s2, s3] for s1 in (-1.0, 1.0)
+                              for s2 in (-1.0, 1.0) for s3 in (-1.0, 1.0)])
+        assert len(cube.kink_angles()) == 0 and len(cube.support_kink_angles()) == 0
+
 
 class TestLinearImage:
     def test_diagonal_stretch(self):
