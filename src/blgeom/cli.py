@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 negative verdict under --assert, 2 input error,
-3 numerical failure (or running out of memory).
+Exit codes: 0 success, 1 negative verdict under --assert, 2 input error
+(including a file that cannot be read or written), 3 numerical failure (or
+running out of memory).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import BlgeomError, InputError, ValidationFailure
 from .invariants import (compare_fingerprints, quermassintegrals, roundness)
 from .manifold import bl_field, fingerprint_cloud, is_locally_minkowski
 from .metric import (MAX_QUAD_LEVEL, binet_ellipsoid, bl_metric, bl_metric_converged,
-                     dual_scalar_matrix, legendre_ellipsoid, unit_ball_volume)
+                     legendre_ellipsoid)
 from .norms import validate
 from .quadrature import auto_quadrature
 from .verify import run_suite
@@ -72,14 +73,11 @@ def cmd_metric(args):
     norm = _load_validated_norm(args.norm, args.mc_seed)
     g, info = bl_metric_converged(norm, tol=args.tol, level=args.quad_level,
                                   seed=args.mc_seed)
-    quad = auto_quadrature(norm, level=info.level, seed=args.mc_seed)
-    m = dual_scalar_matrix(norm, quad)
-    eigs = np.linalg.eigvalsh(m)
     payload = {
         "metric": g.tolist(),
-        "dual_matrix": m.tolist(),
-        "unit_ball_volume": unit_ball_volume(norm, quad),
-        "condition_number": float(eigs[-1] / eigs[0]),
+        "dual_matrix": info.dual_matrix.tolist(),
+        "unit_ball_volume": info.unit_ball_volume,
+        "condition_number": info.condition_number,
         "quadrature": {"scheme": info.scheme, "level": info.level,
                        "converged": info.converged,
                        "achieved_tol": info.achieved_tol},
@@ -139,7 +137,7 @@ def _read_cloud(path):
         with open(path) as fh:
             skip = 1 if fh.readline().startswith("#") else 0
         data = np.genfromtxt(path, delimiter=",", names=True, skip_header=skip)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"cannot read cloud file {path}: {exc}") from exc
     names = data.dtype.names
     if names is None:
@@ -148,7 +146,13 @@ def _read_cloud(path):
     missing = [c for c in cols if c not in names]
     if missing:
         raise InputError(f"{path} is missing fingerprint columns {missing}")
-    return np.column_stack([np.atleast_1d(data[c]) for c in cols])
+    cloud = np.column_stack([np.atleast_1d(data[c]) for c in cols])
+    # genfromtxt reads a non-numeric cell as NaN
+    bad = ~np.isfinite(cloud).all(axis=1)
+    if bad.any():
+        raise InputError(f"{path} has a non-finite or non-numeric fingerprint entry "
+                         f"in data row {int(np.argmax(bad)) + 1}")
+    return cloud
 
 
 def cmd_compare(args):
@@ -315,7 +319,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:   # OSError: a file that cannot be read or written
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BlgeomError as exc:

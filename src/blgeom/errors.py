@@ -41,5 +41,5 @@ class TransportAccuracyError(NumericalFailure):
     """Parallel transport could not reach the requested accuracy."""
 
 
-class UnsupportedDimensionError(BlgeomError):
+class UnsupportedDimensionError(InputError):
     """Operation not implemented for this dimension; never a silent fallback."""

@@ -654,8 +654,10 @@ def default_loops(structure: FinslerStructure, margin: float,
     own family of rectangles.
     """
     center = 0.5 * (structure.chart_lo + structure.chart_hi)
-    half_max = 0.5 * (structure.chart_hi - structure.chart_lo) - margin
-    if np.any(half_max <= 0):
+    half_width = 0.5 * (structure.chart_hi - structure.chart_lo)
+    half_max = half_width - margin
+    # a margin equal to the half width leaves round-off (2.2e-16 at 7 lattice nodes)
+    if np.any(half_max <= 1e-9 * half_width):
         raise InputError("chart too small for the requested loop margin")
     n = structure.dim
     planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -728,8 +730,14 @@ def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
     if field is None:
         field = bl_field(structure, shape=shape, level=level)
     if loops is None:
-        margin = 3.0 * float(field.spacing.max())
-        loops = default_loops(structure, margin)
+        try:
+            loops = default_loops(structure, 3.0 * float(field.spacing.max()))
+        except InputError as exc:
+            lattice = "x".join(str(len(a)) for a in field.axes)
+            raise InputError(
+                f"lattice {lattice} is too coarse for the Berwald loops, which keep "
+                "three of its largest spacings from the chart edge; refine the "
+                "lattice (a square chart needs at least 8 nodes per axis)") from exc
     if probes is None:
         probes = default_probes(structure.dim)
     probes = np.asarray(probes, dtype=float)

@@ -12,6 +12,10 @@ powers of 1/F, which is what the quadrature rules evaluate:
     M*_ij = [ sum_k w_k u_ki u_kj F(u_k)^-(n+2) ] / vol(Omega),
     vol(Omega) = (1/n) sum_k w_k F(u_k)^-n.
 
+Both sums come from one evaluation of F on the rule's nodes, and g is
+(M*)^-1, so every entry point makes one pass per rule; the refinement
+loop keeps the final rule's volume and M* next to its metric.
+
 The unit ball of m* in the dual space is the Binet ellipsoid of Omega; the
 ball of the inverse metric, rescaled by (vol(Omega)/vol(ball))^(1/(n+2)),
 is the Legendre ellipsoid -- the unique ellipsoid with the same moment of
@@ -28,11 +32,11 @@ import numpy as np
 from .errors import (DefinitenessError, InputError, NumericalFailure,
                      QuadratureFailure)
 from .norms import MinkowskiNorm
-from .quadrature import (SphericalQuadrature, auto_quadrature, ball_volume,
-                         sphere_surface_area)
+from .quadrature import SphericalQuadrature, auto_quadrature, ball_volume
 
 CONDITION_LIMIT = 1e12
 MAX_QUAD_LEVEL = 4  # refinement cap of bl_metric_converged
+MC_BATCHES = 32  # batch count of the Monte-Carlo standard error
 
 
 def assert_spd(matrix: np.ndarray, what: str = "matrix", sym_tol: float = 1e-12):
@@ -47,7 +51,8 @@ def assert_spd(matrix: np.ndarray, what: str = "matrix", sym_tol: float = 1e-12)
         raise NumericalFailure(f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})")
 
 
-def _norm_powers(norm: MinkowskiNorm, quad: SphericalQuadrature):
+def _norm_values(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
+    """F on the nodes of ``quad``, each node evaluated once; F must be positive."""
     if norm.dim != quad.dim:
         raise InputError(f"norm dimension {norm.dim} != quadrature dimension {quad.dim}")
     f = norm.values(quad.nodes)
@@ -58,20 +63,12 @@ def _norm_powers(norm: MinkowskiNorm, quad: SphericalQuadrature):
     return f
 
 
-def unit_ball_volume(norm: MinkowskiNorm, quad: SphericalQuadrature) -> float:
-    """vol{F <= 1} by the radial volume formula."""
-    f = _norm_powers(norm, quad)
-    n = norm.dim
-    return float(np.dot(quad.weights, f ** (-n)) / n)
-
-
-def dual_scalar_matrix(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
-    """Matrix of the dual scalar product in the coordinate dual basis."""
-    f = _norm_powers(norm, quad)
-    n = norm.dim
-    vol = float(np.dot(quad.weights, f ** (-n)) / n)
-    wf = quad.weights * f ** (-(n + 2))
-    m = np.einsum("k,ki,kj->ij", wf, quad.nodes, quad.nodes) / vol
+def _moments(quad: SphericalQuadrature, f: np.ndarray, rows=slice(None)):
+    """(vol(Omega), M*) from F's values ``f`` on the nodes ``rows`` of ``quad``."""
+    nodes, weights, f = quad.nodes[rows], quad.weights[rows], f[rows]
+    n = quad.dim
+    vol = float(np.dot(weights, f ** (-n)) / n)
+    m = np.einsum("k,ki,kj->ij", weights * f ** (-(n + 2)), nodes, nodes) / vol
     m = 0.5 * (m + m.T)
     if not np.isfinite(m).all():
         raise NumericalFailure(
@@ -81,23 +78,37 @@ def dual_scalar_matrix(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.nda
     if not (eigs[0] > 0.0):
         raise QuadratureFailure(
             "moment matrix is not positive definite after symmetrization "
-            f"(eigenvalues {eigs}, scheme {quad.scheme}, {len(quad)} nodes); "
+            f"(eigenvalues {eigs}, scheme {quad.scheme}, {len(weights)} nodes); "
             "refine the quadrature")
-    return m
+    return vol, m
 
 
-def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
-    """The metric on vectors: inverse of the dual moment matrix."""
-    m = dual_scalar_matrix(norm, quad)
+def _invert(m: np.ndarray):
+    """(g, cond): the metric (M*)^-1 and the condition number of M*."""
     eigs = np.linalg.eigvalsh(m)
-    cond = eigs[-1] / eigs[0]
+    cond = float(eigs[-1] / eigs[0])
     if not (cond <= CONDITION_LIMIT):
         raise NumericalFailure(
             f"dual moment matrix is too ill-conditioned to invert (cond = {cond:.3e})")
     g = np.linalg.inv(m)
     if not np.isfinite(g).all():
         raise NumericalFailure("metric is not finite (the moment matrix is too small to invert)")
-    return 0.5 * (g + g.T)
+    return 0.5 * (g + g.T), cond
+
+
+def unit_ball_volume(norm: MinkowskiNorm, quad: SphericalQuadrature) -> float:
+    """vol{F <= 1} by the radial volume formula."""
+    return _moments(quad, _norm_values(norm, quad))[0]
+
+
+def dual_scalar_matrix(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
+    """Matrix of the dual scalar product in the coordinate dual basis."""
+    return _moments(quad, _norm_values(norm, quad))[1]
+
+
+def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
+    """The metric on vectors: inverse of the dual moment matrix."""
+    return _invert(dual_scalar_matrix(norm, quad))[0]
 
 
 @dataclass
@@ -106,23 +117,18 @@ class ConvergenceInfo:
     achieved_tol: Optional[float]  # None when no two levels were compared
     level: int
     scheme: str
+    unit_ball_volume: float
+    dual_matrix: np.ndarray
+    condition_number: float
 
 
-def _mc_metric_standard_error(norm: MinkowskiNorm, quad: SphericalQuadrature,
-                              batches: int = 32):
-    """Metric from a Monte-Carlo rule plus a batch-means standard error."""
-    g = bl_metric(norm, quad)
-    size = len(quad) // batches
-    samples = []
-    for b in range(batches):
-        sl = slice(b * size, (b + 1) * size)
-        sub = SphericalQuadrature(quad.dim, quad.nodes[sl],
-                                  np.full(size, sphere_surface_area(quad.dim) / size),
-                                  "monte-carlo", quad.level, quad.seed)
-        samples.append(bl_metric(norm, sub))
-    spread = np.std(np.array(samples), axis=0) / np.sqrt(batches)
-    rel_se = float(np.linalg.norm(spread) / np.linalg.norm(g))
-    return g, rel_se
+def _mc_standard_error(quad: SphericalQuadrature, f: np.ndarray, g: np.ndarray) -> float:
+    """Batch-means relative standard error of ``g`` from metrics of slices of ``f``."""
+    size = len(quad) // MC_BATCHES
+    samples = [_invert(_moments(quad, f, slice(b * size, (b + 1) * size))[1])[0]
+               for b in range(MC_BATCHES)]
+    spread = np.std(np.array(samples), axis=0) / np.sqrt(MC_BATCHES)
+    return float(np.linalg.norm(spread) / np.linalg.norm(g))
 
 
 def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0,
@@ -135,26 +141,26 @@ def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0,
     the batch-means relative standard error falls below ``mc_tol``, and
     report that standard error as the achieved tolerance.  Either way
     refinement is capped at ``MAX_QUAD_LEVEL``; a deterministic start there
-    compares no two levels and reports ``achieved_tol`` None.
+    compares no two levels and reports ``achieved_tol`` None.  F is evaluated
+    once per level; the info also holds the final rule's volume, M* and its
+    condition number.
     """
     quad = auto_quadrature(norm, level=level, seed=seed)
-    if quad.scheme == "monte-carlo":
-        while True:
-            g, rel_se = _mc_metric_standard_error(norm, quad)
-            if rel_se <= mc_tol or quad.level >= MAX_QUAD_LEVEL:
-                return g, ConvergenceInfo(rel_se <= mc_tol, rel_se,
-                                          quad.level, quad.scheme)
-            quad = quad.refined()
-    g = bl_metric(norm, quad)
-    achieved = None
-    while quad.level < MAX_QUAD_LEVEL:
-        finer = quad.refined()
-        g_fine = bl_metric(norm, finer)
-        achieved = float(np.linalg.norm(g_fine - g) / np.linalg.norm(g_fine))
-        g, quad = g_fine, finer
-        if achieved < tol:
-            return g, ConvergenceInfo(True, achieved, quad.level, quad.scheme)
-    return g, ConvergenceInfo(False, achieved, quad.level, quad.scheme)
+    g, achieved, converged = None, None, False
+    while True:
+        f = _norm_values(norm, quad)
+        vol, m = _moments(quad, f)
+        g_prev, (g, cond) = g, _invert(m)
+        if quad.scheme == "monte-carlo":
+            achieved = _mc_standard_error(quad, f, g)
+            converged = achieved <= mc_tol
+        elif g_prev is not None:
+            achieved = float(np.linalg.norm(g - g_prev) / np.linalg.norm(g))
+            converged = achieved < tol
+        if converged or quad.level >= MAX_QUAD_LEVEL:
+            return g, ConvergenceInfo(converged, achieved, quad.level, quad.scheme,
+                                      vol, m, cond)
+        quad = quad.refined()
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +215,8 @@ def legendre_ellipsoid(norm: MinkowskiNorm, quad: SphericalQuadrature) -> Ellips
     It is the metric's unit ball scaled by (vol(Omega)/vol(B))^(1/(n+2)),
     with vol(B) computed analytically from det of the metric.
     """
-    g = bl_metric(norm, quad)
-    vol_omega = unit_ball_volume(norm, quad)
+    vol_omega, m = _moments(quad, _norm_values(norm, quad))
+    g = _invert(m)[0]
     vol_b = ball_volume(norm.dim) / np.sqrt(np.linalg.det(g))
     scale = (vol_omega / vol_b) ** (1.0 / (norm.dim + 2))
     return Ellipsoid(g, scale)
@@ -259,7 +265,7 @@ def moment_of_inertia(body: Union[MinkowskiNorm, Ellipsoid], theta, *,
             return MomentResult(body.moment_of_inertia(theta))
         if quad is None:
             quad = auto_quadrature(body, level=1)
-        f = _norm_powers(body, quad)
+        f = _norm_values(body, quad)
         n = body.dim
         proj = quad.nodes @ theta
         val = float(np.dot(quad.weights, proj ** 2 * f ** (-(n + 2))) / (n + 2))

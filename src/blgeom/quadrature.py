@@ -145,7 +145,8 @@ def sphere_monte_carlo(dim: int, samples: int = 1_000_000, seed: int = 0,
                        level: int = 0) -> SphericalQuadrature:
     rng = np.random.default_rng(np.random.SeedSequence([seed, level]))
     pts = rng.standard_normal((samples, dim))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    # row norms without a (samples, dim) temporary
+    pts /= np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
     w = np.full(samples, sphere_surface_area(dim) / samples)
     return SphericalQuadrature(dim, pts, w, "monte-carlo", level, seed=seed)
 

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from blgeom import NumericalFailure, catalog, specio
+from blgeom import (NumericalFailure, auto_quadrature, catalog, dual_scalar_matrix,
+                    specio, unit_ball_volume)
 from blgeom.cli import main
+from counting import CountingNorm
 
 
 @pytest.fixture(scope="module")
@@ -504,3 +506,92 @@ def test_structure_commands_take_no_mc_seed(spec_dir, tmp_path, capsys, command)
     if command != "berwald":
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("name", ["hexagon", "quartic-axial-2d", "euclidean-3d"])
+def test_metric_evaluates_no_rule_after_converging(spec_dir, capsys, monkeypatch, name):
+    load, loaded = specio.load_norm, []
+
+    def load_counting(path):
+        loaded.append(CountingNorm(load(path)))
+        return loaded[-1]
+
+    monkeypatch.setattr(specio, "load_norm", load_counting)
+    code, out = run(capsys, "metric", "--norm", str(spec_dir / f"norm-{name}.json"))
+    assert code == 0
+    payload = strict_json(out)
+    norm, level = loaded[0], payload["quadrature"]["level"]
+    # one evaluation per level visited by the converge loop, none after it
+    quads = [auto_quadrature(norm.inner, level=lvl) for lvl in range(level + 1)]
+    assert norm.rule_calls == [len(q) for q in quads]
+    # the reported moments are those of the converged rule
+    assert payload["dual_matrix"] == dual_scalar_matrix(norm.inner, quads[-1]).tolist()
+    assert payload["unit_ball_volume"] == unit_ball_volume(norm.inner, quads[-1])
+
+
+def test_berwald_rejects_lattice_without_room_for_loops(spec_dir, capsys):
+    rotor = str(spec_dir / "structure-rotor-linear.json")
+    # at 7 nodes per axis three spacings are half the chart: loops of no extent
+    code = main(["berwald", "--structure", rotor, "--grid", "7x7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "lattice 7x7" in captured.err and "margin" not in captured.err
+    code, out = run(capsys, "berwald", "--structure", rotor, "--grid", "8x8")
+    assert code == 0
+    assert strict_json(out)["verdict"] == "not locally Minkowski"
+
+
+@pytest.mark.parametrize("case", [
+    "metric-out", "field-out", "fingerprint-out", "norm-dir", "structure-dir", "emit"])
+def test_exit_code_file_error(spec_dir, tmp_path, capsys, case):
+    norm = str(spec_dir / "norm-square-max.json")
+    structure = str(spec_dir / "structure-constant-square.json")
+    missing = str(tmp_path / "missing" / "out")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {
+        "metric-out": ["metric", "--norm", norm, "--out", missing],
+        "field-out": ["field", "--structure", structure, "--grid", "9x9", "--out", missing],
+        "fingerprint-out": ["fingerprint", "--structure", structure, "--grid", "2x2",
+                            "--out", missing],
+        "norm-dir": ["metric", "--norm", str(tmp_path)],
+        "structure-dir": ["field", "--structure", str(tmp_path), "--out", missing],
+        "emit": ["examples", "--emit", str(blocker / "specs")],
+    }[case]
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("cell", ["nan", "abc", "inf"])
+def test_compare_rejects_non_finite_entry(tmp_path, capsys, cell):
+    good = tmp_path / "good.csv"
+    good.write_text("# blgeom cloud v1\nx1,x2,w0,w1,mu,m_max\n0,0,3,3.4,0.8,1.1\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# blgeom cloud v1\nx1,x2,w0,w1,mu,m_max\n"
+                   f"0,0,3,3.4,0.8,1.1\n1,0,3,{cell},0.8,1.1\n")
+    code = main(["compare", "--a", str(good), "--b", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert str(bad) in captured.err and "row 2" in captured.err
+
+
+_EUCLIDEAN_4D = {"family": "euclidean", "matrix": np.eye(4).tolist()}
+
+
+@pytest.mark.parametrize("command", ["invariants", "fingerprint"])
+def test_exit_code_unsupported_dimension(tmp_path, capsys, command):
+    spec = tmp_path / "spec.json"
+    if command == "invariants":
+        spec.write_text(json.dumps(_EUCLIDEAN_4D))
+        argv = ["invariants", "--norm", str(spec)]
+    else:
+        spec.write_text(json.dumps({
+            "chart": {"lo": [-1.0] * 4, "hi": [1.0] * 4},
+            "field": {"family": "constant", "norm": _EUCLIDEAN_4D}}))
+        argv = ["fingerprint", "--structure", str(spec), "--grid", "1x1x1x1",
+                "--out", str(tmp_path / "cloud.csv")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: ") and "n in {2, 3}" in captured.err

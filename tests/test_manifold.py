@@ -512,7 +512,7 @@ class TestThreeDimensional:
     def test_berwald_defect_3d_constant(self):
         st = constant_structure(Euclidean(np.eye(3)), lo=(-1, -1, -1),
                                 hi=(1, 1, 1))
-        rep = berwald_defect(st, shape=(7, 7, 7))
+        rep = berwald_defect(st, shape=(9, 9, 9))
         assert rep.defect < 1e-8
 
     def test_loops_cover_coordinate_planes(self):

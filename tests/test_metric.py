@@ -7,6 +7,7 @@ from blgeom import (DefinitenessError, Ellipsoid, Euclidean, LpNorm,
                     bl_metric_converged, dual_scalar_matrix, legendre_ellipsoid,
                     linear_image, moment_of_inertia, rescale,
                     relative_qf_deviation, unit_ball_volume)
+from counting import CountingNorm
 from oracles import mc_body_moment, random_invertible, random_spd
 
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -263,3 +264,34 @@ class TestMonteCarloMetric:
         assert info.scheme == "monte-carlo" and info.converged
         # three reported standard errors must cover the true error
         assert np.linalg.norm(g - g0) / np.linalg.norm(g0) < 3 * info.achieved_tol
+
+
+class TestOnePassPerRule:
+    """F is evaluated once per quadrature rule, and the moments it gives are shared."""
+
+    def test_converge_evaluates_once_per_level(self):
+        norm = CountingNorm(QuarticAxial(2))
+        g, info = bl_metric_converged(norm, tol=1e-10)
+        sizes = [len(auto_quadrature(norm, level=lvl)) for lvl in range(info.level + 1)]
+        assert norm.rule_calls == sizes
+        q = auto_quadrature(QuarticAxial(2), level=info.level)
+        np.testing.assert_array_equal(info.dual_matrix, dual_scalar_matrix(QuarticAxial(2), q))
+        assert info.unit_ball_volume == unit_ball_volume(QuarticAxial(2), q)
+        np.testing.assert_array_equal(g, bl_metric(QuarticAxial(2), q))
+        eigs = np.linalg.eigvalsh(info.dual_matrix)
+        assert info.condition_number == eigs[-1] / eigs[0]
+
+    def test_monte_carlo_standard_error_evaluates_once(self):
+        # the batch means are slices of the one evaluation
+        norm = CountingNorm(Euclidean(np.diag([1.0, 1.5, 0.8, 1.2])))
+        g, info = bl_metric_converged(norm, seed=3, mc_tol=1.0)
+        assert info.scheme == "monte-carlo" and info.level == 0 and info.converged
+        assert norm.rule_calls == [1_000_000]
+        assert 0.0 < info.achieved_tol < 1e-2
+
+    def test_legendre_ellipsoid_evaluates_once(self):
+        norm = CountingNorm(SQUARE)
+        q = auto_quadrature(SQUARE)
+        ell = legendre_ellipsoid(norm, q)
+        assert norm.rule_calls == [len(q)]
+        np.testing.assert_array_equal(ell.shape, bl_metric(SQUARE, q))
