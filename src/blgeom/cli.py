@@ -16,8 +16,7 @@ from . import catalog, specio
 from .errors import BlgeomError, InputError, ValidationFailure
 from .invariants import (compare_fingerprints, quermassintegrals, roundness)
 from .manifold import bl_field, fingerprint_cloud, is_locally_minkowski
-from .metric import (MAX_QUAD_LEVEL, binet_ellipsoid, bl_metric, bl_metric_converged,
-                     legendre_ellipsoid)
+from .metric import MAX_QUAD_LEVEL, bl_metric, bl_metric_converged, ellipsoids
 from .norms import validate
 from .quadrature import auto_quadrature
 from .verify import run_suite
@@ -43,6 +42,13 @@ def quad_level(text):
     if not 0 <= level <= MAX_QUAD_LEVEL:
         raise argparse.ArgumentTypeError(f"must be between 0 and {MAX_QUAD_LEVEL}, got {level}")
     return level
+
+
+def random_seed(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def tolerance(text):
@@ -89,8 +95,7 @@ def cmd_metric(args):
 def cmd_ellipsoid(args):
     norm = _load_validated_norm(args.norm, args.mc_seed)
     quad = auto_quadrature(norm, level=args.quad_level, seed=args.mc_seed)
-    binet = binet_ellipsoid(norm, quad)
-    legendre = legendre_ellipsoid(norm, quad)
+    binet, legendre = ellipsoids(norm, quad)
     payload = {
         "binet": {"shape": binet.shape.tolist(), "scale": binet.scale,
                   "space": "dual"},
@@ -246,7 +251,7 @@ def build_parser():
         p.add_argument("--quad-level", type=quad_level, default=0,
                        help=f"quadrature refinement level, 0 to {MAX_QUAD_LEVEL} (default 0)")
         if norm:
-            p.add_argument("--mc-seed", type=int, default=0,
+            p.add_argument("--mc-seed", type=random_seed, default=0,
                            help="seed for Monte Carlo quadrature (ignored by "
                                 "deterministic schemes)")
         p.add_argument("--out", required=out_required,
@@ -300,7 +305,7 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    help="norms | metric-properties | ellipsoids | invariants | "
                         "berwald | all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=random_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("examples", help="list or emit the built-in specs")

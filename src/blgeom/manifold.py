@@ -1,12 +1,13 @@
 """Finsler structures over chart boxes: metric fields, parallel transport,
 Berwald-defect and local-flatness checks, and conformal-factor recovery.
 
-A structure is a chart box plus a batched norm oracle: the norms at an
-array of points are base o A(x), with one linear map per point and bases
-keyed by value (see ``FinslerStructure``).  The metric field evaluates the
+A structure is a chart box plus a batched norm oracle, its peel: the
+norms at an array of points are base o A(x), with one linear map per point
+and bases keyed by value; its scalar fields are callables on arrays of
+coordinates (see ``FinslerStructure``).  The metric field evaluates the
 norm's metric on a regular lattice (one solve per distinct base norm, by
-GL-equivariance; see ``bl_field``) and interpolates it
-with one tensor-product cubic spline.  In 2D the Christoffel symbols use the
+GL-equivariance; see ``bl_field``) and interpolates it with one
+tensor-product cubic spline.  In 2D the Christoffel symbols use the
 spline's exact derivatives, so the transport ODE preserves the interpolated
 metric to integrator accuracy; for n >= 3 they use central differences of the
 spline at half spacing, which do not, so 3D transport can fail.  That
@@ -31,7 +32,7 @@ from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
 from .metric import CONDITION_LIMIT, bl_metric
 from .norms import (LinearImage, LpNorm, MinkowskiNorm, PolytopeGauge,
-                    WeightedSum, as_integer, validate)
+                    WeightedSum, validate)
 from .quadrature import auto_quadrature
 
 
@@ -51,7 +52,10 @@ class FinslerStructure:
     distinct by value (equal norms share one entry, so callers solve one
     metric per entry), none is a ``LinearImage``, and each is used by some
     point.  A failure at a point raises ``PointFailure`` with the row of
-    that point.  ``norm_at`` is the one-point view.
+    that point.  ``norm_at`` is the one-point view.  A scalar field (psi of
+    ``rotor_structure``, factor of ``conformal_rescale``) maps coordinates
+    x, each x[i] a number or an array of one shape, to a value of that
+    shape; a peel of points X calls it once, on X.T.
     """
 
     chart_lo: np.ndarray
@@ -106,17 +110,6 @@ class PointFailure(Exception):
         self.index = int(index)
 
 
-def _sample(field: Callable[[np.ndarray], float], pts: np.ndarray) -> np.ndarray:
-    """field(x) at every row x of pts; a failure raises ``PointFailure``."""
-    out = np.empty(len(pts))
-    for k, x in enumerate(pts):
-        try:
-            out[k] = field(x)
-        except Exception as exc:
-            raise PointFailure(k) from exc
-    return out
-
-
 def smoothstep(t):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
@@ -130,46 +123,6 @@ def smoothstep(t):
     num = bump(t)
     den = num + bump(1.0 - t)
     return num / den
-
-
-def scalar_field_from_spec(spec: dict, dim: int, name: str) -> Callable[[np.ndarray], float]:
-    """Named scalar fields usable in JSON structure specs, on a chart of
-    dimension ``dim``.  A spec that is not an object, or a parameter that is
-    missing, not a number or not finite, is an ``InputError`` naming the
-    field's key ``name`` and the parameter."""
-    if not isinstance(spec, dict):
-        raise InputError(f"scalar field {name!r} must be an object, got {spec!r}")
-    kind = spec.get("kind")
-
-    def param(key, default=None):
-        if key not in spec and default is None:
-            raise InputError(f"scalar field {name!r} of kind {kind!r} is missing key {key!r}")
-        raw = spec.get(key, default)
-        try:
-            value = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"scalar field {name!r} key {key!r} must be a number, "
-                             f"got {raw!r}") from exc
-        if not np.isfinite(value):
-            raise InputError(f"scalar field {name!r} key {key!r} must be finite, got {raw!r}")
-        return value
-
-    if kind == "constant":
-        value = param("value")
-        return lambda x: value
-    axis = as_integer(spec.get("axis", 0), "scalar field axis")
-    if not 0 <= axis < dim:
-        raise InputError(f"scalar field axis {axis} is not an axis of the {dim}D chart")
-    if kind == "one-plus-sin":
-        amp, freq, phase = param("amp"), param("freq", 1.0), param("phase", 0.0)
-        return lambda x: 1.0 + amp * np.sin(freq * x[axis] + phase)
-    if kind == "linear":
-        slope, offset = param("slope"), param("offset", 0.0)
-        return lambda x: offset + slope * x[axis]
-    if kind == "exp-linear":
-        rate = param("rate")
-        return lambda x: float(np.exp(rate * x[axis]))
-    raise InputError(f"unknown scalar field kind {kind!r}")
 
 
 def _linear_chain(norm: MinkowskiNorm):
@@ -226,18 +179,16 @@ def square_gauge() -> PolytopeGauge:
     return PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
-def rotor_structure(psi: Callable[[np.ndarray], float] | dict,
-                    base: MinkowskiNorm | None = None,
+def rotor_structure(psi: Callable, base: MinkowskiNorm | None = None,
                     lo=(-1.0, -1.0), hi=(1.0, 1.0)) -> FinslerStructure:
-    """Monochromatic plane structure F(x, xi) = F0(R(psi(x)) xi).
+    """Monochromatic plane structure F(x, xi) = F0(R(psi(x)) xi), with a
+    scalar field ``psi`` as ``FinslerStructure`` describes.
 
     All tangent spaces are isometric Minkowski spaces.  With a base norm
     whose metric is a multiple of the identity (default: the square gauge),
     every R(psi(x)) is metric-orthogonal, the metric field is constant, and
     the structure is Berwald exactly when psi is constant.
     """
-    if not callable(psi):
-        psi = scalar_field_from_spec(psi, 2, "psi")
     if base is None:
         base = square_gauge()
     if base.dim != 2:
@@ -245,7 +196,7 @@ def rotor_structure(psi: Callable[[np.ndarray], float] | dict,
     A, base = _linear_chain(base)
 
     def peel(X):
-        a = _sample(psi, X)
+        a = np.broadcast_to(psi(X.T), len(X))
         c, s = np.cos(a), np.sin(a)
         rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
         return A @ rot, [base], np.zeros(len(X), dtype=int)
@@ -253,15 +204,13 @@ def rotor_structure(psi: Callable[[np.ndarray], float] | dict,
     return _norm_field(2, lo, hi, peel)
 
 
-def conformal_rescale(base: FinslerStructure,
-                      factor: Callable[[np.ndarray], float] | dict) -> FinslerStructure:
-    """Pointwise rescaled structure x -> factor(x) * F_x."""
-    if not callable(factor):
-        factor = scalar_field_from_spec(factor, base.dim, "factor")
+def conformal_rescale(base: FinslerStructure, factor: Callable) -> FinslerStructure:
+    """Pointwise rescaled structure x -> factor(x) * F_x (scalar field: see
+    ``FinslerStructure``)."""
 
     def peel(X):
         maps, bases, index = base.peel(X)
-        lam = _sample(factor, X)
+        lam = np.broadcast_to(factor(X.T), len(X))
         bad = ~(lam > 0)
         if np.any(bad):
             k = int(np.argmax(bad))

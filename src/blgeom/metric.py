@@ -215,11 +215,17 @@ def legendre_ellipsoid(norm: MinkowskiNorm, quad: SphericalQuadrature) -> Ellips
     It is the metric's unit ball scaled by (vol(Omega)/vol(B))^(1/(n+2)),
     with vol(B) computed analytically from det of the metric.
     """
+    return ellipsoids(norm, quad)[1]
+
+
+def ellipsoids(norm: MinkowskiNorm, quad: SphericalQuadrature):
+    """(Binet, Legendre) ellipsoids from one evaluation of F over ``quad``."""
     vol_omega, m = _moments(quad, _norm_values(norm, quad))
+    binet = Ellipsoid(m, 1.0)
     g = _invert(m)[0]
     vol_b = ball_volume(norm.dim) / np.sqrt(np.linalg.det(g))
     scale = (vol_omega / vol_b) ** (1.0 / (norm.dim + 2))
-    return Ellipsoid(g, scale)
+    return binet, Ellipsoid(g, scale)
 
 
 # ---------------------------------------------------------------------------

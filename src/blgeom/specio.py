@@ -1,15 +1,16 @@
-"""JSON (de)serialization of norm and structure specifications.
+"""The one reader of norm and structure specs, and the JSON writer.
 
-The on-disk formats are documented in ``docs/schemas/``.  Norm specs are
-nested dictionaries keyed by ``family``; structure specs carry a chart box
-and a ``field`` dictionary.  Parsing errors raise :class:`InputError` with
-a hint listing the accepted families, which the CLI maps to exit code 2.
+The key tables below declare the keys documented in ``docs/schemas/``;
+``_check`` holds every spec object to them.  Scalar fields become array
+expressions of the coordinates, so the library's constructors take built
+norms and callables only.  Errors raise :class:`InputError` (exit 2).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -17,20 +18,56 @@ from .errors import InputError, NumericalFailure
 from .manifold import (FinslerStructure, conformal_rescale, constant_structure,
                        l1_l2_interpolation, rotor_structure)
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
-                    PolytopeGauge, QuarticAxial, WeightedSum)
+                    PolytopeGauge, QuarticAxial, WeightedSum, as_integer)
 
-NORM_FAMILIES = ("euclidean", "lp", "polytope", "linear-image", "weighted-sum",
-                 "quartic-axial")
-FIELD_FAMILIES = ("constant", "l1-l2-interpolation", "rotor",
-                  "conformal-rescale", "holonomy-extension")
+# (required keys, optional keys with their defaults) of a spec object,
+# its family or kind tag aside, by tag value
+NORM_KEYS = {
+    "euclidean": (("matrix",), {}),
+    "lp": (("p", "dim"), {}),
+    "polytope": (("vertices",), {}),
+    "linear-image": (("matrix", "inner"), {}),
+    "weighted-sum": (("w1", "w2", "first", "second"), {}),
+    "quartic-axial": (("dim",), {}),
+}
+FIELD_KEYS = {
+    "constant": (("norm",), {}),
+    "l1-l2-interpolation": ((), {}),
+    "rotor": (("psi",), {"base": None}),
+    "conformal-rescale": (("base", "factor"), {}),
+    "holonomy-extension": (("norm",), {}),
+}
+SCALAR_KEYS = {
+    "constant": (("value",), {}),
+    "one-plus-sin": (("amp",), {"freq": 1.0, "phase": 0.0, "axis": 0}),
+    "linear": (("slope",), {"offset": 0.0, "axis": 0}),
+    "exp-linear": (("rate",), {"axis": 0}),
+}
+STRUCTURE_KEYS = (("field",), {"chart": None})
+CHART_KEYS = (("lo", "hi"), {})
 # Nesting bound of a norm spec; a chain of linear-image layers counts once.
 MAX_NORM_DEPTH = 64
 
 
-def _require(spec: dict, key: str, what: str):
-    if key not in spec:
-        raise InputError(f"{what} spec is missing required key {key!r}: {spec}")
-    return spec[key]
+def _check(spec, what: str, keys, tag: str | None = None):
+    """Hold the object ``spec`` to its key table and return its tag's value;
+    ``keys`` is ``(required, optional)`` or, with a ``tag``, a dict from tag
+    values to such pairs."""
+    if not isinstance(spec, dict):
+        raise InputError(f"{what} must be an object, got {type(spec).__name__}")
+    value = spec.get(tag)
+    if tag is not None:
+        if not (isinstance(value, str) and value in keys):
+            raise InputError(f"{what} needs a {tag} among {', '.join(keys)}, got {value!r}")
+        what, keys = f"{what} of {tag} {value!r}", keys[value]
+    required, optional = keys
+    allowed = (*required, *optional)
+    missing = [key for key in required if key not in spec]
+    unknown = [key for key in spec if key != tag and key not in allowed]
+    if missing or unknown:
+        problem = f"is missing key {missing[0]!r}" if missing else f"has unknown key {unknown[0]!r}"
+        raise InputError(f"{what} {problem}; expected keys: {', '.join(allowed)}")
+    return value
 
 
 def norm_from_spec(spec: dict) -> MinkowskiNorm:
@@ -42,70 +79,85 @@ def norm_from_spec(spec: dict) -> MinkowskiNorm:
 def _norm_from_spec(spec, depth):
     if depth == 0:
         raise InputError(f"norm spec is nested more than {MAX_NORM_DEPTH} layers deep")
-    if not isinstance(spec, dict):
-        raise InputError(f"norm spec must be an object, got {type(spec).__name__}")
-    family = _require(spec, "family", "norm")
+    family = _check(spec, "norm", NORM_KEYS, "family")
     if family == "euclidean":
-        return Euclidean(np.asarray(_require(spec, "matrix", "euclidean"), dtype=float))
+        return Euclidean(np.asarray(spec["matrix"], dtype=float))
     if family == "lp":
-        p = _require(spec, "p", "lp")
-        p = np.inf if p in ("inf", "infinity") else float(p)
-        return LpNorm(p, _require(spec, "dim", "lp"))
+        return LpNorm(np.inf if spec["p"] in ("inf", "infinity") else float(spec["p"]),
+                      spec["dim"])
     if family == "polytope":
-        return PolytopeGauge(np.asarray(_require(spec, "vertices", "polytope"), dtype=float))
+        return PolytopeGauge(np.asarray(spec["vertices"], dtype=float))
     if family == "linear-image":
         # fold nested images into one matrix product: no recursion per layer
-        matrix = np.asarray(_require(spec, "matrix", "linear-image"), dtype=float)
-        inner = _require(spec, "inner", "linear-image")
-        while isinstance(inner, dict) and inner.get("family") == "linear-image":
-            layer = np.asarray(_require(inner, "matrix", "linear-image"), dtype=float)
+        matrix, inner = np.asarray(spec["matrix"], dtype=float), spec["inner"]
+        while _check(inner, "norm", NORM_KEYS, "family") == "linear-image":
+            layer = np.asarray(inner["matrix"], dtype=float)
             if layer.shape != matrix.shape:
                 raise InputError("nested linear-image matrices must have one shape")
-            matrix = layer @ matrix
-            inner = _require(inner, "inner", "linear-image")
+            matrix, inner = layer @ matrix, inner["inner"]
         return LinearImage(matrix, _norm_from_spec(inner, depth - 1))
     if family == "weighted-sum":
-        return WeightedSum(float(_require(spec, "w1", "weighted-sum")),
-                           float(_require(spec, "w2", "weighted-sum")),
-                           _norm_from_spec(_require(spec, "first", "weighted-sum"), depth - 1),
-                           _norm_from_spec(_require(spec, "second", "weighted-sum"), depth - 1))
-    if family == "quartic-axial":
-        return QuarticAxial(_require(spec, "dim", "quartic-axial"))
-    raise InputError(
-        f"unknown norm family {family!r}; expected one of {', '.join(NORM_FAMILIES)}")
+        return WeightedSum(float(spec["w1"]), float(spec["w2"]),
+                           _norm_from_spec(spec["first"], depth - 1),
+                           _norm_from_spec(spec["second"], depth - 1))
+    return QuarticAxial(spec["dim"])
+
+
+def scalar_field_from_spec(spec: dict, dim: int, name: str) -> Callable:
+    """The named scalar field ``spec`` on a ``dim``-D chart, as an expression
+    of the coordinates x[0] ... x[dim - 1] that takes numbers or arrays of
+    one shape.  A bad spec or parameter is an ``InputError`` naming ``name``."""
+    what = f"scalar field {name!r}"
+    kind = _check(spec, what, SCALAR_KEYS, "kind")
+    given = {**SCALAR_KEYS[kind][1], **spec}
+
+    def param(key):
+        raw = given[key]
+        try:
+            value = float(raw)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{what} key {key!r} must be a number, got {raw!r}") from exc
+        if not np.isfinite(value):
+            raise InputError(f"{what} key {key!r} must be finite, got {raw!r}")
+        return value
+
+    if kind == "constant":
+        value = param("value")
+        return lambda x: value
+    axis = as_integer(given["axis"], "scalar field axis")
+    if not 0 <= axis < dim:
+        raise InputError(f"scalar field axis {axis} is not an axis of the {dim}D chart")
+    if kind == "one-plus-sin":
+        amp, freq, phase = param("amp"), param("freq"), param("phase")
+        return lambda x: 1.0 + amp * np.sin(freq * x[axis] + phase)
+    if kind == "linear":
+        slope, offset = param("slope"), param("offset")
+        return lambda x: offset + slope * x[axis]
+    rate = param("rate")
+    return lambda x: np.exp(rate * x[axis])
 
 
 def structure_from_spec(spec: dict) -> FinslerStructure:
     """Build a Finsler structure from its JSON dictionary."""
-    if not isinstance(spec, dict):
-        raise InputError("structure spec must be an object")
-    field = _require(spec, "field", "structure")
-    family = _require(field, "family", "structure field")
-    chart = spec.get("chart")
-
-    def box(default_lo, default_hi):
-        if chart is None:
-            return np.asarray(default_lo, float), np.asarray(default_hi, float)
-        return (np.asarray(_require(chart, "lo", "chart"), dtype=float),
-                np.asarray(_require(chart, "hi", "chart"), dtype=float))
-
+    _check(spec, "structure spec", STRUCTURE_KEYS)
+    field, chart = spec["field"], spec.get("chart")
+    if chart is not None:
+        _check(chart, "chart", CHART_KEYS)   # so the chart is {"lo": ..., "hi": ...}
+    family = _check(field, "structure field", FIELD_KEYS, "family")
     if family in ("constant", "holonomy-extension"):
         # a flat chart's transport is trivial, so extending a seed norm by
         # parallel translation gives the constant field of that norm
-        norm = norm_from_spec(_require(field, "norm", f"{family} field"))
-        return constant_structure(norm, *box(-np.ones(norm.dim), np.ones(norm.dim)))
+        norm = norm_from_spec(field["norm"])
+        return constant_structure(norm, **(chart or {"lo": -np.ones(norm.dim),
+                                                     "hi": np.ones(norm.dim)}))
     if family == "l1-l2-interpolation":
-        return l1_l2_interpolation(*box((-1.0, -1.0), (2.0, 1.0)))
+        return l1_l2_interpolation(**(chart or {}))
     if family == "rotor":
+        psi = scalar_field_from_spec(field["psi"], 2, "psi")
         base = norm_from_spec(field["base"]) if "base" in field else None
-        return rotor_structure(_require(field, "psi", "rotor field"), base,
-                               *box((-1.0, -1.0), (1.0, 1.0)))
-    if family == "conformal-rescale":
-        inner = structure_from_spec({"field": _require(field, "base", "conformal-rescale"),
-                                     "chart": chart})
-        return conformal_rescale(inner, _require(field, "factor", "conformal-rescale"))
-    raise InputError(f"unknown field family {family!r}; expected one of "
-                     f"{', '.join(FIELD_FAMILIES)}")
+        return rotor_structure(psi, base, **(chart or {}))
+    inner = structure_from_spec({"field": field["base"], "chart": chart})
+    return conformal_rescale(inner, scalar_field_from_spec(field["factor"], inner.dim, "factor"))
 
 
 def load_json(path) -> dict:

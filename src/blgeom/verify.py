@@ -17,8 +17,7 @@ from .invariants import (compare_fingerprints, fingerprint_point,
 from .manifold import (berwald_defect, bl_field, conformal_factor,
                        conformal_rescale, constant_structure,
                        is_locally_minkowski, l1_l2_interpolation,
-                       rectangle_loop, rigid_motion, rotor_structure,
-                       square_gauge)
+                       rectangle_loop, rigid_motion, square_gauge)
 from .metric import (binet_ellipsoid, bl_metric, dual_scalar_matrix,
                      legendre_ellipsoid, moment_of_inertia,
                      relative_qf_deviation)
@@ -350,12 +349,12 @@ def suite_berwald(seed: int = 0):
     results.append(_check_at_least("interpolating structure defect >= 1e-2",
                                    rep.defect, 1e-2))
 
-    rotor = rotor_structure({"kind": "linear", "slope": 0.8, "offset": 0.1})
+    rotor = catalog.builtin_structure("rotor-linear")
     rep = berwald_defect(rotor, shape=(17, 17))
     gram_worst = max(gram_worst, rep.gram_residual)
     results.append(_check_at_least("rotating field defect positive", rep.defect, 1e-4))
 
-    rotor_c = rotor_structure({"kind": "constant", "value": 0.4})
+    rotor_c = catalog.builtin_structure("rotor-constant")
     rep = berwald_defect(rotor_c, shape=(17, 17))
     gram_worst = max(gram_worst, rep.gram_residual)
     results.append(_check("frozen rotor defect at noise level", rep.defect, 1e-6))

@@ -17,7 +17,7 @@ from blgeom import (Euclidean, LpNorm, PolytopeGauge, QuarticAxial,
                     is_locally_minkowski, l1_l2_interpolation,
                     legendre_ellipsoid, linear_image, moment_of_inertia,
                     rectangle_loop, rescale, rotor_structure, square_gauge)
-from blgeom import catalog
+from blgeom import catalog, specio
 from oracles import random_invertible, random_spd
 
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -163,10 +163,12 @@ def test_criterion_7_berwald_checks():
     gram_worst = max(gram_worst, rep_interp.gram_residual)
 
     rep_moving = berwald_defect(
-        rotor_structure({"kind": "linear", "slope": 0.8, "offset": 0.1}),
+        rotor_structure(specio.scalar_field_from_spec(
+            {"kind": "linear", "slope": 0.8, "offset": 0.1}, 2, "psi")),
         shape=(17, 17))
     rep_frozen = berwald_defect(
-        rotor_structure({"kind": "constant", "value": 0.4}), shape=(17, 17))
+        rotor_structure(specio.scalar_field_from_spec(
+            {"kind": "constant", "value": 0.4}, 2, "psi")), shape=(17, 17))
     gram_worst = max(gram_worst, rep_moving.gram_residual,
                      rep_frozen.gram_residual)
 

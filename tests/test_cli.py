@@ -595,3 +595,95 @@ def test_exit_code_unsupported_dimension(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("input error: ") and "n in {2, 3}" in captured.err
+
+
+_EYE_2D = {"family": "euclidean", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+
+# one valid object of every norm family, field family and scalar-field kind
+_NORM_OF = {
+    "euclidean": _EYE_2D,
+    "lp": {"family": "lp", "p": 3, "dim": 2},
+    "polytope": _SQUARE_SPEC,
+    "linear-image": {"family": "linear-image", "matrix": [[2.0, 0.0], [0.0, 1.0]],
+                     "inner": _EYE_2D},
+    "weighted-sum": {"family": "weighted-sum", "w1": 0.5, "w2": 0.5,
+                     "first": _EYE_2D, "second": _SQUARE_SPEC},
+    "quartic-axial": {"family": "quartic-axial", "dim": 2},
+}
+_FIELD_OF = {
+    "constant": {"family": "constant", "norm": _EYE_2D},
+    "l1-l2-interpolation": {"family": "l1-l2-interpolation"},
+    "rotor": {"family": "rotor", "psi": _FIXED_ANGLE},
+    "conformal-rescale": _conformal({"kind": "constant", "value": 2.0})["field"],
+    "holonomy-extension": {"family": "holonomy-extension", "norm": _EYE_2D},
+}
+_SCALAR_OF = {
+    "constant": {"kind": "constant", "value": 2.0},
+    "one-plus-sin": {"kind": "one-plus-sin", "amp": 0.3},
+    "linear": {"kind": "linear", "slope": 0.1, "offset": 2.0},
+    "exp-linear": {"kind": "exp-linear", "rate": 0.5},
+}
+
+
+def _as_structure(field):
+    return {"chart": _CHART, "field": field}
+
+
+def _identity(spec):
+    return spec
+
+
+# (command, spec of an object, object, misspelled key to add to the object)
+_MISSPELLED = dict(
+    [(f"norm-{family}", ("metric", _identity, spec, typo)) for (family, spec), typo in zip(
+        _NORM_OF.items(), ["matirx", "dims", "vertex", "iner", "w3", "dimension"])]
+    + [(f"field-{family}", ("field", _as_structure, spec, typo))
+       for (family, spec), typo in zip(
+           _FIELD_OF.items(), ["nrom", "chart", "bsae", "factr", "norms"])]
+    + [(f"kind-{kind}", ("field", _conformal, spec, typo)) for (kind, spec), typo in zip(
+        _SCALAR_OF.items(), ["val", "frq", "ofset", "axes"])]
+    + [("top-level", ("field", _identity, _rotor(_FIXED_ANGLE), "chrat")),
+       ("chart", ("field", lambda chart: _rotor(_FIXED_ANGLE, chart), _CHART, "high"))])
+
+
+@pytest.mark.parametrize("case", sorted(_MISSPELLED))
+def test_unknown_key_exit_2(tmp_path, capsys, case):
+    command, spec_of, obj, typo = _MISSPELLED[case]
+    path = tmp_path / "spec.json"
+    flag = "--norm" if command == "metric" else "--structure"
+    argv = [command, flag, str(path)]
+    if command == "field":
+        argv += ["--grid", "9x9", "--out", str(tmp_path / "field.csv")]
+    path.write_text(json.dumps(spec_of(obj)))
+    assert main(argv) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(spec_of({**obj, typo: 1.0})))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unknown key {typo!r}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "--mc-seed", "-1"], ["ellipsoid", "--mc-seed", "-1"],
+    ["invariants", "--mc-seed", "-1"], ["verify", "--suite", "norms", "--seed", "-1"]],
+    ids=["metric", "ellipsoid", "invariants", "verify"])
+def test_negative_seed_exit_2(spec_dir, capsys, argv):
+    if argv[0] != "verify":
+        argv = argv + ["--norm", str(spec_dir / "norm-square-max.json")]
+    code, out = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("name", ["hexagon", "quartic-axial-2d", "euclidean-3d"])
+def test_ellipsoid_evaluates_f_once(spec_dir, capsys, monkeypatch, name):
+    load, loaded = specio.load_norm, []
+
+    def load_counting(path):
+        loaded.append(CountingNorm(load(path)))
+        return loaded[-1]
+
+    monkeypatch.setattr(specio, "load_norm", load_counting)
+    code, _ = run(capsys, "ellipsoid", "--norm", str(spec_dir / f"norm-{name}.json"))
+    assert code == 0
+    norm = loaded[0]
+    assert norm.rule_calls == [len(auto_quadrature(norm.inner))]

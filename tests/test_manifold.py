@@ -13,7 +13,7 @@ from blgeom import (Euclidean, InputError, LinearImage, MetricField, NumericalFa
                     l1_l2_interpolation, parallel_transport, rectangle_loop,
                     rigid_motion, rotor_structure, smoothstep, square_gauge,
                     structure_from_spec)
-from blgeom import catalog, invariants, manifold
+from blgeom import catalog, invariants, manifold, specio
 from oracles import conformal_christoffel
 
 
@@ -48,6 +48,34 @@ class TestStructures:
     def test_degenerate_chart_rejected(self):
         with pytest.raises(InputError):
             constant_structure(square_gauge(), lo=(0.0, 0.0), hi=(0.0, 1.0))
+
+
+class TestScalarFields:
+    @pytest.mark.parametrize("build", [
+        rotor_structure,
+        lambda f: conformal_rescale(constant_structure(Euclidean(np.eye(2))), f)],
+        ids=["rotor", "conformal"])
+    def test_user_field_called_once_per_peel(self, build):
+        shapes = []
+
+        def field(x):
+            shapes.append(np.shape(x))
+            return 1.0 + 0.1 * x[0] ** 2
+
+        bl_field(build(field), shape=(9, 7))
+        assert shapes == [(2, 63)]
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "constant", "value": 0.4},
+        {"kind": "one-plus-sin", "amp": 0.3, "freq": 1.7, "phase": 0.2, "axis": 2},
+        {"kind": "linear", "slope": 0.8, "offset": 0.1, "axis": 1},
+        {"kind": "exp-linear", "rate": -1.3, "axis": 2}], ids=lambda spec: spec["kind"])
+    def test_named_kind_on_arrays_matches_points(self, spec):
+        field = specio.scalar_field_from_spec(spec, 3, "f")
+        pts = np.random.default_rng(3).uniform(-2.0, 2.0, (200, 3))
+        per_point = np.array([field(x) for x in pts], dtype=float)
+        on_array = np.broadcast_to(np.asarray(field(pts.T), dtype=float), (200,))
+        assert on_array.tobytes() == per_point.tobytes()
 
 
 class TestField:
@@ -102,8 +130,8 @@ class TestField:
 
     def test_conformal_negative_case(self):
         # rotating square field is isotropic, the stretched norm is not
-        rot = bl_field(rotor_structure({"kind": "linear", "slope": 0.8}),
-                       shape=(9, 9))
+        rot = bl_field(rotor_structure(specio.scalar_field_from_spec(
+            {"kind": "linear", "slope": 0.8}, 2, "psi")), shape=(9, 9))
         aniso = bl_field(constant_structure(Euclidean(np.diag([1.0, 4.0]))),
                          shape=(9, 9))
         res = conformal_factor(rot, aniso)
@@ -125,8 +153,9 @@ def _assembly_cases():
     cases["moved-rotor"] = rigid_motion(catalog.builtin_structure("rotor-linear"),
                                         rot, [0.3, -0.2])
     # three nested linear maps that do not commute, over an anisotropic base
-    sheared_rotor = rotor_structure({"kind": "linear", "slope": 0.8},
-                                    base=catalog.builtin_norm("sheared-square"))
+    sheared_rotor = rotor_structure(
+        specio.scalar_field_from_spec({"kind": "linear", "slope": 0.8}, 2, "psi"),
+        base=catalog.builtin_norm("sheared-square"))
     cases["moved-sheared-rotor"] = rigid_motion(sheared_rotor, rot, [0.3, -0.2])
     cube = ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
     cases["3d-quartic"] = constant_structure(QuarticAxial(3), *cube)
@@ -142,7 +171,8 @@ FAILING_CASES = {
     # the linear factor x1 is not positive on the left half of the chart
     "factor-crosses-zero": (
         conformal_rescale(constant_structure(Euclidean(np.eye(2))),
-                          {"kind": "linear", "slope": 1.0}), "factor"),
+                          specio.scalar_field_from_spec(
+                              {"kind": "linear", "slope": 1.0}, 2, "factor")), "factor"),
     "ill-conditioned": (
         constant_structure(LinearImage(np.diag([1.0, 1e-7]), square_gauge())),
         "ill-conditioned"),
@@ -295,7 +325,7 @@ class TestChristoffel:
         # metric exp(2 x1) I; phi gradient (1, 0)
         st = conformal_rescale(
             constant_structure(Euclidean(np.eye(2)), lo=(-1, -1), hi=(1, 1)),
-            lambda x: float(np.exp(x[0])))
+            lambda x: np.exp(x[0]))
         field = bl_field(st, shape=(33, 33))
         h = field.spacing.max()
         got = field.christoffel([0.2, -0.1])
@@ -353,7 +383,7 @@ class TestTransport:
         # O(h^4) interpolation error of the lattice field, not transport error
         st = conformal_rescale(
             constant_structure(Euclidean(np.eye(2)), lo=(-1, -1), hi=(1, 1)),
-            lambda x: float(np.exp(x[0])))
+            lambda x: np.exp(x[0]))
         field = bl_field(st, shape=(33, 33))
         loop = rectangle_loop([0.0, 0.0], [0.4, 0.4])
         res = parallel_transport(field, loop, np.eye(2))
@@ -422,10 +452,11 @@ class TestBerwald:
 
     def test_rotor_defect_iff_nonconstant(self):
         moving = berwald_defect(
-            rotor_structure({"kind": "linear", "slope": 0.8, "offset": 0.1}),
+            rotor_structure(specio.scalar_field_from_spec(
+                {"kind": "linear", "slope": 0.8, "offset": 0.1}, 2, "psi")),
             shape=(17, 17))
-        frozen = berwald_defect(rotor_structure({"kind": "constant", "value": 0.4}),
-                                shape=(17, 17))
+        frozen = berwald_defect(rotor_structure(specio.scalar_field_from_spec(
+            {"kind": "constant", "value": 0.4}, 2, "psi")), shape=(17, 17))
         assert moving.defect > 1e-4
         assert frozen.defect < 1e-6
 
@@ -433,7 +464,8 @@ class TestBerwald:
         # the field is fine; the structure's factor x1 is not positive for x1 <= 0
         field = bl_field(constant_structure(Euclidean(np.eye(2))), shape=(9, 9))
         bad = conformal_rescale(constant_structure(Euclidean(np.eye(2))),
-                                {"kind": "linear", "slope": 1.0})
+                                specio.scalar_field_from_spec(
+                                    {"kind": "linear", "slope": 1.0}, 2, "factor"))
         with pytest.raises(NumericalFailure, match=r"failed at point \[.*factor"):
             berwald_defect(bad, field=field)
 
@@ -467,7 +499,8 @@ class TestLocallyMinkowski:
 
     def test_rotor_negative_by_berwald_only(self):
         rep = is_locally_minkowski(
-            rotor_structure({"kind": "linear", "slope": 0.8, "offset": 0.1}),
+            rotor_structure(specio.scalar_field_from_spec(
+                {"kind": "linear", "slope": 0.8, "offset": 0.1}, 2, "psi")),
             shape=(17, 17))
         assert not rep.locally_minkowski
         assert rep.flat_residual < rep.flat_tol
