@@ -12,7 +12,10 @@ spline's exact derivatives, so the transport ODE preserves the interpolated
 metric to integrator accuracy; for n >= 3 they use central differences of the
 spline at half spacing, which do not, so 3D transport can fail.  That
 preservation is monitored on every transport and doubles as the accuracy
-gate.
+gate.  Transport integrates a linear ODE with fixed-step RK4, so each step
+is a matrix: an attempt forms every step's matrix from one batch of
+Christoffel symbols and multiplies them into one propagator per polyline
+segment (see ``_segment_propagators``), with no loop over steps.
 
 The Berwald defect of a structure transports probe vectors along closed
 loops and compares norm values both at intermediate points (open-path
@@ -512,10 +515,58 @@ class TransportResult:
     frames: list                     # frame after reaching each vertex
     steps: int
     gram_residual: float             # max relative drift of frame^T G frame
+    halvings: int                    # step halvings of the accepted attempt
 
     @property
     def transported_frame(self) -> np.ndarray:
         return self.frames[-1]
+
+
+def _segment_propagators(field: MetricField, path, steps) -> np.ndarray:
+    """RK4 propagator M of each segment of the polyline ``path`` with
+    ``steps[s]`` steps on segment s, returned as M - I, shape (segments, n, n).
+
+    The transport ODE is xi' = a(t) xi with a = -Gamma(p + t seg) . seg on a
+    segment from p; one ``christoffel`` call gives a at every RK4 stage point
+    t = j / (2 m), j = 0..2m, of every segment with m = steps[s] > 0.  One
+    RK4 step is the matrix M = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with
+    K1 = a1, K2 = a2 (I + dt/2 K1), K3 = a2 (I + dt/2 K2) and
+    K4 = a4 (I + dt K3); every step of every segment is formed in one pass.
+    Each segment's steps are then multiplied pairwise, later step on the
+    left, in log depth; before each round a segment with an odd number of
+    factors gets an identity appended, so no pair straddles two segments.
+    A segment with no steps is the identity.  Every factor is held as
+    D = M - I and multiplied as (I + B)(I + A) = I + (B + A + B A), so a
+    step's small increment is not rounded against the identity.
+    """
+    segs = np.diff(path, axis=0)
+    stages = 2 * steps + (steps > 0)
+    first = np.cumsum(stages) - stages
+    seg_of = np.repeat(np.arange(len(segs)), stages)
+    t = (np.arange(stages.sum()) - first[seg_of]) / (2 * steps[seg_of])
+    gamma = field.christoffel(path[seg_of] + t[:, None] * segs[seg_of])
+    rates = -np.einsum("pkij,pi->pkj", gamma, segs[seg_of])
+
+    n = field.dim
+    eye = np.eye(n)
+    seg = np.repeat(np.arange(len(steps)), steps)
+    local = np.arange(steps.sum()) - np.repeat(np.cumsum(steps) - steps, steps)
+    j = first[seg] + 2 * local              # stage row where each step starts
+    a1, a2, a4 = rates[j], rates[j + 1], rates[j + 2]
+    dt = (1.0 / steps[seg])[:, None, None]
+    k2 = a2 @ (eye + 0.5 * dt * a1)
+    k3 = a2 @ (eye + 0.5 * dt * k2)
+    k4 = a4 @ (eye + dt * k3)
+    dev = (dt / 6.0) * (a1 + 2 * k2 + 2 * k3 + k4)
+    counts = steps.copy()
+    while counts.max() > 1:
+        odd = counts % 2 == 1
+        dev = np.insert(dev, np.cumsum(counts)[odd], 0.0, axis=0)
+        counts = (counts + odd) // 2
+        dev = dev[1::2] + dev[0::2] + dev[1::2] @ dev[0::2]
+    out = np.zeros((len(steps), n, n))
+    out[steps > 0] = dev
+    return out
 
 
 def parallel_transport(field: MetricField, path, frame) -> TransportResult:
@@ -525,7 +576,11 @@ def parallel_transport(field: MetricField, path, frame) -> TransportResult:
     ``MAX_HALVINGS`` step halvings until the frame's Gram matrix in the
     interpolated metric is preserved within ``GRAM_TOL`` (metric
     preservation is exact for the continuous problem, so the drift
-    measures integration error).
+    measures integration error).  The ODE is linear, so an attempt makes
+    one ``christoffel`` call for all its RK4 stage points, turns each
+    segment's steps into one propagator matrix (see
+    ``_segment_propagators``) and reaches the vertices by applying the
+    propagators to the frame in turn.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or len(path) < 2 or path.shape[1] != field.dim:
@@ -537,39 +592,16 @@ def parallel_transport(field: MetricField, path, frame) -> TransportResult:
         raise InputError("frame vectors must match the field dimension")
 
     base_h = 0.25 * float(field.spacing.min())
-    segs = np.diff(path, axis=0)
-    lengths = np.linalg.norm(segs, axis=1)
+    lengths = np.linalg.norm(np.diff(path, axis=0), axis=1)
     for attempt in range(MAX_HALVINGS + 1):
         h_target = base_h / 2 ** attempt
         steps = np.maximum(4, np.ceil(lengths / h_target).astype(int)) * (lengths > 0)
-        # xi' = A(t) xi with A = -Gamma(a + t seg) . seg, evaluated in one batch
-        # at every RK4 stage point t = j / (2 steps), j = 0..2 steps
-        counts = 2 * steps + (steps > 0)
-        seg_of = np.repeat(np.arange(len(segs)), counts)
-        stage = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        t = stage / (2 * steps[seg_of])
-        gamma = field.christoffel(path[seg_of] + t[:, None] * segs[seg_of])
-        rates = -np.einsum("pkij,pi->pkj", gamma, segs[seg_of])
         frames = [frame.copy()]
-        xi = frame.copy()
-        first = 0
-        for m in steps:
-            if m == 0:
-                frames.append(xi.copy())
-                continue
-            dt = 1.0 / m
-            for j in range(first, first + 2 * m, 2):
-                a1, a2, a4 = rates[j], rates[j + 1], rates[j + 2]
-                k1 = a1 @ xi
-                k2 = a2 @ (xi + 0.5 * dt * k1)
-                k3 = a2 @ (xi + 0.5 * dt * k2)
-                k4 = a4 @ (xi + dt * k3)
-                xi = xi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            first += 2 * m + 1
-            frames.append(xi.copy())
+        for dev in _segment_propagators(field, path, steps):
+            frames.append(frames[-1] + dev @ frames[-1])
         residual = _gram_residual(field, path, frames)
         if residual <= GRAM_TOL:
-            return TransportResult(path, frame, frames, int(steps.sum()), residual)
+            return TransportResult(path, frame, frames, int(steps.sum()), residual, attempt)
     raise TransportAccuracyError(
         f"transport Gram residual {residual:.3e} exceeds {GRAM_TOL:.1e} after "
         f"{MAX_HALVINGS} step halvings; use a finer lattice")

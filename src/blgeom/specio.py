@@ -1,9 +1,11 @@
 """The one reader of norm and structure specs, and the JSON writer.
 
 The key tables below declare the keys documented in ``docs/schemas/``;
-``_check`` holds every spec object to them.  Scalar fields become array
-expressions of the coordinates, so the library's constructors take built
-norms and callables only.  Errors raise :class:`InputError` (exit 2).
+``_check`` holds every spec object to them, and ``_number`` and
+``_numbers`` read every numeric value (a JSON bool is not a number).
+Scalar fields become array expressions of the coordinates, so the
+library's constructors take built norms and callables only.  Errors raise
+:class:`InputError` (exit 2).
 """
 
 from __future__ import annotations
@@ -70,6 +72,30 @@ def _check(spec, what: str, keys, tag: str | None = None):
     return value
 
 
+def _number(spec, key: str, what: str) -> float:
+    """``spec[key]`` as a float; a JSON bool is not a number."""
+    raw = spec[key]
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"{what} key {key!r} must be a number, got {raw!r}")
+
+
+def _numbers(spec, key: str, what: str) -> np.ndarray:
+    """``spec[key]`` as a float array; a JSON bool at any depth is not a number."""
+    raw = spec[key]
+    todo = [raw]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, bool):
+            raise InputError(f"{what} key {key!r} must hold numbers, got {item!r}")
+        if isinstance(item, list):
+            todo.extend(item)
+    return np.asarray(raw, dtype=float)
+
+
 def norm_from_spec(spec: dict) -> MinkowskiNorm:
     """Build a norm from its JSON dictionary, nested at most
     ``MAX_NORM_DEPTH`` layers deep."""
@@ -80,24 +106,25 @@ def _norm_from_spec(spec, depth):
     if depth == 0:
         raise InputError(f"norm spec is nested more than {MAX_NORM_DEPTH} layers deep")
     family = _check(spec, "norm", NORM_KEYS, "family")
+    what = f"norm of family {family!r}"
     if family == "euclidean":
-        return Euclidean(np.asarray(spec["matrix"], dtype=float))
+        return Euclidean(_numbers(spec, "matrix", what))
     if family == "lp":
-        return LpNorm(np.inf if spec["p"] in ("inf", "infinity") else float(spec["p"]),
+        return LpNorm(np.inf if spec["p"] in ("inf", "infinity") else _number(spec, "p", what),
                       spec["dim"])
     if family == "polytope":
-        return PolytopeGauge(np.asarray(spec["vertices"], dtype=float))
+        return PolytopeGauge(_numbers(spec, "vertices", what))
     if family == "linear-image":
         # fold nested images into one matrix product: no recursion per layer
-        matrix, inner = np.asarray(spec["matrix"], dtype=float), spec["inner"]
+        matrix, inner = _numbers(spec, "matrix", what), spec["inner"]
         while _check(inner, "norm", NORM_KEYS, "family") == "linear-image":
-            layer = np.asarray(inner["matrix"], dtype=float)
+            layer = _numbers(inner, "matrix", what)
             if layer.shape != matrix.shape:
                 raise InputError("nested linear-image matrices must have one shape")
             matrix, inner = layer @ matrix, inner["inner"]
         return LinearImage(matrix, _norm_from_spec(inner, depth - 1))
     if family == "weighted-sum":
-        return WeightedSum(float(spec["w1"]), float(spec["w2"]),
+        return WeightedSum(_number(spec, "w1", what), _number(spec, "w2", what),
                            _norm_from_spec(spec["first"], depth - 1),
                            _norm_from_spec(spec["second"], depth - 1))
     return QuarticAxial(spec["dim"])
@@ -112,13 +139,9 @@ def scalar_field_from_spec(spec: dict, dim: int, name: str) -> Callable:
     given = {**SCALAR_KEYS[kind][1], **spec}
 
     def param(key):
-        raw = given[key]
-        try:
-            value = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{what} key {key!r} must be a number, got {raw!r}") from exc
+        value = _number(given, key, what)
         if not np.isfinite(value):
-            raise InputError(f"{what} key {key!r} must be finite, got {raw!r}")
+            raise InputError(f"{what} key {key!r} must be finite, got {given[key]!r}")
         return value
 
     if kind == "constant":
@@ -143,6 +166,7 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
     field, chart = spec["field"], spec.get("chart")
     if chart is not None:
         _check(chart, "chart", CHART_KEYS)   # so the chart is {"lo": ..., "hi": ...}
+        chart = {key: _numbers(chart, key, "chart") for key in CHART_KEYS[0]}
     family = _check(field, "structure field", FIELD_KEYS, "family")
     if family in ("constant", "holonomy-extension"):
         # a flat chart's transport is trivial, so extending a seed norm by

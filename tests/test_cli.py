@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -687,3 +688,60 @@ def test_ellipsoid_evaluates_f_once(spec_dir, capsys, monkeypatch, name):
     assert code == 0
     norm = loaded[0]
     assert norm.rule_calls == [len(auto_quadrature(norm.inner))]
+
+
+_ONE_PLUS_SIN = {"kind": "one-plus-sin", "amp": 0.3, "freq": 1.0, "phase": 0.0}
+
+# (command, spec, path to a numeric slot, bool to put there): a bool in the
+# slot exits 2; the spec with the bool's number there exits 0
+_NUMERIC_SLOTS = {
+    "euclidean-matrix": ("metric", _EYE_2D, ("matrix", 0, 0), True),
+    "linear-image-matrix": ("metric", _NORM_OF["linear-image"], ("matrix", 1, 1), True),
+    "folded-layer-matrix": (
+        "metric", {"family": "linear-image", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                   "inner": _NORM_OF["linear-image"]}, ("inner", "matrix", 1, 1), True),
+    "polytope-vertices": ("metric", _SQUARE_SPEC, ("vertices", 0, 0), True),
+    "lp-p": ("metric", _NORM_OF["lp"], ("p",), True),
+    "weighted-sum-w1": ("metric", _NORM_OF["weighted-sum"], ("w1",), True),
+    "weighted-sum-w2": ("metric", _NORM_OF["weighted-sum"], ("w2",), True),
+    "constant-value": ("field", _conformal(_SCALAR_OF["constant"]),
+                       ("field", "factor", "value"), True),
+    "one-plus-sin-amp": ("field", _conformal(_ONE_PLUS_SIN), ("field", "factor", "amp"), True),
+    "one-plus-sin-freq": ("field", _conformal(_ONE_PLUS_SIN), ("field", "factor", "freq"), True),
+    "one-plus-sin-phase": ("field", _conformal(_ONE_PLUS_SIN), ("field", "factor", "phase"), False),
+    "linear-slope": ("field", _conformal(_SCALAR_OF["linear"]),
+                     ("field", "factor", "slope"), True),
+    "linear-offset": ("field", _conformal(_SCALAR_OF["linear"]),
+                      ("field", "factor", "offset"), True),
+    "exp-linear-rate": ("field", _conformal(_SCALAR_OF["exp-linear"]),
+                        ("field", "factor", "rate"), True),
+    "chart-lo": ("field", _rotor(_FIXED_ANGLE), ("chart", "lo", 0), False),
+    "chart-hi": ("field", _rotor(_FIXED_ANGLE), ("chart", "hi", 1), True),
+}
+
+
+def _with(spec, path, value):
+    """A copy of ``spec`` with ``value`` at ``path``."""
+    spec = copy.deepcopy(spec)
+    obj = spec
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = value
+    return spec
+
+
+@pytest.mark.parametrize("case", sorted(_NUMERIC_SLOTS))
+def test_bool_in_numeric_slot_exit_2(tmp_path, capsys, case):
+    command, spec, path, flag = _NUMERIC_SLOTS[case]
+    spec_path = tmp_path / "spec.json"
+    argv = [command, "--norm" if command == "metric" else "--structure", str(spec_path)]
+    if command == "field":
+        argv += ["--grid", "9x9", "--out", str(tmp_path / "field.csv")]
+    spec_path.write_text(json.dumps(_with(spec, path, float(flag))))
+    assert main(argv) == 0
+    capsys.readouterr()
+    spec_path.write_text(json.dumps(_with(spec, path, flag)))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    key = [step for step in path if isinstance(step, str)][-1]
+    assert captured.out == "" and f"key {key!r}" in captured.err

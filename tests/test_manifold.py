@@ -26,6 +26,39 @@ def interp_field():
     return bl_field(l1_l2_interpolation(), shape=(49, 17))
 
 
+# the benchmark's perfbench/specs/structure-3d-conformal-euclidean.json
+CONFORMAL_3D = {
+    "chart": {"lo": [-1.5, -1.5, -1.5], "hi": [1.5, 1.5, 1.5]},
+    "field": {"family": "conformal-rescale",
+              "base": {"family": "constant",
+                       "norm": {"family": "euclidean", "matrix": np.eye(3).tolist()}},
+              "factor": {"kind": "one-plus-sin", "amp": 0.3, "freq": 2.0, "axis": 0}}}
+
+
+def _stepwise_rk4(field, path, frame, h_target):
+    """Vertex frames and step count of classical RK4 advanced one step at a
+    time, with one christoffel call per stage: the reference transport."""
+    xi, frames, total = frame.copy(), [frame.copy()], 0
+    for a, b in zip(path[:-1], path[1:]):
+        seg = b - a
+        steps = max(4, int(np.ceil(np.linalg.norm(seg) / h_target)))
+        dt = 1.0 / steps
+
+        def rhs(t, mat):
+            return -np.einsum("kij,i,jm->km", field.christoffel(a + t * seg), seg, mat)
+
+        for s in range(steps):
+            t = s * dt
+            k1 = rhs(t, xi)
+            k2 = rhs(t + 0.5 * dt, xi + 0.5 * dt * k1)
+            k3 = rhs(t + 0.5 * dt, xi + 0.5 * dt * k2)
+            k4 = rhs(t + dt, xi + dt * k3)
+            xi = xi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        total += steps
+        frames.append(xi)
+    return np.array(frames), total
+
+
 class TestStructures:
     def test_smoothstep_endpoints(self):
         t = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
@@ -432,6 +465,70 @@ class TestTransport:
             assert res.steps == total
             np.testing.assert_allclose(np.array(res.frames), np.array(frames),
                                        rtol=0, atol=1e-12)
+
+    def test_halved_transport_matches_scalar_rk4(self):
+        st = catalog.builtin_structure("l1-l2-interpolation")
+        field = bl_field(st)
+        loop = default_loops(st, 3.0 * float(field.spacing.max()))[1]
+        probes = default_probes(2)
+        res = parallel_transport(field, loop, probes)
+        assert res.halvings == 1
+        frames, total = _stepwise_rk4(field, loop, probes, 0.125 * float(field.spacing.min()))
+        assert res.steps == total
+        np.testing.assert_allclose(np.array(res.frames), frames, rtol=0, atol=1e-12)
+
+    def test_3d_transport_matches_scalar_rk4(self):
+        st = structure_from_spec(CONFORMAL_3D)
+        field = bl_field(st, shape=(9, 9, 9))
+        loop = default_loops(st, 3.0 * float(field.spacing.max()))[2]
+        assert np.ptp(loop, axis=0)[0] == 0.0      # the plane (1, 2)
+        probes = default_probes(3)
+        res = parallel_transport(field, loop, probes)
+        assert (res.steps, res.halvings) == (128, 0)
+        frames, _ = _stepwise_rk4(field, loop, probes, 0.25 * float(field.spacing.min()))
+        np.testing.assert_allclose(np.array(res.frames), frames, rtol=0, atol=1e-12)
+
+    def test_noncommuting_steps_match_scalar_rk4(self):
+        # a rotating anisotropic norm: the step matrices do not commute (the
+        # isotropic fields above would hide a wrong product order), and the
+        # segments take 33, 32 and 38 steps, so odd counts get padded
+        st = rotor_structure(lambda x: 0.8 * x[0] + 0.5 * x[1] ** 2,
+                             Euclidean(np.diag([1.0, 4.0])))
+        field = bl_field(st, shape=(17, 17))
+        path = np.array([[-0.5, -0.5], [0.5, -0.4], [0.1, 0.5], [-0.5, -0.5]])
+        res = parallel_transport(field, path, np.eye(2))
+        assert (res.steps, res.halvings) == (103, 0)
+        frames, _ = _stepwise_rk4(field, path, np.eye(2), 0.25 * float(field.spacing.min()))
+        np.testing.assert_allclose(np.array(res.frames), frames, rtol=0, atol=1e-12)
+
+    def test_repeated_vertex_keeps_frame(self, interp_field):
+        loop = rectangle_loop([0.125, 0.0], [0.375, 0.5])
+        path = np.insert(loop, 5, loop[5], axis=0)
+        res = parallel_transport(interp_field, path, default_probes(2))
+        np.testing.assert_array_equal(res.frames[6], res.frames[5])
+        plain = parallel_transport(interp_field, loop, default_probes(2))
+        assert res.steps == plain.steps
+        np.testing.assert_allclose(np.array(res.frames[6:]), np.array(plain.frames[5:]),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name, halvings", [
+        ("conformal-euclidean", [0, 0, 0]), ("l1-l2-interpolation", [0, 1, 1])])
+    def test_one_christoffel_call_per_attempt(self, monkeypatch, name, halvings):
+        st = catalog.builtin_structure(name)
+        field = bl_field(st)
+        calls = []
+        christoffel = MetricField.christoffel
+
+        def counting(self, x):
+            calls.append(len(x))
+            return christoffel(self, x)
+
+        monkeypatch.setattr(MetricField, "christoffel", counting)
+        for loop, want in zip(default_loops(st, 3.0 * float(field.spacing.max())), halvings):
+            calls.clear()
+            res = parallel_transport(field, loop, default_probes(2))
+            assert res.halvings == want
+            assert len(calls) == want + 1
 
     def test_bad_path_rejected(self, interp_field):
         with pytest.raises(InputError):
