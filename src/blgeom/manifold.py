@@ -262,7 +262,10 @@ def _box_corners(lo, hi):
 class MetricField:
     """Metric tensors on a regular lattice with one tensor-product cubic spline
     for all components.  ``at``, ``christoffel`` and ``riemann`` take a point
-    (n,) or a batch (..., n) of points."""
+    (n,) or a batch (..., n) of points.  The interpolant need not be positive
+    definite between nodes even where every node tensor is;
+    ``check_positive_definite`` certifies it from the spline coefficients or
+    names a point where it fails."""
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
@@ -345,25 +348,30 @@ class MetricField:
         return t1 - t2 + t3 - t4
 
     def check_positive_definite(self):
-        """Definiteness check of the interpolated tensor on a 4 times finer
-        grid, in slabs of about 4096 points along axis 0; on that tensor
-        grid the spline is its coefficients times one basis matrix per axis.
-        Each slab is tested with one batched Cholesky factorization;
-        eigenvalues are computed only to locate a failure."""
+        """Raise ``NumericalFailure`` unless the interpolated tensor is
+        positive definite on the lattice box.
+
+        First a certificate: the cubic B-splines are nonnegative and sum to
+        one on the box, so the interpolant at every point is a convex
+        combination of the (symmetrized) spline coefficients, and if all of
+        those pass one batched Cholesky factorization the whole box is
+        definite.  The certificate is only sufficient, so when it fails the
+        interpolant is tested on a 4 times finer grid, in slabs of about
+        4096 points along axis 0; on that tensor grid the spline is its
+        coefficients times one basis matrix per axis.  Eigenvalues are
+        computed only to locate a failure, which names its grid point."""
+        c = self._spline.c
+        if _definite(0.5 * (c + np.swapaxes(c, -1, -2))):
+            return
         axes = [np.linspace(a[0], a[-1], 4 * (len(a) - 1) + 1) for a in self.axes]
         basis = [BSpline.design_matrix(a, t, 3).toarray()
                  for a, t in zip(axes, self._spline.t)]
         rows = max(1, 4096 // int(np.prod([len(a) for a in axes[1:]])))
         for start in range(0, len(axes[0]), rows):
-            g = self._spline.c
+            g = c
             for i, b in enumerate([basis[0][start:start + rows]] + basis[1:]):
                 g = np.moveaxis(np.tensordot(b, g, axes=(1, i)), 0, i)
-            try:
-                # a NaN tensor does not raise, it gives a non-finite factor
-                definite = np.isfinite(np.linalg.cholesky(g)).all()
-            except np.linalg.LinAlgError:
-                definite = False
-            if not definite:
+            if not _definite(g):
                 low = np.linalg.eigvalsh(g)[..., 0]
                 k = np.unravel_index(np.argmin(low), low.shape)  # NaN counts as the minimum
                 point = [a[j] for a, j in zip(axes, (start + k[0],) + k[1:])]
@@ -377,6 +385,15 @@ class MetricField:
             diff = np.diff(self.values, axis=axis)
             out = max(out, float(np.sqrt((diff ** 2).sum(axis=(-2, -1))).max()))
         return out
+
+
+def _definite(g: np.ndarray) -> bool:
+    """Whether one batched Cholesky factorization of ``g`` succeeds and is
+    finite (a NaN tensor does not raise, it gives a non-finite factor)."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(g)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def default_lattice_shape(dim: int) -> tuple:
@@ -454,6 +471,9 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
     A^T g_base A by GL-equivariance, g_{F o A} = A^T g_F A.  A failure at
     any node, or a node tensor that is not positive definite or exceeds
     ``CONDITION_LIMIT``, aborts with the offending node in the message.
+    The interpolated field then passes ``MetricField.check_positive_definite``:
+    its spline coefficients certify the whole box, or else a 4 times finer
+    grid is tested and a failure names its grid point.
     """
     n = structure.dim
     if shape is None:

@@ -203,6 +203,23 @@ def test_field_exit_code_numerical_failure(field, tmp_path, capsys):
     assert "at node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["field", "berwald"])
+def test_interpolated_metric_loses_definiteness_exit_3(tmp_path, capsys, command):
+    # every node tensor is (1 + 0.9 sin 9x)^2 I >= 0.01 I, but at the default
+    # 33x33 lattice the spline through them is indefinite between nodes
+    spec = tmp_path / "wiggle.json"
+    spec.write_text(json.dumps({
+        "chart": {"lo": [-1.5, -1.5], "hi": [1.5, 1.5]},
+        "field": {"family": "conformal-rescale",
+                  "base": {"family": "constant",
+                           "norm": {"family": "euclidean", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+                  "factor": {"kind": "one-plus-sin", "amp": 0.9, "freq": 9}}}))
+    out = ["--out", str(tmp_path / "wiggle.csv")] if command == "field" else []
+    code = main([command, "--structure", str(spec), *out])
+    assert code == 3
+    assert "interpolated metric loses positive definiteness near" in capsys.readouterr().err
+
+
 def test_metric_exit_code_non_finite(tmp_path, capsys):
     # F ~ 1e200 |x| over- and underflows in the moment integrals
     inner = {"family": "linear-image", "matrix": [[1e100, 0.0], [0.0, 1e100]],

@@ -348,6 +348,38 @@ class TestInterpolant:
         with pytest.raises(NumericalFailure, match="positive definiteness"):
             MetricField(axes, np.full((5, 5, 2, 2), np.nan)).check_positive_definite()
 
+    @pytest.mark.parametrize("name, shape", [
+        *[(name, (33, 33)) for name in sorted(catalog.BUILTIN_STRUCTURES)],
+        ("3d-conformal", (9, 9, 9))])
+    def test_coefficients_certify_definiteness(self, name, shape, monkeypatch):
+        # the grid fallback needs the basis matrices; the certificate does not
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid check ran")
+
+        monkeypatch.setattr(manifold.BSpline, "design_matrix", no_grid)
+        st = ASSEMBLY_CASES[name]
+        assert bl_field(st, shape=shape).values.shape == shape + (st.dim, st.dim)
+
+    def test_grid_fallback_decides_past_the_certificate(self):
+        # a bump of scale * I at the middle node of an identity field: its
+        # spline coefficients are indefinite for both scales, yet the spline
+        # is definite for 5 and not for 10, where it dips in the negative
+        # lobe of the cubic cardinal spline, between one and two spacings out
+        axes = [np.linspace(0.0, 1.0, 9)] * 2
+
+        def bump(scale):
+            values = np.broadcast_to(np.eye(2), (9, 9, 2, 2)).copy()
+            values[4, 4] = scale * np.eye(2)
+            field = MetricField(axes, values)
+            assert np.linalg.eigvalsh(field._spline.c).min() < -2.0
+            return field
+
+        bump(5.0).check_positive_definite()
+        with pytest.raises(NumericalFailure, match="positive definiteness") as info:
+            bump(10.0).check_positive_definite()
+        found = np.array(info.value.args[0].split("near [")[1].rstrip("]").split(), float)
+        assert np.all(np.abs(found - 0.5) < 2.0 * (axes[0][1] - axes[0][0])), found
+
 
 class TestChristoffel:
     def test_constant_field_zero(self):
