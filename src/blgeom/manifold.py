@@ -7,15 +7,14 @@ and bases keyed by value; its scalar fields are callables on arrays of
 coordinates (see ``FinslerStructure``).  The metric field evaluates the
 norm's metric on a regular lattice (one solve per distinct base norm, by
 GL-equivariance; see ``bl_field``) and interpolates it with one
-tensor-product cubic spline.  In 2D the Christoffel symbols use the
-spline's exact derivatives, so the transport ODE preserves the interpolated
-metric to integrator accuracy; for n >= 3 they use central differences of the
-spline at half spacing, which do not, so 3D transport can fail.  That
-preservation is monitored on every transport and doubles as the accuracy
-gate.  Transport integrates a linear ODE with fixed-step RK4, so each step
-is a matrix: an attempt forms every step's matrix from one batch of
-Christoffel symbols and multiplies them into one propagator per polyline
-segment (see ``_segment_propagators``), with no loop over steps.
+tensor-product cubic spline.  The Christoffel symbols use the spline's
+exact derivatives in every dimension, so the transport ODE preserves the
+interpolated metric to integrator accuracy; that preservation is monitored
+on every transport and doubles as the accuracy gate.  Transport integrates
+a linear ODE with fixed-step RK4, so each step is a matrix: an attempt
+forms every step's matrix from one batch of Christoffel symbols and
+multiplies them into one propagator per polyline segment (see
+``_segment_propagators``), with no loop over steps.
 
 The Berwald defect of a structure transports probe vectors along closed
 loops and compares norm values both at intermediate points (open-path
@@ -306,23 +305,11 @@ class MetricField:
 
     def _jacobian(self, x) -> np.ndarray:
         """d G / d x_k, shape (..., n, n, n) with the derivative axis first."""
-        n = self.dim
-        if n == 2:
-            return np.stack([self._eval(x, nu) for nu in ((1, 0), (0, 1))], axis=-3)
-        # n >= 3: central differences of the interpolant at half spacing
-        h = 0.5 * self.spacing
-        shifts = np.concatenate([np.diag(h), -np.diag(h)])
-        g = self._eval(x[..., None, :] + shifts)
-        return (g[..., :n, :, :] - g[..., n:, :, :]) / (2.0 * h)[:, None, None]
+        return np.stack([self._eval(x, nu) for nu in np.eye(self.dim, dtype=int)], axis=-3)
 
     def christoffel(self, x) -> np.ndarray:
-        """Levi-Civita symbols Gamma[..., k, i, j] at x (symmetric in i, j).
-
-        For n = 2 they use the exact derivatives of the spline, so transport
-        preserves the interpolated metric to integrator accuracy.  For n >= 3
-        they use central differences of the spline at half spacing, which
-        do not match it exactly: transport can fail the Gram gate.
-        """
+        """Levi-Civita symbols Gamma[..., k, i, j] at x (symmetric in i, j),
+        from the exact derivatives of the spline."""
         x = np.asarray(x, dtype=float)
         self._check_inside(x, 2.0 * self.spacing,
                            "is within two lattice spacings of the chart boundary")
@@ -442,7 +429,7 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
             x = pts[np.argmax(base_of_point == b)]
             raise NumericalFailure(f"{failure} {x}: {exc}") from exc
     g0 = np.array(base_metrics)[base_of_point]
-    values = np.einsum("kai,kab,kbj->kij", maps, g0, maps)
+    values = np.swapaxes(maps, 1, 2) @ g0 @ maps
     values = 0.5 * (values + np.swapaxes(values, 1, 2))
     finite = np.isfinite(values).all(axis=(1, 2))
     eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], values, np.eye(n)))
@@ -785,7 +772,9 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
 
     flat_residual is the max curvature entry over interior lattice nodes;
     the Berwald defect runs the default loops.  Both must fall below their
-    tolerances for a positive verdict.
+    tolerances for a positive verdict.  If either lies within the largest
+    relative error of the field at the cell midpoints (against a direct
+    solve) of its tolerance, the verdict is undecided: ``NumericalFailure``.
     """
     field = bl_field(structure, shape=shape, level=level)
     # nodes at least three spacings inside: riemann's stencil reaches one
@@ -793,6 +782,17 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
     interior = np.meshgrid(*[a[3:-3] for a in field.axes], indexing="ij")
     flat = float(np.abs(field.riemann(np.stack(interior, axis=-1))).max(initial=0.0))
     report = berwald_defect(structure, field=field, shape=shape, level=level)
+    half = 0.5 * field.spacing
+    _, mid = _lattice(field.lo + half, field.hi - half, [len(a) - 1 for a in field.axes])
+    direct = _gl_metrics(structure, mid, level, "point")[0]
+    band = float((np.linalg.norm(field.at(mid) - direct, axis=(1, 2))
+                  / np.linalg.norm(direct, axis=(1, 2))).max())
+    for name, value, tol in (("flat residual", flat, flat_tol),
+                             ("Berwald defect", report.defect, berwald_tol)):
+        if abs(value - tol) <= band:
+            raise NumericalFailure(
+                f"verdict undecided at this lattice: {name} {value:.3e} is within the "
+                f"interpolation error {band:.1e} of its tolerance {tol:.1e}; refine the lattice")
     ok = flat < flat_tol and report.defect < berwald_tol
     return FlatnessReport(flat, report.defect, ok, flat_tol, berwald_tol)
 

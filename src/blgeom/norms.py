@@ -237,6 +237,8 @@ class Euclidean(MinkowskiNorm):
         G = np.asarray(matrix, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise InputError("euclidean norm needs a square matrix")
+        if not np.isfinite(G).all():
+            raise InputError("matrix entries must be finite")
         if not np.allclose(G, G.T, atol=1e-12 * max(1.0, np.abs(G).max())):
             raise InputError("matrix must be symmetric")
         self.dim = as_dimension(G.shape[0], 1)

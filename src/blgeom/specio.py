@@ -73,14 +73,19 @@ def _check(spec, what: str, keys, tag: str | None = None):
 
 
 def _number(spec, key: str, what: str) -> float:
-    """``spec[key]`` as a float; a JSON bool is not a number."""
+    """``spec[key]`` as a finite float; a JSON bool is not a number."""
     raw = spec[key]
-    if not isinstance(raw, bool):
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            pass
-    raise InputError(f"{what} key {key!r} must be a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:           # a JSON integer past the float range
+        value = np.inf
+    except (TypeError, ValueError):
+        value = None
+    if value is None or isinstance(raw, bool):
+        raise InputError(f"{what} key {key!r} must be a number, got {raw!r}")
+    if not np.isfinite(value):
+        raise InputError(f"{what} key {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _numbers(spec, key: str, what: str) -> np.ndarray:
@@ -137,26 +142,19 @@ def scalar_field_from_spec(spec: dict, dim: int, name: str) -> Callable:
     what = f"scalar field {name!r}"
     kind = _check(spec, what, SCALAR_KEYS, "kind")
     given = {**SCALAR_KEYS[kind][1], **spec}
-
-    def param(key):
-        value = _number(given, key, what)
-        if not np.isfinite(value):
-            raise InputError(f"{what} key {key!r} must be finite, got {given[key]!r}")
-        return value
-
     if kind == "constant":
-        value = param("value")
+        value = _number(given, "value", what)
         return lambda x: value
     axis = as_integer(given["axis"], "scalar field axis")
     if not 0 <= axis < dim:
         raise InputError(f"scalar field axis {axis} is not an axis of the {dim}D chart")
     if kind == "one-plus-sin":
-        amp, freq, phase = param("amp"), param("freq"), param("phase")
+        amp, freq, phase = (_number(given, key, what) for key in ("amp", "freq", "phase"))
         return lambda x: 1.0 + amp * np.sin(freq * x[axis] + phase)
     if kind == "linear":
-        slope, offset = param("slope"), param("offset")
+        slope, offset = (_number(given, key, what) for key in ("slope", "offset"))
         return lambda x: offset + slope * x[axis]
-    rate = param("rate")
+    rate = _number(given, "rate", what)
     return lambda x: np.exp(rate * x[axis])
 
 
@@ -191,7 +189,7 @@ def load_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError is a ValueError
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -199,7 +197,7 @@ def _load(build, path):
     spec = load_json(path)
     try:
         return build(spec)
-    except (InputError, ValueError, TypeError, RecursionError) as exc:
+    except (InputError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise InputError(f"invalid spec in {path}: {exc}") from exc
 
 

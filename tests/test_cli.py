@@ -350,11 +350,15 @@ def _conformal(factor):
      "chart bounds and widths must be finite"),
     ("field", _rotor(_FIXED_ANGLE, {"lo": [-1e308, -1.0], "hi": [1e308, 1.0]}),
      "chart bounds and widths must be finite"),
+    ("metric", {"family": "lp", "p": 1e999, "dim": 2}, "'p' must be finite"),
+    ("metric", {"family": "euclidean", "matrix": [[1e999, 0.0], [0.0, 1.0]]},
+     "matrix entries must be finite"),
 ], ids=["lp-dim", "quartic-dim", "fractional-axis", "axis-off-chart", "dim-1e308",
         "dim-over-cap", "linear-without-slope", "constant-without-value", "nan-slope",
         "nan-string-value", "list-offset", "inf-string-amp", "overflowing-rate",
         "psi-not-an-object", "factor-not-an-object", "infinite-chart-bound",
-        "inf-string-chart-bound", "infinite-chart-width"])
+        "inf-string-chart-bound", "infinite-chart-width", "overflowing-p",
+        "overflowing-euclidean-matrix"])
 def test_exit_code_bad_integer_field(tmp_path, capsys, command, spec, problem):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
@@ -364,6 +368,30 @@ def test_exit_code_bad_integer_field(tmp_path, capsys, command, spec, problem):
         argv += ["--grid", "9x9", "--out", str(tmp_path / "bad.csv")]
     assert main(argv) == 2
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"family": "lp", "p": 1%s, "dim": 2}' % ("0" * 400), "'p' must be finite"),
+    ('{"family": "euclidean", "matrix": [[1%s, 0], [0, 1]]}' % ("0" * 400), "too large"),
+    ('{"family": "lp", "p": 1%s, "dim": 2}' % ("0" * 5000), "invalid JSON"),
+], ids=["p-past-float-range", "matrix-past-float-range", "past-parser-digit-limit"])
+def test_metric_exit_code_huge_json_integer(tmp_path, capsys, text, problem):
+    # JSON integers are exact: past the float range they overflow on conversion
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["metric", "--norm", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and problem in captured.err
+
+
+@pytest.mark.parametrize("p", ["inf", "infinity", "3.5"])
+def test_metric_of_p_given_as_string(tmp_path, capsys, p):
+    # "inf" and "infinity" name the max norm; a numeric string reads as its number
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps({"family": "lp", "p": p, "dim": 2}))
+    code, out = run(capsys, "metric", "--norm", str(path))
+    assert code == 0
+    strict_json(out)
 
 
 def _nested(spec, layers):
@@ -504,6 +532,56 @@ _CONFORMAL_3D = {"chart": _CHART_3D, "field": {
     "base": {"family": "constant",
              "norm": {"family": "euclidean", "matrix": np.eye(3).tolist()}},
     "factor": {"kind": "one-plus-sin", "amp": 0.3, "axis": 0}}}
+
+
+# the benchmark's two 3D structures (perfbench/specs)
+_BENCH_3D = {
+    "conformal-euclidean": {
+        "chart": {"lo": [-1.5] * 3, "hi": [1.5] * 3},
+        "field": {"family": "conformal-rescale",
+                  "base": {"family": "constant",
+                           "norm": {"family": "euclidean", "matrix": np.eye(3).tolist()}},
+                  "factor": {"kind": "one-plus-sin", "amp": 0.3, "freq": 2.0, "axis": 0}}},
+    "quartic-axial": {"chart": _CHART_3D, "field": {
+        "family": "constant", "norm": {"family": "quartic-axial", "dim": 3}}},
+}
+
+
+def test_berwald_3d_conformal_undecided_at_9(tmp_path, capsys):
+    spec = tmp_path / "conformal-3d.json"
+    spec.write_text(json.dumps(_BENCH_3D["conformal-euclidean"]))
+    assert main(["berwald", "--structure", str(spec), "--grid", "9x9x9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verdict undecided at this lattice: Berwald defect" in captured.err
+
+
+def test_berwald_3d_quartic_locally_minkowski(tmp_path, capsys):
+    spec = tmp_path / "quartic-3d.json"
+    spec.write_text(json.dumps(_BENCH_3D["quartic-axial"]))
+    code, out = run(capsys, "berwald", "--structure", str(spec), "--grid", "9x9x9", "--assert")
+    assert code == 0
+    assert strict_json(out)["verdict"] == "locally Minkowski"
+
+
+# positive exactly on the constant-norm fields, as criterion 8 of the
+# acceptance tests has it
+_LOCALLY_MINKOWSKI = {
+    "constant-square": True,
+    "holonomy-extension-square": True,
+    "rotor-constant": True,
+    "rotor-linear": False,
+    "l1-l2-interpolation": False,
+    "conformal-euclidean": False,
+}
+
+
+@pytest.mark.parametrize("name", sorted(catalog.BUILTIN_STRUCTURES))
+def test_berwald_decides_catalog_structures(spec_dir, capsys, name):
+    code, out = run(capsys, "berwald", "--structure", str(spec_dir / f"structure-{name}.json"))
+    assert code == 0
+    want = "locally Minkowski" if _LOCALLY_MINKOWSKI[name] else "not locally Minkowski"
+    assert strict_json(out)["verdict"] == want
 
 
 @pytest.mark.parametrize("command, grid", [("field", "9x9x9"), ("fingerprint", "8x8x8")])

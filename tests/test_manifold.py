@@ -636,6 +636,29 @@ class TestLocallyMinkowski:
         assert rep.berwald_defect > rep.berwald_tol
 
 
+class TestVerdictMargin:
+    def test_conformal_3d_undecided_at_9(self):
+        # defect 6.5e-4 against an interpolation error of 4.4e-3 at 9^3
+        with pytest.raises(NumericalFailure,
+                           match="verdict undecided at this lattice: Berwald defect"):
+            is_locally_minkowski(structure_from_spec(CONFORMAL_3D), shape=(9, 9, 9))
+
+    def test_tolerance_within_the_error_is_undecided(self):
+        # defect 9.3e-8 and flat residual 0.37026 of the catalog conformal field
+        # at 33^2, whose interpolation error is about 1.5e-6
+        st = catalog.builtin_structure("conformal-euclidean")
+        assert not is_locally_minkowski(st, berwald_tol=1e-4).locally_minkowski
+        with pytest.raises(NumericalFailure, match="undecided.*Berwald defect 9.3"):
+            is_locally_minkowski(st, berwald_tol=1e-7)
+        with pytest.raises(NumericalFailure, match="undecided.*flat residual 3.703e-01"):
+            is_locally_minkowski(st, flat_tol=0.3702575)
+
+    def test_constant_field_has_no_interpolation_error(self):
+        rep = is_locally_minkowski(constant_structure(square_gauge()), shape=(17, 17),
+                                   berwald_tol=1e-13, flat_tol=1e-12)
+        assert rep.locally_minkowski
+
+
 class TestEquivariance:
     def test_rigid_motion_of_field(self):
         angle = np.pi / 5.0
@@ -676,6 +699,25 @@ class TestThreeDimensional:
                                 hi=(1, 1, 1))
         rep = berwald_defect(st, shape=(9, 9, 9))
         assert rep.defect < 1e-8
+
+    def test_jacobian_is_the_spline_derivative(self):
+        # exact nu= derivatives: a central difference of the spline itself at
+        # a small step agrees (half-spacing differences were 3.1e-2 off)
+        field = bl_field(structure_from_spec(CONFORMAL_3D), shape=(9, 9, 9))
+        pts = _interior_points(field, 2.0, 50)
+        h = 1e-6
+        want = np.stack([(field.at(pts + h * e) - field.at(pts - h * e)) / (2.0 * h)
+                         for e in np.eye(3)], axis=-3)
+        assert np.abs(field._jacobian(pts) - want).max() <= 1e-7 * np.abs(want).max()
+
+    def test_conformal_loops_keep_the_gram_gate(self):
+        st = structure_from_spec(CONFORMAL_3D)
+        field = bl_field(st, shape=(9, 9, 9))
+        loops = default_loops(st, 3.0 * float(field.spacing.max()))
+        assert len(loops) == 9
+        for loop in loops:
+            res = parallel_transport(field, loop, default_probes(3))
+            assert res.gram_residual <= manifold.GRAM_TOL and res.halvings == 0
 
     def test_loops_cover_coordinate_planes(self):
         st = constant_structure(Euclidean(np.eye(3)), lo=(-1, -1, -1),
