@@ -66,6 +66,15 @@ def _emit(text, out_path):
         print(text)
 
 
+def _write_csv(path, header, rows):
+    """Write ``header`` and the rows of ``rows``, every entry as %.17g and
+    comma-separated: one %-format of the row format repeated per row, the
+    same bytes as ``np.savetxt`` with that format."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
+
+
 def _load_validated_norm(path, seed):
     norm = specio.load_norm(path)
     report = validate(norm, 300, seed=seed)
@@ -130,9 +139,7 @@ def cmd_fingerprint(args):
     header = ",".join([f"x{i + 1}" for i in range(n)]
                       + [f"w{j}" for j in range(n)] + ["mu", "m_max"])
     rows = np.hstack([pts, cloud])
-    np.savetxt(args.out, rows, delimiter=",",
-               header="# blgeom cloud v1\n" + header, comments="",
-               fmt="%.17g")
+    _write_csv(args.out, "# blgeom cloud v1\n" + header, rows)
     print(f"wrote {len(rows)} fingerprints to {args.out}")
     return 0
 
@@ -188,9 +195,7 @@ def cmd_field(args):
     cols = [comps[:, i * n + j] for i, j in upper]
     header = ",".join([f"x{i + 1}" for i in range(n)]
                       + [f"g{i + 1}{j + 1}" for i, j in upper])
-    np.savetxt(args.out, np.column_stack([pts] + cols), delimiter=",",
-               header="# blgeom field v1\n" + header, comments="",
-               fmt="%.17g")
+    _write_csv(args.out, "# blgeom field v1\n" + header, np.column_stack([pts] + cols))
     print(f"wrote {len(pts)} metric tensors to {args.out}")
     return 0
 

@@ -8,23 +8,27 @@ coordinates (see ``FinslerStructure``).  The metric field evaluates the
 norm's metric on a regular lattice (one solve per distinct base norm, by
 GL-equivariance; see ``bl_field``) and interpolates it with one
 tensor-product cubic spline.  The Christoffel symbols use the spline's
-exact derivatives in every dimension, so the transport ODE preserves the
-interpolated metric to integrator accuracy; that preservation is monitored
-on every transport and doubles as the accuracy gate.  Transport integrates
-a linear ODE with fixed-step RK4, so each step is a matrix: an attempt
-forms every step's matrix from one batch of Christoffel symbols and
-multiplies them into one propagator per polyline segment (see
-``_segment_propagators``), with no loop over steps.
+exact derivatives in every dimension, all taken with the metric in one
+evaluation of a second spline on doubled knots (``MetricField._jet``), so
+the transport ODE preserves the interpolated metric to integrator
+accuracy; that preservation is monitored on every transport and doubles
+as the accuracy gate.  Transport integrates a linear ODE with fixed-step
+RK4, so each step is a matrix: an attempt forms every step's matrix from
+one batch of Christoffel symbols and multiplies them into one propagator
+per polyline segment (see ``_segment_propagators``), with no loop over
+steps.
 
 The Berwald defect of a structure transports probe vectors along closed
-loops and compares norm values both at intermediate points (open-path
-defect, catches fields whose tangent norms rotate while the metric stays
-flat) and after the full loop (holonomy defect)."""
+loops, all loops in one batch per attempt (see ``_transport``), and
+compares norm values both at intermediate points (open-path defect,
+catches fields whose tangent norms rotate while the metric stays flat)
+and after the full loop (holonomy defect)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -287,15 +291,12 @@ class MetricField:
             knots.append(sp.t)
         self._spline = NdBSpline(tuple(knots), coeffs, 3)
 
-    def _eval(self, x, nu=None) -> np.ndarray:
-        g = self._spline(x, nu=nu)
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
-
     def at(self, x) -> np.ndarray:
         """Interpolated metric tensor at chart points, shape (..., n, n)."""
         x = np.asarray(x, dtype=float)
         self._check_inside(x, 0.0, "is outside the lattice box")
-        return self._eval(x)
+        g = self._spline(x)
+        return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def _check_inside(self, x, margin, problem):
         outside = np.any((x < self.lo + margin - 1e-12)
@@ -303,20 +304,51 @@ class MetricField:
         if np.any(outside):
             raise InputError(f"point {x[outside][0]} {problem}")
 
-    def _jacobian(self, x) -> np.ndarray:
-        """d G / d x_k, shape (..., n, n, n) with the derivative axis first."""
-        return np.stack([self._eval(x, nu) for nu in np.eye(self.dim, dtype=int)], axis=-3)
+    @cached_property
+    def _jet(self) -> NdBSpline:
+        """One spline for G and its first partials: components (n + 1, pairs),
+        row 0 the upper-triangle entries of G and row 1 + k those of d_k G.
+
+        On the lattice knots with every interior knot doubled, the cubic
+        spline (C2 at its knots) and each first partial (quadratic and C1
+        along its own axis, cubic along the others) are exactly cubic
+        splines, by knot insertion and degree elevation.  Each axis maps
+        coefficients to the refined knots (see ``_refine``): every block so
+        far takes the value map, and the value block also the derivative
+        map, which starts the block of that axis's partial."""
+        i, j, _ = _pairs(self.dim)
+        c = self._spline.c
+        blocks = 0.5 * (c + np.swapaxes(c, -1, -2))[..., None, i, j]
+        knots = []
+        for axis, t in enumerate(self._spline.t):
+            t2, value, slope = _refine(t)
+            knots.append(t2)
+            blocks = np.concatenate(
+                [np.moveaxis(np.tensordot(m, b, axes=(1, axis)), 0, axis)
+                 for m, b in ((value, blocks), (slope, blocks[..., :1, :]))], axis=-2)
+        return NdBSpline(tuple(knots), blocks, 3)
 
     def christoffel(self, x) -> np.ndarray:
         """Levi-Civita symbols Gamma[..., k, i, j] at x (symmetric in i, j),
-        from the exact derivatives of the spline."""
+        from the exact derivatives of the spline: one ``_jet`` evaluation
+        gives G and every d_k G, and Gamma^k_ij = 1/2 G^kl T_l,ij with
+        T_l,ij = d_i G_jl + d_j G_il - d_l G_ij on the pairs i <= j."""
         x = np.asarray(x, dtype=float)
         self._check_inside(x, 2.0 * self.spacing,
                            "is within two lattice spacings of the chart boundary")
-        ginv = np.linalg.inv(self._eval(x))
-        jac = self._jacobian(x)
-        t = jac + np.swapaxes(jac, -3, -2) - np.moveaxis(jac, -3, -1)
-        return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, t)
+        i, j, pair = _pairs(self.dim)
+        l = np.arange(self.dim)[:, None]
+        jet = self._jet(x)
+        g, d = jet[..., 0, pair], jet[..., 1:, :]    # d[k, pair] = d_k G_pair
+        t = d[..., i, pair[j, l]]
+        t += d[..., j, pair[i, l]]
+        t -= d[..., l, pair[i, j]]
+        del jet, d           # in place and freed early: a transport batch is large
+        t = np.linalg.inv(g) @ t
+        t *= 0.5
+        # C order for the callers' contractions (t[..., pair] would put the
+        # pair axes outermost in memory)
+        return np.take(t, pair, axis=-1)
 
     def riemann(self, x) -> np.ndarray:
         """Curvature R[..., l, k, i, j] by central differences of the symbols
@@ -374,6 +406,29 @@ class MetricField:
         return out
 
 
+def _pairs(n: int):
+    """Rows i, j of the upper-triangle pairs i <= j of an n x n matrix, and
+    the (n, n) array of each entry's pair."""
+    i, j = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=int)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    return i, j, pair
+
+
+def _refine(t):
+    """Cubic knots ``t`` with every interior knot doubled, and the maps of
+    shape (refined, original) that take coefficients on ``t`` to those of
+    the same spline and of its derivative on the refined knots.  Each map
+    interpolates the original basis at the refined Greville abscissae,
+    which recovers a spline of the refined space exactly."""
+    t2 = np.sort(np.concatenate([t, t[4:-4]]))
+    greville = (t2[1:-3] + t2[2:-2] + t2[3:-1]) / 3.0
+    basis = BSpline(t, np.eye(len(t) - 4), 3)
+    maps = make_interp_spline(greville, np.hstack([basis(greville), basis(greville, 1)]),
+                              k=3, t=t2).c
+    return t2, *np.hsplit(maps, 2)
+
+
 def _definite(g: np.ndarray) -> bool:
     """Whether one batched Cholesky factorization of ``g`` succeeds and is
     finite (a NaN tensor does not raise, it gives a non-finite factor)."""
@@ -414,20 +469,26 @@ def _peel(structure: FinslerStructure, pts: np.ndarray, failure: str):
             f"{failure} {pts[exc.index]}: {exc.__cause__}") from exc.__cause__
 
 
-def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: str):
+def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: str,
+                memo: dict | None = None):
     """Checked metric tensors at ``pts`` by GL-equivariance, as ``bl_field``
     describes; a failure names its point, called ``site`` in the message.
+    ``memo`` maps id(base) to (base, metric) for bases already solved at
+    this level, and gains every new solve.
     Returns (tensors, base index of each point, bases, base metrics)."""
     n = structure.dim
     failure = f"metric evaluation failed at {site}"
     maps, bases, base_of_point = _peel(structure, pts, failure)
+    memo = {} if memo is None else memo
     base_metrics = []
     for b, base in enumerate(bases):
-        try:
-            base_metrics.append(bl_metric(base, auto_quadrature(base, level=level)))
-        except Exception as exc:
-            x = pts[np.argmax(base_of_point == b)]
-            raise NumericalFailure(f"{failure} {x}: {exc}") from exc
+        if id(base) not in memo:
+            try:
+                memo[id(base)] = base, bl_metric(base, auto_quadrature(base, level=level))
+            except Exception as exc:
+                x = pts[np.argmax(base_of_point == b)]
+                raise NumericalFailure(f"{failure} {x}: {exc}") from exc
+        base_metrics.append(memo[id(base)][1])
     g0 = np.array(base_metrics)[base_of_point]
     values = np.swapaxes(maps, 1, 2) @ g0 @ maps
     values = 0.5 * (values + np.swapaxes(values, 1, 2))
@@ -449,12 +510,13 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
 
 
 def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
-             level: int = 0) -> MetricField:
+             level: int = 0, *, memo: dict | None = None) -> MetricField:
     """Metric of the structure's norm at every lattice node.
 
     One ``structure.peel`` call gives every node's norm as base o A, the
-    metric of every distinct base is solved once with
-    its own ``auto_quadrature``, and the node tensors are assembled as
+    metric of every distinct base is solved once with its own
+    ``auto_quadrature`` (a base in ``memo`` is not solved again; see
+    ``_gl_metrics``), and the node tensors are assembled as
     A^T g_base A by GL-equivariance, g_{F o A} = A^T g_F A.  A failure at
     any node, or a node tensor that is not positive definite or exceeds
     ``CONDITION_LIMIT``, aborts with the offending node in the message.
@@ -468,7 +530,7 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
     axes, pts = _lattice(structure.chart_lo, structure.chart_hi, shape)
     if min(len(a) for a in axes) < 5:
         raise InputError("need at least 5 lattice nodes per axis for cubic interpolation")
-    values = _gl_metrics(structure, pts, level, "node")[0]
+    values = _gl_metrics(structure, pts, level, "node", memo)[0]
     field = MetricField(axes, values.reshape(tuple(len(a) for a in axes) + (n, n)))
     field.check_positive_definite()
     return field
@@ -529,9 +591,9 @@ class TransportResult:
         return self.frames[-1]
 
 
-def _segment_propagators(field: MetricField, path, steps) -> np.ndarray:
-    """RK4 propagator M of each segment of the polyline ``path`` with
-    ``steps[s]`` steps on segment s, returned as M - I, shape (segments, n, n).
+def _segment_propagators(field: MetricField, starts, segs, steps) -> np.ndarray:
+    """RK4 propagator M of each segment from ``starts[s]`` along ``segs[s]``
+    with ``steps[s]`` steps, returned as M - I, shape (segments, n, n).
 
     The transport ODE is xi' = a(t) xi with a = -Gamma(p + t seg) . seg on a
     segment from p; one ``christoffel`` call gives a at every RK4 stage point
@@ -546,13 +608,13 @@ def _segment_propagators(field: MetricField, path, steps) -> np.ndarray:
     D = M - I and multiplied as (I + B)(I + A) = I + (B + A + B A), so a
     step's small increment is not rounded against the identity.
     """
-    segs = np.diff(path, axis=0)
     stages = 2 * steps + (steps > 0)
     first = np.cumsum(stages) - stages
     seg_of = np.repeat(np.arange(len(segs)), stages)
     t = (np.arange(stages.sum()) - first[seg_of]) / (2 * steps[seg_of])
-    gamma = field.christoffel(path[seg_of] + t[:, None] * segs[seg_of])
-    rates = -np.einsum("pkij,pi->pkj", gamma, segs[seg_of])
+    rates = -np.einsum("pkij,pi->pkj",
+                       field.christoffel(starts[seg_of] + t[:, None] * segs[seg_of]),
+                       segs[seg_of])
 
     n = field.dim
     eye = np.eye(n)
@@ -583,42 +645,72 @@ def parallel_transport(field: MetricField, path, frame) -> TransportResult:
     ``MAX_HALVINGS`` step halvings until the frame's Gram matrix in the
     interpolated metric is preserved within ``GRAM_TOL`` (metric
     preservation is exact for the continuous problem, so the drift
-    measures integration error).  The ODE is linear, so an attempt makes
-    one ``christoffel`` call for all its RK4 stage points, turns each
-    segment's steps into one propagator matrix (see
-    ``_segment_propagators``) and reaches the vertices by applying the
-    propagators to the frame in turn.
+    measures integration error).  This is the one-path view of
+    ``_transport``, which ``berwald_defect`` runs on all its loops at once.
     """
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 2 or len(path) < 2 or path.shape[1] != field.dim:
-        raise InputError("path must be a polyline with at least two points")
+    return _transport(field, [path], frame)[0]
+
+
+def _transport(field: MetricField, paths, frame) -> list:
+    """``TransportResult`` of ``frame`` along every polyline of ``paths``.
+
+    The ODE is linear, so an attempt makes one ``christoffel`` call for the
+    RK4 stage points of every pending path, turns each segment's steps
+    into one propagator matrix (see ``_segment_propagators``), reaches the
+    vertices by applying the propagators to the frame in turn, and checks
+    every pending path's Gram drift with one ``at`` call.  The paths that
+    fail the gate retry together with halved steps.  A path's steps and
+    halvings are its own, and every array operation acts on each path's
+    rows alone, so each result is the one of transporting that path alone.
+    Shorter paths are padded with their last vertex: zero-length segments,
+    whose propagator is the identity.  After ``MAX_HALVINGS`` the error
+    reports the first failing path's residual.
+    """
+    paths = [np.asarray(path, dtype=float) for path in paths]
+    for path in paths:
+        if path.ndim != 2 or len(path) < 2 or path.shape[1] != field.dim:
+            raise InputError("path must be a polyline with at least two points")
     frame = np.asarray(frame, dtype=float)
     if frame.ndim == 1:
         frame = frame[:, None]
     if frame.shape[0] != field.dim:
         raise InputError("frame vectors must match the field dimension")
+    if not paths:
+        return []
 
+    width = max(len(path) for path in paths)
+    padded = np.array([np.concatenate([path, np.repeat(path[-1:], width - len(path), axis=0)])
+                       for path in paths])
+    segs = np.diff(padded, axis=1)
+    lengths = np.linalg.norm(segs, axis=2)
     base_h = 0.25 * float(field.spacing.min())
-    lengths = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    results = [None] * len(paths)
+    pending = np.arange(len(paths))
     for attempt in range(MAX_HALVINGS + 1):
         h_target = base_h / 2 ** attempt
-        steps = np.maximum(4, np.ceil(lengths / h_target).astype(int)) * (lengths > 0)
-        frames = [frame.copy()]
-        for dev in _segment_propagators(field, path, steps):
-            frames.append(frames[-1] + dev @ frames[-1])
-        residual = _gram_residual(field, path, frames)
-        if residual <= GRAM_TOL:
-            return TransportResult(path, frame, frames, int(steps.sum()), residual, attempt)
+        size = lengths[pending]
+        steps = np.maximum(4, np.ceil(size / h_target).astype(int)) * (size > 0)
+        devs = _segment_propagators(field, padded[pending, :-1].reshape(-1, field.dim),
+                                    segs[pending].reshape(-1, field.dim), steps.ravel())
+        devs = devs.reshape(steps.shape + devs.shape[1:])
+        frames = np.empty((len(pending), width) + frame.shape)
+        frames[:, 0] = frame
+        for v in range(width - 1):
+            frames[:, v + 1] = frames[:, v] + devs[:, v] @ frames[:, v]
+        gram = np.swapaxes(frames, -1, -2) @ field.at(padded[pending]) @ frames
+        drift = np.linalg.norm(gram - gram[:, :1], axis=(-2, -1)).max(axis=1)
+        residual = drift / np.linalg.norm(gram[:, 0], axis=(-2, -1))
+        ok = residual <= GRAM_TOL                     # a NaN residual fails
+        for row in np.flatnonzero(ok):
+            p = pending[row]
+            results[p] = TransportResult(paths[p], frame, list(frames[row, :len(paths[p])]),
+                                         int(steps[row].sum()), float(residual[row]), attempt)
+        if ok.all():
+            return results
+        pending = pending[~ok]
     raise TransportAccuracyError(
-        f"transport Gram residual {residual:.3e} exceeds {GRAM_TOL:.1e} after "
+        f"transport Gram residual {residual[~ok][0]:.3e} exceeds {GRAM_TOL:.1e} after "
         f"{MAX_HALVINGS} step halvings; use a finer lattice")
-
-
-def _gram_residual(field, path, frames):
-    f = np.array(frames)
-    gram = np.swapaxes(f, 1, 2) @ field.at(path) @ f
-    drift = np.linalg.norm(gram - gram[0], axis=(1, 2))
-    return float(drift.max()) / float(np.linalg.norm(gram[0]))
 
 
 def holonomy_angle(field: MetricField, result: TransportResult) -> float:
@@ -705,10 +797,11 @@ def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
                    level: int = 0) -> BerwaldReport:
     """Max relative change of F under transport along the given loops.
 
-    For every loop, every probe vector is transported with the metric
-    field's connection; the defect compares F at each reached point against
-    F at the start, i.e. |F(y, P xi) - F(x, xi)| / F(x, xi) along the path
-    and around the full loop.  F at the vertices of a loop comes from one
+    Every probe vector is transported along every loop with the metric
+    field's connection, all loops in one batch (``_transport``); the
+    defect compares F at each reached point against F at the start, i.e.
+    |F(y, P xi) - F(x, xi)| / F(x, xi) along the path and around the full
+    loop.  F at the vertices of a loop comes from one
     ``structure.peel`` of the loop, as base(A xi), with one ``values`` call
     per distinct base.  A Berwald structure keeps this at numerical noise;
     the report also carries the worst metric-preservation residual of the
@@ -736,10 +829,10 @@ def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
     worst = 0.0
     gram_worst = 0.0
     per_loop = []
-    for loop in loops:
-        result = parallel_transport(field, loop, probes)
+    for result in _transport(field, loops, probes):
         gram_worst = max(gram_worst, result.gram_residual)
-        maps, bases, base_of_vertex = _peel(structure, loop, "norm evaluation failed at point")
+        maps, bases, base_of_vertex = _peel(structure, result.path,
+                                            "norm evaluation failed at point")
         # F at vertex v of its frame's column p is base_v(A_v xi_vp)
         vecs = np.einsum("vij,vjp->vpi", maps, np.array(result.frames))
         f = np.empty(vecs.shape[:2])
@@ -775,8 +868,10 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
     tolerances for a positive verdict.  If either lies within the largest
     relative error of the field at the cell midpoints (against a direct
     solve) of its tolerance, the verdict is undecided: ``NumericalFailure``.
+    The midpoints reuse the metric of every base object the lattice solved.
     """
-    field = bl_field(structure, shape=shape, level=level)
+    solved = {}
+    field = bl_field(structure, shape=shape, level=level, memo=solved)
     # nodes at least three spacings inside: riemann's stencil reaches one
     # spacing out, christoffel's margin is two
     interior = np.meshgrid(*[a[3:-3] for a in field.axes], indexing="ij")
@@ -784,7 +879,7 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
     report = berwald_defect(structure, field=field, shape=shape, level=level)
     half = 0.5 * field.spacing
     _, mid = _lattice(field.lo + half, field.hi - half, [len(a) - 1 for a in field.axes])
-    direct = _gl_metrics(structure, mid, level, "point")[0]
+    direct = _gl_metrics(structure, mid, level, "point", solved)[0]
     band = float((np.linalg.norm(field.at(mid) - direct, axis=(1, 2))
                   / np.linalg.norm(direct, axis=(1, 2))).max())
     for name, value, tol in (("flat residual", flat, flat_tol),

@@ -266,6 +266,17 @@ class Euclidean(MinkowskiNorm):
         return f"Euclidean(dim={self.dim})"
 
 
+def _p_norms(pts, p):
+    """The l^p norm of every row, 1 <= p <= inf.  Rows are scaled by their
+    largest entry first, so no power over- or underflows at large finite p."""
+    a = np.abs(pts)
+    top = a.max(axis=1)
+    if np.isinf(p):
+        return top
+    top = np.where(top > 0.0, top, 1.0)          # a zero row stays zero
+    return top * ((a / top[:, None]) ** p).sum(axis=1) ** (1.0 / p)
+
+
 class LpNorm(MinkowskiNorm):
     """The l^p norm, 1 <= p <= inf.  p = inf is the max norm (no limits taken)."""
 
@@ -277,9 +288,7 @@ class LpNorm(MinkowskiNorm):
         self.dim = as_dimension(dim, 1)
 
     def _values(self, pts):
-        if np.isinf(self.p):
-            return np.abs(pts).max(axis=1)
-        return (np.abs(pts) ** self.p).sum(axis=1) ** (1.0 / self.p)
+        return _p_norms(pts, self.p)
 
     def _dual_exponent(self):
         if np.isinf(self.p):
@@ -289,16 +298,10 @@ class LpNorm(MinkowskiNorm):
         return self.p / (self.p - 1.0)
 
     def _support_one(self, theta):
-        q = self._dual_exponent()
-        if np.isinf(q):
-            return float(np.abs(theta).max())
-        return float((np.abs(theta) ** q).sum() ** (1.0 / q))
+        return float(_p_norms(theta[None, :], self._dual_exponent())[0])
 
     def support_batch(self, thetas):
-        q = self._dual_exponent()
-        if np.isinf(q):
-            return np.abs(thetas).max(axis=1)
-        return (np.abs(thetas) ** q).sum(axis=1) ** (1.0 / q)
+        return _p_norms(np.asarray(thetas, dtype=float), self._dual_exponent())
 
     def _axis_angles(self):
         return np.array([0.0, 0.5, 1.0, 1.5]) * np.pi

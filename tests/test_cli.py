@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blgeom import (NumericalFailure, auto_quadrature, catalog, dual_scalar_matrix,
-                    specio, unit_ball_volume)
+                    manifold, specio, unit_ball_volume)
 from blgeom.cli import main
 from counting import CountingNorm
 
@@ -394,6 +394,17 @@ def test_metric_of_p_given_as_string(tmp_path, capsys, p):
     strict_json(out)
 
 
+@pytest.mark.parametrize("p", [200, 400, 1e6])
+def test_metric_of_large_p_near_max_norm(tmp_path, capsys, p):
+    # |x_i|^p over- and underflows unless each row is scaled by its largest entry
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps({"family": "lp", "p": p, "dim": 2}))
+    code, out = run(capsys, "metric", "--norm", str(path))
+    assert code == 0
+    np.testing.assert_allclose(strict_json(out)["metric"], 0.75 * np.eye(2),
+                               rtol=0, atol=0.05 / p + 1e-7)
+
+
 def _nested(spec, layers):
     """``spec`` wrapped in one layer per entry of ``layers``, innermost first."""
     for family in layers:
@@ -593,6 +604,34 @@ def test_3d_structure_default_grid(tmp_path, capsys, command, grid):
     assert main([command, "--structure", str(spec), "--grid", grid,
                  "--out", str(explicit)]) == 0
     assert default.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["field", "fingerprint"])
+@pytest.mark.parametrize("name", sorted(catalog.BUILTIN_STRUCTURES)
+                         + [f"3d-{name}" for name in sorted(_BENCH_3D)])
+def test_csv_bytes_match_savetxt(spec_dir, tmp_path, capsys, command, name):
+    # %.17g reads back exactly, so np.savetxt of the rows read back, under
+    # the same header, writes the same bytes
+    spec = spec_dir / f"structure-{name}.json"
+    if name.startswith("3d-"):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_BENCH_3D[name[3:]]))
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    assert main([command, "--structure", str(spec), "--out", str(out)]) == 0
+    header = out.read_text().split("\n")[:2]
+    rows = np.loadtxt(out, delimiter=",", skiprows=2, ndmin=2)
+    np.savetxt(ref, rows, delimiter=",", header="\n".join(header), comments="", fmt="%.17g")
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_field_builds_no_derivative_spline(spec_dir, tmp_path, monkeypatch):
+    # only christoffel needs the spline of the metric's partials
+    def no_jet(self):
+        raise AssertionError("field built the derivative spline")
+
+    monkeypatch.setattr(manifold.MetricField, "_jet", property(no_jet))
+    assert main(["field", "--structure", str(spec_dir / "structure-conformal-euclidean.json"),
+                 "--out", str(tmp_path / "field.csv")]) == 0
 
 
 @pytest.mark.parametrize("command", ["field", "berwald", "fingerprint"])

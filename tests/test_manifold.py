@@ -5,7 +5,7 @@ from scipy.interpolate import RectBivariateSpline, RegularGridInterpolator
 from scipy.sparse.linalg import spsolve
 
 from blgeom import (Euclidean, InputError, LinearImage, MetricField, NumericalFailure,
-                    PolytopeGauge, QuarticAxial, auto_quadrature,
+                    PolytopeGauge, QuarticAxial, TransportAccuracyError, auto_quadrature,
                     berwald_defect, bl_field, bl_metric, conformal_factor,
                     conformal_rescale, constant_structure, default_loops,
                     default_probes, fingerprint_cloud, fingerprint_point,
@@ -199,6 +199,9 @@ def _assembly_cases():
 
 
 ASSEMBLY_CASES = _assembly_cases()
+# the benchmark's two 3D specs, checked at its 9^3 lattice
+BENCHMARK_3D = {"3d-quartic-axial": ASSEMBLY_CASES["3d-quartic"],
+                "3d-conformal-euclidean": structure_from_spec(CONFORMAL_3D)}
 
 FAILING_CASES = {
     # the linear factor x1 is not positive on the left half of the chart
@@ -289,21 +292,27 @@ def _interior_points(field, margin, count):
                        field.hi - margin * field.spacing, (count, field.dim))
 
 
+def _jet_tensors(field, pts):
+    """G and d_k G[..., k, i, j] at pts from the field's one-spline jet."""
+    jet = field._jet(pts)[..., manifold._pairs(field.dim)[2]]
+    return jet[..., 0, :, :], jet[..., 1:, :, :]
+
+
 class TestInterpolant:
     # references: RectBivariateSpline(s=0) and cubic RegularGridInterpolator
     # build the same not-a-knot spline as the field's NdBSpline
     def test_matches_rect_bivariate_spline_2d(self):
         field = bl_field(ASSEMBLY_CASES["moved-sheared-rotor"])
         pts = _interior_points(field, 0.0, 200)
-        jac = field._jacobian(pts)
-        got = {"": field.at(pts), "dx": jac[:, 0], "dy": jac[:, 1]}
+        g, jac = _jet_tensors(field, pts)
+        got = {"": field.at(pts), "jet": g, "dx": jac[:, 0], "dy": jac[:, 1]}
         for kind, values in got.items():
             want = np.empty_like(values)
             for i in range(2):
                 for j in range(2):
                     sp = RectBivariateSpline(*field.axes, field.values[:, :, i, j],
                                              kx=3, ky=3, s=0)
-                    kw = {kind: 1} if kind else {}
+                    kw = {kind: 1} if kind.startswith("d") else {}
                     want[:, i, j] = sp.ev(pts[:, 0], pts[:, 1], **kw)
             assert np.abs(values - want).max() <= 1e-12 * np.abs(want).max(), kind
 
@@ -359,6 +368,22 @@ class TestInterpolant:
         monkeypatch.setattr(manifold.BSpline, "design_matrix", no_grid)
         st = ASSEMBLY_CASES[name]
         assert bl_field(st, shape=shape).values.shape == shape + (st.dim, st.dim)
+
+    @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_STRUCTURES) + sorted(BENCHMARK_3D))
+    def test_jet_matches_spline_derivatives(self, name):
+        # the refined spline holds G and every d_k G exactly; the scale of
+        # d_k G is at least max |G| over a spacing, so near-constant fields
+        # are held to their round-off and not to a relative error of noise
+        st = {**ASSEMBLY_CASES, **BENCHMARK_3D}[name]
+        field = bl_field(st)
+        pts = _interior_points(field, 0.0, 400)
+        g, jac = _jet_tensors(field, pts)
+        scale = np.abs(field.values).max()
+        assert np.abs(g - field._spline(pts)).max() <= 1e-12 * scale
+        for k, nu in enumerate(np.eye(st.dim, dtype=int)):
+            want = field._spline(pts, nu=nu)
+            bound = 1e-12 * max(np.abs(want).max(), scale / field.spacing[k])
+            assert np.abs(jac[:, k] - want).max() <= bound, k
 
     def test_grid_fallback_decides_past_the_certificate(self):
         # a bump of scale * I at the middle node of an identity field: its
@@ -598,6 +623,55 @@ class TestBerwald:
         with pytest.raises(NumericalFailure, match=r"failed at point \[.*factor"):
             berwald_defect(bad, field=field)
 
+    @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_STRUCTURES) + ["3d-quartic-axial"])
+    def test_batched_loops_match_single_transports(self, name):
+        # one christoffel batch for all loops changes no loop's result
+        st = {**ASSEMBLY_CASES, **BENCHMARK_3D}[name]
+        field = bl_field(st)
+        loops = default_loops(st, 3.0 * float(field.spacing.max()))
+        probes = default_probes(st.dim)
+        report = berwald_defect(st, field=field)
+        batch = manifold._transport(field, loops, probes)
+        for loop, got, defect in zip(loops, batch, report.per_loop, strict=True):
+            alone = parallel_transport(field, loop, probes)
+            assert (got.steps, got.halvings, got.gram_residual) == (
+                alone.steps, alone.halvings, alone.gram_residual)
+            np.testing.assert_array_equal(np.array(got.frames), np.array(alone.frames))
+            assert defect == berwald_defect(st, loops=[loop], field=field).defect
+
+    def test_loops_of_different_lengths(self, interp_field):
+        # a shorter path is padded with its last vertex while it rides along
+        long = rectangle_loop([0.125, 0.0], [0.375, 0.5])
+        short = np.array([[0.0, -0.2], [0.5, 0.1], [0.3, 0.3]])
+        batch = manifold._transport(interp_field, [short, long], np.eye(2))
+        for path, got in zip([short, long], batch):
+            alone = parallel_transport(interp_field, path, np.eye(2))
+            assert len(got.frames) == len(path) and got.steps == alone.steps
+            np.testing.assert_array_equal(np.array(got.frames), np.array(alone.frames))
+
+    def test_no_loops_no_defect(self, interp_field):
+        rep = berwald_defect(l1_l2_interpolation(), loops=[], field=interp_field)
+        assert (rep.defect, rep.per_loop, rep.gram_residual) == (0.0, [], 0.0)
+
+    def test_failure_reports_first_failing_loop(self, monkeypatch):
+        st = catalog.builtin_structure("l1-l2-interpolation")
+        field = bl_field(st)
+        loops = default_loops(st, 3.0 * float(field.spacing.max()))
+        monkeypatch.setattr(manifold, "GRAM_TOL", 0.0)
+        with pytest.raises(TransportAccuracyError) as alone:
+            parallel_transport(field, loops[0], default_probes(2))
+        with pytest.raises(TransportAccuracyError) as batch:
+            berwald_defect(st, field=field)
+        assert str(batch.value) == str(alone.value)
+
+    def test_caller_loops_validated(self, interp_field):
+        loop = rectangle_loop([0.125, 0.0], [0.375, 0.5])
+        with pytest.raises(InputError, match="polyline"):
+            berwald_defect(l1_l2_interpolation(), loops=[loop, loop[:1]], field=interp_field)
+        with pytest.raises(InputError, match="two lattice spacings"):
+            berwald_defect(l1_l2_interpolation(), loops=[loop, loop - 0.8],
+                           field=interp_field)
+
     def test_default_loops_stay_inside(self):
         st = constant_structure(square_gauge())
         for loop in default_loops(st, margin=0.2):
@@ -634,6 +708,36 @@ class TestLocallyMinkowski:
         assert not rep.locally_minkowski
         assert rep.flat_residual < rep.flat_tol
         assert rep.berwald_defect > rep.berwald_tol
+
+
+class TestOneCheck:
+    @pytest.mark.parametrize("name, calls", [
+        ("conformal-euclidean", 2), ("l1-l2-interpolation", 3)])
+    def test_christoffel_calls_per_check(self, monkeypatch, name, calls):
+        # riemann's one call, then one per transport attempt for all loops
+        # (l1-l2 halves two of its three loops once)
+        count = []
+        christoffel = MetricField.christoffel
+
+        def counting(self, x):
+            count.append(len(x))
+            return christoffel(self, x)
+
+        monkeypatch.setattr(MetricField, "christoffel", counting)
+        is_locally_minkowski(catalog.builtin_structure(name))
+        assert len(count) == calls
+
+    def test_one_solve_per_base(self, monkeypatch):
+        # the midpoint error reuses the lattice's base metric
+        solves = []
+
+        def counting(norm, quad):
+            solves.append(norm)
+            return bl_metric(norm, quad)
+
+        monkeypatch.setattr(manifold, "bl_metric", counting)
+        is_locally_minkowski(catalog.builtin_structure("constant-square"))
+        assert len(solves) == 1
 
 
 class TestVerdictMargin:
@@ -708,7 +812,7 @@ class TestThreeDimensional:
         h = 1e-6
         want = np.stack([(field.at(pts + h * e) - field.at(pts - h * e)) / (2.0 * h)
                          for e in np.eye(3)], axis=-3)
-        assert np.abs(field._jacobian(pts) - want).max() <= 1e-7 * np.abs(want).max()
+        assert np.abs(_jet_tensors(field, pts)[1] - want).max() <= 1e-7 * np.abs(want).max()
 
     def test_conformal_loops_keep_the_gram_gate(self):
         st = structure_from_spec(CONFORMAL_3D)

@@ -37,6 +37,19 @@ class TestEval:
     def test_max_norm(self):
         assert LpNorm(np.inf, 2)([1.0, -2.0]) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-3, 1.0, 1e3, 1e150])
+    def test_large_p_is_scale_free(self, scale):
+        # no power of an entry over- or underflows: F(s x) = s F(x), for the
+        # norm (p = 400) and for its support function (q = 400/399)
+        x = np.array([[0.6, -0.8], [0.0, 0.0], [-1.0, 1.0]])
+        norm = LpNorm(400, 2)
+        q = 400 / 399
+        for got, want in ((norm.values(scale * x), [0.8, 0.0, 2.0 ** (1 / 400)]),
+                          (norm.support_batch(scale * x),
+                           [(0.6 ** q + 0.8 ** q) ** (1 / q), 0.0, 2.0 ** (1 / q)])):
+            np.testing.assert_allclose(got / scale, want, rtol=1e-14)
+        assert norm.support(scale * x[2]) == pytest.approx(scale * 2.0 ** (1 / q), rel=1e-14)
+
     def test_square_boundary_point(self):
         # ray-edge intersection puts (0.5, 1) on the max-norm unit sphere
         assert PolytopeGauge(SQUARE)([0.5, 1.0]) == pytest.approx(1.0, abs=1e-14)
