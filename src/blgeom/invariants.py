@@ -102,27 +102,26 @@ def _polytope_mean_width_term(hull: ConvexHull) -> float:
 def roundness(norm: MinkowskiNorm, metric: np.ndarray) -> tuple[float, float]:
     """(mu, M): min and max of F(xi)/sqrt(xi^T G xi) over xi != 0.
 
-    Dense sampling of the G-unit sphere (4096 directions in 2D, 20000
-    otherwise) followed by ``sphere_polish`` at the best sample.  For
-    polytope gauges the candidate set includes the vertex and facet-normal
-    directions, where the extrema provably sit.
+    A dense sample of the G-unit sphere (4096 directions in 2D, 20000
+    otherwise) plus the norm's extremal candidates (for polytope gauges the
+    vertex and facet-normal directions, where the extrema provably sit),
+    then one ``sphere_polish`` search from the lowest and the highest
+    sample: the minimum and the maximum share every objective call.  The
+    search grid starts 4 angular steps of the 2D sample wide, walks (and
+    stretches) when the optimum lies beyond it, turns along a kink ridge of
+    F, and stops at 1e-12 in angle (2D) or 1e-9 on the tangent chart.
     """
     body = orthonormalize(norm, metric)
-    grid = 4096 if body.dim == 2 else 20000
+    n = body.dim
+    grid = 4096 if n == 2 else 20000
     dirs = sphere_directions(body, grid)
     vals = body.values(dirs)
-    width = _TWO_PI / grid * 4.0
-    return (_refine_extremum(body, dirs, vals, width, sign=+1),
-            _refine_extremum(body, dirs, vals, width, sign=-1))
-
-
-def _refine_extremum(body, dirs, vals, width, sign):
-    # sign=+1 refines the minimum, sign=-1 the maximum
-    idx = int(np.argmin(sign * vals))
-    best = float(vals[idx])
-    refined = sign * sphere_polish(lambda u: sign * float(body.values(u)),
-                                   dirs[idx] / np.linalg.norm(dirs[idx]), width, best)
-    return min(best, refined) if sign > 0 else max(best, refined)
+    ends = [int(np.argmin(vals)), int(np.argmax(vals))]
+    sign = np.array([[1.0], [-1.0]])
+    lo, neg_hi = sphere_polish(
+        lambda u: sign * body.values(u.reshape(-1, n)).reshape(u.shape[:-1]),
+        dirs[ends] / np.linalg.norm(dirs[ends], axis=1, keepdims=True), _TWO_PI / grid * 4.0)
+    return min(float(vals[ends[0]]), float(lo)), max(float(vals[ends[1]]), float(-neg_hi))
 
 
 def isotropy_defect(norm: MinkowskiNorm) -> float:

@@ -17,21 +17,26 @@ Families implemented here:
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 from scipy.spatial import ConvexHull
 
 from .errors import ConstructionError, InputError
 
-# A vector shorter than this is treated as the zero vector when deciding
-# definiteness (F(xi) = 0 only for xi = 0).
+# A vector whose largest entry is below this is treated as the zero vector
+# when deciding definiteness (F(xi) = 0 only for xi = 0).
 ZERO_VECTOR_CUTOFF = 1e-30
 
 _TWO_PI = 2.0 * np.pi
+
+# sphere_polish: grid points per chart axis by dimension n (odd, so the
+# centre is a grid point; 5 past n = 4), and its cap on rounds
+_ZOOM_POINTS = {2: 65, 3: 17, 4: 9}
+_ZOOM_ROUNDS = 200
 
 # Largest dimension of a norm: Monte-Carlo quadrature (n >= 4) holds 1e6 * 2^level
 # points of R^n, and a polytope hull can have exponentially many facets.
@@ -53,6 +58,13 @@ def as_dimension(value, least: int) -> int:
     if not least <= dim <= MAX_DIM:
         raise InputError(f"dimension must be between {least} and {MAX_DIM}, got {value!r}")
     return dim
+
+
+def _row_max(a):
+    """``a.max(axis=1)`` for a (k, m) array.  With a few columns, a maximum
+    taken column by column is many times faster than numpy's reduction
+    over the short axis."""
+    return functools.reduce(np.maximum, a.T) if a.shape[1] <= 16 else a.max(axis=1)
 
 
 def _as_points(xi, dim):
@@ -83,7 +95,7 @@ class MinkowskiNorm:
         """Evaluate F on a vector or a batch of row vectors."""
         pts, squeeze = _as_points(xi, self.dim)
         out = self._values(pts)
-        tiny = np.linalg.norm(pts, axis=1) < ZERO_VECTOR_CUTOFF
+        tiny = _row_max(np.abs(pts)) < ZERO_VECTOR_CUTOFF
         if np.any(tiny):
             out = np.where(tiny, 0.0, out)
         return out[0] if squeeze else out
@@ -102,7 +114,7 @@ class MinkowskiNorm:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dim,):
             raise InputError(f"covector must have shape ({self.dim},)")
-        if np.linalg.norm(theta) == 0.0:
+        if not np.any(theta):
             raise InputError("support direction must be nonzero")
         return self._support_one(theta)
 
@@ -173,11 +185,30 @@ def _plane_angles(dirs: np.ndarray) -> np.ndarray:
     return np.sort(np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), _TWO_PI))
 
 
-def _tangent_basis(u):
-    # orthonormal basis of the hyperplane orthogonal to u
-    n = len(u)
-    q, _ = np.linalg.qr(np.column_stack([u, np.eye(n)[:, : n - 1]]))
-    return q[:, 1:]
+def _tangent_rows(starts):
+    """(s, n-1, n): orthonormal bases of the hyperplanes orthogonal to the
+    unit rows of ``starts``, from the Householder reflection taking e_n to
+    -sign(u_n) u (its other rows are orthogonal to u)."""
+    w = starts.copy()
+    w[:, -1] += np.copysign(1.0, starts[:, -1])
+    n = starts.shape[1]
+    scale = 2.0 / np.einsum("ij,ij->i", w, w)
+    return np.eye(n)[: n - 1] - scale[:, None, None] * w[:, : n - 1, None] * w[:, None, :]
+
+
+@functools.lru_cache(maxsize=None)
+def _zoom_grid(n):
+    """The K^(n-1) chart offsets in [-1, 1]^(n-1), which lie on the edge,
+    and for each the map I + o o^T / max(|o|^2, 1) that doubles a grid
+    along a walk to it; read-only, as every call shares them."""
+    axis = np.linspace(-1.0, 1.0, _ZOOM_POINTS.get(n, 5))
+    offsets = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
+    on_edge = _row_max(np.abs(offsets)) == 1.0
+    walks = np.eye(n - 1) + (np.einsum("ki,kj->kij", offsets, offsets)
+                             / np.maximum(np.einsum("ki,ki->k", offsets, offsets), 1.0)[:, None, None])
+    for a in (offsets, on_edge, walks):
+        a.flags.writeable = False
+    return offsets, on_edge, walks
 
 
 def sphere_directions(norm: MinkowskiNorm, size: int) -> np.ndarray:
@@ -187,30 +218,56 @@ def sphere_directions(norm: MinkowskiNorm, size: int) -> np.ndarray:
     return dirs if extra is None or not len(extra) else np.vstack([dirs, extra])
 
 
-def sphere_polish(objective, u0, width: float, scale: float) -> float:
-    """Local minimum of ``objective`` over unit vectors, started at the unit
-    vector u0.
+def sphere_polish(objective, starts, width: float) -> np.ndarray:
+    """Local minima of ``objective`` over unit vectors, one per row of the
+    unit vectors ``starts`` (shape (s, n)).
 
-    In 2D a bounded scalar search over the angles within ``width`` of u0;
-    otherwise Nelder-Mead on the tangent chart at u0, with value tolerance
-    1e-12 * max(1, |scale|) for objectives of size ``scale``.
+    ``objective`` maps unit vectors of shape (s, k, n) to values of shape
+    (s, k).  A zoom search on each start's tangent chart: every round
+    evaluates, in one objective call, a grid of K^(n-1) chart points around
+    each start's current best (K = 65 on the circle, 17 on S^2, 9 on S^3 and
+    5 beyond; the grid is the cube of half-width ``width`` at first) and
+    recentres on the best grid point.
+
+    * When that point is interior, the grid shrinks: its new axes are a
+      square root of the spread of the 2n - 1 best points around it plus
+      one grid step squared, scaled down to at most 1/8 of the old grid.
+      Along a kink ridge of F the best points line up, so the grid turns
+      and stretches along the ridge instead of stalling across it.
+    * When it lies on the grid's edge, the grid walks there and doubles
+      along the walk, so an optimum far outside ``width`` is still reached.
+
+    The search stops once the grid's axes are below 1e-12 on the circle (an
+    angle) or 1e-9 on the chart otherwise, and returns the best value of
+    each start, which is never worse than the start's own.
     """
-    if len(u0) == 2:
-        a0 = np.arctan2(u0[1], u0[0])
-        res = minimize_scalar(lambda a: objective(np.array([np.cos(a), np.sin(a)])),
-                              bounds=(a0 - width, a0 + width), method="bounded",
-                              options={"xatol": 1e-12})
-        return float(res.fun)
-    basis = _tangent_basis(u0)
-
-    def on_chart(t):
-        v = u0 + basis @ t
-        return objective(v / np.linalg.norm(v))
-
-    res = minimize(on_chart, np.zeros(len(u0) - 1), method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-12 * max(1.0, abs(scale)),
-                            "maxiter": 600})
-    return float(res.fun)
+    s, n = starts.shape
+    offsets, on_edge, walks = _zoom_grid(n)
+    step = 2.0 / (_ZOOM_POINTS.get(n, 5) - 1)
+    floor = step * step * np.eye(n - 1)
+    tol = 1e-12 if n == 2 else 1e-9
+    middle, best = len(offsets) // 2, 2 * n - 1
+    tangents = _tangent_rows(starts)
+    rows = np.arange(s)
+    centre = np.zeros((s, n - 1))
+    axes = np.tile(float(width) * np.eye(n - 1), (s, 1, 1))   # grid point: centre + axes @ offset
+    for _ in range(_ZOOM_ROUNDS):
+        chart = centre[:, None, :] + offsets @ axes.transpose(0, 2, 1)
+        pts = starts[:, None, :] + chart @ tangents
+        vals = objective(pts / np.sqrt(np.einsum("ski,ski->sk", pts, pts))[:, :, None])
+        pick = np.argmin(vals, axis=1)
+        pick = np.where(vals[:, middle] <= vals[rows, pick], middle, pick)   # ties stay put
+        centre = chart[rows, pick]
+        # an interior best shrinks the grid to the spread of the best points
+        # (at least 8-fold); an edge best walks, doubling the grid along the walk
+        near = offsets[np.argpartition(vals, best - 1, axis=1)[:, :best]] - offsets[pick][:, None, :]
+        spread = np.einsum("sqi,sqj->sij", near, near) / best + floor
+        cap = np.minimum(1.0, 0.125 / np.sqrt(np.einsum("sii->s", spread)))
+        shrink = np.linalg.cholesky(spread) * cap[:, None, None]
+        axes = axes @ np.where(on_edge[pick][:, None, None], walks[pick], shrink)
+        if np.einsum("sij,sij->s", axes, axes).max() < tol * tol:
+            break
+    return vals[rows, pick]
 
 
 def _generic_support(norm, theta):
@@ -218,11 +275,11 @@ def _generic_support(norm, theta):
     cloud = norm.boundary_cloud()
     scores = cloud @ theta
     best = int(np.argmax(scores))
-    h0 = scores[best]
     u0 = cloud[best] / np.linalg.norm(cloud[best])
-    neg = sphere_polish(lambda u: -(theta @ u) / norm.values(u), u0,
-                        _TWO_PI / len(cloud) * 4.0, h0)
-    return float(max(h0, -neg))
+    n = norm.dim
+    neg = sphere_polish(lambda u: -(u @ theta) / norm.values(u.reshape(-1, n)).reshape(u.shape[:-1]),
+                        u0[None, :], _TWO_PI / len(cloud) * 4.0)
+    return float(max(scores[best], -neg[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +327,11 @@ def _p_norms(pts, p):
     """The l^p norm of every row, 1 <= p <= inf.  Rows are scaled by their
     largest entry first, so no power over- or underflows at large finite p."""
     a = np.abs(pts)
-    top = a.max(axis=1)
+    top = _row_max(a)
     if np.isinf(p):
         return top
     top = np.where(top > 0.0, top, 1.0)          # a zero row stays zero
-    return top * ((a / top[:, None]) ** p).sum(axis=1) ** (1.0 / p)
+    return top * functools.reduce(np.add, ((a / top[:, None]) ** p).T) ** (1.0 / p)
 
 
 class LpNorm(MinkowskiNorm):
@@ -371,13 +428,13 @@ class PolytopeGauge(MinkowskiNorm):
 
     def _values(self, pts):
         ratios = (pts @ self._facet_normals.T) / self._facet_offsets
-        return np.maximum(ratios.max(axis=1), 0.0)
+        return np.maximum(_row_max(ratios), 0.0)
 
     def _support_one(self, theta):
         return float((self.vertices @ theta).max())
 
     def support_batch(self, thetas):
-        return (thetas @ self.vertices.T).max(axis=1)
+        return _row_max(thetas @ self.vertices.T)
 
     def kink_angles(self):
         return _plane_angles(self.vertices)
@@ -496,7 +553,8 @@ class QuarticAxial(MinkowskiNorm):
 
     def _values(self, pts):
         ssq = np.einsum("ki,ki->k", pts, pts)
-        return (ssq * ssq + pts[:, -1] ** 4) ** 0.25
+        last = pts[:, -1] * pts[:, -1]    # x ** 4 takes a slow pow for negative x
+        return (ssq * ssq + last * last) ** 0.25
 
     def extremal_candidates(self):
         return np.vstack([np.eye(self.dim), -np.eye(self.dim)])

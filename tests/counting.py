@@ -1,11 +1,17 @@
-"""A norm wrapper that counts evaluations on quadrature nodes.
+"""Counting norm evaluations.
 
-Quadrature rules hold their nodes in read-only arrays, so a ``values`` call
+``CountingNorm`` wraps a norm and counts evaluations on quadrature nodes:
+quadrature rules hold their nodes in read-only arrays, so a ``values`` call
 on a read-only array is an evaluation of F on a rule; every other attribute
 is the wrapped norm's own.
+
+``count_values_calls`` counts the outermost ``MinkowskiNorm.values`` calls
+of every norm.
 """
 
 import numpy as np
+
+from blgeom.norms import MinkowskiNorm
 
 
 class CountingNorm:
@@ -20,3 +26,23 @@ class CountingNorm:
         if isinstance(xi, np.ndarray) and not xi.flags.writeable:
             self.rule_calls.append(len(xi))
         return self.inner.values(xi)
+
+
+def count_values_calls(monkeypatch) -> list:
+    """Patch ``MinkowskiNorm.values`` to record the point count of every
+    outermost call; the calls through which a linear image or a weighted sum
+    evaluates its inner norms are nested and not recorded."""
+    calls, depth = [], [0]
+    values = MinkowskiNorm.values
+
+    def counted(self, xi):
+        if not depth[0]:
+            calls.append(len(np.atleast_2d(xi)))
+        depth[0] += 1
+        try:
+            return values(self, xi)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(MinkowskiNorm, "values", counted)
+    return calls

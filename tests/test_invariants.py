@@ -5,13 +5,14 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from blgeom import (Euclidean, InputError, LpNorm, PolytopeGauge, QuarticAxial,
-                    UnsupportedDimensionError, auto_quadrature, bl_metric,
-                    compare_fingerprints, fingerprint_point, isotropy_defect,
-                    linear_image, orthonormalize, quermassintegrals, rescale,
-                    roundness)
+                    UnsupportedDimensionError, WeightedSum, auto_quadrature,
+                    bl_metric, compare_fingerprints, fingerprint_point,
+                    isotropy_defect, linear_image, orthonormalize,
+                    quermassintegrals, rescale, roundness)
 from blgeom import catalog
 from blgeom.invariants import _polytope_mean_width_term
-from blgeom.norms import sphere_grid
+from blgeom.norms import sphere_directions, sphere_grid
+from counting import count_values_calls
 from oracles import mc_dilated_area, polytope_mean_width_term
 
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -19,6 +20,11 @@ SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 def own_metric(norm):
     return bl_metric(norm, auto_quadrature(norm))
+
+
+def random_metric(dim, seed):
+    a = np.random.default_rng(seed).standard_normal((dim, dim))
+    return a @ a.T + 0.5 * np.eye(dim)
 
 
 class TestOrthonormalize:
@@ -136,6 +142,51 @@ class TestRoundness:
             norm = catalog.builtin_norm(name)
             mu, big = roundness(norm, own_metric(norm))
             assert mu <= big
+
+
+class TestRoundnessSearch:
+    # against a random metric the extrema sit off the extremal candidates,
+    # so the sphere search has to find them
+
+    @pytest.mark.parametrize("norm", [QuarticAxial(3), QuarticAxial(2), LpNorm(1.5, 2)],
+                             ids=repr)
+    def test_against_dense_scan(self, norm):
+        g = random_metric(norm.dim, seed=4)
+        mu, big = roundness(norm, g)
+        scan = orthonormalize(norm, g).values(sphere_grid(norm.dim, 2_000_000))
+        assert scan.min() * (1.0 - 5e-6) <= mu <= scan.min()
+        assert scan.max() <= big <= scan.max() * (1.0 + 5e-6)
+
+    def test_minimum_on_a_kink_ridge(self):
+        # F = (|.|_1 + |.|_2) / 2 in G-coordinates is F(A u), with a kink
+        # along each great circle (A u)_i = 0; for this metric the minimum
+        # lies on one of them, far from every sampled direction, and a dense
+        # scan of the three circles gives it to ~1e-12
+        norm = WeightedSum(0.5, 0.5, LpNorm(1, 3), LpNorm(2, 3))
+        g = random_metric(3, seed=4)
+        body = orthonormalize(norm, g)
+        phi = np.linspace(0.0, 2.0 * np.pi, 2_000_000, endpoint=False)
+        ridge = np.inf
+        for row in body.matrix:
+            q, _ = np.linalg.qr(np.column_stack([row, np.eye(3)[:, :2]]))
+            circle = np.outer(np.cos(phi), q[:, 1]) + np.outer(np.sin(phi), q[:, 2])
+            ridge = min(ridge, body.values(circle).min())
+        mu, _ = roundness(norm, g)
+        assert body.values(sphere_directions(body, 20000)).min() > ridge * (1.0 + 1e-4)
+        assert mu == pytest.approx(ridge, rel=1e-10)
+
+    @pytest.mark.parametrize("name, limit", [("quartic-axial-2d", 20), ("lp-1.5", 20),
+                                             ("square-max", 20), ("l1-l2-mix", 20),
+                                             ("quartic-axial-3d", 40)])
+    def test_stays_batched(self, monkeypatch, name, limit):
+        # one roundness: the dense sample plus one call per search round
+        norm = catalog.builtin_norm(name)
+        metrics = [own_metric(norm), random_metric(norm.dim, seed=4)]
+        calls = count_values_calls(monkeypatch)
+        for g in metrics:
+            calls.clear()
+            roundness(norm, g)
+            assert len(calls) <= limit
 
 
 class TestIsotropyDefect:

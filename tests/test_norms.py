@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from blgeom import (ConstructionError, Euclidean, InputError, LinearImage,
                     LpNorm, PolytopeGauge, QuarticAxial, WeightedSum,
                     linear_image, rescale, validate)
+from blgeom.norms import sphere_grid
+from counting import count_values_calls
 from oracles import gauge_by_bisection
 
 SQUARE = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
@@ -53,6 +57,15 @@ class TestEval:
     def test_square_boundary_point(self):
         # ray-edge intersection puts (0.5, 1) on the max-norm unit sphere
         assert PolytopeGauge(SQUARE)([0.5, 1.0]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_huge_entries_pass_the_zero_test(self):
+        # the zero test compares the largest entry with the cutoff, so no
+        # entry is squared and nothing overflows
+        norm = LpNorm(400, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert norm.values([[1e300, 1e300]])[0] == pytest.approx(1e300 * 2.0 ** (1 / 400))
+            assert norm.support([1e300, 1e300]) == pytest.approx(1e300 * 2.0 ** (399 / 400))
 
     def test_zero_maps_to_zero(self):
         for norm in family_zoo():
@@ -187,12 +200,26 @@ class TestSupport:
         # the refined value must sit just above it
         qn = QuarticAxial(3)
         theta = np.array([0.2, -0.5, 0.8])
-        from blgeom.norms import sphere_grid
-
         u = sphere_grid(3, 2_000_000)
         brute = ((u @ theta) / qn.values(u)).max()
         got = qn.support(theta)
         assert brute <= got <= brute * (1.0 + 5e-6)
+
+    def test_generic_refinement_stays_batched(self, monkeypatch):
+        # the boundary cloud plus one call per search round
+        calls = count_values_calls(monkeypatch)
+        QuarticAxial(3).support(np.array([0.2, -0.5, 0.8]))
+        assert len(calls) <= 20
+
+    def test_generic_refinement_on_a_kink_ridge(self):
+        # h(theta) of 0.3 |.|_1 + 0.7 |.|_G: the maximizer has one zero
+        # coordinate, and the reference comes from a dense scan of that plane
+        norm = WeightedSum(0.3, 0.7, LpNorm(1, 3), Euclidean(np.diag([1.0, 2.0, 3.0])))
+        theta = np.array([1.0, 1.0, -0.3])
+        phi = np.linspace(0.0, 2.0 * np.pi, 2_000_000, endpoint=False)
+        plane = np.column_stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)])
+        ridge = ((plane @ theta) / norm.values(plane)).max()
+        assert norm.support(theta) == pytest.approx(ridge, rel=1e-10)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(InputError):
