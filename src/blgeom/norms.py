@@ -61,10 +61,10 @@ def as_dimension(value, least: int) -> int:
 
 
 def _row_max(a):
-    """``a.max(axis=1)`` for a (k, m) array.  With a few columns, a maximum
-    taken column by column is many times faster than numpy's reduction
-    over the short axis."""
-    return functools.reduce(np.maximum, a.T) if a.shape[1] <= 16 else a.max(axis=1)
+    """``a.max(axis=1)`` for a (k, n) array of norm coordinates (n <= MAX_DIM),
+    taken column by column: numpy's reduction over the short axis is many
+    times slower."""
+    return functools.reduce(np.maximum, a.T)
 
 
 def _as_points(xi, dim):
@@ -196,21 +196,6 @@ def _tangent_rows(starts):
     return np.eye(n)[: n - 1] - scale[:, None, None] * w[:, : n - 1, None] * w[:, None, :]
 
 
-@functools.lru_cache(maxsize=None)
-def _zoom_grid(n):
-    """The K^(n-1) chart offsets in [-1, 1]^(n-1), which lie on the edge,
-    and for each the map I + o o^T / max(|o|^2, 1) that doubles a grid
-    along a walk to it; read-only, as every call shares them."""
-    axis = np.linspace(-1.0, 1.0, _ZOOM_POINTS.get(n, 5))
-    offsets = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
-    on_edge = _row_max(np.abs(offsets)) == 1.0
-    walks = np.eye(n - 1) + (np.einsum("ki,kj->kij", offsets, offsets)
-                             / np.maximum(np.einsum("ki,ki->k", offsets, offsets), 1.0)[:, None, None])
-    for a in (offsets, on_edge, walks):
-        a.flags.writeable = False
-    return offsets, on_edge, walks
-
-
 def sphere_directions(norm: MinkowskiNorm, size: int) -> np.ndarray:
     """``sphere_grid(norm.dim, size)`` followed by the norm's extremal candidates."""
     dirs = sphere_grid(norm.dim, size)
@@ -242,7 +227,9 @@ def sphere_polish(objective, starts, width: float) -> np.ndarray:
     each start, which is never worse than the start's own.
     """
     s, n = starts.shape
-    offsets, on_edge, walks = _zoom_grid(n)
+    axis = np.linspace(-1.0, 1.0, _ZOOM_POINTS.get(n, 5))
+    offsets = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
+    on_edge = np.abs(offsets).max(axis=1) == 1.0
     step = 2.0 / (_ZOOM_POINTS.get(n, 5) - 1)
     floor = step * step * np.eye(n - 1)
     tol = 1e-12 if n == 2 else 1e-9
@@ -257,14 +244,16 @@ def sphere_polish(objective, starts, width: float) -> np.ndarray:
         vals = objective(pts / np.sqrt(np.einsum("ski,ski->sk", pts, pts))[:, :, None])
         pick = np.argmin(vals, axis=1)
         pick = np.where(vals[:, middle] <= vals[rows, pick], middle, pick)   # ties stay put
-        centre = chart[rows, pick]
+        centre, o = chart[rows, pick], offsets[pick]
         # an interior best shrinks the grid to the spread of the best points
         # (at least 8-fold); an edge best walks, doubling the grid along the walk
-        near = offsets[np.argpartition(vals, best - 1, axis=1)[:, :best]] - offsets[pick][:, None, :]
+        near = offsets[np.argpartition(vals, best - 1, axis=1)[:, :best]] - o[:, None, :]
         spread = np.einsum("sqi,sqj->sij", near, near) / best + floor
         cap = np.minimum(1.0, 0.125 / np.sqrt(np.einsum("sii->s", spread)))
         shrink = np.linalg.cholesky(spread) * cap[:, None, None]
-        axes = axes @ np.where(on_edge[pick][:, None, None], walks[pick], shrink)
+        walk = np.eye(n - 1) + (np.einsum("si,sj->sij", o, o)
+                                / np.maximum(np.einsum("si,si->s", o, o), 1.0)[:, None, None])
+        axes = axes @ np.where(on_edge[pick][:, None, None], walk, shrink)
         if np.einsum("sij,sij->s", axes, axes).max() < tol * tol:
             break
     return vals[rows, pick]
@@ -310,10 +299,14 @@ class Euclidean(MinkowskiNorm):
         return np.sqrt(np.einsum("ki,ij,kj->k", pts, self.matrix, pts))
 
     def _support_one(self, theta):
-        return float(np.sqrt(theta @ self._inv @ theta))
+        return float(self.support_batch(theta[None, :])[0])
 
     def support_batch(self, thetas):
-        return np.sqrt(np.einsum("ki,ij,kj->k", thetas, self._inv, thetas))
+        # rows scaled by their largest entry, so tiny covectors do not underflow
+        top = _row_max(np.abs(thetas))
+        top = np.where(top > 0.0, top, 1.0)          # a zero row stays zero
+        unit = thetas / top[:, None]
+        return top * np.sqrt(np.einsum("ki,ij,kj->k", unit, self._inv, unit))
 
     def extremal_candidates(self):
         _, vecs = np.linalg.eigh(self.matrix)
@@ -427,14 +420,16 @@ class PolytopeGauge(MinkowskiNorm):
         self._facet_offsets = offsets
 
     def _values(self, pts):
-        ratios = (pts @ self._facet_normals.T) / self._facet_offsets
-        return np.maximum(_row_max(ratios), 0.0)
+        # facets by points: a maximum over the leading axis is many times
+        # faster than over a short trailing one
+        ratios = (self._facet_normals @ pts.T) / self._facet_offsets[:, None]
+        return np.maximum(ratios.max(axis=0), 0.0)
 
     def _support_one(self, theta):
         return float((self.vertices @ theta).max())
 
     def support_batch(self, thetas):
-        return _row_max(thetas @ self.vertices.T)
+        return (self.vertices @ thetas.T).max(axis=0)
 
     def kink_angles(self):
         return _plane_angles(self.vertices)

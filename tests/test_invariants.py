@@ -15,6 +15,8 @@ from blgeom.norms import sphere_directions, sphere_grid
 from counting import count_values_calls
 from oracles import mc_dilated_area, polytope_mean_width_term
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 

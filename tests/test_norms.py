@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +9,8 @@ from blgeom import (ConstructionError, Euclidean, InputError, LinearImage,
 from blgeom.norms import sphere_grid
 from counting import count_values_calls
 from oracles import gauge_by_bisection
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SQUARE = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
 DIAMOND = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
@@ -62,10 +62,8 @@ class TestEval:
         # the zero test compares the largest entry with the cutoff, so no
         # entry is squared and nothing overflows
         norm = LpNorm(400, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert norm.values([[1e300, 1e300]])[0] == pytest.approx(1e300 * 2.0 ** (1 / 400))
-            assert norm.support([1e300, 1e300]) == pytest.approx(1e300 * 2.0 ** (399 / 400))
+        assert norm.values([[1e300, 1e300]])[0] == pytest.approx(1e300 * 2.0 ** (1 / 400))
+        assert norm.support([1e300, 1e300]) == pytest.approx(1e300 * 2.0 ** (399 / 400))
 
     def test_zero_maps_to_zero(self):
         for norm in family_zoo():
@@ -224,6 +222,14 @@ class TestSupport:
     def test_zero_direction_rejected(self):
         with pytest.raises(InputError):
             Euclidean(np.eye(2)).support([0.0, 0.0])
+
+    def test_tiny_direction_does_not_underflow(self):
+        # the 2-norm of this covector underflows to 0, its support must not
+        G = np.array([[2.0, 0.5], [0.5, 1.0]])
+        theta = np.array([1.0, -3.0])
+        for norm in (Euclidean(G), linear_image(Euclidean(G), np.diag([2.0, 0.5]))):
+            expected = 1e-200 * norm.support(theta)
+            assert norm.support(1e-200 * theta) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_sublinear(self):
         rng = np.random.default_rng(5)
