@@ -53,8 +53,6 @@ def assert_spd(matrix: np.ndarray, what: str = "matrix", sym_tol: float = 1e-12)
 
 def _norm_values(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
     """F on the nodes of ``quad``, each node evaluated once; F must be positive."""
-    if norm.dim != quad.dim:
-        raise InputError(f"norm dimension {norm.dim} != quadrature dimension {quad.dim}")
     f = norm.values(quad.nodes)
     if np.any(f <= 0.0):
         k = int(np.argmin(f))

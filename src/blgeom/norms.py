@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import ConstructionError, InputError
+from .errors import (ConstructionError, InputError, NumericalFailure,
+                     UnsupportedDimensionError)
 
 # A vector whose largest entry is below this is treated as the zero vector
 # when deciding definiteness (F(xi) = 0 only for xi = 0).
@@ -67,8 +68,16 @@ def _row_max(a):
     return functools.reduce(np.maximum, a.T)
 
 
+def _as_real(x) -> np.ndarray:
+    """``x`` as a float array; complex input is an InputError, not a cast."""
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        raise InputError("input must be real, got complex components")
+    return arr.astype(float, copy=False)
+
+
 def _as_points(xi, dim):
-    pts = np.asarray(xi, dtype=float)
+    pts = _as_real(xi)
     if pts.ndim == 1:
         pts = pts[None, :]
         squeeze = True
@@ -84,7 +93,14 @@ def _as_points(xi, dim):
 
 
 class MinkowskiNorm:
-    """Base class.  Subclasses implement ``_values`` on (k, n) arrays."""
+    """Base class.  Subclasses implement ``_values`` on (k, n) arrays.
+
+    The public ``values`` and ``support`` are the one boundary that
+    validates input.  ``_values`` gets a validated real (k, n) float array
+    and evaluates inner norms only through their private ``_values``
+    (``_support_one`` likewise through inner ``_support_one``), so a
+    composite checks its input once, not once per layer.
+    """
 
     dim: int
 
@@ -98,6 +114,8 @@ class MinkowskiNorm:
         tiny = _row_max(np.abs(pts)) < ZERO_VECTOR_CUTOFF
         if np.any(tiny):
             out = np.where(tiny, 0.0, out)
+        if not np.all(np.isfinite(out)):
+            raise NumericalFailure("norm value is not finite")
         return out[0] if squeeze else out
 
     def __call__(self, xi):
@@ -111,7 +129,7 @@ class MinkowskiNorm:
         Exact for families with a closed form; otherwise a dense boundary
         scan followed by local refinement to ~1e-8 relative accuracy.
         """
-        theta = np.asarray(theta, dtype=float)
+        theta = _as_real(theta)
         if theta.shape != (self.dim,):
             raise InputError(f"covector must have shape ({self.dim},)")
         if not np.any(theta):
@@ -161,21 +179,25 @@ class MinkowskiNorm:
         return self._cloud
 
 
+@functools.lru_cache(maxsize=16)
 def sphere_grid(dim: int, size: int, seed: int = 0) -> np.ndarray:
     """Roughly uniform unit directions: angular grid (2D), Fibonacci (3D),
-    seeded Gaussian directions otherwise."""
+    seeded Gaussian directions otherwise.  Built once per arguments and
+    shared, so the array is read-only."""
     if dim == 2:
         ang = np.arange(size) * (_TWO_PI / size)
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if dim == 3:
+        pts = np.column_stack([np.cos(ang), np.sin(ang)])
+    elif dim == 3:
         i = np.arange(size) + 0.5
         z = 1.0 - 2.0 * i / size
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         phi = np.pi * (1.0 + np.sqrt(5.0)) * i
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((size, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    else:
+        pts = np.random.default_rng(seed).standard_normal((size, dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts.setflags(write=False)
+    return pts
 
 
 def _plane_angles(dirs: np.ndarray) -> np.ndarray:
@@ -227,6 +249,8 @@ def sphere_polish(objective, starts, width: float) -> np.ndarray:
     each start, which is never worse than the start's own.
     """
     s, n = starts.shape
+    if n < 2:
+        raise UnsupportedDimensionError(f"a sphere search needs dimension 2 or more, got {n}")
     axis = np.linspace(-1.0, 1.0, _ZOOM_POINTS.get(n, 5))
     offsets = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
     on_edge = np.abs(offsets).max(axis=1) == 1.0
@@ -463,10 +487,10 @@ class LinearImage(MinkowskiNorm):
         self._inv = np.linalg.inv(A)
 
     def _values(self, pts):
-        return self.inner.values(pts @ self.matrix.T)
+        return self.inner._values(pts @ self.matrix.T)
 
     def _support_one(self, theta):
-        return self.inner.support(self._inv.T @ theta)
+        return self.inner._support_one(self._inv.T @ theta)
 
     def support_batch(self, thetas):
         return self.inner.support_batch(thetas @ self._inv)
@@ -510,9 +534,9 @@ class WeightedSum(MinkowskiNorm):
     def _values(self, pts):
         out = 0.0
         if self.w1:
-            out = self.w1 * self.first.values(pts)
+            out = self.w1 * self.first._values(pts)
         if self.w2:
-            out = out + self.w2 * self.second.values(pts)
+            out = out + self.w2 * self.second._values(pts)
         return out
 
     def kink_angles(self):

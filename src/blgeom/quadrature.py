@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError
-from .norms import _TWO_PI, MinkowskiNorm
+from .norms import _TWO_PI, MinkowskiNorm, sphere_grid
 
 
 def sphere_surface_area(dim: int) -> float:
@@ -96,10 +96,8 @@ def _gauss_legendre(order: int):
 def circle_trapezoid(nodes: int = 2048, level: int = 0) -> SphericalQuadrature:
     if nodes < 4:
         raise InputError("need at least 4 circle nodes")
-    ang = np.arange(nodes) * (_TWO_PI / nodes)
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
     w = np.full(nodes, _TWO_PI / nodes)
-    return SphericalQuadrature(2, pts, w, "circle-trapezoid", level)
+    return SphericalQuadrature(2, sphere_grid(2, nodes), w, "circle-trapezoid", level)
 
 
 def circle_panels(break_angles, subdiv: int = 2, order: int = 32,

@@ -5,8 +5,8 @@ quadrature rules hold their nodes in read-only arrays, so a ``values`` call
 on a read-only array is an evaluation of F on a rule; every other attribute
 is the wrapped norm's own.
 
-``count_values_calls`` counts the outermost ``MinkowskiNorm.values`` calls
-of every norm.
+``count_values_calls`` counts the ``MinkowskiNorm.values`` calls of every
+norm.
 """
 
 import numpy as np
@@ -29,20 +29,13 @@ class CountingNorm:
 
 
 def count_values_calls(monkeypatch) -> list:
-    """Patch ``MinkowskiNorm.values`` to record the point count of every
-    outermost call; the calls through which a linear image or a weighted sum
-    evaluates its inner norms are nested and not recorded."""
-    calls, depth = [], [0]
+    """Patch ``MinkowskiNorm.values`` to record the point count of every call."""
+    calls = []
     values = MinkowskiNorm.values
 
     def counted(self, xi):
-        if not depth[0]:
-            calls.append(len(np.atleast_2d(xi)))
-        depth[0] += 1
-        try:
-            return values(self, xi)
-        finally:
-            depth[0] -= 1
+        calls.append(len(np.atleast_2d(xi)))
+        return values(self, xi)
 
     monkeypatch.setattr(MinkowskiNorm, "values", counted)
     return calls

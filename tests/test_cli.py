@@ -228,8 +228,21 @@ def test_metric_exit_code_non_finite(tmp_path, capsys):
     spec.write_text(json.dumps({"family": "linear-image",
                                 "matrix": [[1e100, 0.0], [0.0, 1e100]],
                                 "inner": inner}))
-    code, out = run(capsys, "metric", "--norm", str(spec))
+    with pytest.warns(RuntimeWarning):
+        code, out = run(capsys, "metric", "--norm", str(spec))
     assert code == 3 and out == ""
+
+
+def test_metric_exit_code_overflowing_norm_value(tmp_path, capsys):
+    # the map is invertible, but F itself overflows on the unit circle
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"family": "linear-image",
+                                "matrix": [[1e307, 0.0], [0.0, 1e307]],
+                                "inner": {"family": "lp", "p": 2, "dim": 2}}))
+    with pytest.warns(RuntimeWarning):
+        code = main(["metric", "--norm", str(spec)])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_fingerprint_exit_code_numerical_failure(tmp_path, capsys):

@@ -15,8 +15,6 @@ from blgeom.norms import sphere_directions, sphere_grid
 from counting import count_values_calls
 from oracles import mc_dilated_area, polytope_mean_width_term
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
@@ -90,6 +88,11 @@ class TestQuermassintegrals:
             quermassintegrals(LpNorm(2, 4), np.eye(4))
         with pytest.raises(UnsupportedDimensionError):
             fingerprint_point(LpNorm(2, 4))
+        # a sphere search has no chart on S^0
+        with pytest.raises(UnsupportedDimensionError):
+            roundness(LpNorm(2, 1), np.eye(1))
+        with pytest.raises(UnsupportedDimensionError):
+            WeightedSum(1.0, 1.0, LpNorm(2, 1), LpNorm(1, 1)).support(np.array([1.0]))
 
     @pytest.mark.parametrize("name", [
         "euclidean-2d", "anisotropic-euclidean", "square-max", "diamond-l1",

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blgeom import (ConstructionError, Euclidean, InputError, LinearImage,
-                    LpNorm, PolytopeGauge, QuarticAxial, WeightedSum,
-                    linear_image, rescale, validate)
+                    LpNorm, NumericalFailure, PolytopeGauge, QuarticAxial,
+                    WeightedSum, linear_image, rescale, validate)
 from blgeom.norms import sphere_grid
 from counting import count_values_calls
 from oracles import gauge_by_bisection
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SQUARE = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
 DIAMOND = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
@@ -76,6 +74,28 @@ class TestEval:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             LpNorm(2, 2)([np.nan, 0.0])
+
+    def test_complex_rejected(self):
+        # rejected, not cast to the real part
+        with pytest.raises(InputError, match="complex"):
+            LpNorm(2, 2).values(np.array([3 + 4j, 0.0]))
+        with pytest.raises(InputError, match="complex"):
+            LpNorm(2, 2).support(np.array([3 + 4j, 0.0]))
+
+    def test_overflowing_value_rejected(self):
+        # F itself overflows: a NumericalFailure, never inf or NaN
+        with pytest.raises(NumericalFailure, match="not finite"):
+            Euclidean(np.eye(2)).values([1e200, 0.0])
+        inner = LinearImage(1e200 * np.eye(2), LpNorm(2, 2))
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match="not finite"):
+            WeightedSum(1.0, 1.0, inner, LpNorm(1, 2)).values([1e200, 0.0])
+
+    def test_composite_is_one_values_call(self, monkeypatch):
+        # composites evaluate their inner norms through the private kernels
+        calls = count_values_calls(monkeypatch)
+        inner = WeightedSum(0.4, 0.6, LpNorm(1, 2), LinearImage(3.0 * np.eye(2), QuarticAxial(2)))
+        LinearImage([[1.0, 0.5], [0.0, 2.0]], inner).values(np.ones((7, 2)))
+        assert calls == [7]
 
 
 class TestPolytopeGauge:
@@ -163,6 +183,11 @@ class TestLinearImage:
             pts = rng.standard_normal((100, 2))
             np.testing.assert_allclose(twice.values(pts), base.values(pts),
                                        rtol=1e-9)
+
+    def test_zero_only_at_an_inner_layer(self):
+        # A xi = 1e-320 lies below the zero cutoff, but xi itself does not
+        norm = LinearImage(1e-300 * np.eye(2), LpNorm(2, 2))
+        assert norm.values([1e-20, 0.0]) > 0.0
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(InputError):
