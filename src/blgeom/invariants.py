@@ -23,7 +23,7 @@ from .errors import InputError, UnsupportedDimensionError
 from .metric import assert_spd, bl_metric, unit_ball_volume
 from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, sphere_directions,
                     sphere_polish)
-from .quadrature import auto_quadrature
+from .quadrature import auto_quadrature, circle_rule
 
 
 def orthonormalize(norm: MinkowskiNorm, metric: np.ndarray) -> LinearImage:
@@ -70,7 +70,7 @@ def quermassintegrals(norm: MinkowskiNorm, metric: np.ndarray, *,
     body = orthonormalize(norm, metric)
     if n == 2:
         w0 = unit_ball_volume(body, auto_quadrature(body, level=level))
-        squad = auto_quadrature(body, level=level, use_support_kinks=True)
+        squad = circle_rule(body.support_kink_angles(), level)
         h = body.support_batch(squad.nodes)
         w1 = 0.5 * float(np.dot(squad.weights, h))
         return Quermassintegrals(np.array([w0, w1, np.pi]), 2)

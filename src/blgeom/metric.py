@@ -158,7 +158,7 @@ def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0,
         if converged or quad.level >= MAX_QUAD_LEVEL:
             return g, ConvergenceInfo(converged, achieved, quad.level, quad.scheme,
                                       vol, m, cond)
-        quad = quad.refined()
+        quad = auto_quadrature(norm, level=quad.level + 1, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,8 @@ class MinkowskiNorm:
         theta = _as_real(theta)
         if theta.shape != (self.dim,):
             raise InputError(f"covector must have shape ({self.dim},)")
+        if not np.all(np.isfinite(theta)):
+            raise InputError("covector contains non-finite components")
         if not np.any(theta):
             raise InputError("support direction must be nonzero")
         return self._support_one(theta)
@@ -164,9 +166,9 @@ class MinkowskiNorm:
         """Angles where the support function is non-smooth (2D only)."""
         return np.empty(0)
 
-    def extremal_candidates(self) -> Optional[np.ndarray]:
+    def extremal_candidates(self) -> np.ndarray:
         """Unit directions where extrema of F over the sphere may sit."""
-        return None
+        return np.empty((0, self.dim))
 
     # boundary cloud cache, shared by generic support/extrema scans
     _cloud: Optional[np.ndarray] = None
@@ -222,7 +224,7 @@ def sphere_directions(norm: MinkowskiNorm, size: int) -> np.ndarray:
     """``sphere_grid(norm.dim, size)`` followed by the norm's extremal candidates."""
     dirs = sphere_grid(norm.dim, size)
     extra = norm.extremal_candidates()
-    return dirs if extra is None or not len(extra) else np.vstack([dirs, extra])
+    return np.vstack([dirs, extra]) if len(extra) else dirs
 
 
 def sphere_polish(objective, starts, width: float) -> np.ndarray:
@@ -351,6 +353,15 @@ def _p_norms(pts, p):
     return top * functools.reduce(np.add, ((a / top[:, None]) ** p).T) ** (1.0 / p)
 
 
+def _lp_kink_angles(p, dim):
+    """Angles where the l^p norm on the plane is not smooth: the diagonals
+    for p = inf, the axes for p < 2 (kinks at p = 1, a second derivative
+    that blows up for 1 < p < 2); none otherwise or off the plane."""
+    if dim != 2 or 2.0 <= p < np.inf:
+        return np.empty(0)
+    return np.array([0.25, 0.75, 1.25, 1.75] if np.isinf(p) else [0.0, 0.5, 1.0, 1.5]) * np.pi
+
+
 class LpNorm(MinkowskiNorm):
     """The l^p norm, 1 <= p <= inf.  p = inf is the max norm (no limits taken)."""
 
@@ -377,30 +388,11 @@ class LpNorm(MinkowskiNorm):
     def support_batch(self, thetas):
         return _p_norms(np.asarray(thetas, dtype=float), self._dual_exponent())
 
-    def _axis_angles(self):
-        return np.array([0.0, 0.5, 1.0, 1.5]) * np.pi
-
-    def _diag_angles(self):
-        return np.array([0.25, 0.75, 1.25, 1.75]) * np.pi
-
     def kink_angles(self):
-        if self.dim != 2:
-            return np.empty(0)
-        if np.isinf(self.p):
-            return self._diag_angles()
-        if self.p < 2.0:
-            return self._axis_angles()  # p=1 kinks; 1<p<2 derivative blow-up
-        return np.empty(0)
+        return _lp_kink_angles(self.p, self.dim)
 
     def support_kink_angles(self):
-        if self.dim != 2:
-            return np.empty(0)
-        q = self._dual_exponent()
-        if np.isinf(q):
-            return self._diag_angles()
-        if q < 2.0:
-            return self._axis_angles()
-        return np.empty(0)
+        return _lp_kink_angles(self._dual_exponent(), self.dim)
 
     def extremal_candidates(self):
         axes = np.vstack([np.eye(self.dim), -np.eye(self.dim)])
@@ -509,8 +501,6 @@ class LinearImage(MinkowskiNorm):
 
     def extremal_candidates(self):
         cand = self.inner.extremal_candidates()
-        if cand is None:
-            return None
         mapped = np.vstack([cand @ self._inv.T, cand @ self.matrix])
         return mapped / np.linalg.norm(mapped, axis=1, keepdims=True)
 
@@ -552,9 +542,7 @@ class WeightedSum(MinkowskiNorm):
         return np.unique(np.concatenate(parts))
 
     def extremal_candidates(self):
-        parts = [c for c in (self.first.extremal_candidates(),
-                             self.second.extremal_candidates()) if c is not None]
-        return np.vstack(parts) if parts else None
+        return np.vstack([self.first.extremal_candidates(), self.second.extremal_candidates()])
 
     def __repr__(self):
         return f"WeightedSum({self.w1}*{self.first!r} + {self.w2}*{self.second!r})"

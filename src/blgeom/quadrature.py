@@ -1,6 +1,6 @@
 """Quadrature rules on the unit sphere S^{n-1}.
 
-Scheme choice by dimension:
+Scheme choice by dimension (``auto_quadrature`` gives each level's size):
 
 * n = 2, smooth integrand: uniform trapezoid on the circle (spectrally
   accurate for smooth periodic integrands).
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,20 +39,13 @@ def ball_volume(dim: int) -> float:
 
 @dataclass(frozen=True)
 class SphericalQuadrature:
-    """Nodes and weights on S^{n-1} with a refinement handle.
-
-    ``refined()`` returns the next refinement level (double the resolution,
-    or double the sample count for Monte Carlo); the convergence drivers in
-    :mod:`blgeom.metric` compare consecutive levels.
-    """
+    """Nodes and weights on S^{n-1}, built by ``auto_quadrature`` at ``level``."""
 
     dim: int
     nodes: np.ndarray
     weights: np.ndarray
     scheme: str
     level: int = 0
-    seed: int = 0
-    panel_angles: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -70,19 +63,6 @@ class SphericalQuadrature:
         exact = sphere_surface_area(self.dim) / self.dim * np.eye(self.dim)
         return float(np.abs(m - exact).max())
 
-    def refined(self) -> "SphericalQuadrature":
-        lvl = self.level + 1
-        if self.scheme == "circle-trapezoid":
-            return circle_trapezoid(2 * len(self), level=lvl)
-        if self.scheme == "circle-panels":
-            return circle_panels(self.panel_angles, subdiv=2 ** (lvl + 1), level=lvl)
-        if self.scheme == "product-gauss":
-            n_t = int(round(math.sqrt(len(self) / 2)))
-            return sphere_product_gauss(2 * n_t, 4 * n_t, level=lvl)
-        if self.scheme == "monte-carlo":
-            return sphere_monte_carlo(self.dim, 2 * len(self), seed=self.seed, level=lvl)
-        raise InputError(f"unknown scheme {self.scheme!r}")
-
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(order: int):
@@ -93,22 +73,22 @@ def _gauss_legendre(order: int):
     return x, w
 
 
-def circle_trapezoid(nodes: int = 2048, level: int = 0) -> SphericalQuadrature:
+def circle_trapezoid(nodes: int, level: int = 0) -> SphericalQuadrature:
     if nodes < 4:
         raise InputError("need at least 4 circle nodes")
     w = np.full(nodes, _TWO_PI / nodes)
     return SphericalQuadrature(2, sphere_grid(2, nodes), w, "circle-trapezoid", level)
 
 
-def circle_panels(break_angles, subdiv: int = 2, order: int = 32,
-                  level: int = 0) -> SphericalQuadrature:
-    """Composite Gauss rule on the circle with panels split at ``break_angles``."""
+def circle_panels(break_angles, subdiv: int, level: int = 0) -> SphericalQuadrature:
+    """Composite 32-point Gauss rule on the circle: the arcs between
+    consecutive ``break_angles`` are each split into ``subdiv`` panels."""
     br = np.mod(np.asarray(break_angles, dtype=float), _TWO_PI)
     br = np.unique(np.round(br, 14))
     if len(br) == 0:
         br = np.array([0.0])
     bounds = np.concatenate([br, [br[0] + _TWO_PI]])
-    x, w = _gauss_legendre(order)
+    x, w = _gauss_legendre(32)
     angles, weights = [], []
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a < 1e-14:
@@ -120,12 +100,10 @@ def circle_panels(break_angles, subdiv: int = 2, order: int = 32,
             weights.append(half * w)
     ang = np.concatenate(angles)
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    return SphericalQuadrature(2, pts, np.concatenate(weights), "circle-panels",
-                               level, panel_angles=br)
+    return SphericalQuadrature(2, pts, np.concatenate(weights), "circle-panels", level)
 
 
-def sphere_product_gauss(n_polar: int = 64, n_azimuth: int = 128,
-                         level: int = 0) -> SphericalQuadrature:
+def sphere_product_gauss(n_polar: int, n_azimuth: int, level: int = 0) -> SphericalQuadrature:
     """Gauss-Legendre in cos(theta) x uniform trapezoid in phi on S^2."""
     t, wt = _gauss_legendre(n_polar)   # t = cos(theta) on [-1, 1]
     phi = np.arange(n_azimuth) * (_TWO_PI / n_azimuth)
@@ -139,29 +117,38 @@ def sphere_product_gauss(n_polar: int = 64, n_azimuth: int = 128,
     return SphericalQuadrature(3, nodes, weights, "product-gauss", level)
 
 
-def sphere_monte_carlo(dim: int, samples: int = 1_000_000, seed: int = 0,
+def sphere_monte_carlo(dim: int, samples: int, seed: int = 0,
                        level: int = 0) -> SphericalQuadrature:
     rng = np.random.default_rng(np.random.SeedSequence([seed, level]))
     pts = rng.standard_normal((samples, dim))
     # row norms without a (samples, dim) temporary
     pts /= np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
     w = np.full(samples, sphere_surface_area(dim) / samples)
-    return SphericalQuadrature(dim, pts, w, "monte-carlo", level, seed=seed)
+    return SphericalQuadrature(dim, pts, w, "monte-carlo", level)
 
 
-def auto_quadrature(norm: MinkowskiNorm, level: int = 0, seed: int = 0,
-                    use_support_kinks: bool = False) -> SphericalQuadrature:
-    """Pick a scheme for the given norm's dimension and smoothness.
+def circle_rule(kinks, level: int) -> SphericalQuadrature:
+    """The circle rule of ``level`` for an integrand that is smooth except
+    at the angles ``kinks`` (see ``auto_quadrature``)."""
+    if len(kinks):
+        return circle_panels(kinks, subdiv=2 ** (level + 1), level=level)
+    return circle_trapezoid(2048 * 2 ** level, level=level)
 
-    With ``use_support_kinks`` the 2D panels align with the kinks of the
-    support function instead of the norm (used by perimeter integrals).
+
+def auto_quadrature(norm: MinkowskiNorm, level: int = 0, seed: int = 0) -> SphericalQuadrature:
+    """The sphere rule of ``level`` for ``norm``: the one place that maps a
+    level to a rule, so level L + 1 is the refinement of level L.
+
+    * n = 2, F smooth: the 2048 * 2^level point trapezoid rule.
+    * n = 2, F kinked: the circle split at ``norm.kink_angles()``, each arc
+      into 2^(level+1) panels of 32-point Gauss-Legendre.
+    * n = 3: product Gauss-Legendre, 64 * 2^level (cos theta) by
+      128 * 2^level (phi).
+    * n >= 4: 1e6 * 2^level Monte-Carlo points drawn from (``seed``, level).
     """
     n = norm.dim
     if n == 2:
-        kinks = norm.support_kink_angles() if use_support_kinks else norm.kink_angles()
-        if len(kinks):
-            return circle_panels(kinks, subdiv=2 ** (level + 1), level=level)
-        return circle_trapezoid(2048 * 2 ** level, level=level)
+        return circle_rule(norm.kink_angles(), level)
     if n == 3:
         return sphere_product_gauss(64 * 2 ** level, 128 * 2 ** level, level=level)
     return sphere_monte_carlo(n, 1_000_000 * 2 ** level, seed=seed, level=level)

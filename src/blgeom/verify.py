@@ -200,18 +200,16 @@ def suite_metric_properties(seed: int = 0):
 
     worst_smooth = 0.0
     for norm in (QuarticAxial(2), Euclidean(_random_spd(rng, 2)), LpNorm(4, 2)):
-        q = auto_quadrature(norm, level=0)
-        m0 = dual_scalar_matrix(norm, q)
-        m1 = dual_scalar_matrix(norm, q.refined())
+        m0 = dual_scalar_matrix(norm, auto_quadrature(norm, level=0))
+        m1 = dual_scalar_matrix(norm, auto_quadrature(norm, level=1))
         worst_smooth = max(worst_smooth, np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     results.append(_check("quadrature doubling change, smooth families",
                           worst_smooth, 1e-8))
     worst_poly = 0.0
     for name in ("square-max", "diamond-l1", "hexagon", "asymmetric-triangle"):
         norm = catalog.builtin_norm(name)
-        q = auto_quadrature(norm, level=0)
-        m0 = dual_scalar_matrix(norm, q)
-        m1 = dual_scalar_matrix(norm, q.refined())
+        m0 = dual_scalar_matrix(norm, auto_quadrature(norm, level=0))
+        m1 = dual_scalar_matrix(norm, auto_quadrature(norm, level=1))
         worst_poly = max(worst_poly, np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     results.append(_check("quadrature doubling change, polytope gauges",
                           worst_poly, 1e-6))

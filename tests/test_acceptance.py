@@ -225,18 +225,16 @@ def test_criterion_10_quadrature_convergence():
     worst_smooth = 0.0
     for norm in (QuarticAxial(2), Euclidean(np.diag([1.0, 2.0])),
                  LpNorm(4, 2), QuarticAxial(3)):
-        q = auto_quadrature(norm)
-        m0 = dual_scalar_matrix(norm, q)
-        m1 = dual_scalar_matrix(norm, q.refined())
+        m0 = dual_scalar_matrix(norm, auto_quadrature(norm))
+        m1 = dual_scalar_matrix(norm, auto_quadrature(norm, level=1))
         worst_smooth = max(worst_smooth,
                            np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     worst_poly = 0.0
     for name in ("square-max", "diamond-l1", "hexagon", "asymmetric-triangle",
                  "sheared-square"):
         norm = catalog.builtin_norm(name)
-        q = auto_quadrature(norm)
-        m0 = dual_scalar_matrix(norm, q)
-        m1 = dual_scalar_matrix(norm, q.refined())
+        m0 = dual_scalar_matrix(norm, auto_quadrature(norm))
+        m1 = dual_scalar_matrix(norm, auto_quadrature(norm, level=1))
         worst_poly = max(worst_poly, np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     ok = worst_smooth < 1e-8 and worst_poly < 1e-6
     report(10, "refinement doubling: smooth < 1e-8, polytopes < 1e-6",

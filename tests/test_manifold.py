@@ -6,9 +6,9 @@ from scipy.integrate import quad as quad1d
 from scipy.interpolate import RectBivariateSpline, RegularGridInterpolator
 from scipy.sparse.linalg import spsolve
 
-from blgeom import (Euclidean, InputError, LinearImage, MetricField, NumericalFailure,
-                    PolytopeGauge, QuarticAxial, TransportAccuracyError, auto_quadrature,
-                    berwald_defect, bl_field, bl_metric, conformal_factor,
+from blgeom import (Euclidean, InputError, LinearImage, LpNorm, MetricField, NumericalFailure,
+                    PolytopeGauge, QuarticAxial, TransportAccuracyError, WeightedSum,
+                    auto_quadrature, berwald_defect, bl_field, bl_metric, conformal_factor,
                     conformal_rescale, constant_structure, default_loops,
                     default_probes, fingerprint_cloud, fingerprint_point,
                     holonomy_angle, is_locally_minkowski,
@@ -244,6 +244,27 @@ class TestFieldAssembly:
         # the overflowing chain overflows on purpose, and numpy warns of it
         warns = pytest.warns(RuntimeWarning) if name == "overflowing-chain" else nullcontext()
         with warns, pytest.raises(NumericalFailure, match=rf"failed at node \[.*{problem}"):
+            bl_field(st, shape=(9, 9))
+
+    def test_failed_base_solve_names_node(self):
+        # F^-2 and F^-4 of the base underflow on the sphere, so its solve fails
+        st = constant_structure(WeightedSum(1e200, 1e200, LpNorm(1, 2), LpNorm(2, 2)))
+        problem = r"failed at node \[-1\. -1\.\]: moment matrix is not finite"
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match=problem):
+            bl_field(st, shape=(9, 9))
+
+    def test_singular_map_names_node(self):
+        # A^T g A is only semidefinite at the one node whose map is singular
+        base = Euclidean(np.eye(2))
+
+        def peel(X):
+            maps = np.tile(np.eye(2), (len(X), 1, 1))
+            maps[len(X) // 2] = [[1.0, 1.0], [1.0, 1.0]]
+            return maps, [base], np.zeros(len(X), dtype=int)
+
+        st = manifold.FinslerStructure([-1.0, -1.0], [1.0, 1.0], peel)
+        problem = r"failed at node \[0\. 0\.\]: metric tensor is not positive definite"
+        with pytest.raises(NumericalFailure, match=problem):
             bl_field(st, shape=(9, 9))
 
 

@@ -154,9 +154,8 @@ class TestMetric:
     def test_doubling_changes(self):
         for norm, tol in ((QuarticAxial(2), 1e-8), (Euclidean(np.eye(3)), 1e-8),
                           (SQUARE, 1e-6), (DIAMOND, 1e-6)):
-            q = auto_quadrature(norm)
-            m0 = dual_scalar_matrix(norm, q)
-            m1 = dual_scalar_matrix(norm, q.refined())
+            m0 = dual_scalar_matrix(norm, auto_quadrature(norm))
+            m1 = dual_scalar_matrix(norm, auto_quadrature(norm, level=1))
             assert np.linalg.norm(m1 - m0) / np.linalg.norm(m1) < tol
 
 
@@ -257,6 +256,15 @@ class TestMonteCarloMetric:
         g0 = np.diag([1.0, 1.5, 0.8, 1.2])
         g = bl_metric(Euclidean(g0), sphere_monte_carlo(4, 400_000, seed=9))
         assert np.linalg.norm(g - g0) / np.linalg.norm(g0) < 0.01
+
+    def test_refinement_carries_the_seed(self):
+        # the level-0 standard error (2.4e-3) misses mc_tol, level 1 (1.6e-3)
+        # meets it, and level 1 is drawn from the caller's seed
+        norm = LpNorm(1, 4)
+        g, info = bl_metric_converged(norm, seed=5, mc_tol=2e-3)
+        assert info.scheme == "monte-carlo" and info.level == 1 and info.converged
+        np.testing.assert_array_equal(
+            info.dual_matrix, dual_scalar_matrix(norm, auto_quadrature(norm, level=1, seed=5)))
 
     def test_variance_based_stopping(self):
         g0 = np.diag([1.0, 1.5, 0.8, 1.2])

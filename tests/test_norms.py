@@ -82,6 +82,13 @@ class TestEval:
         with pytest.raises(InputError, match="complex"):
             LpNorm(2, 2).support(np.array([3 + 4j, 0.0]))
 
+    def test_non_finite_covector_rejected(self):
+        # rejected like a non-finite point, never a NaN support value
+        for norm, theta in ((LpNorm(2, 2), [np.nan, 0.0]), (QuarticAxial(2), [np.nan, 1.0]),
+                            (LpNorm(2, 2), [np.inf, 0.0])):
+            with pytest.raises(InputError, match="covector contains non-finite components"):
+                norm.support(theta)
+
     def test_overflowing_value_rejected(self):
         # F itself overflows: a NumericalFailure, never inf or NaN
         with pytest.raises(NumericalFailure, match="not finite"):

@@ -48,13 +48,13 @@ def test_mc_seed_determinism():
     assert not np.array_equal(a.nodes, c.nodes)
 
 
-def test_refinement_doubles_resolution():
-    q = circle_trapezoid(256)
-    assert len(q.refined()) == 512
-    qp = circle_panels([0.1, 2.0], subdiv=2)
-    assert len(qp.refined()) == 2 * len(qp)
-    qg = sphere_product_gauss(16, 32)
-    assert len(qg.refined()) == 4 * len(qg)
+@pytest.mark.parametrize("norm, growth", [
+    (QuarticAxial(2), 2), (LpNorm(1, 2), 2), (QuarticAxial(3), 4), (LpNorm(2, 4), 2),
+], ids=["smooth-2d", "kinked-2d", "3d", "4d"])
+def test_refinement_doubles_resolution(norm, growth):
+    q0, q1 = auto_quadrature(norm, level=0), auto_quadrature(norm, level=1)
+    assert (q0.level, q1.level, q1.scheme) == (0, 1, q0.scheme)
+    assert len(q1) == growth * len(q0)
 
 
 def test_auto_quadrature_picks_panels_for_kinked_norms():
@@ -71,8 +71,9 @@ def test_panels_align_with_polytope_vertices():
     gauge = PolytopeGauge(verts)
     q = auto_quadrature(gauge)
     vertex_angles = np.mod(np.arctan2(*np.asarray(verts).T[::-1]), 2 * np.pi)
-    for a in vertex_angles:
-        assert np.min(np.abs(q.panel_angles - a)) < 1e-12
+    want = circle_panels(vertex_angles, subdiv=2)
+    np.testing.assert_array_equal(q.nodes, want.nodes)
+    np.testing.assert_array_equal(q.weights, want.weights)
 
 
 def test_nodes_are_unit_vectors():
