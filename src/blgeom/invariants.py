@@ -71,7 +71,7 @@ def quermassintegrals(norm: MinkowskiNorm, metric: np.ndarray, *,
     if n == 2:
         w0 = unit_ball_volume(body, auto_quadrature(body, level=level))
         squad = circle_rule(body.support_kink_angles(), level)
-        h = body.support_batch(squad.nodes)
+        h = body._support(squad.nodes)   # unpolished without a closed form; ROADMAP item 1 removes it
         w1 = 0.5 * float(np.dot(squad.weights, h))
         return Quermassintegrals(np.array([w0, w1, np.pi]), 2)
     if n == 3:

@@ -149,14 +149,15 @@ def _norm_field(dim: int, lo, hi, peel) -> FinslerStructure:
     return structure
 
 
-def constant_structure(norm: MinkowskiNorm, lo=(-1.0, -1.0), hi=(1.0, 1.0)) -> FinslerStructure:
-    """Same Minkowski norm in every tangent space."""
+def constant_structure(norm: MinkowskiNorm, lo=None, hi=None) -> FinslerStructure:
+    """Same Minkowski norm in every tangent space, over [lo, hi] (default [-1, 1]^n)."""
     A, base = _linear_chain(norm)
 
     def peel(X):
         return np.broadcast_to(A, (len(X),) + A.shape), [base], np.zeros(len(X), dtype=int)
 
-    return _norm_field(norm.dim, lo, hi, peel)
+    ones = np.ones(norm.dim)
+    return _norm_field(norm.dim, -ones if lo is None else lo, ones if hi is None else hi, peel)
 
 
 def l1_l2_interpolation(lo=(-1.0, -1.0), hi=(2.0, 1.0)) -> FinslerStructure:

@@ -238,11 +238,8 @@ class MomentResult:
 
 
 def _norm_bounding_box(norm: MinkowskiNorm):
-    n = norm.dim
-    eye = np.eye(n)
-    hi = np.array([norm.support(eye[i]) for i in range(n)])
-    lo = -np.array([norm.support(-eye[i]) for i in range(n)])
-    return lo, hi
+    eye = np.eye(norm.dim)
+    return -norm.support(-eye), norm.support(eye)
 
 
 def _ellipsoid_bounding_box(ell: Ellipsoid):

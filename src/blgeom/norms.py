@@ -39,6 +39,8 @@ _TWO_PI = 2.0 * np.pi
 _ZOOM_POINTS = {2: 65, 3: 17, 4: 9}
 _ZOOM_ROUNDS = 200
 
+_SUPPORT_BLOCK = 256   # covectors per cloud scan: 32 MiB of scores against 16384 points
+
 # Largest dimension of a norm: Monte-Carlo quadrature (n >= 4) holds 1e6 * 2^level
 # points of R^n, and a polytope hull can have exponentially many facets.
 MAX_DIM = 6
@@ -76,7 +78,8 @@ def _as_real(x) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _as_points(xi, dim):
+def _as_points(xi, dim, what="input"):
+    """``xi`` as a finite real (k, dim) array, and whether it was one vector."""
     pts = _as_real(xi)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -86,20 +89,23 @@ def _as_points(xi, dim):
     else:
         raise InputError(f"expected a vector or a (k, {dim}) array, got shape {pts.shape}")
     if pts.shape[1] != dim:
-        raise InputError(f"dimension mismatch: norm lives on R^{dim}, input has {pts.shape[1]} components")
+        raise InputError(f"dimension mismatch: norm lives on R^{dim}, {what} has {pts.shape[1]} components")
     if not np.all(np.isfinite(pts)):
-        raise InputError("input contains non-finite components")
+        raise InputError(f"{what} contains non-finite components")
     return pts, squeeze
 
 
 class MinkowskiNorm:
-    """Base class.  Subclasses implement ``_values`` on (k, n) arrays.
+    """Base class.  Subclasses implement ``_values`` on (k, n) arrays; a
+    family whose support function has a closed form also implements
+    ``_support`` on (k, n) covectors and sets ``_exact_support = True``.
+    The others inherit the boundary-cloud scan as ``_support``, which the
+    public ``support`` polishes.
 
     The public ``values`` and ``support`` are the one boundary that
-    validates input.  ``_values`` gets a validated real (k, n) float array
-    and evaluates inner norms only through their private ``_values``
-    (``_support_one`` likewise through inner ``_support_one``), so a
-    composite checks its input once, not once per layer.
+    validates input.  ``_values`` and ``_support`` get a validated real
+    (k, n) float array and evaluate inner norms only through their private
+    kernels, so a composite checks its input once, not once per layer.
     """
 
     dim: int
@@ -123,38 +129,41 @@ class MinkowskiNorm:
 
     # -- support function -------------------------------------------------
 
-    def support(self, theta) -> float:
-        """h(theta) = max { theta . xi : F(xi) <= 1 }.
+    _exact_support = False
 
-        Exact for families with a closed form; otherwise a dense boundary
-        scan followed by local refinement to ~1e-8 relative accuracy.
-        """
-        theta = _as_real(theta)
-        if theta.shape != (self.dim,):
-            raise InputError(f"covector must have shape ({self.dim},)")
-        if not np.all(np.isfinite(theta)):
-            raise InputError("covector contains non-finite components")
-        if not np.any(theta):
+    def support(self, theta):
+        """h(theta) = max { theta . xi : F(xi) <= 1 } for a nonzero covector
+        or a batch of them: exact for families with a closed form, otherwise
+        each row's best boundary-cloud point polished by one batched sphere
+        search to ~1e-8 relative accuracy."""
+        thetas, squeeze = _as_points(theta, self.dim, "covector")
+        if not np.all(np.any(thetas, axis=1)):
             raise InputError("support direction must be nonzero")
-        return self._support_one(theta)
+        out = self._support(thetas) if self._exact_support else self._polished_support(thetas)
+        return float(out[0]) if squeeze else out
 
-    def support_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Support values for many covectors.
-
-        Generic families evaluate against a dense boundary cloud (no local
-        polish, intended for integrals where the O(grid^-2) per-direction
-        error averages out); families with closed forms override this.
-        """
-        thetas = np.asarray(thetas, dtype=float)
+    def _support(self, thetas):
+        # the boundary-cloud scan: a lower bound with O(grid^-2) error
         cloud = self.boundary_cloud()
         out = np.empty(len(thetas))
-        for start in range(0, len(thetas), 256):
-            block = thetas[start:start + 256]
-            out[start:start + 256] = (block @ cloud.T).max(axis=1)
+        for start in range(0, len(thetas), _SUPPORT_BLOCK):
+            out[start:start + _SUPPORT_BLOCK] = (thetas[start:start + _SUPPORT_BLOCK] @ cloud.T).max(axis=1)
         return out
 
-    def _support_one(self, theta):
-        return _generic_support(self, theta)
+    def _polished_support(self, thetas):
+        # each row's best boundary-cloud point, polished on the sphere
+        cloud = self.boundary_cloud()
+        out = np.empty(len(thetas))
+        for start in range(0, len(thetas), _SUPPORT_BLOCK):
+            block = thetas[start:start + _SUPPORT_BLOCK]
+            scores = block @ cloud.T
+            best = cloud[scores.argmax(axis=1)]
+            neg = sphere_polish(lambda u, b=block: -np.einsum("skn,sn->sk", u, b)
+                                / self.values(u.reshape(-1, self.dim)).reshape(u.shape[:-1]),
+                                best / np.linalg.norm(best, axis=1, keepdims=True),
+                                _TWO_PI / len(cloud) * 4.0)
+            out[start:start + _SUPPORT_BLOCK] = np.maximum(scores.max(axis=1), -neg)
+        return out
 
     # -- structure hints used by quadrature and sphere optimizers ---------
 
@@ -285,18 +294,6 @@ def sphere_polish(objective, starts, width: float) -> np.ndarray:
     return vals[rows, pick]
 
 
-def _generic_support(norm, theta):
-    # the best boundary-cloud point, polished on the sphere
-    cloud = norm.boundary_cloud()
-    scores = cloud @ theta
-    best = int(np.argmax(scores))
-    u0 = cloud[best] / np.linalg.norm(cloud[best])
-    n = norm.dim
-    neg = sphere_polish(lambda u: -(u @ theta) / norm.values(u.reshape(-1, n)).reshape(u.shape[:-1]),
-                        u0[None, :], _TWO_PI / len(cloud) * 4.0)
-    return float(max(scores[best], -neg[0]))
-
-
 # ---------------------------------------------------------------------------
 # concrete families
 # ---------------------------------------------------------------------------
@@ -324,10 +321,9 @@ class Euclidean(MinkowskiNorm):
     def _values(self, pts):
         return np.sqrt(np.einsum("ki,ij,kj->k", pts, self.matrix, pts))
 
-    def _support_one(self, theta):
-        return float(self.support_batch(theta[None, :])[0])
+    _exact_support = True
 
-    def support_batch(self, thetas):
+    def _support(self, thetas):
         # rows scaled by their largest entry, so tiny covectors do not underflow
         top = _row_max(np.abs(thetas))
         top = np.where(top > 0.0, top, 1.0)          # a zero row stays zero
@@ -382,11 +378,10 @@ class LpNorm(MinkowskiNorm):
             return np.inf
         return self.p / (self.p - 1.0)
 
-    def _support_one(self, theta):
-        return float(_p_norms(theta[None, :], self._dual_exponent())[0])
+    _exact_support = True
 
-    def support_batch(self, thetas):
-        return _p_norms(np.asarray(thetas, dtype=float), self._dual_exponent())
+    def _support(self, thetas):
+        return _p_norms(thetas, self._dual_exponent())
 
     def kink_angles(self):
         return _lp_kink_angles(self.p, self.dim)
@@ -441,10 +436,9 @@ class PolytopeGauge(MinkowskiNorm):
         ratios = (self._facet_normals @ pts.T) / self._facet_offsets[:, None]
         return np.maximum(ratios.max(axis=0), 0.0)
 
-    def _support_one(self, theta):
-        return float((self.vertices @ theta).max())
+    _exact_support = True
 
-    def support_batch(self, thetas):
+    def _support(self, thetas):
         return (self.vertices @ thetas.T).max(axis=0)
 
     def kink_angles(self):
@@ -481,11 +475,12 @@ class LinearImage(MinkowskiNorm):
     def _values(self, pts):
         return self.inner._values(pts @ self.matrix.T)
 
-    def _support_one(self, theta):
-        return self.inner._support_one(self._inv.T @ theta)
+    @property
+    def _exact_support(self):
+        return self.inner._exact_support
 
-    def support_batch(self, thetas):
-        return self.inner.support_batch(thetas @ self._inv)
+    def _support(self, thetas):
+        return self.inner._support(thetas @ self._inv)
 
     def _map_angles(self, angles, mat):
         if len(angles) == 0:

@@ -170,8 +170,7 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         # a flat chart's transport is trivial, so extending a seed norm by
         # parallel translation gives the constant field of that norm
         norm = norm_from_spec(field["norm"])
-        return constant_structure(norm, **(chart or {"lo": -np.ones(norm.dim),
-                                                     "hi": np.ones(norm.dim)}))
+        return constant_structure(norm, **(chart or {}))
     if family == "l1-l2-interpolation":
         return l1_l2_interpolation(**(chart or {}))
     if family == "rotor":

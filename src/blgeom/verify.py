@@ -104,9 +104,9 @@ def suite_norms(seed: int = 0):
 
     mix = WeightedSum(0.5, 0.5, LpNorm(1, 2), LpNorm(2, 2))
     th = rng.standard_normal((100, 2))
-    h1 = mix.support_batch(th[:50])
-    h2 = mix.support_batch(th[50:])
-    h12 = mix.support_batch(th[:50] + th[50:])
+    h1 = mix.support(th[:50])
+    h2 = mix.support(th[50:])
+    h12 = mix.support(th[:50] + th[50:])
     results.append(_check("support is sublinear",
                           np.max(h12 - h1 - h2), 1e-8))
     return results

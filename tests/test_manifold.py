@@ -823,6 +823,12 @@ class TestThreeDimensional:
         res = parallel_transport(field, loop, np.eye(3))
         np.testing.assert_allclose(res.transported_frame, np.eye(3), atol=1e-9)
 
+    def test_default_chart_matches_the_norm(self):
+        # no chart given: the cube [-1, 1]^3 of a 3D norm, not a 2D square
+        field = bl_field(constant_structure(Euclidean(np.eye(3))), shape=(5, 5, 5))
+        np.testing.assert_array_equal(field.axes, [np.linspace(-1.0, 1.0, 5)] * 3)
+        np.testing.assert_allclose(field.at([0.2, -0.4, 0.6]), np.eye(3), atol=1e-12)
+
     def test_berwald_defect_3d_constant(self):
         st = constant_structure(Euclidean(np.eye(3)), lo=(-1, -1, -1),
                                 hi=(1, 1, 1))

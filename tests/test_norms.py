@@ -43,12 +43,13 @@ class TestEval:
     def test_large_p_is_scale_free(self, scale):
         # no power of an entry over- or underflows: F(s x) = s F(x), for the
         # norm (p = 400) and for its support function (q = 400/399)
+        # (a zero covector has no support value, so that half drops the zero row)
         x = np.array([[0.6, -0.8], [0.0, 0.0], [-1.0, 1.0]])
         norm = LpNorm(400, 2)
         q = 400 / 399
         for got, want in ((norm.values(scale * x), [0.8, 0.0, 2.0 ** (1 / 400)]),
-                          (norm.support_batch(scale * x),
-                           [(0.6 ** q + 0.8 ** q) ** (1 / q), 0.0, 2.0 ** (1 / q)])):
+                          (norm.support(scale * x[[0, 2]]),
+                           [(0.6 ** q + 0.8 ** q) ** (1 / q), 2.0 ** (1 / q)])):
             np.testing.assert_allclose(got / scale, want, rtol=1e-14)
         assert norm.support(scale * x[2]) == pytest.approx(scale * 2.0 ** (1 / q), rel=1e-14)
 
@@ -254,6 +255,35 @@ class TestSupport:
     def test_zero_direction_rejected(self):
         with pytest.raises(InputError):
             Euclidean(np.eye(2)).support([0.0, 0.0])
+
+    @pytest.mark.parametrize("norm", family_zoo() + [
+        LinearImage([[1.0, 0.5], [-0.3, 2.0]], QuarticAxial(2))], ids=repr)
+    def test_batch_matches_rows(self, norm):
+        # one batch gives every row's own support value
+        thetas = np.random.default_rng(3).standard_normal((9, norm.dim))
+        batch = norm.support(thetas)
+        assert batch.shape == (9,)
+        rows = [norm.support(theta) for theta in thetas]
+        np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("norm, thetas, message", [
+        (LpNorm(2, 2), [[np.nan, 0.0]], "covector contains non-finite"),
+        (QuarticAxial(2), [[np.inf, 0.0]], "covector contains non-finite"),
+        (LpNorm(2, 2), [[1.0, 0.0, 0.0]], "dimension mismatch"),
+        (QuarticAxial(2), np.array([[1.0 + 1.0j, 0.0]]), "complex"),
+        (LpNorm(2, 2), [[1.0, 0.0], [0.0, 0.0]], "support direction must be nonzero"),
+        (QuarticAxial(2), [[0.0, 0.0], [1.0, 0.0]], "support direction must be nonzero"),
+    ], ids=["nan", "inf", "wrong-dimension", "complex", "zero-last", "zero-first"])
+    def test_bad_batch_rejected(self, norm, thetas, message):
+        # a batch is checked as a single covector is, never a NaN or a guess
+        with pytest.raises(InputError, match=message):
+            norm.support(thetas)
+
+    def test_batch_refinement_is_one_search(self, monkeypatch):
+        # the boundary cloud plus one call per round of a single search
+        calls = count_values_calls(monkeypatch)
+        QuarticAxial(3).support(np.random.default_rng(4).standard_normal((8, 3)))
+        assert len(calls) <= 20
 
     def test_tiny_direction_does_not_underflow(self):
         # the 2-norm of this covector underflows to 0, its support must not
