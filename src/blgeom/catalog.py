@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InputError
 from .specio import dump_json, norm_from_spec, structure_from_spec
 
 
@@ -81,8 +82,6 @@ BUILTIN_STRUCTURES = {
 
 
 def builtin_norm(name: str):
-    from .errors import InputError
-
     if name not in BUILTIN_NORMS:
         raise InputError(f"unknown builtin norm {name!r}; "
                          f"known: {', '.join(sorted(BUILTIN_NORMS))}")
@@ -90,8 +89,6 @@ def builtin_norm(name: str):
 
 
 def builtin_structure(name: str):
-    from .errors import InputError
-
     if name not in BUILTIN_STRUCTURES:
         raise InputError(f"unknown builtin structure {name!r}; "
                          f"known: {', '.join(sorted(BUILTIN_STRUCTURES))}")

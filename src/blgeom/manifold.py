@@ -38,7 +38,7 @@ from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
 from .metric import CONDITION_LIMIT, bl_metric
 from .norms import (LinearImage, LpNorm, MinkowskiNorm, PolytopeGauge,
-                    WeightedSum, validate)
+                    WeightedSum, as_reals, validate)
 from .quadrature import auto_quadrature
 
 
@@ -69,8 +69,8 @@ class FinslerStructure:
     peel: Callable[[np.ndarray], tuple]
 
     def __post_init__(self):
-        self.chart_lo = np.asarray(self.chart_lo, dtype=float)
-        self.chart_hi = np.asarray(self.chart_hi, dtype=float)
+        self.chart_lo = as_reals(self.chart_lo, "chart bound lo")
+        self.chart_hi = as_reals(self.chart_hi, "chart bound hi")
         if self.chart_lo.shape != self.chart_hi.shape or self.chart_lo.ndim != 1:
             raise InputError("chart bounds must be 1-d arrays of equal length")
         with np.errstate(over="ignore"):
@@ -87,14 +87,14 @@ class FinslerStructure:
     def norm_at(self, x) -> MinkowskiNorm:
         """The norm at one chart point: its base, or ``LinearImage(A, base)``."""
         try:
-            maps, bases, index = self.peel(np.asarray(x, dtype=float)[None, :])
+            maps, bases, index = self.peel(as_reals(x, "chart point")[None, :])
         except PointFailure as exc:
             raise exc.__cause__ from None
         A, base = maps[0], bases[index[0]]
         return base if np.array_equal(A, np.eye(self.dim)) else LinearImage(A, base)
 
     def contains(self, x, margin: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
+        x = as_reals(x, "chart point")
         return bool(np.all(x >= self.chart_lo + margin) and np.all(x <= self.chart_hi - margin))
 
     def validate_samples(self, count: int = 5, samples: int = 300, seed: int = 0):

@@ -63,6 +63,39 @@ def as_dimension(value, least: int) -> int:
     return dim
 
 
+def as_reals(value, what: str) -> np.ndarray:
+    """``value`` -- a number, an array, or nested lists of them of one shape --
+    as a float array.  An entry at any depth that is not a real number (a
+    bool, a string), an array of such, a ragged entry or an integer past the
+    float range is an InputError naming ``what``; finiteness is the caller's."""
+    todo = [value]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(reversed(item))
+        elif isinstance(item, np.ndarray):
+            if item.dtype == object:
+                todo.extend(reversed(item.ravel()))
+            elif item.dtype.kind not in "fiu":
+                raise InputError(f"{what} must hold numbers, got an array of {item.dtype}")
+        elif isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise InputError(f"{what} must hold numbers, got {item!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError as exc:    # e.g. a JSON integer past the float range
+        raise InputError(f"{what} must be finite, got a number too large for a float") from exc
+    except ValueError as exc:       # ragged, or nested past numpy's 64 axes
+        raise InputError(f"{what} must be a number or an array of numbers of one shape") from exc
+
+
+def as_real(value, what: str) -> float:
+    """``value`` as one float, by the rule of :func:`as_reals`."""
+    arr = as_reals(value, what)
+    if arr.ndim:
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(arr)
+
+
 def _row_max(a):
     """``a.max(axis=1)`` for a (k, n) array of norm coordinates (n <= MAX_DIM),
     taken column by column: numpy's reduction over the short axis is many
@@ -70,17 +103,9 @@ def _row_max(a):
     return functools.reduce(np.maximum, a.T)
 
 
-def _as_real(x) -> np.ndarray:
-    """``x`` as a float array; complex input is an InputError, not a cast."""
-    arr = np.asarray(x)
-    if np.iscomplexobj(arr):
-        raise InputError("input must be real, got complex components")
-    return arr.astype(float, copy=False)
-
-
 def _as_points(xi, dim, what="input"):
     """``xi`` as a finite real (k, dim) array, and whether it was one vector."""
-    pts = _as_real(xi)
+    pts = as_reals(xi, what)
     if pts.ndim == 1:
         pts = pts[None, :]
         squeeze = True
@@ -303,14 +328,14 @@ class Euclidean(MinkowskiNorm):
     """F(xi) = sqrt(xi^T G xi) for a symmetric positive definite matrix G."""
 
     def __init__(self, matrix):
-        G = np.asarray(matrix, dtype=float)
+        G = as_reals(matrix, "euclidean matrix")
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise InputError("euclidean norm needs a square matrix")
+        self.dim = as_dimension(G.shape[0], 1)
         if not np.isfinite(G).all():
             raise InputError("matrix entries must be finite")
         if not np.allclose(G, G.T, atol=1e-12 * max(1.0, np.abs(G).max())):
             raise InputError("matrix must be symmetric")
-        self.dim = as_dimension(G.shape[0], 1)
         try:
             np.linalg.cholesky(G)
         except np.linalg.LinAlgError as exc:
@@ -362,7 +387,7 @@ class LpNorm(MinkowskiNorm):
     """The l^p norm, 1 <= p <= inf.  p = inf is the max norm (no limits taken)."""
 
     def __init__(self, p, dim):
-        p = float(p)
+        p = as_real(p, "p")
         if not (p >= 1.0):
             raise InputError("p must be >= 1")
         self.p = p
@@ -409,7 +434,7 @@ class PolytopeGauge(MinkowskiNorm):
     """
 
     def __init__(self, vertices):
-        V = np.asarray(vertices, dtype=float)
+        V = as_reals(vertices, "polytope vertices")
         if V.ndim != 2 or V.shape[0] < V.shape[1] + 1:
             raise ConstructionError("need at least n+1 vertices of full dimension")
         if not np.all(np.isfinite(V)):
@@ -459,7 +484,7 @@ class LinearImage(MinkowskiNorm):
     """F(xi) = inner(A xi) for an invertible matrix A."""
 
     def __init__(self, matrix, inner: MinkowskiNorm):
-        A = np.asarray(matrix, dtype=float)
+        A = as_reals(matrix, "linear-image matrix")
         if A.shape != (inner.dim, inner.dim):
             raise InputError("matrix shape must match the inner norm dimension")
         # the determinant of A scaled to unit entries, so that a folded chain
@@ -509,7 +534,7 @@ class WeightedSum(MinkowskiNorm):
     def __init__(self, w1, w2, first: MinkowskiNorm, second: MinkowskiNorm):
         if first.dim != second.dim:
             raise InputError("component norms must share a dimension")
-        w1, w2 = float(w1), float(w2)
+        w1, w2 = as_real(w1, "weight w1"), as_real(w2, "weight w2")
         if not (np.isfinite([w1, w2]).all() and w1 >= 0 and w2 >= 0 and w1 + w2 > 0):
             raise InputError("weights must be finite and nonnegative with positive sum")
         self.dim = first.dim
@@ -577,6 +602,7 @@ def linear_image(norm: MinkowskiNorm, matrix) -> LinearImage:
 
 def rescale(norm: MinkowskiNorm, kappa: float) -> LinearImage:
     """The norm kappa * F, realized as the linear image by kappa * I."""
+    kappa = as_real(kappa, "scale factor")
     if not (kappa > 0):
         raise InputError("scale factor must be positive")
     return LinearImage(kappa * np.eye(norm.dim), norm)

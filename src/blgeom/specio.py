@@ -1,11 +1,12 @@
 """The one reader of norm and structure specs, and the JSON writer.
 
 The key tables below declare the keys documented in ``docs/schemas/``;
-``_check`` holds every spec object to them, and ``_number`` and
-``_numbers`` read every numeric value (a JSON bool is not a number).
-Scalar fields become array expressions of the coordinates, so the
-library's constructors take built norms and callables only.  Errors raise
-:class:`InputError` (exit 2).
+``_check`` holds every spec object to them, and ``norms.as_reals`` reads
+every numeric value (``_number`` one finite number) under a name of its key:
+a JSON bool, a string other than ``lp``'s ``"inf"`` or ``"infinity"`` and a
+ragged list are not numbers.  Scalar fields become array expressions of the
+coordinates, so the library's constructors take built norms and callables
+only.  Errors raise :class:`InputError` (exit 2).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .errors import InputError, NumericalFailure
 from .manifold import (FinslerStructure, conformal_rescale, constant_structure,
                        l1_l2_interpolation, rotor_structure)
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
-                    PolytopeGauge, QuarticAxial, WeightedSum, as_integer)
+                    PolytopeGauge, QuarticAxial, WeightedSum, as_integer,
+                    as_real, as_reals)
 
 # (required keys, optional keys with their defaults) of a spec object,
 # its family or kind tag aside, by tag value
@@ -73,32 +75,11 @@ def _check(spec, what: str, keys, tag: str | None = None):
 
 
 def _number(spec, key: str, what: str) -> float:
-    """``spec[key]`` as a finite float; a JSON bool is not a number."""
-    raw = spec[key]
-    try:
-        value = float(raw)
-    except OverflowError:           # a JSON integer past the float range
-        value = np.inf
-    except (TypeError, ValueError):
-        value = None
-    if value is None or isinstance(raw, bool):
-        raise InputError(f"{what} key {key!r} must be a number, got {raw!r}")
+    """``spec[key]`` as a finite float."""
+    value = as_real(spec[key], f"{what} key {key!r}")
     if not np.isfinite(value):
-        raise InputError(f"{what} key {key!r} must be finite, got {raw!r}")
+        raise InputError(f"{what} key {key!r} must be finite, got {spec[key]!r}")
     return value
-
-
-def _numbers(spec, key: str, what: str) -> np.ndarray:
-    """``spec[key]`` as a float array; a JSON bool at any depth is not a number."""
-    raw = spec[key]
-    todo = [raw]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, bool):
-            raise InputError(f"{what} key {key!r} must hold numbers, got {item!r}")
-        if isinstance(item, list):
-            todo.extend(item)
-    return np.asarray(raw, dtype=float)
 
 
 def norm_from_spec(spec: dict) -> MinkowskiNorm:
@@ -113,19 +94,19 @@ def _norm_from_spec(spec, depth):
     family = _check(spec, "norm", NORM_KEYS, "family")
     what = f"norm of family {family!r}"
     if family == "euclidean":
-        return Euclidean(_numbers(spec, "matrix", what))
+        return Euclidean(as_reals(spec["matrix"], f"{what} key 'matrix'"))
     if family == "lp":
         return LpNorm(np.inf if spec["p"] in ("inf", "infinity") else _number(spec, "p", what),
                       spec["dim"])
     if family == "polytope":
-        return PolytopeGauge(_numbers(spec, "vertices", what))
+        return PolytopeGauge(as_reals(spec["vertices"], f"{what} key 'vertices'"))
     if family == "linear-image":
         # fold nested images into one matrix product: no recursion per layer
-        matrix, inner = _numbers(spec, "matrix", what), spec["inner"]
+        matrix, inner = as_reals(spec["matrix"], f"{what} key 'matrix'"), spec["inner"]
         while _check(inner, "norm", NORM_KEYS, "family") == "linear-image":
-            layer = _numbers(inner, "matrix", what)
-            if layer.shape != matrix.shape:
-                raise InputError("nested linear-image matrices must have one shape")
+            layer = as_reals(inner["matrix"], f"{what} key 'matrix'")
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or layer.shape != matrix.shape:
+                raise InputError("nested linear-image matrices must be square and of one shape")
             matrix, inner = layer @ matrix, inner["inner"]
         return LinearImage(matrix, _norm_from_spec(inner, depth - 1))
     if family == "weighted-sum":
@@ -164,7 +145,7 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
     field, chart = spec["field"], spec.get("chart")
     if chart is not None:
         _check(chart, "chart", CHART_KEYS)   # so the chart is {"lo": ..., "hi": ...}
-        chart = {key: _numbers(chart, key, "chart") for key in CHART_KEYS[0]}
+        chart = {key: as_reals(chart[key], f"chart key {key!r}") for key in CHART_KEYS[0]}
     family = _check(field, "structure field", FIELD_KEYS, "family")
     if family in ("constant", "holonomy-extension"):
         # a flat chart's transport is trivial, so extending a seed norm by
@@ -196,7 +177,7 @@ def _load(build, path):
     spec = load_json(path)
     try:
         return build(spec)
-    except (InputError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+    except (InputError, RecursionError) as exc:   # a conformal-rescale nest past the stack
         raise InputError(f"invalid spec in {path}: {exc}") from exc
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
+from .errors import InputError
 from .invariants import (compare_fingerprints, fingerprint_point,
                          isotropy_defect, orthonormalize, quermassintegrals)
 from .manifold import (berwald_defect, bl_field, conformal_factor,
@@ -405,13 +406,8 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0):
-    from .errors import InputError
-
     if name == "all":
-        out = []
-        for key in ("norms", "metric-properties", "ellipsoids", "invariants", "berwald"):
-            out.extend(SUITES[key](seed))
-        return out
+        return [check for suite in SUITES.values() for check in suite(seed)]
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; known: "
                          f"{', '.join(sorted(SUITES))}, all")

@@ -350,17 +350,17 @@ def _conformal(factor):
     ("field", _rotor({"kind": "linear"}), "'psi' of kind 'linear' is missing key 'slope'"),
     ("field", _rotor({"kind": "constant"}), "'psi' of kind 'constant' is missing key 'value'"),
     ("field", _rotor({"kind": "linear", "slope": float("nan")}), "'slope' must be finite"),
-    ("field", _rotor({"kind": "constant", "value": "nan"}), "'value' must be finite"),
+    ("field", _rotor({"kind": "constant", "value": "nan"}), "'value' must hold numbers"),
     ("field", _rotor({"kind": "linear", "slope": 0.8, "offset": [1]}),
      "'offset' must be a number"),
-    ("field", _conformal({"kind": "one-plus-sin", "amp": "inf"}), "'amp' must be finite"),
+    ("field", _conformal({"kind": "one-plus-sin", "amp": "inf"}), "'amp' must hold numbers"),
     ("field", _conformal({"kind": "exp-linear", "rate": 1e400}), "'rate' must be finite"),
     ("field", _rotor(1e308), "'psi' must be an object"),
     ("field", _conformal(1e308), "'factor' must be an object"),
     ("field", _rotor(_FIXED_ANGLE, {"lo": [-1.0, -1.0], "hi": [float("inf"), 1.0]}),
      "chart bounds and widths must be finite"),
     ("field", _rotor(_FIXED_ANGLE, {"lo": [-1.0, -1.0], "hi": ["inf", 1.0]}),
-     "chart bounds and widths must be finite"),
+     "'hi' must hold numbers"),
     ("field", _rotor(_FIXED_ANGLE, {"lo": [-1e308, -1.0], "hi": [1e308, 1.0]}),
      "chart bounds and widths must be finite"),
     ("metric", {"family": "lp", "p": 1e999, "dim": 2}, "'p' must be finite"),
@@ -399,12 +399,15 @@ def test_metric_exit_code_huge_json_integer(tmp_path, capsys, text, problem):
 
 @pytest.mark.parametrize("p", ["inf", "infinity", "3.5"])
 def test_metric_of_p_given_as_string(tmp_path, capsys, p):
-    # "inf" and "infinity" name the max norm; a numeric string reads as its number
+    # "inf" and "infinity" name the max norm; a numeric string is not a number
     path = tmp_path / "lp.json"
     path.write_text(json.dumps({"family": "lp", "p": p, "dim": 2}))
     code, out = run(capsys, "metric", "--norm", str(path))
-    assert code == 0
-    strict_json(out)
+    if p == "3.5":
+        assert code == 2 and out == ""
+    else:
+        assert code == 0
+        strict_json(out)
 
 
 @pytest.mark.parametrize("p", [200, 400, 1e6])
@@ -454,6 +457,43 @@ def test_exit_code_json_nested_past_the_parser(tmp_path, capsys):
     path.write_text("[" * 5000 + "]" * 5000)
     code, out = run(capsys, "metric", "--norm", str(path))
     assert code == 2 and out == ""
+
+
+def _conformal_nest_text(depth):
+    """A structure spec whose field is ``depth`` conformal-rescale layers, as
+    JSON text: ``json.dumps`` overflows the stack before the parser does."""
+    layer = ('{"family": "conformal-rescale", '
+             '"factor": {"kind": "constant", "value": 1.0}, "base": ')
+    base = json.dumps(_conformal({"kind": "constant", "value": 1.0})["field"]["base"])
+    return ('{"chart": %s, "field": ' % json.dumps(_CHART)
+            + layer * depth + base + "}" * depth + "}")
+
+
+def _parses(text):
+    try:
+        json.loads(text)
+    except RecursionError:
+        return False
+    return True
+
+
+def test_exit_code_conformal_nest_past_the_stack(tmp_path, capsys):
+    # just below the parser's depth limit the structure builder, not the
+    # parser, runs out of stack: that RecursionError must still exit 2
+    lo, hi = 1, 2
+    while _parses(_conformal_nest_text(hi)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _parses(_conformal_nest_text(mid)) else (lo, mid)
+    path = tmp_path / "deep.json"
+    codes = []
+    for depth in range(hi - 25, hi):
+        path.write_text(_conformal_nest_text(depth))
+        codes.append(main(["field", "--structure", str(path), "--grid", "5x5",
+                           "--out", str(tmp_path / "deep.csv")]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 2} and 2 in codes
 
 
 def test_metric_of_norm_at_nesting_bound(tmp_path, capsys):

@@ -18,9 +18,9 @@ from blgeom.cli import main
 SPECS = ([("metric", spec) for _, spec in catalog.BUILTIN_NORMS.values()]
          + [("field", spec) for _, spec in catalog.BUILTIN_STRUCTURES.values()])
 
-REPLACEMENTS = [None, True, False, "x", "nan", "inf", [], [1.0, 2.0], {},
-                {"kind": "linear"}, float("nan"), float("inf"), -float("inf"), 1e308,
-                -1, 0, 1, 2, 3]
+REPLACEMENTS = [None, True, False, "x", "nan", "inf", "1.5", [], [1.0, 2.0],
+                [[1.0], [1.0, 2.0]], {}, {"kind": "linear"}, float("nan"), float("inf"),
+                -float("inf"), 1e308, 10 ** 400, -1, 0, 1, 2, 3]
 
 
 def _paths(node, prefix=()):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from blgeom import (ConstructionError, Euclidean, InputError, LinearImage,
                     LpNorm, NumericalFailure, PolytopeGauge, QuarticAxial,
                     WeightedSum, linear_image, rescale, validate)
-from blgeom.norms import sphere_grid
+from blgeom.manifold import FinslerStructure, constant_structure
+from blgeom.norms import as_real, as_reals, sphere_grid
 from counting import count_values_calls
 from oracles import gauge_by_bisection
 
@@ -104,6 +105,48 @@ class TestEval:
         inner = WeightedSum(0.4, 0.6, LpNorm(1, 2), LinearImage(3.0 * np.eye(2), QuarticAxial(2)))
         LinearImage([[1.0, 0.5], [0.0, 2.0]], inner).values(np.ones((7, 2)))
         assert calls == [7]
+
+
+_L2 = LpNorm(2, 2)
+
+
+class TestReader:
+    """Every number from outside is read by one rule: a bool, a string, a
+    ragged list or an integer past the float range is an InputError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: _L2.values([[1, 0], [1, 0, 0]]),
+        lambda: _L2.support([[1, 0], [1, 0, 0]]),
+        lambda: _L2.support(["a", "b"]),
+        lambda: _L2.values(["1", "2"]),
+        lambda: _L2.values(np.array(["1", "2"])),
+        lambda: _L2.values([True, False]),
+        lambda: _L2.values(np.array([True, False])),
+        lambda: LpNorm(True, 2),
+        lambda: LpNorm("2", 2),
+        lambda: LpNorm([2, 3], 2),
+        lambda: WeightedSum("0.5", 0.5, _L2, _L2),
+        lambda: Euclidean([[True, 0], [0, 1]]),
+        lambda: Euclidean([[1, 0], [0]]),
+        lambda: Euclidean(np.zeros((0, 0))),
+        lambda: FinslerStructure(["-1", "-1"], [1, 1], constant_structure(_L2).peel),
+    ], ids=["ragged-values", "ragged-support", "string-support", "string-values",
+            "string-array-values", "bool-values", "bool-array-values", "bool-p",
+            "string-p", "list-p", "string-weight", "bool-matrix", "ragged-matrix",
+            "empty-matrix", "string-chart-bound"])
+    def test_non_numbers_rejected(self, call):
+        with pytest.raises(InputError):
+            call()
+
+    def test_huge_integer_is_not_finite(self):
+        with pytest.raises(InputError, match="must be finite.*too large"):
+            as_reals([1, 10 ** 400], "entry")
+
+    def test_numbers_of_any_kind_read(self):
+        assert as_real(np.int64(3), "p") == 3.0
+        np.testing.assert_array_equal(as_reals(((1, 2), [3, np.float32(4)]), "m"),
+                                      [[1.0, 2.0], [3.0, 4.0]])
+        assert _L2.values(np.array([3, 4], dtype=object)) == 5.0
 
 
 class TestPolytopeGauge:
