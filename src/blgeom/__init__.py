@@ -15,10 +15,9 @@ from .manifold import (BerwaldReport, FinslerStructure, FlatnessReport,
                        holonomy_angle, is_locally_minkowski,
                        l1_l2_interpolation, parallel_transport, rectangle_loop,
                        rigid_motion, rotor_structure, smoothstep, square_gauge)
-from .metric import (Ellipsoid, MomentResult, binet_ellipsoid, bl_metric,
-                     bl_metric_converged, dual_scalar_matrix,
-                     legendre_ellipsoid, moment_of_inertia,
-                     relative_qf_deviation, unit_ball_volume)
+from .metric import (BLMetric, Ellipsoid, MomentResult, bl_metric,
+                     bl_metric_converged, moment_of_inertia,
+                     relative_qf_deviation)
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
                     PolytopeGauge, QuarticAxial, ValidationReport, WeightedSum,
                     linear_image, rescale, validate)

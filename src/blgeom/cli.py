@@ -16,7 +16,7 @@ from . import catalog, specio
 from .errors import BlgeomError, InputError, ValidationFailure
 from .invariants import (compare_fingerprints, quermassintegrals, roundness)
 from .manifold import bl_field, fingerprint_cloud, is_locally_minkowski
-from .metric import MAX_QUAD_LEVEL, bl_metric, bl_metric_converged, ellipsoids
+from .metric import MAX_QUAD_LEVEL, bl_metric, bl_metric_converged
 from .norms import validate
 from .quadrature import auto_quadrature
 from .verify import run_suite
@@ -86,14 +86,14 @@ def _load_validated_norm(path, seed):
 
 def cmd_metric(args):
     norm = _load_validated_norm(args.norm, args.mc_seed)
-    g, info = bl_metric_converged(norm, tol=args.tol, level=args.quad_level,
-                                  seed=args.mc_seed)
+    bl, info = bl_metric_converged(norm, tol=args.tol, level=args.quad_level,
+                                   seed=args.mc_seed)
     payload = {
-        "metric": g.tolist(),
-        "dual_matrix": info.dual_matrix.tolist(),
-        "unit_ball_volume": info.unit_ball_volume,
-        "condition_number": info.condition_number,
-        "quadrature": {"scheme": info.scheme, "level": info.level,
+        "metric": bl.metric.tolist(),
+        "dual_matrix": bl.dual.tolist(),
+        "unit_ball_volume": bl.volume,
+        "condition_number": bl.condition_number,
+        "quadrature": {"scheme": bl.quad.scheme, "level": bl.quad.level,
                        "converged": info.converged,
                        "achieved_tol": info.achieved_tol},
     }
@@ -104,7 +104,7 @@ def cmd_metric(args):
 def cmd_ellipsoid(args):
     norm = _load_validated_norm(args.norm, args.mc_seed)
     quad = auto_quadrature(norm, level=args.quad_level, seed=args.mc_seed)
-    binet, legendre = ellipsoids(norm, quad)
+    binet, legendre = bl_metric(norm, quad).ellipsoids()
     payload = {
         "binet": {"shape": binet.shape.tolist(), "scale": binet.scale,
                   "space": "dual"},
@@ -118,9 +118,9 @@ def cmd_ellipsoid(args):
 def cmd_invariants(args):
     norm = _load_validated_norm(args.norm, args.mc_seed)
     quad = auto_quadrature(norm, level=args.quad_level, seed=args.mc_seed)
-    g = bl_metric(norm, quad)
-    qm = quermassintegrals(norm, g, level=args.quad_level)
-    mu, big_m = roundness(norm, g)
+    bl = bl_metric(norm, quad)
+    qm = quermassintegrals(bl)
+    mu, big_m = roundness(norm, bl.metric)
     payload = {
         "quermassintegrals": qm.values.tolist(),
         "roundness": {"mu": mu, "M": big_m},

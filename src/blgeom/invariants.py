@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import InputError, UnsupportedDimensionError
-from .metric import assert_spd, bl_metric, unit_ball_volume
+from .metric import BLMetric, assert_spd, bl_metric
 from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, sphere_directions,
                     sphere_polish)
 from .quadrature import auto_quadrature, circle_rule
@@ -54,22 +54,23 @@ class Quermassintegrals:
                          for j in range(self.dim + 1)))
 
 
-def quermassintegrals(norm: MinkowskiNorm, metric: np.ndarray, *,
-                      level: int = 0) -> Quermassintegrals:
-    """Steiner coefficients of the unit ball in G-orthonormal coordinates.
+def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
+    """Steiner coefficients of the unit ball in coordinates where the
+    record's metric G is the identity, at the record's quadrature level.
 
-    n = 2: W_0 = area (radial integral), W_1 = half the support-function
-    integral over the circle (Cauchy's perimeter formula), W_2 = pi.
+    n = 2: W_0 = vol(Omega) sqrt(det G), the record's area in those
+    coordinates, W_1 = half the support-function integral over the circle
+    (Cauchy's perimeter formula), W_2 = pi.
     n = 3: the body is approximated by the polytope inscribed through
     20000 * 2^level directions; W_0 = volume, W_1 = surface/3, and W_2 comes
     from the exact polytope mean-width term sum(edge length * exterior
     dihedral angle) / 6, with W_3 = 4 pi / 3.
     Other dimensions raise; there is no silent fallback.
     """
-    n = norm.dim
-    body = orthonormalize(norm, metric)
+    n, level = bl.norm.dim, bl.quad.level
+    body = orthonormalize(bl.norm, bl.metric)
     if n == 2:
-        w0 = unit_ball_volume(body, auto_quadrature(body, level=level))
+        w0 = bl.volume * float(np.sqrt(np.linalg.det(bl.metric)))
         squad = circle_rule(body.support_kink_angles(), level)
         h = body._support(squad.nodes)   # unpolished without a closed form; ROADMAP item 1 removes it
         w1 = 0.5 * float(np.dot(squad.weights, h))
@@ -126,21 +127,16 @@ def roundness(norm: MinkowskiNorm, metric: np.ndarray) -> tuple[float, float]:
 
 def isotropy_defect(norm: MinkowskiNorm) -> float:
     """M/mu - 1 against the norm's own metric; ~0 certifies a euclidean norm."""
-    g = bl_metric(norm, auto_quadrature(norm))
-    mu, big_m = roundness(norm, g)
+    mu, big_m = roundness(norm, bl_metric(norm, auto_quadrature(norm)).metric)
     return big_m / mu - 1.0
 
 
-def fingerprint_point(norm: MinkowskiNorm, *, level: int = 0,
-                      metric: np.ndarray | None = None) -> np.ndarray:
-    """(W_0, ..., W_{n-1}, mu, M) against the norm's own metric, solved
-    here unless the caller passes it as ``metric``."""
-    if norm.dim not in (2, 3):
-        raise UnsupportedDimensionError("fingerprints are implemented for n in {2, 3}")
-    g = bl_metric(norm, auto_quadrature(norm, level=level)) if metric is None else metric
-    qm = quermassintegrals(norm, g, level=level)
-    mu, big_m = roundness(norm, g)
-    return np.concatenate([qm.values[: norm.dim], [mu, big_m]])
+def fingerprint_point(bl: BLMetric) -> np.ndarray:
+    """(W_0, ..., W_{n-1}, mu, M) of the record's norm against its own
+    metric; dimensions other than 2 and 3 raise in ``quermassintegrals``."""
+    qm = quermassintegrals(bl)
+    mu, big_m = roundness(bl.norm, bl.metric)
+    return np.concatenate([qm.values[: bl.norm.dim], [mu, big_m]])
 
 
 @dataclass

@@ -474,23 +474,24 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
                 memo: dict | None = None):
     """Checked metric tensors at ``pts`` by GL-equivariance, as ``bl_field``
     describes; a failure names its point, called ``site`` in the message.
-    ``memo`` maps id(base) to (base, metric) for bases already solved at
-    this level, and gains every new solve.
-    Returns (tensors, base index of each point, bases, base metrics)."""
+    ``memo`` maps id(base) to the ``BLMetric`` record of a base already
+    solved at this level (the record holds the base, so the id stays
+    taken), and gains every new solve.
+    Returns (tensors, base index of each point, base records)."""
     n = structure.dim
     failure = f"metric evaluation failed at {site}"
     maps, bases, base_of_point = _peel(structure, pts, failure)
     memo = {} if memo is None else memo
-    base_metrics = []
+    records = []
     for b, base in enumerate(bases):
         if id(base) not in memo:
             try:
-                memo[id(base)] = base, bl_metric(base, auto_quadrature(base, level=level))
+                memo[id(base)] = bl_metric(base, auto_quadrature(base, level=level))
             except Exception as exc:
                 x = pts[np.argmax(base_of_point == b)]
                 raise NumericalFailure(f"{failure} {x}: {exc}") from exc
-        base_metrics.append(memo[id(base)][1])
-    g0 = np.array(base_metrics)[base_of_point]
+        records.append(memo[id(base)])
+    g0 = np.array([bl.metric for bl in records])[base_of_point]
     values = np.swapaxes(maps, 1, 2) @ g0 @ maps
     values = 0.5 * (values + np.swapaxes(values, 1, 2))
     finite = np.isfinite(values).all(axis=(1, 2))
@@ -507,7 +508,7 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
         else:
             problem = f"metric tensor is too ill-conditioned (cond = {cond[k]:.3e})"
         raise NumericalFailure(f"{failure} {pts[k]}: {problem}")
-    return values, base_of_point, bases, base_metrics
+    return values, base_of_point, records
 
 
 def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
@@ -907,7 +908,7 @@ def fingerprint_cloud(structure: FinslerStructure, grid=None, *, level: int = 0)
     fingerprint is taken in coordinates where the norm's own metric is the
     identity, so it is GL-invariant: base o A has the fingerprint of base.
     Each point's norm is peeled into base o A and ``fingerprint_point`` runs
-    once per distinct base, on the base metric the gate already solved.
+    once per distinct base, on the base record the gate already solved.
     Every point's tensor A^T g_base A still passes
     the finite, positive-definite and ``CONDITION_LIMIT`` gate of
     ``bl_field``, so a point whose own metric would fail raises
@@ -917,7 +918,6 @@ def fingerprint_cloud(structure: FinslerStructure, grid=None, *, level: int = 0)
         grid = (8,) * structure.dim
     width = structure.chart_hi - structure.chart_lo
     _, pts = _lattice(structure.chart_lo + 0.05 * width, structure.chart_hi - 0.05 * width, grid)
-    _, base_of_point, bases, metrics = _gl_metrics(structure, pts, level, "point")
-    rows = np.array([fingerprint_point(base, level=level, metric=g)
-                     for base, g in zip(bases, metrics)])
+    _, base_of_point, records = _gl_metrics(structure, pts, level, "point")
+    rows = np.array([fingerprint_point(bl) for bl in records])
     return pts, rows[base_of_point]

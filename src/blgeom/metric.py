@@ -13,8 +13,9 @@ powers of 1/F, which is what the quadrature rules evaluate:
     vol(Omega) = (1/n) sum_k w_k F(u_k)^-n.
 
 Both sums come from one evaluation of F on the rule's nodes, and g is
-(M*)^-1, so every entry point makes one pass per rule; the refinement
-loop keeps the final rule's volume and M* next to its metric.
+(M*)^-1.  ``bl_metric`` makes that one pass and keeps all of it in one
+``BLMetric`` record, from which the ellipsoids, the refinement loop and
+the Steiner coefficients read what they need.
 
 The unit ball of m* in the dual space is the Binet ellipsoid of Omega; the
 ball of the inverse metric, rescaled by (vol(Omega)/vol(ball))^(1/(n+2)),
@@ -94,70 +95,83 @@ def _invert(m: np.ndarray):
     return 0.5 * (g + g.T), cond
 
 
-def unit_ball_volume(norm: MinkowskiNorm, quad: SphericalQuadrature) -> float:
-    """vol{F <= 1} by the radial volume formula."""
-    return _moments(quad, _norm_values(norm, quad))[0]
+@dataclass(frozen=True, eq=False)
+class BLMetric:
+    """The Binet-Legendre record of ``norm`` on the rule ``quad``: F's
+    values on the rule's nodes, vol(Omega), the dual moment matrix M*, the
+    metric g = (M*)^-1 and the condition number of M*, all from one pass."""
+
+    norm: MinkowskiNorm
+    quad: SphericalQuadrature
+    values: np.ndarray
+    volume: float
+    dual: np.ndarray
+    metric: np.ndarray
+    condition_number: float
+
+    def ellipsoids(self):
+        """(Binet, Legendre) ellipsoids.
+
+        Binet is the unit ball of M* in dual-basis coordinates.  Legendre,
+        the ellipsoid matching the unit ball's moments of inertia, is the
+        metric's unit ball scaled by (vol(Omega)/vol(B))^(1/(n+2)), with
+        vol(B) computed analytically from det of the metric.
+        """
+        n = self.norm.dim
+        vol_b = ball_volume(n) / np.sqrt(np.linalg.det(self.metric))
+        scale = (self.volume / vol_b) ** (1.0 / (n + 2))
+        return Ellipsoid(self.dual, 1.0), Ellipsoid(self.metric, scale)
 
 
-def dual_scalar_matrix(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
-    """Matrix of the dual scalar product in the coordinate dual basis."""
-    return _moments(quad, _norm_values(norm, quad))[1]
-
-
-def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
-    """The metric on vectors: inverse of the dual moment matrix."""
-    return _invert(dual_scalar_matrix(norm, quad))[0]
+def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> BLMetric:
+    """The Binet-Legendre record of ``norm``: one evaluation of F over ``quad``."""
+    f = _norm_values(norm, quad)
+    vol, m = _moments(quad, f)
+    g, cond = _invert(m)
+    return BLMetric(norm, quad, f, vol, m, g, cond)
 
 
 @dataclass
 class ConvergenceInfo:
     converged: bool
     achieved_tol: Optional[float]  # None when no two levels were compared
-    level: int
-    scheme: str
-    unit_ball_volume: float
-    dual_matrix: np.ndarray
-    condition_number: float
 
 
-def _mc_standard_error(quad: SphericalQuadrature, f: np.ndarray, g: np.ndarray) -> float:
-    """Batch-means relative standard error of ``g`` from metrics of slices of ``f``."""
-    size = len(quad) // MC_BATCHES
-    samples = [_invert(_moments(quad, f, slice(b * size, (b + 1) * size))[1])[0]
+def _mc_standard_error(bl: BLMetric) -> float:
+    """Batch-means relative standard error of the record's metric, from the
+    metrics of slices of its F values."""
+    size = len(bl.quad) // MC_BATCHES
+    samples = [_invert(_moments(bl.quad, bl.values, slice(b * size, (b + 1) * size))[1])[0]
                for b in range(MC_BATCHES)]
     spread = np.std(np.array(samples), axis=0) / np.sqrt(MC_BATCHES)
-    return float(np.linalg.norm(spread) / np.linalg.norm(g))
+    return float(np.linalg.norm(spread) / np.linalg.norm(bl.metric))
 
 
 def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0,
                         seed: int = 0, mc_tol: float = 1e-3):
-    """Metric with a refinement acceptance rule.
+    """The record at the first accepted refinement level, and how it was accepted.
 
     Deterministic schemes compute at consecutive refinement levels and
-    accept once the relative Frobenius change drops below ``tol``.
-    Monte-Carlo schemes use variance-based stopping instead: accept when
-    the batch-means relative standard error falls below ``mc_tol``, and
-    report that standard error as the achieved tolerance.  Either way
-    refinement is capped at ``MAX_QUAD_LEVEL``; a deterministic start there
-    compares no two levels and reports ``achieved_tol`` None.  F is evaluated
-    once per level; the info also holds the final rule's volume, M* and its
-    condition number.
+    accept once the relative Frobenius change of the metric drops below
+    ``tol``.  Monte-Carlo schemes use variance-based stopping instead:
+    accept when the batch-means relative standard error falls below
+    ``mc_tol``, and report that standard error as the achieved tolerance.
+    Either way refinement is capped at ``MAX_QUAD_LEVEL``; a deterministic
+    start there compares no two levels and reports ``achieved_tol`` None.
+    ``bl_metric`` runs once per level.  Returns (BLMetric, ConvergenceInfo).
     """
     quad = auto_quadrature(norm, level=level, seed=seed)
-    g, achieved, converged = None, None, False
+    bl, achieved, converged = None, None, False
     while True:
-        f = _norm_values(norm, quad)
-        vol, m = _moments(quad, f)
-        g_prev, (g, cond) = g, _invert(m)
+        prev, bl = bl, bl_metric(norm, quad)
         if quad.scheme == "monte-carlo":
-            achieved = _mc_standard_error(quad, f, g)
+            achieved = _mc_standard_error(bl)
             converged = achieved <= mc_tol
-        elif g_prev is not None:
-            achieved = float(np.linalg.norm(g - g_prev) / np.linalg.norm(g))
+        elif prev is not None:
+            achieved = float(np.linalg.norm(bl.metric - prev.metric) / np.linalg.norm(bl.metric))
             converged = achieved < tol
         if converged or quad.level >= MAX_QUAD_LEVEL:
-            return g, ConvergenceInfo(converged, achieved, quad.level, quad.scheme,
-                                      vol, m, cond)
+            return bl, ConvergenceInfo(converged, achieved)
         quad = auto_quadrature(norm, level=quad.level + 1, seed=seed)
 
 
@@ -200,30 +214,6 @@ class Ellipsoid:
     def radii(self) -> np.ndarray:
         """Semi-axis lengths."""
         return self.scale / np.sqrt(np.linalg.eigvalsh(self.shape))
-
-
-def binet_ellipsoid(norm: MinkowskiNorm, quad: SphericalQuadrature) -> Ellipsoid:
-    """Unit ball of the dual scalar product, in dual-basis coordinates."""
-    return Ellipsoid(dual_scalar_matrix(norm, quad), 1.0)
-
-
-def legendre_ellipsoid(norm: MinkowskiNorm, quad: SphericalQuadrature) -> Ellipsoid:
-    """The ellipsoid matching the unit ball's moments of inertia.
-
-    It is the metric's unit ball scaled by (vol(Omega)/vol(B))^(1/(n+2)),
-    with vol(B) computed analytically from det of the metric.
-    """
-    return ellipsoids(norm, quad)[1]
-
-
-def ellipsoids(norm: MinkowskiNorm, quad: SphericalQuadrature):
-    """(Binet, Legendre) ellipsoids from one evaluation of F over ``quad``."""
-    vol_omega, m = _moments(quad, _norm_values(norm, quad))
-    binet = Ellipsoid(m, 1.0)
-    g = _invert(m)[0]
-    vol_b = ball_volume(norm.dim) / np.sqrt(np.linalg.det(g))
-    scale = (vol_omega / vol_b) ** (1.0 / (norm.dim + 2))
-    return binet, Ellipsoid(g, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,9 @@ def _norm_from_spec(spec, depth):
     if family == "euclidean":
         return Euclidean(as_reals(spec["matrix"], f"{what} key 'matrix'"))
     if family == "lp":
-        return LpNorm(np.inf if spec["p"] in ("inf", "infinity") else _number(spec, "p", what),
-                      spec["dim"])
+        p = spec["p"]
+        return LpNorm(np.inf if isinstance(p, str) and p in ("inf", "infinity")
+                      else _number(spec, "p", what), spec["dim"])
     if family == "polytope":
         return PolytopeGauge(as_reals(spec["vertices"], f"{what} key 'vertices'"))
     if family == "linear-image":

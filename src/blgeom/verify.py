@@ -19,9 +19,7 @@ from .manifold import (berwald_defect, bl_field, conformal_factor,
                        conformal_rescale, constant_structure,
                        is_locally_minkowski, l1_l2_interpolation,
                        rectangle_loop, rigid_motion, square_gauge)
-from .metric import (binet_ellipsoid, bl_metric, dual_scalar_matrix,
-                     legendre_ellipsoid, moment_of_inertia,
-                     relative_qf_deviation)
+from .metric import bl_metric, moment_of_inertia, relative_qf_deviation
 from .norms import (Euclidean, LpNorm, QuarticAxial, WeightedSum,
                     linear_image, rescale, validate)
 from .quadrature import auto_quadrature
@@ -48,6 +46,11 @@ def _check(name, value, tol, note=""):
 def _check_at_least(name, value, tol, note=""):
     return CheckResult(name, float(value), float(tol), bool(value >= tol),
                        note or "must be at least the bound")
+
+
+def _bl(norm, level=0):
+    """The Binet-Legendre record of ``norm`` on its own rule at ``level``."""
+    return bl_metric(norm, auto_quadrature(norm, level=level))
 
 
 def _random_spd(rng, n, lo=0.5, hi=2.0):
@@ -121,14 +124,14 @@ def suite_metric_properties(seed: int = 0):
     for n in (2, 3):
         for _ in range(5):
             g0 = _random_spd(rng, n)
-            g = bl_metric(Euclidean(g0), auto_quadrature(Euclidean(g0), level=1))
+            g = _bl(Euclidean(g0), 1).metric
             worst = max(worst, np.linalg.norm(g - g0) / np.linalg.norm(g0))
     results.append(_check("euclidean recovery (metric equals input)", worst, 1e-8))
 
     sq = catalog.builtin_norm("square-max")
     dia = catalog.builtin_norm("diamond-l1")
-    g_sq = bl_metric(sq, auto_quadrature(sq))
-    g_dia = bl_metric(dia, auto_quadrature(dia))
+    g_sq = _bl(sq).metric
+    g_dia = _bl(dia).metric
     results.append(_check("square max-norm metric is 0.75 I",
                           np.abs(g_sq - 0.75 * np.eye(2)).max(), 1e-6))
     results.append(_check("diamond 1-norm metric is 1.5 I",
@@ -137,9 +140,8 @@ def suite_metric_properties(seed: int = 0):
     worst = 0.0
     for norm in _sample_norms(rng):
         a = _random_invertible(rng, norm.dim)
-        g = bl_metric(norm, auto_quadrature(norm, level=1))
-        g_img = bl_metric(linear_image(norm, a),
-                          auto_quadrature(linear_image(norm, a), level=1))
+        g = _bl(norm, 1).metric
+        g_img = _bl(linear_image(norm, a), 1).metric
         target = a.T @ g @ a
         worst = max(worst, np.linalg.norm(g_img - target) / np.linalg.norm(target))
     results.append(_check("linear equivariance g(F o A) = A^T g A", worst, 1e-6))
@@ -147,9 +149,8 @@ def suite_metric_properties(seed: int = 0):
     worst = 0.0
     for norm in (sq, QuarticAxial(2), Euclidean(_random_spd(rng, 3))):
         kappa = float(rng.uniform(0.2, 5.0))
-        g = bl_metric(norm, auto_quadrature(norm, level=1))
-        g_scaled = bl_metric(rescale(norm, kappa),
-                             auto_quadrature(rescale(norm, kappa), level=1))
+        g = _bl(norm, 1).metric
+        g_scaled = _bl(rescale(norm, kappa), 1).metric
         worst = max(worst, np.linalg.norm(g_scaled - kappa ** 2 * g)
                     / np.linalg.norm(g_scaled))
     results.append(_check("scaling law g(kappa F) = kappa^2 g(F)", worst, 1e-8))
@@ -157,8 +158,8 @@ def suite_metric_properties(seed: int = 0):
     # sandwich bound from a measured bilipschitz constant
     f1 = catalog.builtin_norm("hexagon")
     f2 = WeightedSum(0.7, 0.3, f1, Euclidean(np.eye(2)))
-    g1 = bl_metric(f1, auto_quadrature(f1, level=1))
-    g2 = bl_metric(f2, auto_quadrature(f2, level=1))
+    g1 = _bl(f1, 1).metric
+    g2 = _bl(f2, 1).metric
     dirs = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
     u = np.column_stack([np.cos(dirs), np.sin(dirs)])
     ratio = f2.values(u) / f1.values(u)
@@ -177,8 +178,8 @@ def suite_metric_properties(seed: int = 0):
     pert = WeightedSum(1.0 - eps, eps * 0.9, base, Euclidean(np.eye(2)))
     ratio = pert.values(u) / base.values(u)
     eps_measured = float(np.abs(ratio - 1.0).max())
-    g_b = bl_metric(base, auto_quadrature(base, level=1))
-    g_p = bl_metric(pert, auto_quadrature(pert, level=1))
+    g_b = _bl(base, 1).metric
+    g_p = _bl(pert, 1).metric
     bound = ((1 + eps_measured) / (1 - eps_measured)) ** (2 * n) - 1.0
     dev = relative_qf_deviation(g_p, g_b)
     results.append(_check("C0-stability quadratic-form deviation", dev, bound,
@@ -201,16 +202,14 @@ def suite_metric_properties(seed: int = 0):
 
     worst_smooth = 0.0
     for norm in (QuarticAxial(2), Euclidean(_random_spd(rng, 2)), LpNorm(4, 2)):
-        m0 = dual_scalar_matrix(norm, auto_quadrature(norm, level=0))
-        m1 = dual_scalar_matrix(norm, auto_quadrature(norm, level=1))
+        m0, m1 = _bl(norm, 0).dual, _bl(norm, 1).dual
         worst_smooth = max(worst_smooth, np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     results.append(_check("quadrature doubling change, smooth families",
                           worst_smooth, 1e-8))
     worst_poly = 0.0
     for name in ("square-max", "diamond-l1", "hexagon", "asymmetric-triangle"):
         norm = catalog.builtin_norm(name)
-        m0 = dual_scalar_matrix(norm, auto_quadrature(norm, level=0))
-        m1 = dual_scalar_matrix(norm, auto_quadrature(norm, level=1))
+        m0, m1 = _bl(norm, 0).dual, _bl(norm, 1).dual
         worst_poly = max(worst_poly, np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     results.append(_check("quadrature doubling change, polytope gauges",
                           worst_poly, 1e-6))
@@ -222,24 +221,23 @@ def suite_ellipsoids(seed: int = 0):
     results = []
 
     eu = Euclidean(np.eye(2))
-    ell = legendre_ellipsoid(eu, auto_quadrature(eu))
+    ell = _bl(eu).ellipsoids()[1]
     results.append(_check("euclidean ball is its own moment ellipsoid",
                           abs(ell.scale - 1.0), 1e-8))
 
     sq = catalog.builtin_norm("square-max")
-    q = auto_quadrature(sq)
-    bin_ell = binet_ellipsoid(sq, q)
+    bin_ell = _bl(sq).ellipsoids()[0]
     results.append(_check("square dual ellipsoid radius sqrt(3)/2",
                           abs(bin_ell.radii()[0] - np.sqrt(3.0) / 2.0), 1e-8))
 
     worst = 0.0
     for name in ("square-max", "diamond-l1"):
         norm = catalog.builtin_norm(name)
-        qn = auto_quadrature(norm)
-        ell = legendre_ellipsoid(norm, qn)
+        bl = _bl(norm)
+        ell = bl.ellipsoids()[1]
         for theta in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
             lhs = ell.moment_of_inertia(theta)
-            rhs = moment_of_inertia(norm, theta, quad=qn).value
+            rhs = moment_of_inertia(norm, theta, quad=bl.quad).value
             worst = max(worst, abs(lhs - rhs) / rhs)
     results.append(_check("moment identity (deterministic both sides)", worst, 1e-9))
 
@@ -247,7 +245,7 @@ def suite_ellipsoids(seed: int = 0):
     worst_sigma = 0.0
     for name in ("square-max", "diamond-l1"):
         norm = catalog.builtin_norm(name)
-        ell = legendre_ellipsoid(norm, auto_quadrature(norm))
+        ell = _bl(norm).ellipsoids()[1]
         for k, theta in enumerate(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])):
             mc = moment_of_inertia(norm, theta, method="mc", samples=10 ** 6,
                                    seed=seed + k)
@@ -258,16 +256,16 @@ def suite_ellipsoids(seed: int = 0):
 
     a = _random_invertible(rng, 2)
     img = linear_image(sq, a)
-    m_img = dual_scalar_matrix(img, auto_quadrature(img, level=1))
-    m = dual_scalar_matrix(sq, auto_quadrature(sq, level=1))
+    m_img = _bl(img, 1).dual
+    m = _bl(sq, 1).dual
     # dual moment matrix pushes forward contravariantly: M*(F o A) = A^-1 M* A^-T
     target = np.linalg.inv(a) @ m @ np.linalg.inv(a).T
     results.append(_check("dual ellipsoid transforms contravariantly",
                           np.linalg.norm(m_img - target) / np.linalg.norm(target), 1e-6))
 
     kappa = float(rng.uniform(0.5, 3.0))
-    ell1 = legendre_ellipsoid(sq, auto_quadrature(sq))
-    ell2 = legendre_ellipsoid(rescale(sq, kappa), auto_quadrature(rescale(sq, kappa)))
+    ell1 = _bl(sq).ellipsoids()[1]
+    ell2 = _bl(rescale(sq, kappa)).ellipsoids()[1]
     r1 = ell1.radii()
     r2 = ell2.radii()
     results.append(_check("moment ellipsoid scales by 1/kappa",
@@ -280,28 +278,28 @@ def suite_invariants(seed: int = 0):
     results = []
 
     sq = catalog.builtin_norm("square-max")
-    fp = fingerprint_point(sq)
+    fp = fingerprint_point(_bl(sq))
     target = np.array([3.0, 2.0 * np.sqrt(3.0), np.sqrt(2.0 / 3.0), 2.0 / np.sqrt(3.0)])
     results.append(_check("square fingerprint (3, 2 sqrt 3, 0.8165, 1.1547)",
                           np.abs(fp - target).max(), 1e-4))
 
     eu = Euclidean(np.eye(2))
-    qm = quermassintegrals(eu, np.eye(2))
+    qm = quermassintegrals(_bl(eu))
     results.append(_check("disk Steiner coefficients are (pi, pi, pi)",
                           np.abs(qm.values - np.pi).max(), 1e-6))
 
     kappa = float(rng.uniform(0.3, 4.0))
-    fp_scaled = fingerprint_point(rescale(sq, kappa))
+    fp_scaled = fingerprint_point(_bl(rescale(sq, kappa)))
     results.append(_check("fingerprint invariant under rescaling",
                           np.abs(fp - fp_scaled).max() / np.abs(fp).max(), 1e-6))
 
     a = _random_invertible(rng, 2)
-    fp_img = fingerprint_point(linear_image(sq, a))
+    fp_img = fingerprint_point(_bl(linear_image(sq, a)))
     results.append(_check("fingerprint invariant under linear maps",
                           np.abs(fp - fp_img).max() / np.abs(fp).max(), 1e-5))
 
-    nb = orthonormalize(sq, bl_metric(sq, auto_quadrature(sq)))
-    nb2 = orthonormalize(nb, bl_metric(nb, auto_quadrature(nb)))
+    nb = orthonormalize(sq, _bl(sq).metric)
+    nb2 = orthonormalize(nb, _bl(nb).metric)
     pts = rng.standard_normal((200, 2))
     results.append(_check("orthonormalization is idempotent",
                           np.abs(nb2.values(pts) - nb.values(pts)).max(), 1e-9))

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from blgeom import (NumericalFailure, auto_quadrature, catalog, dual_scalar_matrix,
-                    manifold, specio, unit_ball_volume)
+from blgeom import (InputError, NumericalFailure, auto_quadrature, bl_metric, catalog,
+                    manifold, specio)
 from blgeom.cli import main
 from counting import CountingNorm
 
@@ -41,9 +41,10 @@ def test_metric_square(spec_dir, capsys):
     assert payload["quadrature"]["converged"]
 
 
-def test_every_emitted_norm_runs_metric(spec_dir, capsys):
+@pytest.mark.parametrize("command", ["metric", "ellipsoid", "invariants"])
+def test_every_emitted_norm_runs_metric(spec_dir, capsys, command):
     for path in sorted(spec_dir.glob("norm-*.json")):
-        code, out = run(capsys, "metric", "--norm", str(path))
+        code, out = run(capsys, command, "--norm", str(path))
         assert code == 0, path
         strict_json(out)
 
@@ -410,6 +411,13 @@ def test_metric_of_p_given_as_string(tmp_path, capsys, p):
         strict_json(out)
 
 
+@pytest.mark.parametrize("p", [np.array([2.0, 3.0]), np.array("inf")], ids=["array", "0d-str-array"])
+def test_library_p_array_is_input_error(p):
+    # only a str names the max norm; any other p is read as a number
+    with pytest.raises(InputError, match="key 'p' must"):
+        specio.norm_from_spec({"family": "lp", "p": p, "dim": 2})
+
+
 @pytest.mark.parametrize("p", [200, 400, 1e6])
 def test_metric_of_large_p_near_max_norm(tmp_path, capsys, p):
     # |x_i|^p over- and underflows unless each row is scaled by its largest entry
@@ -713,8 +721,9 @@ def test_metric_evaluates_no_rule_after_converging(spec_dir, capsys, monkeypatch
     quads = [auto_quadrature(norm.inner, level=lvl) for lvl in range(level + 1)]
     assert norm.rule_calls == [len(q) for q in quads]
     # the reported moments are those of the converged rule
-    assert payload["dual_matrix"] == dual_scalar_matrix(norm.inner, quads[-1]).tolist()
-    assert payload["unit_ball_volume"] == unit_ball_volume(norm.inner, quads[-1])
+    want = bl_metric(norm.inner, quads[-1])
+    assert payload["dual_matrix"] == want.dual.tolist()
+    assert payload["unit_ball_volume"] == want.volume
 
 
 def test_berwald_rejects_lattice_without_room_for_loops(spec_dir, capsys):

@@ -9,7 +9,7 @@ from blgeom import (Euclidean, InputError, LpNorm, PolytopeGauge, QuarticAxial,
                     bl_metric, compare_fingerprints, fingerprint_point,
                     isotropy_defect, linear_image, orthonormalize,
                     quermassintegrals, rescale, roundness)
-from blgeom import catalog
+from blgeom import catalog, invariants
 from blgeom.invariants import _polytope_mean_width_term
 from blgeom.norms import sphere_directions, sphere_grid
 from counting import count_values_calls
@@ -18,8 +18,17 @@ from oracles import mc_dilated_area, polytope_mean_width_term
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
-def own_metric(norm):
+def own(norm):
+    """The norm's Binet-Legendre record on its own default rule."""
     return bl_metric(norm, auto_quadrature(norm))
+
+
+def own_metric(norm):
+    return own(norm).metric
+
+
+def _no_second_rule(*args, **kwargs):
+    raise AssertionError("a second quadrature rule was built")
 
 
 def random_metric(dim, seed):
@@ -54,18 +63,33 @@ class TestOrthonormalize:
 
 class TestQuermassintegrals:
     def test_disk(self):
-        qm = quermassintegrals(Euclidean(np.eye(2)), np.eye(2))
+        qm = quermassintegrals(own(Euclidean(np.eye(2))))
         np.testing.assert_allclose(qm.values, [np.pi, np.pi, np.pi], rtol=1e-9)
 
     def test_square_in_own_metric(self):
         # orthonormal coordinates scale the square to side sqrt(3)
-        qm = quermassintegrals(SQUARE, own_metric(SQUARE))
+        qm = quermassintegrals(own(SQUARE))
         np.testing.assert_allclose(qm.values[:2], [3.0, 2.0 * np.sqrt(3.0)],
                                    rtol=1e-9)
         assert qm.values[2] == np.pi
 
+    @pytest.mark.parametrize("name", sorted(n for n in catalog.BUILTIN_NORMS
+                                            if catalog.builtin_norm(n).dim == 2))
+    def test_2d_area_from_the_record(self, monkeypatch, name):
+        # W_0 = vol(Omega) sqrt(det g) against an independent volume pass on
+        # the orthonormal body; the record's pass is the only one made
+        norm = catalog.builtin_norm(name)
+        for level in (0, 1, 2):
+            bl = bl_metric(norm, auto_quadrature(norm, level=level))
+            body = orthonormalize(norm, bl.metric)
+            want = bl_metric(body, auto_quadrature(body, level=level)).volume
+            with monkeypatch.context() as m:
+                m.setattr(invariants, "auto_quadrature", _no_second_rule)
+                qm = quermassintegrals(bl)
+            assert qm.values[0] == pytest.approx(want, rel=1e-13, abs=0)
+
     def test_ball_3d(self):
-        qm = quermassintegrals(Euclidean(np.eye(3)), np.eye(3))
+        qm = quermassintegrals(own(Euclidean(np.eye(3))))
         np.testing.assert_allclose(qm.values, 4.0 * np.pi / 3.0, rtol=1e-2)
         assert qm.values[3] == pytest.approx(4.0 * np.pi / 3.0)
 
@@ -84,10 +108,11 @@ class TestQuermassintegrals:
         assert _polytope_mean_width_term(hull) == pytest.approx(want, rel=1e-11)
 
     def test_unsupported_dimension_is_loud(self):
+        bl4 = own(LpNorm(2, 4))
         with pytest.raises(UnsupportedDimensionError):
-            quermassintegrals(LpNorm(2, 4), np.eye(4))
+            quermassintegrals(bl4)
         with pytest.raises(UnsupportedDimensionError):
-            fingerprint_point(LpNorm(2, 4))
+            fingerprint_point(bl4)
         # a sphere search has no chart on S^0
         with pytest.raises(UnsupportedDimensionError):
             roundness(LpNorm(2, 1), np.eye(1))
@@ -101,9 +126,9 @@ class TestQuermassintegrals:
     def test_steiner_consistency_against_mc(self, name):
         # vol(body + t ball) from the coefficients vs direct Monte Carlo
         norm = catalog.builtin_norm(name)
-        g = own_metric(norm)
-        qm = quermassintegrals(norm, g)
-        body = orthonormalize(norm, g)
+        bl = own(norm)
+        qm = quermassintegrals(bl)
+        body = orthonormalize(norm, bl.metric)
         for i, t in enumerate((0.1, 0.25, 0.5)):
             predicted = qm.steiner_polynomial(t)
             estimate, _ = mc_dilated_area(body, t, samples=400_000,
@@ -112,9 +137,9 @@ class TestQuermassintegrals:
 
     def test_steiner_fit_recovers_coefficients(self):
         # quadratic fit of the dilated areas, with the exact pi t^2 term pinned
-        g = own_metric(SQUARE)
-        qm = quermassintegrals(SQUARE, g)
-        body = orthonormalize(SQUARE, g)
+        bl = own(SQUARE)
+        qm = quermassintegrals(bl)
+        body = orthonormalize(SQUARE, bl.metric)
         ts = np.array([0.1, 0.2, 0.3, 0.4])
         vols = np.array([mc_dilated_area(body, t, samples=10 ** 6, seed=100 + i)[0]
                          for i, t in enumerate(ts)])
@@ -211,31 +236,31 @@ class TestIsotropyDefect:
 
 class TestFingerprint:
     def test_disk(self):
-        np.testing.assert_allclose(fingerprint_point(Euclidean(np.eye(2))),
+        np.testing.assert_allclose(fingerprint_point(own(Euclidean(np.eye(2)))),
                                    [np.pi, np.pi, 1.0, 1.0], rtol=1e-8)
 
     def test_square(self):
         target = [3.0, 2.0 * np.sqrt(3.0), np.sqrt(2.0 / 3.0), 2.0 / np.sqrt(3.0)]
-        np.testing.assert_allclose(fingerprint_point(SQUARE), target, atol=1e-4)
+        np.testing.assert_allclose(fingerprint_point(own(SQUARE)), target, atol=1e-4)
 
     def test_conformal_invariance(self):
         rng = np.random.default_rng(3)
-        fp = fingerprint_point(SQUARE)
+        fp = fingerprint_point(own(SQUARE))
         for kappa in rng.uniform(0.2, 5.0, 3):
-            fp_k = fingerprint_point(rescale(SQUARE, float(kappa)))
+            fp_k = fingerprint_point(own(rescale(SQUARE, float(kappa))))
             np.testing.assert_allclose(fp_k, fp, rtol=1e-6)
 
     def test_linear_invariance(self):
         a = np.array([[1.2, 0.3], [-0.4, 0.8]])
-        fp = fingerprint_point(catalog.builtin_norm("hexagon"))
-        fp_a = fingerprint_point(linear_image(catalog.builtin_norm("hexagon"), a))
+        fp = fingerprint_point(own(catalog.builtin_norm("hexagon")))
+        fp_a = fingerprint_point(own(linear_image(catalog.builtin_norm("hexagon"), a)))
         np.testing.assert_allclose(fp_a, fp, rtol=1e-5)
 
 
 class TestCompare:
     def test_identical_clouds(self):
-        cloud = np.array([fingerprint_point(SQUARE),
-                          fingerprint_point(Euclidean(np.eye(2)))])
+        cloud = np.array([fingerprint_point(own(SQUARE)),
+                          fingerprint_point(own(Euclidean(np.eye(2))))])
         res = compare_fingerprints(cloud, cloud.copy())
         assert res.hausdorff == 0.0
         assert res.verdict == "cannot distinguish"
@@ -243,8 +268,8 @@ class TestCompare:
     def test_l1_vs_euclidean_fields(self):
         # the 1-norm has mu < M while the euclidean fingerprint has mu = M
         l1 = catalog.builtin_norm("diamond-l1")
-        cloud_a = np.tile(fingerprint_point(l1), (4, 1))
-        cloud_b = np.tile(fingerprint_point(Euclidean(np.eye(2))), (4, 1))
+        cloud_a = np.tile(fingerprint_point(own(l1)), (4, 1))
+        cloud_b = np.tile(fingerprint_point(own(Euclidean(np.eye(2)))), (4, 1))
         res = compare_fingerprints(cloud_a, cloud_b)
         assert res.verdict == "not conformally equivalent"
 

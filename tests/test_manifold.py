@@ -234,7 +234,7 @@ class TestFieldAssembly:
         rng = np.random.default_rng(7)
         for k in rng.choice(len(pts), size=24, replace=False):
             norm = st.norm_at(pts[k])
-            want = bl_metric(norm, auto_quadrature(norm))
+            want = bl_metric(norm, auto_quadrature(norm)).metric
             err = np.linalg.norm(values[k] - want) / np.linalg.norm(want)
             assert err <= 1e-10, (name, pts[k], err)
 
@@ -879,7 +879,8 @@ class TestFingerprintCloud:
         # reference: the fingerprint of each point's own norm
         st = ASSEMBLY_CASES[name]
         pts, cloud = fingerprint_cloud(st, grid=(6, 4))
-        want = np.array([fingerprint_point(st.norm_at(x)) for x in pts])
+        want = np.array([fingerprint_point(bl_metric(norm, auto_quadrature(norm)))
+                         for norm in map(st.norm_at, pts)])
         np.testing.assert_allclose(cloud, want, rtol=1e-10, atol=0)
 
     def test_ill_conditioned_point_fails(self):

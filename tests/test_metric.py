@@ -3,10 +3,9 @@ import pytest
 
 from blgeom import (DefinitenessError, Ellipsoid, Euclidean, LpNorm,
                     NumericalFailure, PolytopeGauge, QuarticAxial, WeightedSum,
-                    auto_quadrature, binet_ellipsoid, bl_metric,
-                    bl_metric_converged, dual_scalar_matrix, legendre_ellipsoid,
+                    auto_quadrature, bl_metric, bl_metric_converged,
                     linear_image, moment_of_inertia, rescale,
-                    relative_qf_deviation, unit_ball_volume)
+                    relative_qf_deviation)
 from counting import CountingNorm
 from oracles import mc_body_moment, random_invertible, random_spd
 
@@ -17,16 +16,16 @@ DIAMOND = PolytopeGauge([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 class TestDualMatrix:
     def test_euclidean_identity(self):
         # for the round ball every normalized second moment is 1
-        m = dual_scalar_matrix(Euclidean(np.eye(2)), auto_quadrature(Euclidean(np.eye(2))))
+        m = bl_metric(Euclidean(np.eye(2)), auto_quadrature(Euclidean(np.eye(2)))).dual
         np.testing.assert_allclose(m, np.eye(2), atol=1e-12)
         eu3 = Euclidean(np.eye(3))
-        m3 = dual_scalar_matrix(eu3, auto_quadrature(eu3))
+        m3 = bl_metric(eu3, auto_quadrature(eu3)).dual
         np.testing.assert_allclose(m3, np.eye(3), atol=1e-10)
 
     def test_square_closed_form_and_mc_oracle(self):
         # closed form: integral of x^2 over [-1,1]^2 is 4/3, volume 4,
         # so the normalized moment is (2+2)/4 * 4/3 = 4/3
-        m = dual_scalar_matrix(SQUARE, auto_quadrature(SQUARE))
+        m = bl_metric(SQUARE, auto_quadrature(SQUARE)).dual
         np.testing.assert_allclose(m, (4.0 / 3.0) * np.eye(2), atol=1e-12)
         mc, err = mc_body_moment(lambda p: SQUARE.values(p) <= 1.0,
                                  [-1, -1], [1, 1], [1.0, 0.0],
@@ -35,7 +34,7 @@ class TestDualMatrix:
 
     def test_diamond_closed_form_and_mc_oracle(self):
         # integral of x^2 over the cross-polytope is 1/3, volume 2
-        m = dual_scalar_matrix(DIAMOND, auto_quadrature(DIAMOND))
+        m = bl_metric(DIAMOND, auto_quadrature(DIAMOND)).dual
         np.testing.assert_allclose(m, (2.0 / 3.0) * np.eye(2), atol=1e-12)
         mc, err = mc_body_moment(lambda p: DIAMOND.values(p) <= 1.0,
                                  [-1, -1], [1, 1], [1.0, 0.0],
@@ -56,7 +55,7 @@ class TestDualMatrix:
         from oracles import polygon_dual_moment_matrix
 
         gauge = PolytopeGauge(vertices)
-        m = dual_scalar_matrix(gauge, auto_quadrature(gauge))
+        m = bl_metric(gauge, auto_quadrature(gauge)).dual
         oracle = polygon_dual_moment_matrix(vertices)
         np.testing.assert_allclose(m, oracle, atol=1e-12)
         np.testing.assert_allclose(m, closed_form, atol=1e-12)
@@ -67,7 +66,7 @@ class TestDualMatrix:
                 return np.maximum(pts[:, 0], 0.0)
 
         with pytest.raises(DefinitenessError):
-            dual_scalar_matrix(Bad(2, 2), auto_quadrature(LpNorm(2, 2)))
+            bl_metric(Bad(2, 2), auto_quadrature(LpNorm(2, 2)))
 
 
 class TestMetric:
@@ -77,13 +76,13 @@ class TestMetric:
             for _ in range(5):
                 g0 = random_spd(rng, n)
                 norm = Euclidean(g0)
-                g = bl_metric(norm, auto_quadrature(norm, level=1))
+                g = bl_metric(norm, auto_quadrature(norm, level=1)).metric
                 assert np.linalg.norm(g - g0) / np.linalg.norm(g0) < 1e-8
 
     def test_square_and_diamond(self):
-        g_sq = bl_metric(SQUARE, auto_quadrature(SQUARE))
+        g_sq = bl_metric(SQUARE, auto_quadrature(SQUARE)).metric
         np.testing.assert_allclose(g_sq, 0.75 * np.eye(2), atol=1e-6)
-        g_dia = bl_metric(DIAMOND, auto_quadrature(DIAMOND))
+        g_dia = bl_metric(DIAMOND, auto_quadrature(DIAMOND)).metric
         np.testing.assert_allclose(g_dia, 1.5 * np.eye(2), atol=1e-6)
 
     def test_gl_equivariance(self):
@@ -94,8 +93,8 @@ class TestMetric:
         for norm in norms:
             a = random_invertible(rng, norm.dim)
             img = linear_image(norm, a)
-            g = bl_metric(norm, auto_quadrature(norm, level=1))
-            g_img = bl_metric(img, auto_quadrature(img, level=1))
+            g = bl_metric(norm, auto_quadrature(norm, level=1)).metric
+            g_img = bl_metric(img, auto_quadrature(img, level=1)).metric
             target = a.T @ g @ a
             assert (np.linalg.norm(g_img - target) / np.linalg.norm(target)
                     < 1e-6)
@@ -103,9 +102,9 @@ class TestMetric:
     def test_scaling_law(self):
         for norm in (SQUARE, QuarticAxial(2)):
             kappa = 2.7
-            g = bl_metric(norm, auto_quadrature(norm))
+            g = bl_metric(norm, auto_quadrature(norm)).metric
             scaled = rescale(norm, kappa)
-            g_s = bl_metric(scaled, auto_quadrature(scaled))
+            g_s = bl_metric(scaled, auto_quadrature(scaled)).metric
             np.testing.assert_allclose(g_s, kappa ** 2 * g, rtol=1e-8,
                                        atol=1e-12)
 
@@ -117,8 +116,8 @@ class TestMetric:
         u = np.column_stack([np.cos(ang), np.sin(ang)])
         ratio = f2.values(u) / f1.values(u)
         c = max(ratio.max(), 1.0 / ratio.min()) * (1 + 1e-12)
-        g1 = bl_metric(f1, auto_quadrature(f1, level=1))
-        g2 = bl_metric(f2, auto_quadrature(f2, level=1))
+        g1 = bl_metric(f1, auto_quadrature(f1, level=1)).metric
+        g2 = bl_metric(f2, auto_quadrature(f2, level=1)).metric
         from scipy.linalg import eigh
 
         lam = eigh(g2, g1, eigvals_only=True)
@@ -131,8 +130,8 @@ class TestMetric:
         ang = np.linspace(0, 2 * np.pi, 8192, endpoint=False)
         u = np.column_stack([np.cos(ang), np.sin(ang)])
         eps = np.abs(pert.values(u) / base.values(u) - 1.0).max()
-        g_b = bl_metric(base, auto_quadrature(base))
-        g_p = bl_metric(pert, auto_quadrature(pert))
+        g_b = bl_metric(base, auto_quadrature(base)).metric
+        g_p = bl_metric(pert, auto_quadrature(pert)).metric
         bound = ((1 + eps) / (1 - eps)) ** 4 - 1.0
         assert relative_qf_deviation(g_p, g_b) <= bound
 
@@ -148,68 +147,68 @@ class TestMetric:
             bl_metric(nested, auto_quadrature(nested))
 
     def test_convergence_driver(self):
-        g, info = bl_metric_converged(QuarticAxial(2), tol=1e-10)
+        _, info = bl_metric_converged(QuarticAxial(2), tol=1e-10)
         assert info.converged and info.achieved_tol < 1e-10
 
     def test_doubling_changes(self):
         for norm, tol in ((QuarticAxial(2), 1e-8), (Euclidean(np.eye(3)), 1e-8),
                           (SQUARE, 1e-6), (DIAMOND, 1e-6)):
-            m0 = dual_scalar_matrix(norm, auto_quadrature(norm))
-            m1 = dual_scalar_matrix(norm, auto_quadrature(norm, level=1))
+            m0 = bl_metric(norm, auto_quadrature(norm)).dual
+            m1 = bl_metric(norm, auto_quadrature(norm, level=1)).dual
             assert np.linalg.norm(m1 - m0) / np.linalg.norm(m1) < tol
 
 
 class TestVolume:
     def test_disk(self):
         eu = Euclidean(np.eye(2))
-        assert unit_ball_volume(eu, auto_quadrature(eu)) == pytest.approx(np.pi)
+        assert bl_metric(eu, auto_quadrature(eu)).volume == pytest.approx(np.pi)
 
     def test_square(self):
-        assert unit_ball_volume(SQUARE, auto_quadrature(SQUARE)) == pytest.approx(4.0)
+        assert bl_metric(SQUARE, auto_quadrature(SQUARE)).volume == pytest.approx(4.0)
 
     def test_ball3(self):
         eu = Euclidean(np.eye(3))
-        assert unit_ball_volume(eu, auto_quadrature(eu)) == pytest.approx(4 * np.pi / 3)
+        assert bl_metric(eu, auto_quadrature(eu)).volume == pytest.approx(4 * np.pi / 3)
 
 
 class TestEllipsoids:
     def test_binet_euclidean_is_unit_ball(self):
         eu = Euclidean(np.eye(2))
-        ell = binet_ellipsoid(eu, auto_quadrature(eu))
+        ell = bl_metric(eu, auto_quadrature(eu)).ellipsoids()[0]
         np.testing.assert_allclose(ell.shape, np.eye(2), atol=1e-12)
         assert ell.scale == 1.0
 
     def test_binet_square_radius(self):
-        ell = binet_ellipsoid(SQUARE, auto_quadrature(SQUARE))
+        ell = bl_metric(SQUARE, auto_quadrature(SQUARE)).ellipsoids()[0]
         np.testing.assert_allclose(ell.radii(), np.sqrt(3) / 2, rtol=1e-10)
 
     def test_binet_contravariance(self):
         rng = np.random.default_rng(5)
         a = random_invertible(rng, 2)
         img = linear_image(SQUARE, a)
-        m_img = dual_scalar_matrix(img, auto_quadrature(img, level=1))
-        m = dual_scalar_matrix(SQUARE, auto_quadrature(SQUARE, level=1))
+        m_img = bl_metric(img, auto_quadrature(img, level=1)).dual
+        m = bl_metric(SQUARE, auto_quadrature(SQUARE, level=1)).dual
         target = np.linalg.inv(a) @ m @ np.linalg.inv(a).T
         np.testing.assert_allclose(m_img, target, rtol=1e-8, atol=1e-10)
 
     def test_legendre_euclidean_scale_one(self):
         eu = Euclidean(np.eye(3))
-        ell = legendre_ellipsoid(eu, auto_quadrature(eu))
+        ell = bl_metric(eu, auto_quadrature(eu)).ellipsoids()[1]
         assert ell.scale == pytest.approx(1.0, abs=1e-9)
 
     def test_legendre_moment_identity(self):
         # the moment ellipsoid reproduces the body's moments in every codirection
         for norm in (SQUARE, DIAMOND):
             q = auto_quadrature(norm)
-            ell = legendre_ellipsoid(norm, q)
+            ell = bl_metric(norm, q).ellipsoids()[1]
             for theta in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
                 body = moment_of_inertia(norm, theta, quad=q).value
                 assert ell.moment_of_inertia(theta) == pytest.approx(body, rel=1e-10)
 
     def test_legendre_scaling(self):
-        ell1 = legendre_ellipsoid(SQUARE, auto_quadrature(SQUARE))
+        ell1 = bl_metric(SQUARE, auto_quadrature(SQUARE)).ellipsoids()[1]
         scaled = rescale(SQUARE, 3.0)
-        ell2 = legendre_ellipsoid(scaled, auto_quadrature(scaled))
+        ell2 = bl_metric(scaled, auto_quadrature(scaled)).ellipsoids()[1]
         np.testing.assert_allclose(ell2.radii() * 3.0, ell1.radii(), rtol=1e-10)
 
     def test_ellipsoid_volume(self):
@@ -254,24 +253,24 @@ class TestMonteCarloMetric:
         from blgeom import sphere_monte_carlo
 
         g0 = np.diag([1.0, 1.5, 0.8, 1.2])
-        g = bl_metric(Euclidean(g0), sphere_monte_carlo(4, 400_000, seed=9))
+        g = bl_metric(Euclidean(g0), sphere_monte_carlo(4, 400_000, seed=9)).metric
         assert np.linalg.norm(g - g0) / np.linalg.norm(g0) < 0.01
 
     def test_refinement_carries_the_seed(self):
         # the level-0 standard error (2.4e-3) misses mc_tol, level 1 (1.6e-3)
         # meets it, and level 1 is drawn from the caller's seed
         norm = LpNorm(1, 4)
-        g, info = bl_metric_converged(norm, seed=5, mc_tol=2e-3)
-        assert info.scheme == "monte-carlo" and info.level == 1 and info.converged
+        bl, info = bl_metric_converged(norm, seed=5, mc_tol=2e-3)
+        assert bl.quad.scheme == "monte-carlo" and bl.quad.level == 1 and info.converged
         np.testing.assert_array_equal(
-            info.dual_matrix, dual_scalar_matrix(norm, auto_quadrature(norm, level=1, seed=5)))
+            bl.dual, bl_metric(norm, auto_quadrature(norm, level=1, seed=5)).dual)
 
     def test_variance_based_stopping(self):
         g0 = np.diag([1.0, 1.5, 0.8, 1.2])
-        g, info = bl_metric_converged(Euclidean(g0), seed=9, mc_tol=2e-3)
-        assert info.scheme == "monte-carlo" and info.converged
+        bl, info = bl_metric_converged(Euclidean(g0), seed=9, mc_tol=2e-3)
+        assert bl.quad.scheme == "monte-carlo" and info.converged
         # three reported standard errors must cover the true error
-        assert np.linalg.norm(g - g0) / np.linalg.norm(g0) < 3 * info.achieved_tol
+        assert np.linalg.norm(bl.metric - g0) / np.linalg.norm(g0) < 3 * info.achieved_tol
 
 
 class TestOnePassPerRule:
@@ -279,27 +278,30 @@ class TestOnePassPerRule:
 
     def test_converge_evaluates_once_per_level(self):
         norm = CountingNorm(QuarticAxial(2))
-        g, info = bl_metric_converged(norm, tol=1e-10)
-        sizes = [len(auto_quadrature(norm, level=lvl)) for lvl in range(info.level + 1)]
+        bl, info = bl_metric_converged(norm, tol=1e-10)
+        sizes = [len(auto_quadrature(norm, level=lvl)) for lvl in range(bl.quad.level + 1)]
         assert norm.rule_calls == sizes
-        q = auto_quadrature(QuarticAxial(2), level=info.level)
-        np.testing.assert_array_equal(info.dual_matrix, dual_scalar_matrix(QuarticAxial(2), q))
-        assert info.unit_ball_volume == unit_ball_volume(QuarticAxial(2), q)
-        np.testing.assert_array_equal(g, bl_metric(QuarticAxial(2), q))
-        eigs = np.linalg.eigvalsh(info.dual_matrix)
-        assert info.condition_number == eigs[-1] / eigs[0]
+        # the record is the converged rule's own
+        want = bl_metric(QuarticAxial(2), auto_quadrature(QuarticAxial(2), level=bl.quad.level))
+        for name in ("values", "dual", "metric"):
+            np.testing.assert_array_equal(getattr(bl, name), getattr(want, name))
+        assert (bl.volume, bl.condition_number) == (want.volume, want.condition_number)
+        eigs = np.linalg.eigvalsh(bl.dual)
+        assert bl.condition_number == eigs[-1] / eigs[0]
 
     def test_monte_carlo_standard_error_evaluates_once(self):
         # the batch means are slices of the one evaluation
         norm = CountingNorm(Euclidean(np.diag([1.0, 1.5, 0.8, 1.2])))
-        g, info = bl_metric_converged(norm, seed=3, mc_tol=1.0)
-        assert info.scheme == "monte-carlo" and info.level == 0 and info.converged
+        bl, info = bl_metric_converged(norm, seed=3, mc_tol=1.0)
+        assert bl.quad.scheme == "monte-carlo" and bl.quad.level == 0 and info.converged
         assert norm.rule_calls == [1_000_000]
         assert 0.0 < info.achieved_tol < 1e-2
 
     def test_legendre_ellipsoid_evaluates_once(self):
         norm = CountingNorm(SQUARE)
         q = auto_quadrature(SQUARE)
-        ell = legendre_ellipsoid(norm, q)
+        binet, legendre = bl_metric(norm, q).ellipsoids()
         assert norm.rule_calls == [len(q)]
-        np.testing.assert_array_equal(ell.shape, bl_metric(SQUARE, q))
+        want = bl_metric(SQUARE, q)
+        np.testing.assert_array_equal(binet.shape, want.dual)
+        np.testing.assert_array_equal(legendre.shape, want.metric)
