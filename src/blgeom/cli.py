@@ -16,9 +16,9 @@ from . import catalog, specio
 from .errors import BlgeomError, InputError, ValidationFailure
 from .invariants import (compare_fingerprints, quermassintegrals, roundness)
 from .manifold import bl_field, fingerprint_cloud, is_locally_minkowski
-from .metric import MAX_QUAD_LEVEL, bl_metric, bl_metric_converged
+from .metric import bl_metric, bl_metric_converged
 from .norms import validate
-from .quadrature import auto_quadrature
+from .quadrature import MAX_QUAD_LEVEL, auto_quadrature
 from .verify import run_suite
 
 
@@ -75,9 +75,9 @@ def _write_csv(path, header, rows):
         fh.write(header + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def _load_validated_norm(path, seed):
+def _load_validated_norm(path):
     norm = specio.load_norm(path)
-    report = validate(norm, 300, seed=seed)
+    report = validate(norm, 300)
     if not report.ok:
         raise ValidationFailure(f"norm failed validation: {report.summary()}",
                                 report)
@@ -85,9 +85,8 @@ def _load_validated_norm(path, seed):
 
 
 def cmd_metric(args):
-    norm = _load_validated_norm(args.norm, args.mc_seed)
-    bl, info = bl_metric_converged(norm, tol=args.tol, level=args.quad_level,
-                                   seed=args.mc_seed)
+    norm = _load_validated_norm(args.norm)
+    bl, info = bl_metric_converged(norm, tol=args.tol, level=args.quad_level)
     payload = {
         "metric": bl.metric.tolist(),
         "dual_matrix": bl.dual.tolist(),
@@ -102,8 +101,8 @@ def cmd_metric(args):
 
 
 def cmd_ellipsoid(args):
-    norm = _load_validated_norm(args.norm, args.mc_seed)
-    quad = auto_quadrature(norm, level=args.quad_level, seed=args.mc_seed)
+    norm = _load_validated_norm(args.norm)
+    quad = auto_quadrature(norm, level=args.quad_level)
     binet, legendre = bl_metric(norm, quad).ellipsoids()
     payload = {
         "binet": {"shape": binet.shape.tolist(), "scale": binet.scale,
@@ -116,8 +115,8 @@ def cmd_ellipsoid(args):
 
 
 def cmd_invariants(args):
-    norm = _load_validated_norm(args.norm, args.mc_seed)
-    quad = auto_quadrature(norm, level=args.quad_level, seed=args.mc_seed)
+    norm = _load_validated_norm(args.norm)
+    quad = auto_quadrature(norm, level=args.quad_level)
     bl = bl_metric(norm, quad)
     qm = quermassintegrals(bl)
     mu, big_m = roundness(norm, bl.metric)
@@ -255,10 +254,6 @@ def build_parser():
                            help="path to a structure spec JSON")
         p.add_argument("--quad-level", type=quad_level, default=0,
                        help=f"quadrature refinement level, 0 to {MAX_QUAD_LEVEL} (default 0)")
-        if norm:
-            p.add_argument("--mc-seed", type=random_seed, default=0,
-                           help="seed for Monte Carlo quadrature (ignored by "
-                                "deterministic schemes)")
         p.add_argument("--out", required=out_required,
                        help="output path (default: stdout)" if not out_required
                        else "output path")

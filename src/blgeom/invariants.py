@@ -21,8 +21,8 @@ from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import InputError, UnsupportedDimensionError
 from .metric import BLMetric, assert_spd, bl_metric
-from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, sphere_directions,
-                    sphere_polish)
+from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, as_finite,
+                    sphere_directions, sphere_polish)
 from .quadrature import auto_quadrature, circle_rule
 
 
@@ -161,8 +161,8 @@ def compare_fingerprints(cloud_a, cloud_b, tol: float = 1e-3) -> FingerprintComp
     certifies "not conformally equivalent", a small one only means the
     clouds cannot be told apart.
     """
-    a = np.atleast_2d(np.asarray(cloud_a, dtype=float))
-    b = np.atleast_2d(np.asarray(cloud_b, dtype=float))
+    a = np.atleast_2d(as_finite(cloud_a, "fingerprint cloud a"))
+    b = np.atleast_2d(as_finite(cloud_b, "fingerprint cloud b"))
     if a.size == 0 or b.size == 0:
         raise InputError("fingerprint clouds must be non-empty")
     if a.shape[1] != b.shape[1]:

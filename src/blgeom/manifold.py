@@ -38,7 +38,7 @@ from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
 from .metric import CONDITION_LIMIT, bl_metric
 from .norms import (LinearImage, LpNorm, MinkowskiNorm, PolytopeGauge,
-                    WeightedSum, as_reals, validate)
+                    WeightedSum, as_finite, as_reals, validate)
 from .quadrature import auto_quadrature
 
 
@@ -235,9 +235,10 @@ def rigid_motion(structure: FinslerStructure, rotation, translation) -> FinslerS
     oracle must be defined on the preimage of that box (true for all
     built-ins, whose formulas are global).
     """
-    R = np.asarray(rotation, dtype=float)
-    t = np.asarray(translation, dtype=float)
-    if not np.allclose(R @ R.T, np.eye(len(t)), atol=1e-12):
+    n = structure.dim
+    R = as_finite(rotation, "rotation", (n, n))
+    t = as_finite(translation, "translation", (n,))
+    if not np.allclose(R @ R.T, np.eye(n), atol=1e-12):
         raise InputError("rotation matrix must be orthogonal")
     corners = _box_corners(structure.chart_lo, structure.chart_hi) @ R.T + t
 

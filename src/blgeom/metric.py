@@ -32,12 +32,11 @@ import numpy as np
 
 from .errors import (DefinitenessError, InputError, NumericalFailure,
                      QuadratureFailure)
-from .norms import MinkowskiNorm
-from .quadrature import SphericalQuadrature, auto_quadrature, ball_volume
+from .norms import MinkowskiNorm, as_finite
+from .quadrature import (MAX_QUAD_LEVEL, SphericalQuadrature, auto_quadrature,
+                         ball_volume)
 
 CONDITION_LIMIT = 1e12
-MAX_QUAD_LEVEL = 4  # refinement cap of bl_metric_converged
-MC_BATCHES = 32  # batch count of the Monte-Carlo standard error
 
 
 def assert_spd(matrix: np.ndarray, what: str = "matrix", sym_tol: float = 1e-12):
@@ -60,39 +59,6 @@ def _norm_values(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
         raise DefinitenessError(
             f"norm is not positive at node {quad.nodes[k]} (F = {f[k]:.3e})")
     return f
-
-
-def _moments(quad: SphericalQuadrature, f: np.ndarray, rows=slice(None)):
-    """(vol(Omega), M*) from F's values ``f`` on the nodes ``rows`` of ``quad``."""
-    nodes, weights, f = quad.nodes[rows], quad.weights[rows], f[rows]
-    n = quad.dim
-    vol = float(np.dot(weights, f ** (-n)) / n)
-    m = np.einsum("k,ki,kj->ij", weights * f ** (-(n + 2)), nodes, nodes) / vol
-    m = 0.5 * (m + m.T)
-    if not np.isfinite(m).all():
-        raise NumericalFailure(
-            "moment matrix is not finite (the norm's values over- or underflow "
-            f"in the powers F^-{n} and F^-{n + 2})")
-    eigs = np.linalg.eigvalsh(m)
-    if not (eigs[0] > 0.0):
-        raise QuadratureFailure(
-            "moment matrix is not positive definite after symmetrization "
-            f"(eigenvalues {eigs}, scheme {quad.scheme}, {len(weights)} nodes); "
-            "refine the quadrature")
-    return vol, m
-
-
-def _invert(m: np.ndarray):
-    """(g, cond): the metric (M*)^-1 and the condition number of M*."""
-    eigs = np.linalg.eigvalsh(m)
-    cond = float(eigs[-1] / eigs[0])
-    if not (cond <= CONDITION_LIMIT):
-        raise NumericalFailure(
-            f"dual moment matrix is too ill-conditioned to invert (cond = {cond:.3e})")
-    g = np.linalg.inv(m)
-    if not np.isfinite(g).all():
-        raise NumericalFailure("metric is not finite (the moment matrix is too small to invert)")
-    return 0.5 * (g + g.T), cond
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +92,28 @@ class BLMetric:
 def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> BLMetric:
     """The Binet-Legendre record of ``norm``: one evaluation of F over ``quad``."""
     f = _norm_values(norm, quad)
-    vol, m = _moments(quad, f)
-    g, cond = _invert(m)
-    return BLMetric(norm, quad, f, vol, m, g, cond)
+    nodes, weights, n = quad.nodes, quad.weights, quad.dim
+    vol = float(np.dot(weights, f ** (-n)) / n)
+    m = np.einsum("k,ki,kj->ij", weights * f ** (-(n + 2)), nodes, nodes) / vol
+    m = 0.5 * (m + m.T)
+    if not np.isfinite(m).all():
+        raise NumericalFailure(
+            "moment matrix is not finite (the norm's values over- or underflow "
+            f"in the powers F^-{n} and F^-{n + 2})")
+    eigs = np.linalg.eigvalsh(m)
+    if not (eigs[0] > 0.0):
+        raise QuadratureFailure(
+            "moment matrix is not positive definite after symmetrization "
+            f"(eigenvalues {eigs}, scheme {quad.scheme}, {len(weights)} nodes); "
+            "refine the quadrature")
+    cond = float(eigs[-1] / eigs[0])
+    if not (cond <= CONDITION_LIMIT):
+        raise NumericalFailure(
+            f"dual moment matrix is too ill-conditioned to invert (cond = {cond:.3e})")
+    g = np.linalg.inv(m)
+    if not np.isfinite(g).all():
+        raise NumericalFailure("metric is not finite (the moment matrix is too small to invert)")
+    return BLMetric(norm, quad, f, vol, m, 0.5 * (g + g.T), cond)
 
 
 @dataclass
@@ -137,42 +122,27 @@ class ConvergenceInfo:
     achieved_tol: Optional[float]  # None when no two levels were compared
 
 
-def _mc_standard_error(bl: BLMetric) -> float:
-    """Batch-means relative standard error of the record's metric, from the
-    metrics of slices of its F values."""
-    size = len(bl.quad) // MC_BATCHES
-    samples = [_invert(_moments(bl.quad, bl.values, slice(b * size, (b + 1) * size))[1])[0]
-               for b in range(MC_BATCHES)]
-    spread = np.std(np.array(samples), axis=0) / np.sqrt(MC_BATCHES)
-    return float(np.linalg.norm(spread) / np.linalg.norm(bl.metric))
-
-
-def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0,
-                        seed: int = 0, mc_tol: float = 1e-3):
+def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0):
     """The record at the first accepted refinement level, and how it was accepted.
 
-    Deterministic schemes compute at consecutive refinement levels and
-    accept once the relative Frobenius change of the metric drops below
-    ``tol``.  Monte-Carlo schemes use variance-based stopping instead:
-    accept when the batch-means relative standard error falls below
-    ``mc_tol``, and report that standard error as the achieved tolerance.
-    Either way refinement is capped at ``MAX_QUAD_LEVEL``; a deterministic
-    start there compares no two levels and reports ``achieved_tol`` None.
-    ``bl_metric`` runs once per level.  Returns (BLMetric, ConvergenceInfo).
+    Runs ``bl_metric`` once per level from ``level`` up to ``MAX_QUAD_LEVEL``
+    and accepts once the relative Frobenius change of the metric drops below
+    ``tol``; ``achieved_tol`` is None when no two levels were compared.  Only
+    the previous metric is kept, so each rule is freed before the next is
+    evaluated.  Returns (BLMetric, ConvergenceInfo).
     """
-    quad = auto_quadrature(norm, level=level, seed=seed)
-    bl, achieved, converged = None, None, False
+    quad = auto_quadrature(norm, level=level)
+    prev, achieved = None, None
     while True:
-        prev, bl = bl, bl_metric(norm, quad)
-        if quad.scheme == "monte-carlo":
-            achieved = _mc_standard_error(bl)
-            converged = achieved <= mc_tol
-        elif prev is not None:
-            achieved = float(np.linalg.norm(bl.metric - prev.metric) / np.linalg.norm(bl.metric))
-            converged = achieved < tol
+        bl = bl_metric(norm, quad)
+        if prev is not None:
+            achieved = float(np.linalg.norm(bl.metric - prev) / np.linalg.norm(bl.metric))
+        converged = achieved is not None and achieved < tol
         if converged or quad.level >= MAX_QUAD_LEVEL:
             return bl, ConvergenceInfo(converged, achieved)
-        quad = auto_quadrature(norm, level=quad.level + 1, seed=seed)
+        prev = bl.metric
+        del bl
+        quad = auto_quadrature(norm, level=quad.level + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +173,7 @@ class Ellipsoid:
 
     def moment_of_inertia(self, theta) -> float:
         """integral over the ellipsoid of (theta . xi)^2 d xi, closed form."""
-        theta = np.asarray(theta, dtype=float)
+        theta = as_finite(theta, "theta", (self.dim,))
         qinv = np.linalg.inv(self.shape)
         return self.volume() / (self.dim + 2) * self.scale ** 2 * float(theta @ qinv @ theta)
 
@@ -250,7 +220,7 @@ def moment_of_inertia(body: Union[MinkowskiNorm, Ellipsoid], theta, *,
     method="mc" uses seeded rejection sampling in the bounding box, in
     chunks of 2^20 points, and reports a standard-error estimate.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = as_finite(theta, "theta", (body.dim,))
     if method == "radial":
         if isinstance(body, Ellipsoid):
             return MomentResult(body.moment_of_inertia(theta))

@@ -41,7 +41,7 @@ _ZOOM_ROUNDS = 200
 
 _SUPPORT_BLOCK = 256   # covectors per cloud scan: 32 MiB of scores against 16384 points
 
-# Largest dimension of a norm: Monte-Carlo quadrature (n >= 4) holds 1e6 * 2^level
+# Largest dimension of a norm: the orthant rule (n >= 4) holds about 1e6 * 2^level
 # points of R^n, and a polytope hull can have exponentially many facets.
 MAX_DIM = 6
 
@@ -86,6 +86,16 @@ def as_reals(value, what: str) -> np.ndarray:
         raise InputError(f"{what} must be finite, got a number too large for a float") from exc
     except ValueError as exc:       # ragged, or nested past numpy's 64 axes
         raise InputError(f"{what} must be a number or an array of numbers of one shape") from exc
+
+
+def as_finite(value, what: str, shape=None) -> np.ndarray:
+    """``value`` by :func:`as_reals`, finite and, given ``shape``, of that shape."""
+    arr = as_reals(value, what)
+    if shape is not None and arr.shape != shape:
+        raise InputError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} must be finite")
+    return arr
 
 
 def as_real(value, what: str) -> float:

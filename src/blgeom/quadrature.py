@@ -8,7 +8,8 @@ Scheme choice by dimension (``auto_quadrature`` gives each level's size):
   circle is partitioned at the norm's kink angles and each panel gets a
   composite Gauss-Legendre rule, so every panel sees a smooth integrand.
 * n = 3: product Gauss-Legendre (in cos theta) x trapezoid (in phi).
-* n >= 4 (or on request): seeded Monte Carlo with equal weights.
+* n >= 4: Gauss-Legendre on the radial image of the simplex in each of the
+  2^n orthants, so |u_i| kinks lie on patch boundaries.  No rule takes a seed.
 
 Weights always sum to the full sphere measure; asymmetric integrands are
 expected, so no half-sphere shortcut is ever taken.
@@ -24,7 +25,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError
-from .norms import _TWO_PI, MinkowskiNorm, sphere_grid
+from .norms import _TWO_PI, MinkowskiNorm, as_integer, sphere_grid
+
+MAX_QUAD_LEVEL = 4  # the finest level auto_quadrature builds
 
 
 def sphere_surface_area(dim: int) -> float:
@@ -117,14 +120,25 @@ def sphere_product_gauss(n_polar: int, n_azimuth: int, level: int = 0) -> Spheri
     return SphericalQuadrature(3, nodes, weights, "product-gauss", level)
 
 
-def sphere_monte_carlo(dim: int, samples: int, seed: int = 0,
-                       level: int = 0) -> SphericalQuadrature:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, level]))
-    pts = rng.standard_normal((samples, dim))
-    # row norms without a (samples, dim) temporary
-    pts /= np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
-    w = np.full(samples, sphere_surface_area(dim) / samples)
-    return SphericalQuadrature(dim, pts, w, "monte-carlo", level)
+def sphere_orthant_gauss(dim: int, order: int, level: int = 0) -> SphericalQuadrature:
+    """2^dim * order^(dim-1) nodes on S^{dim-1}.  The simplex {x >= 0, sum x = 1},
+    whose radial image has surface element dx_1 ... dx_{dim-1} / |x|^dim, takes
+    ``order``-point Gauss-Legendre a_i on [0, 1] in collapsed coordinates
+    x_i = rest_i a_i, rest_{i+1} = rest_i (1 - a_i), x_dim = rest_dim (Duffy,
+    SIAM J. Numer. Anal. 19, 1982); the other orthants are its sign flips."""
+    t, w = _gauss_legendre(order)
+    a, wa = 0.5 * (t + 1.0), 0.5 * w
+    x, weights, rest = np.empty((order ** (dim - 1), dim)), 1.0, 1.0
+    for i, k in enumerate(np.indices((order,) * (dim - 1)).reshape(dim - 1, -1)):
+        x[:, i] = rest * a[k]
+        weights = weights * (rest * wa[k])
+        rest = rest * (1.0 - a[k])
+    x[:, -1] = rest
+    r = np.sqrt(np.einsum("ij,ij->i", x, x))
+    x /= r[:, None]
+    signs = 1.0 - 2.0 * ((np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1)
+    return SphericalQuadrature(dim, (signs[:, None, :] * x).reshape(-1, dim),
+                               np.tile(weights / r ** dim, 2 ** dim), "orthant-gauss", level)
 
 
 def circle_rule(kinks, level: int) -> SphericalQuadrature:
@@ -135,7 +149,7 @@ def circle_rule(kinks, level: int) -> SphericalQuadrature:
     return circle_trapezoid(2048 * 2 ** level, level=level)
 
 
-def auto_quadrature(norm: MinkowskiNorm, level: int = 0, seed: int = 0) -> SphericalQuadrature:
+def auto_quadrature(norm: MinkowskiNorm, level: int = 0) -> SphericalQuadrature:
     """The sphere rule of ``level`` for ``norm``: the one place that maps a
     level to a rule, so level L + 1 is the refinement of level L.
 
@@ -144,11 +158,16 @@ def auto_quadrature(norm: MinkowskiNorm, level: int = 0, seed: int = 0) -> Spher
       into 2^(level+1) panels of 32-point Gauss-Legendre.
     * n = 3: product Gauss-Legendre, 64 * 2^level (cos theta) by
       128 * 2^level (phi).
-    * n >= 4: 1e6 * 2^level Monte-Carlo points drawn from (``seed``, level).
+    * n >= 4: the orthant rule of order round((1e6 * 2^level / 2^n)^(1/(n-1))),
+      about 1e6 * 2^level nodes.
     """
+    level = as_integer(level, "quadrature level")
+    if not 0 <= level <= MAX_QUAD_LEVEL:
+        raise InputError(f"quadrature level must be between 0 and {MAX_QUAD_LEVEL}, got {level}")
     n = norm.dim
     if n == 2:
         return circle_rule(norm.kink_angles(), level)
     if n == 3:
         return sphere_product_gauss(64 * 2 ** level, 128 * 2 ** level, level=level)
-    return sphere_monte_carlo(n, 1_000_000 * 2 ** level, seed=seed, level=level)
+    order = round((1e6 * 2 ** level / 2 ** n) ** (1.0 / (n - 1)))
+    return sphere_orthant_gauss(n, order, level=level)

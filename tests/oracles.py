@@ -5,6 +5,8 @@ through nonnegative least squares, volumes through Monte Carlo rejection,
 distances through explicit point-to-segment geometry.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import nnls
 from scipy.spatial import cKDTree
@@ -23,6 +25,16 @@ def random_invertible(rng, n):
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] > 0.2 and s[0] / s[-1] < 8.0:
             return a
+
+
+def lp_ball_record(p, n):
+    """(vol, c) of the unit ball of the l_p norm in R^n, with M* = c I, from
+    Dirichlet's integral  int prod |x_i|^(a_i - 1) dx
+    = 2^n prod(Gamma(1 + a_i/p) / a_i) / Gamma(1 + sum(a_i)/p)."""
+    vol = 2 ** n * math.gamma(1 + 1 / p) ** n / math.gamma(1 + n / p)
+    second = 2 ** n * math.gamma(1 + 3 / p) * math.gamma(1 + 1 / p) ** (n - 1) / (
+        3 * math.gamma(1 + (n + 2) / p))
+    return vol, (n + 2) * second / vol
 
 
 def in_hull(vertices, point, tol=1e-10):

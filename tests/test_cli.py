@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from blgeom import (InputError, NumericalFailure, auto_quadrature, bl_metric, catalog,
-                    manifold, specio)
+from blgeom import (Ellipsoid, Euclidean, InputError, LpNorm, NumericalFailure,
+                    auto_quadrature, bl_metric, catalog, compare_fingerprints,
+                    constant_structure, manifold, moment_of_inertia, rigid_motion,
+                    specio)
 from blgeom.cli import main
 from counting import CountingNorm
 
@@ -418,6 +420,21 @@ def test_library_p_array_is_input_error(p):
         specio.norm_from_spec({"family": "lp", "p": p, "dim": 2})
 
 
+_S2D = constant_structure(Euclidean(np.eye(2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rigid_motion(_S2D, np.eye(3), [0, 0, 0]),
+    lambda: rigid_motion(_S2D, np.eye(2), [0, 0, 0]),
+    lambda: moment_of_inertia(LpNorm(2, 2), [1, 0, 0]),
+    lambda: Ellipsoid(np.eye(2)).moment_of_inertia([1, 0, 0]),
+    lambda: compare_fingerprints([[np.nan, 1]], [[1, 1]]),
+], ids=["rotation-3x3", "translation-3", "norm-theta-3", "ellipsoid-theta-3", "nan-cloud"])
+def test_library_wrong_shape_or_nonfinite_is_input_error(call):
+    with pytest.raises(InputError, match="must have shape|must be finite"):
+        call()
+
+
 @pytest.mark.parametrize("p", [200, 400, 1e6])
 def test_metric_of_large_p_near_max_norm(tmp_path, capsys, p):
     # |x_i|^p over- and underflows unless each row is scaled by its largest entry
@@ -695,13 +712,24 @@ def test_field_builds_no_derivative_spline(spec_dir, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "field.csv")]) == 0
 
 
-@pytest.mark.parametrize("command", ["field", "berwald", "fingerprint"])
-def test_structure_commands_take_no_mc_seed(spec_dir, tmp_path, capsys, command):
-    argv = [command, "--structure", str(spec_dir / "structure-constant-square.json"),
-            "--mc-seed", "1"]
-    if command != "berwald":
-        argv += ["--out", str(tmp_path / "out.csv")]
-    assert main(argv) == 2
+@pytest.mark.parametrize("argv", [
+    ["metric", "--norm", "norm-square-max.json"],
+    ["ellipsoid", "--norm", "norm-square-max.json"],
+    ["invariants", "--norm", "norm-square-max.json"],
+    ["fingerprint", "--structure", "structure-constant-square.json", "--out", "out.csv"],
+    ["compare", "--a", "a.csv", "--b", "b.csv"],
+    ["field", "--structure", "structure-constant-square.json", "--out", "out.csv"],
+    ["berwald", "--structure", "structure-constant-square.json"],
+    ["verify", "--suite", "norms"],
+    ["examples", "--list"]], ids=lambda argv: argv[0])
+def test_no_command_takes_mc_seed(spec_dir, tmp_path, capsys, argv):
+    # every rule is deterministic, so no command has a seed for it
+    argv = [str(spec_dir / a) if a.endswith(".json") else
+            str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    code = main(argv + ["--mc-seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unrecognized arguments: --mc-seed 0" in captured.err
 
 
 @pytest.mark.parametrize("name", ["hexagon", "quartic-axial-2d", "euclidean-3d"])
@@ -774,6 +802,19 @@ def test_compare_rejects_non_finite_entry(tmp_path, capsys, cell):
 
 
 _EUCLIDEAN_4D = {"family": "euclidean", "matrix": np.eye(4).tolist()}
+
+
+def test_metric_4d_converges_deterministically(tmp_path, capsys):
+    g0 = np.diag([1.0, 1.5, 0.8, 1.2])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "euclidean", "matrix": g0.tolist()}))
+    code1, out1 = run(capsys, "metric", "--norm", str(spec))
+    code2, out2 = run(capsys, "metric", "--norm", str(spec))
+    assert code1 == code2 == 0 and out1 == out2
+    payload = strict_json(out1)
+    assert payload["quadrature"]["scheme"] == "orthant-gauss"
+    assert payload["quadrature"]["converged"] is True
+    np.testing.assert_allclose(payload["metric"], g0, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("command", ["invariants", "fingerprint"])
@@ -860,13 +901,9 @@ def test_unknown_key_exit_2(tmp_path, capsys, case):
     assert captured.out == "" and f"unknown key {typo!r}" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["metric", "--mc-seed", "-1"], ["ellipsoid", "--mc-seed", "-1"],
-    ["invariants", "--mc-seed", "-1"], ["verify", "--suite", "norms", "--seed", "-1"]],
-    ids=["metric", "ellipsoid", "invariants", "verify"])
-def test_negative_seed_exit_2(spec_dir, capsys, argv):
-    if argv[0] != "verify":
-        argv = argv + ["--norm", str(spec_dir / "norm-square-max.json")]
+@pytest.mark.parametrize("argv", [["verify", "--suite", "norms", "--seed", "-1"]],
+                         ids=["verify"])
+def test_negative_seed_exit_2(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2 and out == ""
 

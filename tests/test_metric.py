@@ -7,7 +7,7 @@ from blgeom import (DefinitenessError, Ellipsoid, Euclidean, LpNorm,
                     linear_image, moment_of_inertia, rescale,
                     relative_qf_deviation)
 from counting import CountingNorm
-from oracles import mc_body_moment, random_invertible, random_spd
+from oracles import lp_ball_record, mc_body_moment, random_invertible, random_spd
 
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 DIAMOND = PolytopeGauge([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -248,29 +248,21 @@ class TestMoments:
             moment_of_inertia(SQUARE, [1.0, 0.0], method="banana")
 
 
-class TestMonteCarloMetric:
+class TestOrthantMetric:
+    """n >= 4 takes the deterministic orthant rule."""
+
     def test_dimension_4_euclidean(self):
-        from blgeom import sphere_monte_carlo
-
         g0 = np.diag([1.0, 1.5, 0.8, 1.2])
-        g = bl_metric(Euclidean(g0), sphere_monte_carlo(4, 400_000, seed=9)).metric
-        assert np.linalg.norm(g - g0) / np.linalg.norm(g0) < 0.01
+        g = bl_metric(Euclidean(g0), auto_quadrature(Euclidean(g0))).metric
+        assert np.linalg.norm(g - g0) / np.linalg.norm(g0) < 1e-10
 
-    def test_refinement_carries_the_seed(self):
-        # the level-0 standard error (2.4e-3) misses mc_tol, level 1 (1.6e-3)
-        # meets it, and level 1 is drawn from the caller's seed
-        norm = LpNorm(1, 4)
-        bl, info = bl_metric_converged(norm, seed=5, mc_tol=2e-3)
-        assert bl.quad.scheme == "monte-carlo" and bl.quad.level == 1 and info.converged
-        np.testing.assert_array_equal(
-            bl.dual, bl_metric(norm, auto_quadrature(norm, level=1, seed=5)).dual)
-
-    def test_variance_based_stopping(self):
-        g0 = np.diag([1.0, 1.5, 0.8, 1.2])
-        bl, info = bl_metric_converged(Euclidean(g0), seed=9, mc_tol=2e-3)
-        assert bl.quad.scheme == "monte-carlo" and info.converged
-        # three reported standard errors must cover the true error
-        assert np.linalg.norm(bl.metric - g0) / np.linalg.norm(g0) < 3 * info.achieved_tol
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_l1_matches_dirichlet(self, dim):
+        # F = sum x_i on the simplex, so every patch integrand is polynomial
+        vol, c = lp_ball_record(1.0, dim)
+        bl = bl_metric(LpNorm(1, dim), auto_quadrature(LpNorm(1, dim)))
+        assert bl.volume == pytest.approx(vol, rel=1e-12)
+        np.testing.assert_allclose(bl.metric, np.eye(dim) / c, rtol=0, atol=1e-12 / c)
 
 
 class TestOnePassPerRule:
@@ -288,14 +280,6 @@ class TestOnePassPerRule:
         assert (bl.volume, bl.condition_number) == (want.volume, want.condition_number)
         eigs = np.linalg.eigvalsh(bl.dual)
         assert bl.condition_number == eigs[-1] / eigs[0]
-
-    def test_monte_carlo_standard_error_evaluates_once(self):
-        # the batch means are slices of the one evaluation
-        norm = CountingNorm(Euclidean(np.diag([1.0, 1.5, 0.8, 1.2])))
-        bl, info = bl_metric_converged(norm, seed=3, mc_tol=1.0)
-        assert bl.quad.scheme == "monte-carlo" and bl.quad.level == 0 and info.converged
-        assert norm.rule_calls == [1_000_000]
-        assert 0.0 < info.achieved_tol < 1e-2
 
     def test_legendre_ellipsoid_evaluates_once(self):
         norm = CountingNorm(SQUARE)
