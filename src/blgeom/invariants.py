@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import InputError, UnsupportedDimensionError
 from .metric import BLMetric, assert_spd, bl_metric
@@ -76,6 +75,8 @@ def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
         w1 = 0.5 * float(np.dot(squad.weights, h))
         return Quermassintegrals(np.array([w0, w1, np.pi]), 2)
     if n == 3:
+        from scipy.spatial import ConvexHull
+
         dirs = sphere_directions(body, 20000 << level)
         verts = dirs / body.values(dirs)[:, None]
         hull = ConvexHull(verts)
@@ -87,8 +88,8 @@ def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
         f"quermassintegrals are implemented for n in {{2, 3}}, got n = {n}")
 
 
-def _polytope_mean_width_term(hull: ConvexHull) -> float:
-    """sum over hull edges of edge length times exterior dihedral angle."""
+def _polytope_mean_width_term(hull) -> float:
+    """sum over ConvexHull edges of edge length times exterior dihedral angle."""
     simplices, neighbors = hull.simplices, hull.neighbors
     # each edge once: facet k meets its neighbour m > k across the edge
     # opposite vertex slot i, whose end points are the other two slots
@@ -161,6 +162,8 @@ def compare_fingerprints(cloud_a, cloud_b, tol: float = 1e-3) -> FingerprintComp
     certifies "not conformally equivalent", a small one only means the
     clouds cannot be told apart.
     """
+    from scipy.spatial import cKDTree
+
     a = np.atleast_2d(as_finite(cloud_a, "fingerprint cloud a"))
     b = np.atleast_2d(as_finite(cloud_b, "fingerprint cloud b"))
     if a.size == 0 or b.size == 0:

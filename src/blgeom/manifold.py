@@ -32,7 +32,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import BSpline, NdBSpline, make_interp_spline
 
 from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
@@ -273,6 +272,8 @@ class MetricField:
     names a point where it fails."""
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
+        from scipy.interpolate import NdBSpline, make_interp_spline
+
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         self.values = np.asarray(values, dtype=float)
         self.dim = len(self.axes)
@@ -307,7 +308,7 @@ class MetricField:
             raise InputError(f"point {x[outside][0]} {problem}")
 
     @cached_property
-    def _jet(self) -> NdBSpline:
+    def _jet(self):
         """One spline for G and its first partials: components (n + 1, pairs),
         row 0 the upper-triangle entries of G and row 1 + k those of d_k G.
 
@@ -318,6 +319,8 @@ class MetricField:
         coefficients to the refined knots (see ``_refine``): every block so
         far takes the value map, and the value block also the derivative
         map, which starts the block of that axis's partial."""
+        from scipy.interpolate import NdBSpline
+
         i, j, _ = _pairs(self.dim)
         c = self._spline.c
         blocks = 0.5 * (c + np.swapaxes(c, -1, -2))[..., None, i, j]
@@ -381,6 +384,8 @@ class MetricField:
         4096 points along axis 0; on that tensor grid the spline is its
         coefficients times one basis matrix per axis.  Eigenvalues are
         computed only to locate a failure, which names its grid point."""
+        from scipy.interpolate import BSpline
+
         c = self._spline.c
         if _definite(0.5 * (c + np.swapaxes(c, -1, -2))):
             return
@@ -423,6 +428,8 @@ def _refine(t):
     the same spline and of its derivative on the refined knots.  Each map
     interpolates the original basis at the refined Greville abscissae,
     which recovers a spline of the refined space exactly."""
+    from scipy.interpolate import BSpline, make_interp_spline
+
     t2 = np.sort(np.concatenate([t, t[4:-4]]))
     greville = (t2[1:-3] + t2[2:-2] + t2[3:-1]) / 3.0
     basis = BSpline(t, np.eye(len(t) - 4), 3)

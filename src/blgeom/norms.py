@@ -18,12 +18,12 @@ Families implemented here:
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (ConstructionError, InputError, NumericalFailure,
                      UnsupportedDimensionError)
@@ -226,7 +226,7 @@ class MinkowskiNorm:
 
 
 @functools.lru_cache(maxsize=16)
-def sphere_grid(dim: int, size: int, seed: int = 0) -> np.ndarray:
+def sphere_grid(dim: int, size: int) -> np.ndarray:
     """Roughly uniform unit directions: angular grid (2D), Fibonacci (3D),
     seeded Gaussian directions otherwise.  Built once per arguments and
     shared, so the array is read-only."""
@@ -240,7 +240,7 @@ def sphere_grid(dim: int, size: int, seed: int = 0) -> np.ndarray:
         phi = np.pi * (1.0 + np.sqrt(5.0)) * i
         pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     else:
-        pts = np.random.default_rng(seed).standard_normal((size, dim))
+        pts = np.random.default_rng(0).standard_normal((size, dim))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts.setflags(write=False)
     return pts
@@ -425,11 +425,10 @@ class LpNorm(MinkowskiNorm):
         return _lp_kink_angles(self._dual_exponent(), self.dim)
 
     def extremal_candidates(self):
+        # the 2n axis directions and the 2^n cube corners (n <= MAX_DIM)
         axes = np.vstack([np.eye(self.dim), -np.eye(self.dim)])
-        diags = sphere_grid(self.dim, 2 ** min(self.dim, 6), seed=1)
-        corners = np.sign(diags)
-        corners = corners / np.linalg.norm(corners, axis=1, keepdims=True)
-        return np.vstack([axes, corners])
+        corners = np.array(list(itertools.product([1.0, -1.0], repeat=self.dim)))
+        return np.vstack([axes, corners / np.sqrt(self.dim)])
 
     def __repr__(self):
         return f"LpNorm(p={self.p}, dim={self.dim})"
@@ -444,6 +443,8 @@ class PolytopeGauge(MinkowskiNorm):
     """
 
     def __init__(self, vertices):
+        from scipy.spatial import ConvexHull
+
         V = as_reals(vertices, "polytope vertices")
         if V.ndim != 2 or V.shape[0] < V.shape[1] + 1:
             raise ConstructionError("need at least n+1 vertices of full dimension")

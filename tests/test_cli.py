@@ -1,9 +1,14 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blgeom
 from blgeom import (Ellipsoid, Euclidean, InputError, LpNorm, NumericalFailure,
                     auto_quadrature, bl_metric, catalog, compare_fingerprints,
                     constant_structure, manifold, moment_of_inertia, rigid_motion,
@@ -146,6 +151,37 @@ def test_examples_list(capsys):
     code, out = run(capsys, "examples", "--list")
     assert code == 0
     assert "square-max" in out and "l1-l2-interpolation" in out
+
+
+# runs one command in a fresh interpreter, then prints its exit code and
+# the scipy parts that the import and the command loaded
+_SCIPY_AFTER = """
+import contextlib, io, json, sys
+from blgeom.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("scipy.spatial", "scipy.interpolate") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["metric", "--norm", "norm-euclidean-2d.json"], []),
+    (["metric", "--norm", "norm-lp-4.json"], []),
+    (["ellipsoid", "--norm", "norm-euclidean-2d.json"], []),
+    (["ellipsoid", "--norm", "norm-lp-4.json"], []),
+    (["examples", "--list"], []),
+    (["invariants", "--norm", "norm-euclidean-3d.json"], ["scipy.spatial"])],
+    ids=["metric-euclidean-2d", "metric-lp-4", "ellipsoid-euclidean-2d", "ellipsoid-lp-4",
+         "examples-list", "invariants-euclidean-3d"])
+def test_command_loads_only_the_scipy_it_needs(spec_dir, argv, loads):
+    # every command is a fresh process: the Binet-Legendre metric needs numpy alone
+    argv = [str(spec_dir / a) if a.endswith(".json") else a for a in argv]
+    src = str(Path(blgeom.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, *argv], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout) == [0, loads]
 
 
 def test_verify_smoke(capsys):

@@ -3,7 +3,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 from scipy.integrate import quad as quad1d
-from scipy.interpolate import RectBivariateSpline, RegularGridInterpolator
+from scipy.interpolate import BSpline, RectBivariateSpline, RegularGridInterpolator
 from scipy.sparse.linalg import spsolve
 
 from blgeom import (Euclidean, InputError, LinearImage, LpNorm, MetricField, NumericalFailure,
@@ -390,7 +390,7 @@ class TestInterpolant:
         def no_grid(*args, **kwargs):
             raise AssertionError("grid check ran")
 
-        monkeypatch.setattr(manifold.BSpline, "design_matrix", no_grid)
+        monkeypatch.setattr(BSpline, "design_matrix", no_grid)
         st = ASSEMBLY_CASES[name]
         assert bl_field(st, shape=shape).values.shape == shape + (st.dim, st.dim)
 

@@ -106,6 +106,16 @@ class TestEval:
         LinearImage([[1.0, 0.5], [0.0, 2.0]], inner).values(np.ones((7, 2)))
         assert calls == [7]
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_lp_candidates_are_axes_and_every_cube_corner(self, n):
+        cand = LpNorm(1, n).extremal_candidates()
+        assert cand.shape == (2 * n + 2 ** n, n)
+        np.testing.assert_array_equal(cand[:2 * n], np.vstack([np.eye(n), -np.eye(n)]))
+        corners = cand[2 * n:]
+        np.testing.assert_allclose(np.linalg.norm(corners, axis=1), 1.0, rtol=1e-15)
+        signs = {tuple(row) for row in np.sign(corners)}
+        assert len(signs) == 2 ** n and all(0.0 not in row for row in signs)
+
 
 _L2 = LpNorm(2, 2)
 
