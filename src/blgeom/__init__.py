@@ -16,8 +16,8 @@ from .manifold import (BerwaldReport, FinslerStructure, FlatnessReport,
                        l1_l2_interpolation, parallel_transport, rectangle_loop,
                        rigid_motion, rotor_structure, smoothstep, square_gauge)
 from .metric import (BLMetric, Ellipsoid, MomentResult, bl_metric,
-                     bl_metric_converged, moment_of_inertia,
-                     relative_qf_deviation)
+                     bl_metric_converged, relative_qf_deviation,
+                     sampled_moment)
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
                     PolytopeGauge, QuarticAxial, ValidationReport, WeightedSum,
                     linear_image, rescale, validate)

@@ -37,7 +37,7 @@ from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
 from .metric import CONDITION_LIMIT, bl_metric
 from .norms import (LinearImage, LpNorm, MinkowskiNorm, PolytopeGauge,
-                    WeightedSum, as_finite, as_reals, validate)
+                    WeightedSum, as_finite, as_reals)
 from .quadrature import auto_quadrature
 
 
@@ -91,19 +91,6 @@ class FinslerStructure:
             raise exc.__cause__ from None
         A, base = maps[0], bases[index[0]]
         return base if np.array_equal(A, np.eye(self.dim)) else LinearImage(A, base)
-
-    def contains(self, x, margin: float = 0.0) -> bool:
-        x = as_reals(x, "chart point")
-        return bool(np.all(x >= self.chart_lo + margin) and np.all(x <= self.chart_hi - margin))
-
-    def validate_samples(self, count: int = 5, samples: int = 300, seed: int = 0):
-        """Validate the norm oracle at random chart points."""
-        rng = np.random.default_rng(seed)
-        reports = []
-        for _ in range(count):
-            x = rng.uniform(self.chart_lo, self.chart_hi)
-            reports.append((x, validate(self.norm_at(x), samples, seed=seed)))
-        return reports
 
 
 class PointFailure(Exception):
@@ -250,12 +237,10 @@ def rigid_motion(structure: FinslerStructure, rotation, translation) -> FinslerS
 
 
 def _box_corners(lo, hi):
+    """The 2^n corners of the box [lo, hi]: bit i of row k picks hi[i]."""
     n = len(lo)
-    out = np.empty((2 ** n, n))
-    for k in range(2 ** n):
-        for i in range(n):
-            out[k, i] = hi[i] if (k >> i) & 1 else lo[i]
-    return out
+    upper = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    return np.where(upper == 1, hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -546,20 +531,24 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
     return field
 
 
+# Largest relative residual at which ``conformal_factor`` calls two fields
+# conformal.
+CONFORMAL_TOL = 1e-4
+
+
 @dataclass
 class ConformalFactorResult:
     factor: np.ndarray          # lambda on the lattice
     residual: float             # max ||G_a - lambda^2 G_b|| / ||G_a||
     conformal: bool
-    tol: float = 1e-4
+    tol: float
 
 
-def conformal_factor(field_a: MetricField, field_b: MetricField,
-                     tol: float = 1e-4) -> ConformalFactorResult:
+def conformal_factor(field_a: MetricField, field_b: MetricField) -> ConformalFactorResult:
     """Recover lambda with G_a = lambda^2 G_b, and report the residual.
 
     lambda(x) = (det G_a / det G_b)^(1/(2n)); the fields are conformal when
-    the max relative residual stays below ``tol``.
+    the max relative residual stays below ``CONFORMAL_TOL``.
     """
     if len(field_a.axes) != len(field_b.axes) or any(
             a.shape != b.shape or not np.allclose(a, b)
@@ -573,7 +562,7 @@ def conformal_factor(field_a: MetricField, field_b: MetricField,
     num = np.sqrt((diff ** 2).sum(axis=(-2, -1)))
     den = np.sqrt((field_a.values ** 2).sum(axis=(-2, -1)))
     residual = float((num / den).max())
-    return ConformalFactorResult(lam, residual, residual < tol, tol)
+    return ConformalFactorResult(lam, residual, residual < CONFORMAL_TOL, CONFORMAL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +725,13 @@ def holonomy_angle(field: MetricField, result: TransportResult) -> float:
 # ---------------------------------------------------------------------------
 
 
-def default_loops(structure: FinslerStructure, margin: float,
-                  scales=(0.25, 0.5, 0.75)) -> list:
-    """Axis-aligned rectangles at three scales centered in the chart.
+# Loop sizes of ``default_loops``, as fractions of the chart's half widths
+# less the margin.
+LOOP_SCALES = (0.25, 0.5, 0.75)
+
+
+def default_loops(structure: FinslerStructure, margin: float) -> list:
+    """Axis-aligned rectangles at the three ``LOOP_SCALES`` centered in the chart.
 
     In dimension >= 3 every coordinate plane through the center gets its
     own family of rectangles.
@@ -751,11 +744,8 @@ def default_loops(structure: FinslerStructure, margin: float,
         raise InputError("chart too small for the requested loop margin")
     n = structure.dim
     planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    loops = []
-    for s in scales:
-        for axes in planes:
-            loops.append(rectangle_loop(center, s * half_max, axes=axes))
-    return loops
+    return [rectangle_loop(center, s * half_max, axes=axes)
+            for s in LOOP_SCALES for axes in planes]
 
 
 def rectangle_loop(center, half, axes: tuple = (0, 1)) -> np.ndarray:
@@ -767,21 +757,15 @@ def rectangle_loop(center, half, axes: tuple = (0, 1)) -> np.ndarray:
     center = np.asarray(center, dtype=float)
     half = np.asarray(half, dtype=float)
     i, j = axes
-    if i == j or max(i, j) >= len(center):
+    if i == j or min(i, j) < 0 or max(i, j) >= len(center):
         raise InputError(f"bad loop plane {axes} for dimension {len(center)}")
-    signs = [(-1, -1), (1, -1), (1, 1), (-1, 1), (-1, -1)]
-    corners = []
-    for si, sj in signs:
-        c = center.copy()
-        c[i] += si * half[i]
-        c[j] += sj * half[j]
-        corners.append(c)
-    pts = []
-    for a, b in zip(corners[:-1], corners[1:]):
-        for t in np.linspace(0.0, 1.0, 9)[:-1]:
-            pts.append(a + t * (b - a))
-    pts.append(corners[-1])
-    return np.array(pts)
+    signs = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1), (-1, -1)])
+    corners = np.tile(center, (5, 1))
+    corners[:, i] += signs[:, 0] * half[i]
+    corners[:, j] += signs[:, 1] * half[j]
+    t = np.linspace(0.0, 1.0, 9)[:-1, None]
+    edges = corners[:-1, None, :] + t * (corners[1:] - corners[:-1])[:, None, :]
+    return np.vstack([edges.reshape(-1, len(center)), corners[-1:]])
 
 
 def default_probes(dim: int) -> np.ndarray:
@@ -802,13 +786,15 @@ class BerwaldReport:
     gram_residual: float
 
 
-def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
-                   field: MetricField | None = None, shape=None,
-                   level: int = 0) -> BerwaldReport:
-    """Max relative change of F under transport along the given loops.
+def berwald_defect(structure: FinslerStructure, field: MetricField,
+                   loops=None) -> BerwaldReport:
+    """Max relative change of F under transport along ``loops``; by default
+    the ``default_loops`` that keep three of the field's largest spacings
+    from the chart edge.
 
-    Every probe vector is transported along every loop with the metric
-    field's connection, all loops in one batch (``_transport``); the
+    Every ``default_probes`` vector is transported along every loop with
+    the connection of ``field``, the structure's metric field (see
+    ``bl_field``), all loops in one batch (``_transport``); the
     defect compares F at each reached point against F at the start, i.e.
     |F(y, P xi) - F(x, xi)| / F(x, xi) along the path and around the full
     loop.  F at the vertices of a loop comes from one
@@ -818,8 +804,6 @@ def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
     transports.  A structure that fails at a vertex raises
     ``NumericalFailure`` naming the vertex.
     """
-    if field is None:
-        field = bl_field(structure, shape=shape, level=level)
     if loops is None:
         try:
             loops = default_loops(structure, 3.0 * float(field.spacing.max()))
@@ -829,17 +813,11 @@ def berwald_defect(structure: FinslerStructure, loops=None, probes=None, *,
                 f"lattice {lattice} is too coarse for the Berwald loops, which keep "
                 "three of its largest spacings from the chart edge; refine the "
                 "lattice (a square chart needs at least 8 nodes per axis)") from exc
-    if probes is None:
-        probes = default_probes(structure.dim)
-    probes = np.asarray(probes, dtype=float)
-    if probes.ndim == 1:
-        probes = probes[:, None]
-
     n = structure.dim
     worst = 0.0
     gram_worst = 0.0
     per_loop = []
-    for result in _transport(field, loops, probes):
+    for result in _transport(field, loops, default_probes(n)):
         gram_worst = max(gram_worst, result.gram_residual)
         maps, bases, base_of_vertex = _peel(structure, result.path,
                                             "norm evaluation failed at point")
@@ -860,8 +838,8 @@ class FlatnessReport:
     flat_residual: float
     berwald_defect: float
     locally_minkowski: bool
-    flat_tol: float = 1e-4
-    berwald_tol: float = 1e-4
+    flat_tol: float
+    berwald_tol: float
 
     @property
     def verdict(self) -> str:
@@ -886,7 +864,7 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
     # spacing out, christoffel's margin is two
     interior = np.meshgrid(*[a[3:-3] for a in field.axes], indexing="ij")
     flat = float(np.abs(field.riemann(np.stack(interior, axis=-1))).max(initial=0.0))
-    report = berwald_defect(structure, field=field, shape=shape, level=level)
+    report = berwald_defect(structure, field)
     half = 0.5 * field.spacing
     _, mid = _lattice(field.lo + half, field.hi - half, [len(a) - 1 for a in field.axes])
     direct = _gl_metrics(structure, mid, level, "point", solved)[0]

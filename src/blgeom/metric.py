@@ -14,8 +14,8 @@ powers of 1/F, which is what the quadrature rules evaluate:
 
 Both sums come from one evaluation of F on the rule's nodes, and g is
 (M*)^-1.  ``bl_metric`` makes that one pass and keeps all of it in one
-``BLMetric`` record, from which the ellipsoids, the refinement loop and
-the Steiner coefficients read what they need.
+``BLMetric`` record, from which the ellipsoids, the moments of inertia,
+the refinement loop and the Steiner coefficients read what they need.
 
 The unit ball of m* in the dual space is the Binet ellipsoid of Omega; the
 ball of the inverse metric, rescaled by (vol(Omega)/vol(ball))^(1/(n+2)),
@@ -26,7 +26,7 @@ inertia as Omega in every codirection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -39,26 +39,17 @@ from .quadrature import (MAX_QUAD_LEVEL, SphericalQuadrature, auto_quadrature,
 CONDITION_LIMIT = 1e12
 
 
-def assert_spd(matrix: np.ndarray, what: str = "matrix", sym_tol: float = 1e-12):
-    """Raise unless ``matrix`` is symmetric (to sym_tol) positive definite."""
+def assert_spd(matrix: np.ndarray, what: str):
+    """Raise unless ``matrix`` is symmetric (to 1e-12 of its largest entry)
+    positive definite."""
     if not np.isfinite(matrix).all():
         raise NumericalFailure(f"{what} is not finite")
     scale = max(1.0, float(np.abs(matrix).max()))
-    if np.abs(matrix - matrix.T).max() > sym_tol * scale:
+    if np.abs(matrix - matrix.T).max() > 1e-12 * scale:
         raise NumericalFailure(f"{what} is not symmetric")
     eigs = np.linalg.eigvalsh(matrix)
     if not (eigs[0] > 0.0):
         raise NumericalFailure(f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})")
-
-
-def _norm_values(norm: MinkowskiNorm, quad: SphericalQuadrature) -> np.ndarray:
-    """F on the nodes of ``quad``, each node evaluated once; F must be positive."""
-    f = norm.values(quad.nodes)
-    if np.any(f <= 0.0):
-        k = int(np.argmin(f))
-        raise DefinitenessError(
-            f"norm is not positive at node {quad.nodes[k]} (F = {f[k]:.3e})")
-    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +79,22 @@ class BLMetric:
         scale = (self.volume / vol_b) ** (1.0 / (n + 2))
         return Ellipsoid(self.dual, 1.0), Ellipsoid(self.metric, scale)
 
+    def moment_of_inertia(self, theta) -> float:
+        """integral over Omega of (theta . xi)^2 d xi, which is
+        vol(Omega) theta^T M* theta / (n+2) by the definition of M*."""
+        n = self.norm.dim
+        theta = as_finite(theta, "theta", (n,))
+        return self.volume * float(theta @ self.dual @ theta) / (n + 2)
+
 
 def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> BLMetric:
-    """The Binet-Legendre record of ``norm``: one evaluation of F over ``quad``."""
-    f = _norm_values(norm, quad)
+    """The Binet-Legendre record of ``norm``: one evaluation of F over ``quad``,
+    each node once; F must be positive there."""
     nodes, weights, n = quad.nodes, quad.weights, quad.dim
+    f = norm.values(nodes)
+    if np.any(f <= 0.0):
+        k = int(np.argmin(f))
+        raise DefinitenessError(f"norm is not positive at node {nodes[k]} (F = {f[k]:.3e})")
     vol = float(np.dot(weights, f ** (-n)) / n)
     m = np.einsum("k,ki,kj->ij", weights * f ** (-(n + 2)), nodes, nodes) / vol
     m = 0.5 * (m + m.T)
@@ -177,71 +179,35 @@ class Ellipsoid:
         qinv = np.linalg.inv(self.shape)
         return self.volume() / (self.dim + 2) * self.scale ** 2 * float(theta @ qinv @ theta)
 
-    def contains(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.einsum("ki,ij,kj->k", pts, self.shape, pts) <= self.scale ** 2
-
     def radii(self) -> np.ndarray:
         """Semi-axis lengths."""
         return self.scale / np.sqrt(np.linalg.eigvalsh(self.shape))
 
 
 # ---------------------------------------------------------------------------
-# moments of inertia
+# the Monte-Carlo moment oracle
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class MomentResult:
     value: float
-    stderr: Optional[float] = None  # None for deterministic evaluation
+    stderr: float
 
 
-def _norm_bounding_box(norm: MinkowskiNorm):
-    eye = np.eye(norm.dim)
-    return -norm.support(-eye), norm.support(eye)
-
-
-def _ellipsoid_bounding_box(ell: Ellipsoid):
-    qinv = np.linalg.inv(ell.shape)
-    half = ell.scale * np.sqrt(np.diag(qinv))
-    return -half, half
-
-
-def moment_of_inertia(body: Union[MinkowskiNorm, Ellipsoid], theta, *,
-                      quad: Optional[SphericalQuadrature] = None,
-                      method: str = "radial", samples: int = 1_000_000,
-                      seed: int = 0) -> MomentResult:
-    """integral over the body of (theta . xi)^2 d xi.
-
-    ``body`` is either a norm (its unit sublevel set) or an ellipsoid.
-    method="radial" uses the polar-coordinate reduction (deterministic,
-    needs ``quad`` for norm bodies; closed form for ellipsoids);
-    method="mc" uses seeded rejection sampling in the bounding box, in
-    chunks of 2^20 points, and reports a standard-error estimate.
-    """
-    theta = as_finite(theta, "theta", (body.dim,))
-    if method == "radial":
-        if isinstance(body, Ellipsoid):
-            return MomentResult(body.moment_of_inertia(theta))
-        if quad is None:
-            quad = auto_quadrature(body, level=1)
-        f = _norm_values(body, quad)
-        n = body.dim
-        proj = quad.nodes @ theta
-        val = float(np.dot(quad.weights, proj ** 2 * f ** (-(n + 2))) / (n + 2))
-        return MomentResult(val)
-    if method != "mc":
-        raise InputError(f"unknown method {method!r}")
-
-    if isinstance(body, Ellipsoid):
-        lo, hi = _ellipsoid_bounding_box(body)
-        inside = body.contains
-        n = body.dim
-    else:
-        lo, hi = _norm_bounding_box(body)
-        inside = lambda pts: body.values(pts) <= 1.0
-        n = body.dim
+def sampled_moment(norm: MinkowskiNorm, theta, samples: int, seed: int) -> MomentResult:
+    """integral over the unit ball of (theta . xi)^2 d xi by seeded rejection
+    sampling in its bounding box, in chunks of 2^20 points, with a
+    standard-error estimate.  It shares no quadrature rule with
+    ``bl_metric``, so it is the independent oracle for
+    ``BLMetric.moment_of_inertia``; the ellipsoid {xi^T Q xi <= s^2} is the
+    unit ball of ``Euclidean(Q / s^2)``."""
+    n = norm.dim
+    theta = as_finite(theta, "theta", (n,))
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
+    eye = np.eye(n)
+    lo, hi = -norm.support(-eye), norm.support(eye)
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(seed)
     total = 0.0
@@ -250,7 +216,7 @@ def moment_of_inertia(body: Union[MinkowskiNorm, Ellipsoid], theta, *,
     while count < samples:
         m = min(2 ** 20, samples - count)
         pts = rng.uniform(lo, hi, size=(m, n))
-        vals = np.where(inside(pts), (pts @ theta) ** 2, 0.0)
+        vals = np.where(norm.values(pts) <= 1.0, (pts @ theta) ** 2, 0.0)
         total += float(vals.sum())
         total_sq += float((vals ** 2).sum())
         count += m

@@ -55,11 +55,12 @@ def as_integer(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
-def as_dimension(value, least: int) -> int:
-    """``value`` as a norm dimension in [least, MAX_DIM]; otherwise an InputError."""
+def as_dimension(value) -> int:
+    """``value`` as a norm dimension in [2, MAX_DIM]; otherwise an InputError.
+    No sphere rule or sphere search exists on S^0, so R^1 has no metric."""
     dim = as_integer(value, "dimension")
-    if not least <= dim <= MAX_DIM:
-        raise InputError(f"dimension must be between {least} and {MAX_DIM}, got {value!r}")
+    if not 2 <= dim <= MAX_DIM:
+        raise InputError(f"dimension must be between 2 and {MAX_DIM}, got {value!r}")
     return dim
 
 
@@ -341,7 +342,7 @@ class Euclidean(MinkowskiNorm):
         G = as_reals(matrix, "euclidean matrix")
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise InputError("euclidean norm needs a square matrix")
-        self.dim = as_dimension(G.shape[0], 1)
+        self.dim = as_dimension(G.shape[0])
         if not np.isfinite(G).all():
             raise InputError("matrix entries must be finite")
         if not np.allclose(G, G.T, atol=1e-12 * max(1.0, np.abs(G).max())):
@@ -401,7 +402,7 @@ class LpNorm(MinkowskiNorm):
         if not (p >= 1.0):
             raise InputError("p must be >= 1")
         self.p = p
-        self.dim = as_dimension(dim, 1)
+        self.dim = as_dimension(dim)
 
     def _values(self, pts):
         return _p_norms(pts, self.p)
@@ -450,7 +451,7 @@ class PolytopeGauge(MinkowskiNorm):
             raise ConstructionError("need at least n+1 vertices of full dimension")
         if not np.all(np.isfinite(V)):
             raise ConstructionError("vertices contain non-finite entries")
-        self.dim = as_dimension(V.shape[1], 1)
+        self.dim = as_dimension(V.shape[1])
         try:
             hull = ConvexHull(V)
         except Exception as exc:  # qhull raises its own error types
@@ -587,7 +588,7 @@ class QuarticAxial(MinkowskiNorm):
     """
 
     def __init__(self, dim):
-        self.dim = as_dimension(dim, 2)
+        self.dim = as_dimension(dim)
 
     def _values(self, pts):
         ssq = np.einsum("ki,ki->k", pts, pts)
@@ -619,6 +620,10 @@ def rescale(norm: MinkowskiNorm, kappa: float) -> LinearImage:
     return LinearImage(kappa * np.eye(norm.dim), norm)
 
 
+# Largest homogeneity or subadditivity residual a valid norm may show.
+AXIOM_TOL = 1e-9
+
+
 @dataclass
 class ValidationReport:
     """Worst-case axiom residuals of a norm over random samples."""
@@ -630,13 +635,11 @@ class ValidationReport:
     subadditivity_witness: np.ndarray
     min_on_unit_sphere: float
     min_witness: np.ndarray
-    homogeneity_tol: float = 1e-9
-    subadditivity_tol: float = 1e-9
 
     @property
     def ok(self) -> bool:
-        return (self.homogeneity_residual <= self.homogeneity_tol
-                and self.subadditivity_residual <= self.subadditivity_tol
+        return (self.homogeneity_residual <= AXIOM_TOL
+                and self.subadditivity_residual <= AXIOM_TOL
                 and self.min_on_unit_sphere > 0.0)
 
     def summary(self) -> str:

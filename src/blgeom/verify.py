@@ -19,7 +19,7 @@ from .manifold import (berwald_defect, bl_field, conformal_factor,
                        conformal_rescale, constant_structure,
                        is_locally_minkowski, l1_l2_interpolation,
                        rectangle_loop, rigid_motion, square_gauge)
-from .metric import bl_metric, moment_of_inertia, relative_qf_deviation
+from .metric import bl_metric, relative_qf_deviation, sampled_moment
 from .norms import (Euclidean, LpNorm, QuarticAxial, WeightedSum,
                     linear_image, rescale, validate)
 from .quadrature import auto_quadrature
@@ -237,7 +237,7 @@ def suite_ellipsoids(seed: int = 0):
         ell = bl.ellipsoids()[1]
         for theta in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
             lhs = ell.moment_of_inertia(theta)
-            rhs = moment_of_inertia(norm, theta, quad=bl.quad).value
+            rhs = bl.moment_of_inertia(theta)
             worst = max(worst, abs(lhs - rhs) / rhs)
     results.append(_check("moment identity (deterministic both sides)", worst, 1e-9))
 
@@ -247,8 +247,7 @@ def suite_ellipsoids(seed: int = 0):
         norm = catalog.builtin_norm(name)
         ell = _bl(norm).ellipsoids()[1]
         for k, theta in enumerate(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])):
-            mc = moment_of_inertia(norm, theta, method="mc", samples=10 ** 6,
-                                   seed=seed + k)
+            mc = sampled_moment(norm, theta, 10 ** 6, seed + k)
             dev = abs(ell.moment_of_inertia(theta) - mc.value)
             worst_sigma = max(worst_sigma, dev / mc.stderr)
     results.append(_check("moment identity vs Monte Carlo oracle (sigmas)",
@@ -334,32 +333,32 @@ def suite_berwald(seed: int = 0):
     results = []
 
     const = constant_structure(square_gauge())
-    rep = berwald_defect(const, shape=(17, 17))
+    rep = berwald_defect(const, bl_field(const, shape=(17, 17)))
     results.append(_check("constant structure has zero defect", rep.defect, 1e-6))
     gram_worst = rep.gram_residual
 
     interp = l1_l2_interpolation()
     field = bl_field(interp, shape=(49, 17))
     zone_loop = rectangle_loop([0.125, 0.0], [0.375, 0.5])
-    rep = berwald_defect(interp, loops=[zone_loop], field=field)
+    rep = berwald_defect(interp, field, [zone_loop])
     gram_worst = max(gram_worst, rep.gram_residual)
     results.append(_check_at_least("interpolating structure defect >= 1e-2",
                                    rep.defect, 1e-2))
 
     rotor = catalog.builtin_structure("rotor-linear")
-    rep = berwald_defect(rotor, shape=(17, 17))
+    rep = berwald_defect(rotor, bl_field(rotor, shape=(17, 17)))
     gram_worst = max(gram_worst, rep.gram_residual)
     results.append(_check_at_least("rotating field defect positive", rep.defect, 1e-4))
 
     rotor_c = catalog.builtin_structure("rotor-constant")
-    rep = berwald_defect(rotor_c, shape=(17, 17))
+    rep = berwald_defect(rotor_c, bl_field(rotor_c, shape=(17, 17)))
     gram_worst = max(gram_worst, rep.gram_residual)
     results.append(_check("frozen rotor defect at noise level", rep.defect, 1e-6))
 
     # Riemannian, hence Berwald; needs the finer lattice because the defect
     # floor is the O(h^4) interpolation error of the curved metric field.
     conf = catalog.builtin_structure("conformal-euclidean")
-    rep = berwald_defect(conf, shape=(33, 33))
+    rep = berwald_defect(conf, bl_field(conf, shape=(33, 33)))
     gram_worst = max(gram_worst, rep.gram_residual)
     results.append(_check("conformally euclidean field stays Berwald",
                           rep.defect, 1e-6))

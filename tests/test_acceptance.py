@@ -15,8 +15,8 @@ from blgeom import (Euclidean, LpNorm, PolytopeGauge, QuarticAxial,
                     fingerprint_cloud, fingerprint_point, isotropy_defect,
                     bl_field, conformal_rescale, constant_structure,
                     is_locally_minkowski, l1_l2_interpolation,
-                    linear_image, moment_of_inertia,
-                    rectangle_loop, rescale, rotor_structure, square_gauge)
+                    linear_image, rectangle_loop, rescale, rotor_structure,
+                    sampled_moment, square_gauge)
 from blgeom import catalog, specio
 from oracles import random_invertible, random_spd
 
@@ -113,8 +113,7 @@ def test_criterion_5_moment_identity():
         norm = catalog.builtin_norm(name)
         ell = bl_metric(norm, auto_quadrature(norm)).ellipsoids()[1]
         for k, theta in enumerate(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])):
-            mc = moment_of_inertia(norm, theta, method="mc", samples=10 ** 7,
-                                   seed=2000 + k)
+            mc = sampled_moment(norm, theta, 10 ** 7, 2000 + k)
             worst = max(worst,
                         abs(ell.moment_of_inertia(theta) - mc.value) / mc.value)
     report(5, "moment-of-inertia identity vs seeded MC oracle (1e7)", worst,
@@ -153,22 +152,22 @@ def test_criterion_7_berwald_checks():
     start = time.monotonic()
     gram_worst = 0.0
 
-    rep_const = berwald_defect(constant_structure(square_gauge()), shape=(17, 17))
+    const = constant_structure(square_gauge())
+    rep_const = berwald_defect(const, bl_field(const, shape=(17, 17)))
     gram_worst = max(gram_worst, rep_const.gram_residual)
 
     interp = l1_l2_interpolation()
     field = bl_field(interp, shape=(49, 17))
     zone_loop = rectangle_loop([0.125, 0.0], [0.375, 0.5])
-    rep_interp = berwald_defect(interp, loops=[zone_loop], field=field)
+    rep_interp = berwald_defect(interp, field, [zone_loop])
     gram_worst = max(gram_worst, rep_interp.gram_residual)
 
-    rep_moving = berwald_defect(
-        rotor_structure(specio.scalar_field_from_spec(
-            {"kind": "linear", "slope": 0.8, "offset": 0.1}, 2, "psi")),
-        shape=(17, 17))
-    rep_frozen = berwald_defect(
-        rotor_structure(specio.scalar_field_from_spec(
-            {"kind": "constant", "value": 0.4}, 2, "psi")), shape=(17, 17))
+    moving = rotor_structure(specio.scalar_field_from_spec(
+        {"kind": "linear", "slope": 0.8, "offset": 0.1}, 2, "psi"))
+    rep_moving = berwald_defect(moving, bl_field(moving, shape=(17, 17)))
+    frozen = rotor_structure(specio.scalar_field_from_spec(
+        {"kind": "constant", "value": 0.4}, 2, "psi"))
+    rep_frozen = berwald_defect(frozen, bl_field(frozen, shape=(17, 17)))
     gram_worst = max(gram_worst, rep_moving.gram_residual,
                      rep_frozen.gram_residual)
 

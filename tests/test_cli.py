@@ -11,7 +11,7 @@ import pytest
 import blgeom
 from blgeom import (Ellipsoid, Euclidean, InputError, LpNorm, NumericalFailure,
                     auto_quadrature, bl_metric, catalog, compare_fingerprints,
-                    constant_structure, manifold, moment_of_inertia, rigid_motion,
+                    constant_structure, manifold, rigid_motion, sampled_moment,
                     specio)
 from blgeom.cli import main
 from counting import CountingNorm
@@ -384,7 +384,7 @@ def _conformal(factor):
     ("field", {"chart": _CHART, "field": {
         "family": "rotor", "psi": {"kind": "linear", "slope": 0.8, "axis": 5}}},
      "axis 5 is not an axis"),
-    ("metric", {"family": "lp", "p": 2, "dim": 1e308}, "dimension must be between 1 and"),
+    ("metric", {"family": "lp", "p": 2, "dim": 1e308}, "dimension must be between 2 and"),
     ("metric", {"family": "quartic-axial", "dim": 7}, "dimension must be between 2 and"),
     ("field", _rotor({"kind": "linear"}), "'psi' of kind 'linear' is missing key 'slope'"),
     ("field", _rotor({"kind": "constant"}), "'psi' of kind 'constant' is missing key 'value'"),
@@ -462,10 +462,12 @@ _S2D = constant_structure(Euclidean(np.eye(2)))
 @pytest.mark.parametrize("call", [
     lambda: rigid_motion(_S2D, np.eye(3), [0, 0, 0]),
     lambda: rigid_motion(_S2D, np.eye(2), [0, 0, 0]),
-    lambda: moment_of_inertia(LpNorm(2, 2), [1, 0, 0]),
+    lambda: sampled_moment(LpNorm(2, 2), [1, 0, 0], 1, 0),
     lambda: Ellipsoid(np.eye(2)).moment_of_inertia([1, 0, 0]),
+    lambda: bl_metric(LpNorm(2, 2), auto_quadrature(LpNorm(2, 2))).moment_of_inertia([1, 0, 0]),
     lambda: compare_fingerprints([[np.nan, 1]], [[1, 1]]),
-], ids=["rotation-3x3", "translation-3", "norm-theta-3", "ellipsoid-theta-3", "nan-cloud"])
+], ids=["rotation-3x3", "translation-3", "norm-theta-3", "ellipsoid-theta-3",
+        "record-theta-3", "nan-cloud"])
 def test_library_wrong_shape_or_nonfinite_is_input_error(call):
     with pytest.raises(InputError, match="must have shape|must be finite"):
         call()
@@ -869,6 +871,34 @@ def test_exit_code_unsupported_dimension(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("input error: ") and "n in {2, 3}" in captured.err
+
+
+_NORM_1D = {
+    "lp": {"family": "lp", "p": 2, "dim": 1},
+    "euclidean": {"family": "euclidean", "matrix": [[2.0]]},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_NORM_1D))
+@pytest.mark.parametrize("command", ["metric", "ellipsoid", "invariants",
+                                     "field", "berwald", "fingerprint"])
+def test_exit_code_norm_on_the_line(tmp_path, capsys, command, family):
+    # S^0 has no sphere rule and no sphere search, so R^1 is an input error
+    spec = tmp_path / "spec.json"
+    if command in ("metric", "ellipsoid", "invariants"):
+        spec.write_text(json.dumps(_NORM_1D[family]))
+        argv = [command, "--norm", str(spec)]
+    else:
+        spec.write_text(json.dumps({"chart": {"lo": [-1.0], "hi": [1.0]},
+                                    "field": {"family": "constant", "norm": _NORM_1D[family]}}))
+        argv = [command, "--structure", str(spec)]
+        if command != "berwald":
+            argv += ["--out", str(tmp_path / "out.csv")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: ")
+    assert "dimension must be between 2 and 6, got 1" in captured.err
 
 
 _EYE_2D = {"family": "euclidean", "matrix": [[1.0, 0.0], [0.0, 1.0]]}

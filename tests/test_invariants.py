@@ -11,7 +11,7 @@ from blgeom import (Euclidean, InputError, LpNorm, PolytopeGauge, QuarticAxial,
                     quermassintegrals, rescale, roundness)
 from blgeom import catalog, invariants
 from blgeom.invariants import _polytope_mean_width_term
-from blgeom.norms import sphere_directions, sphere_grid
+from blgeom.norms import sphere_directions, sphere_grid, sphere_polish
 from counting import count_values_calls
 from oracles import mc_dilated_area, polytope_mean_width_term
 
@@ -113,11 +113,11 @@ class TestQuermassintegrals:
             quermassintegrals(bl4)
         with pytest.raises(UnsupportedDimensionError):
             fingerprint_point(bl4)
-        # a sphere search has no chart on S^0
+        # a sphere search has no chart on S^0 (and no norm lives on R^1)
         with pytest.raises(UnsupportedDimensionError):
-            roundness(LpNorm(2, 1), np.eye(1))
+            sphere_polish(lambda u: u[..., 0], np.ones((1, 1)), 0.1)
         with pytest.raises(UnsupportedDimensionError):
-            WeightedSum(1.0, 1.0, LpNorm(2, 1), LpNorm(1, 1)).support(np.array([1.0]))
+            sphere_polish(lambda u: -u[..., 0], np.array([[1.0], [-1.0]]), 0.1)
 
     @pytest.mark.parametrize("name", [
         "euclidean-2d", "anisotropic-euclidean", "square-max", "diamond-l1",

@@ -14,7 +14,7 @@ from blgeom import (Euclidean, InputError, LinearImage, LpNorm, MetricField, Num
                     holonomy_angle, is_locally_minkowski,
                     l1_l2_interpolation, parallel_transport, rectangle_loop,
                     rigid_motion, rotor_structure, smoothstep, square_gauge,
-                    structure_from_spec)
+                    structure_from_spec, validate)
 from blgeom import catalog, invariants, manifold, specio
 from oracles import conformal_christoffel
 
@@ -77,8 +77,10 @@ class TestStructures:
     def test_norm_oracle_validates_everywhere(self):
         for name in catalog.BUILTIN_STRUCTURES:
             st = catalog.builtin_structure(name)
-            for x, report in st.validate_samples(count=3, samples=200):
-                assert report.ok, (name, x)
+            rng = np.random.default_rng(0)
+            for _ in range(3):
+                x = rng.uniform(st.chart_lo, st.chart_hi)
+                assert validate(st.norm_at(x), 200).ok, (name, x)
 
     def test_degenerate_chart_rejected(self):
         with pytest.raises(InputError):
@@ -619,25 +621,23 @@ class TestTransport:
 
 class TestBerwald:
     def test_constant_structure(self):
-        rep = berwald_defect(constant_structure(square_gauge()), shape=(17, 17))
+        st = constant_structure(square_gauge())
+        rep = berwald_defect(st, bl_field(st, shape=(17, 17)))
         assert rep.defect < 1e-6
         assert rep.gram_residual < 1e-6
 
     def test_interpolation_structure(self, interp_field):
         loop = rectangle_loop([0.125, 0.0], [0.375, 0.5])
-        rep = berwald_defect(l1_l2_interpolation(), loops=[loop],
-                             field=interp_field)
+        rep = berwald_defect(l1_l2_interpolation(), interp_field, [loop])
         assert rep.defect > 1e-2
 
     def test_rotor_defect_iff_nonconstant(self):
-        moving = berwald_defect(
-            rotor_structure(specio.scalar_field_from_spec(
-                {"kind": "linear", "slope": 0.8, "offset": 0.1}, 2, "psi")),
-            shape=(17, 17))
-        frozen = berwald_defect(rotor_structure(specio.scalar_field_from_spec(
-            {"kind": "constant", "value": 0.4}, 2, "psi")), shape=(17, 17))
-        assert moving.defect > 1e-4
-        assert frozen.defect < 1e-6
+        moving = rotor_structure(specio.scalar_field_from_spec(
+            {"kind": "linear", "slope": 0.8, "offset": 0.1}, 2, "psi"))
+        frozen = rotor_structure(specio.scalar_field_from_spec(
+            {"kind": "constant", "value": 0.4}, 2, "psi"))
+        assert berwald_defect(moving, bl_field(moving, shape=(17, 17))).defect > 1e-4
+        assert berwald_defect(frozen, bl_field(frozen, shape=(17, 17))).defect < 1e-6
 
     def test_norm_failure_names_point(self):
         # the field is fine; the structure's factor x1 is not positive for x1 <= 0
@@ -646,7 +646,7 @@ class TestBerwald:
                                 specio.scalar_field_from_spec(
                                     {"kind": "linear", "slope": 1.0}, 2, "factor"))
         with pytest.raises(NumericalFailure, match=r"failed at point \[.*factor"):
-            berwald_defect(bad, field=field)
+            berwald_defect(bad, field)
 
     @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_STRUCTURES) + ["3d-quartic-axial"])
     def test_batched_loops_match_single_transports(self, name):
@@ -655,14 +655,14 @@ class TestBerwald:
         field = bl_field(st)
         loops = default_loops(st, 3.0 * float(field.spacing.max()))
         probes = default_probes(st.dim)
-        report = berwald_defect(st, field=field)
+        report = berwald_defect(st, field)
         batch = manifold._transport(field, loops, probes)
         for loop, got, defect in zip(loops, batch, report.per_loop, strict=True):
             alone = parallel_transport(field, loop, probes)
             assert (got.steps, got.halvings, got.gram_residual) == (
                 alone.steps, alone.halvings, alone.gram_residual)
             np.testing.assert_array_equal(np.array(got.frames), np.array(alone.frames))
-            assert defect == berwald_defect(st, loops=[loop], field=field).defect
+            assert defect == berwald_defect(st, field, [loop]).defect
 
     def test_loops_of_different_lengths(self, interp_field):
         # a shorter path is padded with its last vertex while it rides along
@@ -675,7 +675,7 @@ class TestBerwald:
             np.testing.assert_array_equal(np.array(got.frames), np.array(alone.frames))
 
     def test_no_loops_no_defect(self, interp_field):
-        rep = berwald_defect(l1_l2_interpolation(), loops=[], field=interp_field)
+        rep = berwald_defect(l1_l2_interpolation(), interp_field, [])
         assert (rep.defect, rep.per_loop, rep.gram_residual) == (0.0, [], 0.0)
 
     def test_failure_reports_first_failing_loop(self, monkeypatch):
@@ -686,22 +686,27 @@ class TestBerwald:
         with pytest.raises(TransportAccuracyError) as alone:
             parallel_transport(field, loops[0], default_probes(2))
         with pytest.raises(TransportAccuracyError) as batch:
-            berwald_defect(st, field=field)
+            berwald_defect(st, field)
         assert str(batch.value) == str(alone.value)
 
     def test_caller_loops_validated(self, interp_field):
         loop = rectangle_loop([0.125, 0.0], [0.375, 0.5])
         with pytest.raises(InputError, match="polyline"):
-            berwald_defect(l1_l2_interpolation(), loops=[loop, loop[:1]], field=interp_field)
+            berwald_defect(l1_l2_interpolation(), interp_field, [loop, loop[:1]])
         with pytest.raises(InputError, match="two lattice spacings"):
-            berwald_defect(l1_l2_interpolation(), loops=[loop, loop - 0.8],
-                           field=interp_field)
+            berwald_defect(l1_l2_interpolation(), interp_field, [loop, loop - 0.8])
+
+    @pytest.mark.parametrize("axes", [(0, 0), (0, 2), (-1, 1), (1, -2)])
+    def test_bad_loop_plane_rejected(self, axes):
+        # a negative axis would pass as an index and give a loop on one line
+        with pytest.raises(InputError, match="bad loop plane"):
+            rectangle_loop([0.0, 0.0], [0.4, 0.4], axes=axes)
 
     def test_default_loops_stay_inside(self):
         st = constant_structure(square_gauge())
         for loop in default_loops(st, margin=0.2):
-            assert st.contains(loop.min(axis=0), margin=0.19)
-            assert st.contains(loop.max(axis=0), margin=0.19)
+            assert np.all(loop.min(axis=0) >= st.chart_lo + 0.19)
+            assert np.all(loop.max(axis=0) <= st.chart_hi - 0.19)
 
 
 class TestLocallyMinkowski:
@@ -832,7 +837,7 @@ class TestThreeDimensional:
     def test_berwald_defect_3d_constant(self):
         st = constant_structure(Euclidean(np.eye(3)), lo=(-1, -1, -1),
                                 hi=(1, 1, 1))
-        rep = berwald_defect(st, shape=(9, 9, 9))
+        rep = berwald_defect(st, bl_field(st, shape=(9, 9, 9)))
         assert rep.defect < 1e-8
 
     def test_jacobian_is_the_spline_derivative(self):
@@ -857,11 +862,12 @@ class TestThreeDimensional:
     def test_loops_cover_coordinate_planes(self):
         st = constant_structure(Euclidean(np.eye(3)), lo=(-1, -1, -1),
                                 hi=(1, 1, 1))
-        loops = default_loops(st, margin=0.2, scales=(0.5,))
-        assert len(loops) == 3
-        spans = [np.ptp(loop, axis=0) > 1e-12 for loop in loops]
-        assert sorted(tuple(s) for s in spans) == [
-            (False, True, True), (True, False, True), (True, True, False)]
+        loops = default_loops(st, margin=0.2)
+        assert len(loops) == 9
+        for family in (loops[:3], loops[3:6], loops[6:]):    # one per scale
+            spans = [np.ptp(loop, axis=0) > 1e-12 for loop in family]
+            assert sorted(tuple(s) for s in spans) == [
+                (False, True, True), (True, False, True), (True, True, False)]
 
 
 class TestFingerprintCloud:

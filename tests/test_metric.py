@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from blgeom import (DefinitenessError, Ellipsoid, Euclidean, LpNorm,
-                    NumericalFailure, PolytopeGauge, QuarticAxial, WeightedSum,
-                    auto_quadrature, bl_metric, bl_metric_converged,
-                    linear_image, moment_of_inertia, rescale,
-                    relative_qf_deviation)
+from blgeom import (DefinitenessError, Ellipsoid, Euclidean, InputError,
+                    LpNorm, NumericalFailure, PolytopeGauge, QuarticAxial,
+                    WeightedSum, auto_quadrature, bl_metric,
+                    bl_metric_converged, linear_image, rescale,
+                    relative_qf_deviation, sampled_moment)
 from counting import CountingNorm
 from oracles import lp_ball_record, mc_body_moment, random_invertible, random_spd
 
@@ -199,10 +199,10 @@ class TestEllipsoids:
     def test_legendre_moment_identity(self):
         # the moment ellipsoid reproduces the body's moments in every codirection
         for norm in (SQUARE, DIAMOND):
-            q = auto_quadrature(norm)
-            ell = bl_metric(norm, q).ellipsoids()[1]
+            bl = bl_metric(norm, auto_quadrature(norm))
+            ell = bl.ellipsoids()[1]
             for theta in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
-                body = moment_of_inertia(norm, theta, quad=q).value
+                body = bl.moment_of_inertia(theta)
                 assert ell.moment_of_inertia(theta) == pytest.approx(body, rel=1e-10)
 
     def test_legendre_scaling(self):
@@ -221,31 +221,28 @@ class TestEllipsoids:
 class TestMoments:
     def test_disk_moment(self):
         eu = Euclidean(np.eye(2))
-        got = moment_of_inertia(eu, [1.0, 0.0], quad=auto_quadrature(eu)).value
+        got = bl_metric(eu, auto_quadrature(eu)).moment_of_inertia([1.0, 0.0])
         assert got == pytest.approx(np.pi / 4)
 
     def test_square_moment(self):
-        got = moment_of_inertia(SQUARE, [1.0, 0.0], quad=auto_quadrature(SQUARE)).value
+        got = bl_metric(SQUARE, auto_quadrature(SQUARE)).moment_of_inertia([1.0, 0.0])
         assert got == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_mc_matches_radial(self):
-        val = moment_of_inertia(DIAMOND, [1.0, 1.0], method="mc",
-                                samples=10 ** 6, seed=4)
-        exact = moment_of_inertia(DIAMOND, [1.0, 1.0],
-                                  quad=auto_quadrature(DIAMOND)).value
+        val = sampled_moment(DIAMOND, [1.0, 1.0], 10 ** 6, 4)
+        exact = bl_metric(DIAMOND, auto_quadrature(DIAMOND)).moment_of_inertia([1.0, 1.0])
         assert abs(val.value - exact) < 4 * val.stderr
 
     def test_mc_ellipsoid_matches_closed_form(self):
-        ell = Ellipsoid(np.array([[2.0, 0.3], [0.3, 1.0]]), 1.3)
-        mc = moment_of_inertia(ell, [0.7, -0.2], method="mc",
-                               samples=400_000, seed=5)
+        # {xi^T Q xi <= s^2} is the unit ball of Euclidean(Q / s^2)
+        q = np.array([[2.0, 0.3], [0.3, 1.0]])
+        ell = Ellipsoid(q, 1.3)
+        mc = sampled_moment(Euclidean(q / 1.3 ** 2), [0.7, -0.2], 400_000, 5)
         assert abs(mc.value - ell.moment_of_inertia([0.7, -0.2])) < 4 * mc.stderr
 
-    def test_unknown_method_rejected(self):
-        from blgeom import InputError
-
-        with pytest.raises(InputError):
-            moment_of_inertia(SQUARE, [1.0, 0.0], method="banana")
+    def test_sampled_moment_needs_a_sample(self):
+        with pytest.raises(InputError, match="samples must be >= 1"):
+            sampled_moment(SQUARE, [1.0, 0.0], 0, 0)
 
 
 class TestOrthantMetric:
