@@ -9,14 +9,18 @@ norm's metric on a regular lattice (one solve per distinct base norm, by
 GL-equivariance; see ``bl_field``) and interpolates it with one
 tensor-product cubic spline.  The Christoffel symbols use the spline's
 exact derivatives in every dimension, all taken with the metric in one
-evaluation of a second spline on doubled knots (``MetricField._jet``), so
-the transport ODE preserves the interpolated metric to integrator
-accuracy; that preservation is monitored on every transport and doubles
-as the accuracy gate.  Transport integrates a linear ODE with fixed-step
-RK4, so each step is a matrix: an attempt forms every step's matrix from
-one batch of Christoffel symbols and multiplies them into one propagator
-per polyline segment (see ``_segment_propagators``), with no loop over
-steps.
+evaluation of a second spline on doubled knots (``MetricField._jet``), and
+one batched Cholesky solve with the metric (``_spd_solve``), so the
+transport ODE preserves the interpolated metric to integrator accuracy;
+that preservation is monitored on every transport and doubles as the
+accuracy gate.  The curvature is the plain central difference of the
+symbols at the smallest lattice spacing; a stencil point shared by
+several nodes is evaluated once, which changes only how often each
+point is evaluated (see ``MetricField.riemann``).  Transport integrates
+a linear ODE with fixed-step RK4, so each step is a matrix: an attempt
+forms every step's matrix from one batch of Christoffel symbols and
+multiplies them into one propagator per polyline segment (see
+``_segment_propagators``), with no loop over steps.
 
 The Berwald defect of a structure transports probe vectors along closed
 loops, all loops in one batch per attempt (see ``_transport``), and
@@ -322,7 +326,10 @@ class MetricField:
         """Levi-Civita symbols Gamma[..., k, i, j] at x (symmetric in i, j),
         from the exact derivatives of the spline: one ``_jet`` evaluation
         gives G and every d_k G, and Gamma^k_ij = 1/2 G^kl T_l,ij with
-        T_l,ij = d_i G_jl + d_j G_il - d_l G_ij on the pairs i <= j."""
+        T_l,ij = d_i G_jl + d_j G_il - d_l G_ij on the pairs i <= j, solved
+        for every point at once by ``_spd_solve``.  A tensor that is not
+        positive definite there (a point that is not finite) raises
+        ``NumericalFailure`` naming the point."""
         x = np.asarray(x, dtype=float)
         self._check_inside(x, 2.0 * self.spacing,
                            "is within two lattice spacings of the chart boundary")
@@ -334,7 +341,11 @@ class MetricField:
         t += d[..., j, pair[i, l]]
         t -= d[..., l, pair[i, j]]
         del jet, d           # in place and freed early: a transport batch is large
-        t = np.linalg.inv(g) @ t
+        try:
+            t = _spd_solve(g, t)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"Christoffel symbols failed at point "
+                                   f"{x.reshape(-1, self.dim)[exc.row]}: {exc}") from exc
         t *= 0.5
         # C order for the callers' contractions (t[..., pair] would put the
         # pair axes outermost in memory)
@@ -342,12 +353,22 @@ class MetricField:
 
     def riemann(self, x) -> np.ndarray:
         """Curvature R[..., l, k, i, j] by central differences of the symbols
-        at the smallest lattice spacing."""
+        at the smallest lattice spacing h: the stencil is each point x and
+        its 2n neighbours x +- h e_k, on every lattice, uniform or not.
+        Stencil points that are equal bit for bit (around the nodes of a
+        lattice whose nodes and steps are exact binary fractions, the
+        neighbours of one node are other nodes and their neighbours; see
+        ``_coincident``) are evaluated once, all in one ``christoffel`` call,
+        and shared by every stencil that holds them; the stencil and its
+        step are those of the plain central difference."""
         x = np.asarray(x, dtype=float)
         n = self.dim
         h = float(self.spacing.min())
         shifts = np.concatenate([np.zeros((1, n)), h * np.eye(n), -h * np.eye(n)])
-        gam_all = self.christoffel(x[..., None, :] + shifts)
+        pts = (x[..., None, :] + shifts).reshape(-1, n)
+        first, back = _coincident(pts)
+        gam_all = self.christoffel(pts[first])[back]
+        gam_all = gam_all.reshape(x.shape[:-1] + (2 * n + 1,) + gam_all.shape[1:])
         gam = gam_all[..., 0, :, :, :]
         dgam = (gam_all[..., 1:n + 1, :, :, :] - gam_all[..., n + 1:, :, :, :]) / (2.0 * h)
         t1 = np.einsum("...iljk->...lkij", dgam)        # d_i Gamma^l_{jk}
@@ -405,6 +426,54 @@ def _pairs(n: int):
     pair = np.empty((n, n), dtype=int)
     pair[i, j] = pair[j, i] = np.arange(len(i))
     return i, j, pair
+
+
+def _spd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve g x = b for a batch of symmetric positive definite g (..., n, n)
+    and right-hand sides b (..., n, m) by Cholesky elimination g = L L^T,
+    vectorised over the batch with a loop over n only; only the lower
+    triangle of g is read.  The batch axes go last, so each matrix entry is
+    one array.  A pivot that is not finite and positive raises
+    ``NumericalFailure`` with the failing row of the flattened batch in its
+    message and as its ``row``, before its square root or any division by
+    it, so a singular, indefinite or NaN matrix raises without a warning."""
+    n = g.shape[-1]
+    g = np.moveaxis(g, (-2, -1), (0, 1))
+    x = np.moveaxis(b, (-2, -1), (0, 1)).astype(float)
+    low = np.zeros(g.shape)
+    for j in range(n):
+        pivot = g[j, j] - (low[j, :j] ** 2).sum(axis=0)
+        bad = ~(np.isfinite(pivot) & (pivot > 0.0))
+        if np.any(bad):
+            row = int(np.argmax(bad.ravel()))
+            failure = NumericalFailure(f"matrix in row {row} is not positive definite "
+                                       f"(pivot {j} is {pivot.ravel()[row]:.3e})")
+            failure.row = row
+            raise failure
+        low[j, j] = np.sqrt(pivot)
+        low[j + 1:, j] = (g[j + 1:, j] - (low[j + 1:, :j] * low[j, :j]).sum(axis=1)) / low[j, j]
+    for j in range(n):                       # L y = b
+        x[j] -= (low[j, :j, None] * x[:j]).sum(axis=0)
+        x[j] /= low[j, j]
+    for j in reversed(range(n)):             # L^T x = y
+        x[j] -= (low[j + 1:, j, None] * x[j + 1:]).sum(axis=0)
+        x[j] /= low[j, j]
+    return np.moveaxis(x, (0, 1), (-2, -1))
+
+
+def _coincident(pts: np.ndarray):
+    """One representative row for each group of equal rows of ``pts`` (k, n),
+    and the group of every row: (representatives, groups), so that
+    ``pts[representatives][groups]`` is ``pts``.  Rows that are equal bit for
+    bit (up to the sign of zero) are one group; no other rows are merged, and
+    a row holding a NaN is a group of its own."""
+    order = np.lexsort(pts.T)
+    ordered = pts[order]
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    groups = np.empty(len(pts), dtype=int)
+    groups[order] = np.cumsum(new) - 1
+    return order[new], groups
 
 
 def _refine(t):
@@ -797,11 +866,11 @@ def berwald_defect(structure: FinslerStructure, field: MetricField,
     ``bl_field``), all loops in one batch (``_transport``); the
     defect compares F at each reached point against F at the start, i.e.
     |F(y, P xi) - F(x, xi)| / F(x, xi) along the path and around the full
-    loop.  F at the vertices of a loop comes from one
-    ``structure.peel`` of the loop, as base(A xi), with one ``values`` call
-    per distinct base.  A Berwald structure keeps this at numerical noise;
-    the report also carries the worst metric-preservation residual of the
-    transports.  A structure that fails at a vertex raises
+    loop.  F at the vertices of every loop comes from one
+    ``structure.peel`` of all of them, as base(A xi), with one ``values``
+    call per distinct base.  A Berwald structure keeps this at numerical
+    noise; the report also carries the worst metric-preservation residual
+    of the transports.  A structure that fails at a vertex raises
     ``NumericalFailure`` naming the vertex.
     """
     if loops is None:
@@ -814,23 +883,22 @@ def berwald_defect(structure: FinslerStructure, field: MetricField,
                 "three of its largest spacings from the chart edge; refine the "
                 "lattice (a square chart needs at least 8 nodes per axis)") from exc
     n = structure.dim
-    worst = 0.0
-    gram_worst = 0.0
-    per_loop = []
-    for result in _transport(field, loops, default_probes(n)):
-        gram_worst = max(gram_worst, result.gram_residual)
-        maps, bases, base_of_vertex = _peel(structure, result.path,
-                                            "norm evaluation failed at point")
-        # F at vertex v of its frame's column p is base_v(A_v xi_vp)
-        vecs = np.einsum("vij,vjp->vpi", maps, np.array(result.frames))
-        f = np.empty(vecs.shape[:2])
-        for b, base in enumerate(bases):
-            at = base_of_vertex == b
-            f[at] = base.values(vecs[at].reshape(-1, n)).reshape(-1, f.shape[1])
-        loop_worst = float((np.abs(f[1:] - f[0]) / f[0]).max())
-        per_loop.append(loop_worst)
-        worst = max(worst, loop_worst)
-    return BerwaldReport(worst, per_loop, gram_worst)
+    results = _transport(field, loops, default_probes(n))
+    if not results:
+        return BerwaldReport(0.0, [], 0.0)
+    vertices = np.concatenate([result.path for result in results])
+    maps, bases, base_of_vertex = _peel(structure, vertices, "norm evaluation failed at point")
+    # F at vertex v of its frame's column p is base_v(A_v xi_vp)
+    vecs = np.einsum("vij,vjp->vpi", maps,
+                     np.concatenate([result.frames for result in results]))
+    f = np.empty(vecs.shape[:2])
+    for b, base in enumerate(bases):
+        at = base_of_vertex == b
+        f[at] = base.values(vecs[at].reshape(-1, n)).reshape(-1, f.shape[1])
+    ends = np.cumsum([len(result.path) for result in results])[:-1]
+    per_loop = [float((np.abs(fl[1:] - fl[0]) / fl[0]).max()) for fl in np.split(f, ends)]
+    return BerwaldReport(max(per_loop), per_loop,
+                         max(result.gram_residual for result in results))
 
 
 @dataclass

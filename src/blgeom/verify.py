@@ -230,16 +230,15 @@ def suite_ellipsoids(seed: int = 0):
     results.append(_check("square dual ellipsoid radius sqrt(3)/2",
                           abs(bin_ell.radii()[0] - np.sqrt(3.0) / 2.0), 1e-8))
 
+    # exact moments int_Omega <theta, x>^2 dx of the square [-1, 1]^2 and of
+    # the diamond |x1| + |x2| <= 1, for theta = e1, e2 and (1, 1)
     worst = 0.0
-    for name in ("square-max", "diamond-l1"):
-        norm = catalog.builtin_norm(name)
-        bl = _bl(norm)
-        ell = bl.ellipsoids()[1]
-        for theta in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
-            lhs = ell.moment_of_inertia(theta)
-            rhs = bl.moment_of_inertia(theta)
-            worst = max(worst, abs(lhs - rhs) / rhs)
-    results.append(_check("moment identity (deterministic both sides)", worst, 1e-9))
+    for name, exact in (("square-max", (4 / 3, 4 / 3, 8 / 3)),
+                        ("diamond-l1", (1 / 3, 1 / 3, 2 / 3))):
+        ell = _bl(catalog.builtin_norm(name)).ellipsoids()[1]
+        for theta, want in zip(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]), exact):
+            worst = max(worst, abs(ell.moment_of_inertia(theta) - want) / want)
+    results.append(_check("moment identity vs exact polygon moments", worst, 1e-9))
 
     # seed-robust: each deviation is bounded by its own sampling error
     worst_sigma = 0.0

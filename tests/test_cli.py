@@ -799,6 +799,12 @@ def test_berwald_rejects_lattice_without_room_for_loops(spec_dir, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "lattice 7x7" in captured.err and "margin" not in captured.err
+    # at 5 and 6 nodes per axis the curvature interior is empty as well
+    for grid in ("5x5", "6x6"):
+        code = main(["berwald", "--structure", rotor, "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"lattice {grid}" in captured.err
     code, out = run(capsys, "berwald", "--structure", rotor, "--grid", "8x8")
     assert code == 0
     assert strict_json(out)["verdict"] == "not locally Minkowski"

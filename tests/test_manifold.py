@@ -1,3 +1,5 @@
+import re
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -16,6 +18,7 @@ from blgeom import (Euclidean, InputError, LinearImage, LpNorm, MetricField, Num
                     rigid_motion, rotor_structure, smoothstep, square_gauge,
                     structure_from_spec, validate)
 from blgeom import catalog, invariants, manifold, specio
+from counting import count_values_calls
 from oracles import conformal_christoffel
 
 
@@ -471,6 +474,112 @@ class TestChristoffel:
         assert got == pytest.approx(-phipp, abs=5e-3)
 
 
+# fields at their default lattices, and one whose spacing 11/150 is no binary
+# fraction, so that neighbouring stencil points differ by rounding and are
+# evaluated apart
+STENCIL_CASES = {
+    "conformal-euclidean": lambda: bl_field(catalog.builtin_structure("conformal-euclidean")),
+    "l1-l2-interpolation": lambda: bl_field(l1_l2_interpolation()),  # spacings 3/32, 1/16
+    "3d-conformal-euclidean": lambda: bl_field(BENCHMARK_3D["3d-conformal-euclidean"]),
+    "spacing-11/150": lambda: bl_field(conformal_rescale(
+        constant_structure(Euclidean(np.eye(2)), lo=(-1.0, -0.7), hi=(1.2, 1.5)), sin_factor),
+        shape=(31, 31))}
+
+
+def _interior_nodes(field):
+    return np.stack(np.meshgrid(*[a[3:-3] for a in field.axes], indexing="ij"), axis=-1)
+
+
+class TestCurvatureStencil:
+    @pytest.mark.parametrize("name", sorted(STENCIL_CASES))
+    def test_riemann_matches_reference_stencil(self, name):
+        # the centre and its 2n neighbours at the smallest spacing, every
+        # point evaluated on its own, then R^l_kij = d_i G^l_jk - d_j G^l_ik
+        # + G^l_is G^s_jk - G^l_js G^s_ik
+        field = STENCIL_CASES[name]()
+        x = _interior_nodes(field).reshape(-1, field.dim)
+        n, h = field.dim, field.spacing.min()
+        gam = field.christoffel(x)
+        up = np.stack([field.christoffel(x + h * e) for e in np.eye(n)], axis=1)
+        down = np.stack([field.christoffel(x - h * e) for e in np.eye(n)], axis=1)
+        d = (up - down) / (2.0 * h)                      # d[p, m, l, i, j] = d_m G^l_ij
+        want = (np.einsum("pilkj->plkij", d) - np.einsum("pjlki->plkij", d)
+                + np.einsum("plis,psjk->plkij", gam, gam)
+                - np.einsum("pljs,psik->plkij", gam, gam))
+        got = field.riemann(x)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name, points", [
+        ("conformal-euclidean", 837), ("l1-l2-interpolation", 2241),
+        ("3d-conformal-euclidean", 81)])
+    def test_shared_stencil_points_evaluated_once(self, monkeypatch, name, points):
+        # 33^2: the 27^2 interior nodes and their neighbours, 27 x 29 x 2 - 27^2
+        # points of 3645; l1-l2's axis-0 neighbours fall between its nodes; 9^3:
+        # the 3^3 interior cube and one layer on each face, 81 of 189
+        field = STENCIL_CASES[name]()
+        calls = []
+        christoffel = MetricField.christoffel
+
+        def counting(self, x):
+            calls.append(np.shape(x))
+            return christoffel(self, x)
+
+        monkeypatch.setattr(MetricField, "christoffel", counting)
+        field.riemann(_interior_nodes(field))
+        assert calls == [(points, field.dim)]
+
+    def test_nearby_points_stay_apart(self, interp_field):
+        # a point 1e-9 spacings off a lattice node is not that node
+        h = interp_field.spacing.min()
+        x = np.array([[0.5, 0.25], [0.5 + 2.0 * h, 0.25 + 1e-9 * h]])
+        first, groups = manifold._coincident(
+            (x[:, None, :] + np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0]])).reshape(-1, 2))
+        assert len(first) == 6 and len(set(groups)) == 6
+        single = np.array([interp_field.riemann(p) for p in x])
+        np.testing.assert_array_equal(interp_field.riemann(x), single)
+
+
+def _spd_batch(rng, n, cond, count=200):
+    q = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    g = q @ (np.logspace(0.0, np.log10(cond), n)[:, None] * np.swapaxes(q, 1, 2))
+    return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+
+class TestSpdSolve:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e10])
+    def test_matches_lapack(self, n, cond):
+        rng = np.random.default_rng(n)
+        g = _spd_batch(rng, n, cond)
+        b = rng.standard_normal((len(g), n, 3))
+        got = manifold._spd_solve(g, b)
+        want = np.linalg.solve(g, b)
+        err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert err.max() <= 8.0 * np.finfo(float).eps * cond
+        residual = np.linalg.norm(g @ got - b, axis=(1, 2)) / (
+            np.linalg.norm(g, axis=(1, 2)) * np.linalg.norm(got, axis=(1, 2)))
+        assert residual.max() <= 8.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("bad, pivot", [
+        (np.full((2, 2), np.nan), "pivot 0 is nan"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "pivot 1 is -3.000e+00")],
+        ids=["nan", "indefinite"])
+    def test_failure_names_row(self, bad, pivot):
+        g = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+        g[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=f"row 3 .*{re.escape(pivot)}") as info:
+                manifold._spd_solve(g, np.ones((5, 2, 1)))
+        assert info.value.row == 3
+
+    def test_christoffel_failure_names_point(self, interp_field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=r"failed at point \[nan +0\.\]"):
+                interp_field.christoffel([[0.5, 0.0], [np.nan, 0.0]])
+
+
 class TestTransport:
     def test_constant_field_is_identity(self):
         field = bl_field(constant_structure(square_gauge()), shape=(9, 9))
@@ -638,6 +747,26 @@ class TestBerwald:
             {"kind": "constant", "value": 0.4}, 2, "psi"))
         assert berwald_defect(moving, bl_field(moving, shape=(17, 17))).defect > 1e-4
         assert berwald_defect(frozen, bl_field(frozen, shape=(17, 17))).defect < 1e-6
+
+    @pytest.mark.parametrize("name", ["l1-l2-interpolation", "3d-quartic-axial"])
+    def test_one_peel_and_one_values_call_per_base(self, monkeypatch, name):
+        # every loop's vertices in one peel; each distinct base evaluated once
+        st = {**ASSEMBLY_CASES, **BENCHMARK_3D}[name]
+        field = bl_field(st)
+        peel, peels = st.peel, []
+
+        def counting_peel(pts):
+            peels.append(len(pts))
+            return peel(pts)
+
+        monkeypatch.setattr(st, "peel", counting_peel)
+        calls = count_values_calls(monkeypatch)
+        report = berwald_defect(st, field)
+        loops = default_loops(st, 3.0 * float(field.spacing.max()))
+        assert len(report.per_loop) == len(loops) > 1
+        assert peels == [sum(len(loop) for loop in loops)]
+        bases = peel(np.concatenate(loops))[1]
+        assert len(calls) == len(bases)
 
     def test_norm_failure_names_point(self):
         # the field is fine; the structure's factor x1 is not positive for x1 <= 0
