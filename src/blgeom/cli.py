@@ -67,12 +67,17 @@ def _emit(text, out_path):
 
 
 def _write_csv(path, header, rows):
-    """Write ``header`` and the rows of ``rows``, every entry as %.17g and
-    comma-separated: one %-format of the row format repeated per row, the
-    same bytes as ``np.savetxt`` with that format."""
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    """Write ``header`` and the rows of ``rows``, comma-separated, with the
+    same bytes as ``np.savetxt`` with format %.17g.  Each distinct value is
+    formatted once: distinct by bit pattern, so 0.0 and -0.0 stay apart, in
+    one %.17g pass, then indexed back into the rows (the lattice columns and
+    the tensors of a catalog field repeat most of their values)."""
+    bits, index = np.unique(rows.view(np.uint64), return_inverse=True)
+    text = np.array(("%.17g," * len(bits) % tuple(bits.view(float).tolist())).split(","),
+                    dtype=object)
+    line = ",".join(["%s"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
+        fh.write(header + "\n" + (line * len(rows)) % tuple(text[index.ravel()].tolist()))
 
 
 def _load_validated_norm(path):
@@ -144,21 +149,35 @@ def cmd_fingerprint(args):
 
 
 def _read_cloud(path):
+    """The fingerprint columns w0, w1, ..., mu, m_max of a cloud CSV, picked
+    by header name in any order, each cell read by ``float``.  Comment and
+    blank lines are skipped; a ragged, non-numeric or non-finite data row is
+    an input error naming the file and the row's number."""
     try:
         with open(path) as fh:
-            skip = 1 if fh.readline().startswith("#") else 0
-        data = np.genfromtxt(path, delimiter=",", names=True, skip_header=skip)
-    except ValueError as exc:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
         raise InputError(f"cannot read cloud file {path}: {exc}") from exc
-    names = data.dtype.names
-    if names is None:
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not lines:
         raise InputError(f"{path} is not a fingerprint CSV (missing header)")
-    cols = [n for n in names if n.startswith("w")] + ["mu", "m_max"]
+    names = [name.strip() for name in lines[0].split(",")]
+    cols = [f"w{j}" for j in range(sum(n.startswith("w") for n in names))] + ["mu", "m_max"]
     missing = [c for c in cols if c not in names]
     if missing:
         raise InputError(f"{path} is missing fingerprint columns {missing}")
-    cloud = np.column_stack([np.atleast_1d(data[c]) for c in cols])
-    # genfromtxt reads a non-numeric cell as NaN
+    picks = [names.index(c) for c in cols]
+    rows = []
+    for row, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise InputError(f"cannot read cloud file {path}: data row {row} has "
+                             f"{len(cells)} columns, the header {len(names)}")
+        try:
+            rows.append([float(cells[k]) for k in picks])
+        except ValueError:           # a non-numeric cell, reported with the non-finite
+            rows.append([np.nan] * len(picks))
+    cloud = np.array(rows, dtype=float).reshape(-1, len(cols))
     bad = ~np.isfinite(cloud).all(axis=1)
     if bad.any():
         raise InputError(f"{path} has a non-finite or non-numeric fingerprint entry "
@@ -236,88 +255,84 @@ def cmd_examples(args):
     return 0
 
 
-_LATTICE_HELP = "lattice, e.g. 33x33 (default: 33x33 in 2D, 9 nodes per axis otherwise)"
+def _flag(*names, **options):
+    return names, options
 
 
-def build_parser():
+_NORM = _flag("--norm", required=True, help="path to a norm spec JSON")
+_STRUCTURE = _flag("--structure", required=True, help="path to a structure spec JSON")
+_QUAD_LEVEL = _flag("--quad-level", type=quad_level, default=0,
+                    help=f"quadrature refinement level, 0 to {MAX_QUAD_LEVEL} (default 0)")
+_OUT = _flag("--out", help="output path (default: stdout)")
+_OUT_FILE = _flag("--out", required=True, help="output path")
+_LATTICE = _flag("--grid", help="lattice, e.g. 33x33 (default: 33x33 in 2D, "
+                                "9 nodes per axis otherwise)")
+
+# name: (help, command, flags in the order that help lists them)
+_COMMANDS = {
+    "metric": ("metric, dual matrix, volume, condition", cmd_metric, [
+        _NORM, _QUAD_LEVEL, _OUT,
+        _flag("--tol", type=tolerance, default=1e-8,
+              help="refinement-doubling acceptance tolerance")]),
+    "ellipsoid": ("dual and moment ellipsoids", cmd_ellipsoid,
+                  [_NORM, _QUAD_LEVEL, _OUT]),
+    "invariants": ("Steiner coefficients, roundness, fingerprint", cmd_invariants,
+                   [_NORM, _QUAD_LEVEL, _OUT]),
+    "fingerprint": ("fingerprint cloud of a structure to CSV", cmd_fingerprint, [
+        _STRUCTURE, _QUAD_LEVEL, _OUT_FILE,
+        _flag("--grid", help="grid, e.g. 32x32 (default: 8 points per axis)")]),
+    "compare": ("compare two fingerprint clouds", cmd_compare, [
+        _flag("--a", required=True), _flag("--b", required=True),
+        _flag("--tol", type=tolerance, default=1e-3,
+              help="normalized Hausdorff tolerance"),
+        _flag("--assert", dest="assert_verdict", action="store_true",
+              help="exit 1 when the clouds are distinguishable"),
+        _OUT]),
+    "field": ("dump the metric field of a structure to CSV", cmd_field,
+              [_STRUCTURE, _QUAD_LEVEL, _OUT_FILE, _LATTICE]),
+    "berwald": ("Berwald defect and local flatness", cmd_berwald, [
+        _STRUCTURE, _QUAD_LEVEL, _OUT, _LATTICE,
+        _flag("--tol", type=tolerance, default=1e-4,
+              help="verdict tolerance for both legs"),
+        _flag("--assert", dest="assert_verdict", action="store_true",
+              help="exit 1 when the structure is not locally Minkowski")]),
+    "verify": ("run a property suite end to end", cmd_verify, [
+        _flag("--suite", default="all",
+              help="norms | metric-properties | ellipsoids | invariants | berwald | all"),
+        _flag("--seed", type=random_seed, default=0)]),
+    "examples": ("list or emit the built-in specs", cmd_examples, [
+        _flag("--list", action="store_true", help="list built-ins (default)"),
+        _flag("--emit", metavar="DIR", help="write spec JSON files to DIR")]),
+}
+
+
+def build_parser(command):
+    """The parser with every subcommand for ``command`` None, or, for a
+    ``command`` named in ``_COMMANDS``, with that subcommand only: it parses
+    that command's argv, and prints its help and errors, as the full parser
+    does."""
     parser = argparse.ArgumentParser(
         prog="blgeom",
         description="metrics, ellipsoids and conformal invariants of Minkowski "
                     "norm fields")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, norm=False, structure=False, out_required=False):
-        if norm:
-            p.add_argument("--norm", required=True, help="path to a norm spec JSON")
-        if structure:
-            p.add_argument("--structure", required=True,
-                           help="path to a structure spec JSON")
-        p.add_argument("--quad-level", type=quad_level, default=0,
-                       help=f"quadrature refinement level, 0 to {MAX_QUAD_LEVEL} (default 0)")
-        p.add_argument("--out", required=out_required,
-                       help="output path (default: stdout)" if not out_required
-                       else "output path")
-
-    p = sub.add_parser("metric", help="metric, dual matrix, volume, condition")
-    add_common(p, norm=True)
-    p.add_argument("--tol", type=tolerance, default=1e-8,
-                   help="refinement-doubling acceptance tolerance")
-    p.set_defaults(func=cmd_metric)
-
-    p = sub.add_parser("ellipsoid", help="dual and moment ellipsoids")
-    add_common(p, norm=True)
-    p.set_defaults(func=cmd_ellipsoid)
-
-    p = sub.add_parser("invariants", help="Steiner coefficients, roundness, fingerprint")
-    add_common(p, norm=True)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("fingerprint", help="fingerprint cloud of a structure to CSV")
-    add_common(p, structure=True, out_required=True)
-    p.add_argument("--grid", help="grid, e.g. 32x32 (default: 8 points per axis)")
-    p.set_defaults(func=cmd_fingerprint)
-
-    p = sub.add_parser("compare", help="compare two fingerprint clouds")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--tol", type=tolerance, default=1e-3,
-                   help="normalized Hausdorff tolerance")
-    p.add_argument("--assert", dest="assert_verdict", action="store_true",
-                   help="exit 1 when the clouds are distinguishable")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("field", help="dump the metric field of a structure to CSV")
-    add_common(p, structure=True, out_required=True)
-    p.add_argument("--grid", help=_LATTICE_HELP)
-    p.set_defaults(func=cmd_field)
-
-    p = sub.add_parser("berwald", help="Berwald defect and local flatness")
-    add_common(p, structure=True)
-    p.add_argument("--grid", help=_LATTICE_HELP)
-    p.add_argument("--tol", type=tolerance, default=1e-4,
-                   help="verdict tolerance for both legs")
-    p.add_argument("--assert", dest="assert_verdict", action="store_true",
-                   help="exit 1 when the structure is not locally Minkowski")
-    p.set_defaults(func=cmd_berwald)
-
-    p = sub.add_parser("verify", help="run a property suite end to end")
-    p.add_argument("--suite", default="all",
-                   help="norms | metric-properties | ellipsoids | invariants | "
-                        "berwald | all")
-    p.add_argument("--seed", type=random_seed, default=0)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("examples", help="list or emit the built-in specs")
-    p.add_argument("--list", action="store_true", help="list built-ins (default)")
-    p.add_argument("--emit", metavar="DIR", help="write spec JSON files to DIR")
-    p.set_defaults(func=cmd_examples)
-
+    # the full parser's usage line names every subcommand; so must one built
+    # for a single command, which prints that line for an unrecognized flag
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in _COMMANDS if command is None else [command]:
+        help_text, func, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for names, options in flags:
+            p.add_argument(*names, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the parser for the invoked subcommand only; argv that names none (no
+    # argument, -h, an unknown command) gets the full parser and its messages
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -252,6 +252,9 @@ def _box_corners(lo, hi):
 # ---------------------------------------------------------------------------
 
 
+_NEAR_BOUNDARY = "is within two lattice spacings of the chart boundary"
+
+
 class MetricField:
     """Metric tensors on a regular lattice with one tensor-product cubic spline
     for all components.  ``at``, ``christoffel`` and ``riemann`` take a point
@@ -291,8 +294,9 @@ class MetricField:
         return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def _check_inside(self, x, margin, problem):
-        outside = np.any((x < self.lo + margin - 1e-12)
-                         | (x > self.hi - margin + 1e-12), axis=-1)
+        # negated, so that a NaN coordinate (every comparison false) is outside
+        outside = np.any(~(x >= self.lo + margin - 1e-12)
+                         | ~(x <= self.hi - margin + 1e-12), axis=-1)
         if np.any(outside):
             raise InputError(f"point {x[outside][0]} {problem}")
 
@@ -327,12 +331,12 @@ class MetricField:
         from the exact derivatives of the spline: one ``_jet`` evaluation
         gives G and every d_k G, and Gamma^k_ij = 1/2 G^kl T_l,ij with
         T_l,ij = d_i G_jl + d_j G_il - d_l G_ij on the pairs i <= j, solved
-        for every point at once by ``_spd_solve``.  A tensor that is not
-        positive definite there (a point that is not finite) raises
-        ``NumericalFailure`` naming the point."""
+        for every point at once by ``_spd_solve``.  A point within two
+        lattice spacings of the boundary, or not finite, raises
+        ``InputError``; a tensor that is not positive definite there raises
+        ``NumericalFailure``; both name the point."""
         x = np.asarray(x, dtype=float)
-        self._check_inside(x, 2.0 * self.spacing,
-                           "is within two lattice spacings of the chart boundary")
+        self._check_inside(x, 2.0 * self.spacing, _NEAR_BOUNDARY)
         i, j, pair = _pairs(self.dim)
         l = np.arange(self.dim)[:, None]
         jet = self._jet(x)
@@ -362,6 +366,8 @@ class MetricField:
         and shared by every stencil that holds them; the stencil and its
         step are those of the plain central difference."""
         x = np.asarray(x, dtype=float)
+        # checked here too, so that an error names x and not a stencil point
+        self._check_inside(x, 2.0 * self.spacing, _NEAR_BOUNDARY)
         n = self.dim
         h = float(self.spacing.min())
         shifts = np.concatenate([np.zeros((1, n)), h * np.eye(n), -h * np.eye(n)])

@@ -1,4 +1,6 @@
+import argparse
 import copy
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from blgeom import (Ellipsoid, Euclidean, InputError, LpNorm, NumericalFailure,
                     auto_quadrature, bl_metric, catalog, compare_fingerprints,
                     constant_structure, manifold, rigid_motion, sampled_moment,
                     specio)
+from blgeom import cli
 from blgeom.cli import main
 from counting import CountingNorm
 
@@ -1050,3 +1053,109 @@ def test_bool_in_numeric_slot_exit_2(tmp_path, capsys, case):
     captured = capsys.readouterr()
     key = [step for step in path if isinstance(step, str)][-1]
     assert captured.out == "" and f"key {key!r}" in captured.err
+
+
+_PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["frobnicate"], ["-x"],
+    *[[name, "-h"] for name in cli._COMMANDS],
+    ["metric"],
+    ["field", "--structure", "structure-constant-square.json"],
+    ["metric", "--norm", "norm-square-max.json", "--mc-seed", "0"],
+    ["metric", "--norm", "norm-square-max.json", "--quad-level", "9"],
+    ["metric", "--norm", "norm-square-max.json", "--tol", "nan"],
+    ["compare", "--a", "a.csv", "--b", "b.csv", "--tol", "-1", "--assert", "extra"],
+    ["verify", "--seed", "-1"],
+    ["examples"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-argument")
+def test_subcommand_parser_matches_full_parser(spec_dir, capsys, monkeypatch, argv):
+    # main builds the parser for argv[0] alone; whatever it prints and
+    # returns, the parser with every subcommand prints and returns too
+    argv = [str(spec_dir / a) if a.endswith(".json") else a for a in argv]
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: full(None))
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == captured
+
+
+def test_metric_builds_one_subparser(spec_dir, capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **options):
+        added.append(name)
+        return add_parser(self, name, **options)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["metric", "--norm", str(spec_dir / "norm-square-max.json")]) == 0
+    assert added == ["metric"]
+
+
+_DISTINCT_BITS = np.array([
+    [0.0, -0.0, 5e-324, -5e-324],
+    [1e300, -1e300, 0.1, 1.0 / 3.0],
+    [0.0, -0.0, 5e-324, -5e-324],
+    [1e300, -1e300, 0.1, 1.0 / 3.0]])
+
+
+@pytest.mark.parametrize("rows", [
+    _DISTINCT_BITS,
+    np.tile(_DISTINCT_BITS[:1], (5, 1)),
+    np.random.default_rng(3).standard_normal((50, 7)) * 10.0 ** np.arange(-150, 200, 50)],
+    ids=["signed-zeros-subnormals-huge", "repeated-rows", "all-distinct"])
+def test_write_csv_bytes_match_savetxt(tmp_path, rows):
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "# comment\na,b", rows)
+    ref = io.StringIO()
+    np.savetxt(ref, rows, fmt="%.17g", delimiter=",")
+    assert path.read_text() == "# comment\na,b\n" + ref.getvalue()
+
+
+_CLOUD = "x1,x2,w0,w1,mu,m_max\n0,0,3,3.4,0.8,1.1\n1,0,3.5,3.1,0.7,1.2\n"
+
+
+def _compare(tmp_path, text_a, text_b):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(text_a)
+    b.write_text(text_b)
+    return main(["compare", "--a", str(a), "--b", str(b)])
+
+
+def test_compare_rejects_header_only_cloud(tmp_path, capsys):
+    code = _compare(tmp_path, "# blgeom cloud v1\n" + _CLOUD,
+                    "# blgeom cloud v1\nx1,x2,w0,w1,mu,m_max\n")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "must be non-empty" in captured.err
+
+
+def test_compare_rejects_ragged_row(tmp_path, capsys):
+    code = _compare(tmp_path, "# blgeom cloud v1\n" + _CLOUD,
+                    "# blgeom cloud v1\n" + _CLOUD + "2,0,3,3.4,0.8\n")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert str(tmp_path / "b.csv") in captured.err and "row 3" in captured.err
+
+
+def test_compare_reads_cloud_without_comment_line(tmp_path, capsys):
+    code = _compare(tmp_path, "# blgeom cloud v1\n" + _CLOUD, _CLOUD)
+    assert code == 0 and strict_json(capsys.readouterr().out)["hausdorff"] == 0.0
+
+
+def test_compare_picks_columns_by_name(tmp_path, capsys):
+    # the same cloud with its columns in another order
+    table = [line.split(",") for line in _CLOUD.split()]
+    order = [4, 3, 0, 5, 2, 1]
+    shuffled = "".join(",".join(r[k] for k in order) + "\n" for r in table)
+    code = _compare(tmp_path, _CLOUD, shuffled)
+    assert code == 0 and strict_json(capsys.readouterr().out)["hausdorff"] == 0.0
+
+
+def test_read_cloud_reads_written_rows_exactly(tmp_path):
+    rows = np.random.default_rng(4).standard_normal((20, 6)) * 1e-7
+    path = tmp_path / "cloud.csv"
+    cli._write_csv(path, "# blgeom cloud v1\nx1,x2,w0,w1,mu,m_max", rows)
+    assert np.array_equal(cli._read_cloud(path), rows[:, 2:])

@@ -371,6 +371,11 @@ class TestInterpolant:
         with pytest.raises(InputError, match="outside"):
             interp_field.at([[0.5, 0.0], [2.5, 0.0]])
 
+    @pytest.mark.parametrize("method", ["at", "christoffel", "riemann"])
+    def test_nan_point_rejected(self, interp_field, method):
+        with pytest.raises(InputError, match=r"point \[nan +0\.\]"):
+            getattr(interp_field, method)([[0.5, 0.0], [np.nan, 0.0]])
+
     def test_positive_definite_check_locates_bad_node(self):
         axes = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 2.0, 7), np.linspace(1.0, 2.0, 5)]
         values = np.broadcast_to(np.eye(3), (9, 7, 5, 3, 3)).copy()
@@ -573,11 +578,17 @@ class TestSpdSolve:
                 manifold._spd_solve(g, np.ones((5, 2, 1)))
         assert info.value.row == 3
 
-    def test_christoffel_failure_names_point(self, interp_field):
+    def test_christoffel_failure_names_point(self):
+        # indefinite at one interior node only, where the spline interpolates
+        # it exactly; the node two spacings away keeps the identity
+        axes = [np.linspace(0.0, 1.0, 9)] * 2
+        values = np.broadcast_to(np.eye(2), (9, 9, 2, 2)).copy()
+        values[4, 4] = np.diag([1.0, -1.0])
+        field = MetricField(axes, values)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalFailure, match=r"failed at point \[nan +0\.\]"):
-                interp_field.christoffel([[0.5, 0.0], [np.nan, 0.0]])
+            with pytest.raises(NumericalFailure, match=r"failed at point \[0\.5 0\.5\]"):
+                field.christoffel([[0.25, 0.5], [0.5, 0.5]])
 
 
 class TestTransport:
