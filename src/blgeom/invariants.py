@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedDimensionError
+from .errors import InputError, NumericalFailure, UnsupportedDimensionError
 from .metric import BLMetric, assert_spd, bl_metric
 from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, as_finite,
                     sphere_directions, sphere_polish)
@@ -102,18 +102,31 @@ def _polytope_mean_width_term(hull) -> float:
 
 
 def roundness(norm: MinkowskiNorm, metric: np.ndarray) -> tuple[float, float]:
-    """(mu, M): min and max of F(xi)/sqrt(xi^T G xi) over xi != 0.
+    """(mu, M): min and max of F(xi)/sqrt(xi^T G xi) over xi != 0, that is
+    of F o A over the unit sphere, with A = L^{-T} from ``orthonormalize``.
 
-    A dense sample of the G-unit sphere (4096 directions in 2D, 20000
-    otherwise) plus the norm's extremal candidates (for polytope gauges the
-    vertex and facet-normal directions, where the extrema provably sit),
-    then one ``sphere_polish`` search from the lowest and the highest
-    sample: the minimum and the maximum share every objective call.  The
-    search grid starts 4 angular steps of the 2D sample wide, walks (and
-    stretches) when the optimum lies beyond it, turns along a kink ridge of
-    F, and stops at 1e-12 in angle (2D) or 1e-9 on the tangent chart.
+    Exact, in any dimension, where the norm's family has a closed form: a
+    polytope gauge (1 / its farthest vertex, and its nearest facet plane),
+    a euclidean norm (the extreme singular values), l^p with p = 1, 2 or
+    inf, and linear images of these.  A closed form that over- or
+    underflows raises ``NumericalFailure``.
+
+    Every other norm (``QuarticAxial``, ``WeightedSum``, l^p with another
+    p) is searched: a dense sample of the G-unit sphere (4096 directions in
+    2D, 20000 otherwise) plus the norm's extremal candidates, then one
+    ``sphere_polish`` search from the lowest and the highest sample: the
+    minimum and the maximum share every objective call.  The search grid
+    starts 4 angular steps of the 2D sample wide, walks (and stretches)
+    when the optimum lies beyond it, turns along a kink ridge of F, and
+    stops at 1e-12 in angle (2D) or 1e-9 on the tangent chart.
     """
     body = orthonormalize(norm, metric)
+    with np.errstate(all="ignore"):      # an overflow gives a non-finite pair
+        exact = norm._exact_roundness(body.matrix, body._inv)
+    if exact is not None:
+        if not (np.isfinite(exact).all() and exact[0] > 0.0):
+            raise NumericalFailure(f"roundness is not finite: {exact}")
+        return exact
     n = body.dim
     grid = 4096 if n == 2 else 20000
     dirs = sphere_directions(body, grid)
@@ -171,15 +184,19 @@ def compare_fingerprints(cloud_a, cloud_b, tol: float = 1e-3) -> FingerprintComp
     if a.shape[1] != b.shape[1]:
         raise InputError("fingerprint clouds have different dimensions")
     pooled = np.vstack([a, b])
-    q25, med, q75 = np.percentile(pooled, [25, 50, 75], axis=0)
-    scale = q75 - q25
-    degenerate = scale < 1e-12 * (1.0 + np.abs(med))
-    scale[degenerate] = 1.0 + np.abs(med[degenerate])
-    an = a / scale
-    bn = b / scale
-    d_ab = cKDTree(bn).query(an)[0]
-    d_ba = cKDTree(an).query(bn)[0]
-    hausdorff = float(max(d_ab.max(), d_ba.max()))
-    q95 = float(max(np.percentile(d_ab, 95), np.percentile(d_ba, 95)))
+    # entries near the float limit overflow the scaling or the distances
+    with np.errstate(over="ignore", invalid="ignore"):
+        q25, med, q75 = np.percentile(pooled, [25, 50, 75], axis=0)
+        scale = q75 - q25
+        degenerate = scale < 1e-12 * (1.0 + np.abs(med))
+        scale[degenerate] = 1.0 + np.abs(med[degenerate])
+        an = a / scale
+        bn = b / scale
+        if not (np.isfinite(an).all() and np.isfinite(bn).all()):
+            raise NumericalFailure("fingerprint clouds are too large to scale")
+        d_ab = cKDTree(bn).query(an)[0]
+        d_ba = cKDTree(an).query(bn)[0]
+        hausdorff = float(max(d_ab.max(), d_ba.max()))
+        q95 = float(max(np.percentile(d_ab, 95), np.percentile(d_ba, 95)))
     verdict = "cannot distinguish" if hausdorff <= tol else "not conformally equivalent"
     return FingerprintComparison(hausdorff, q95, verdict, tol)

@@ -491,7 +491,10 @@ def _refine(t):
     from scipy.interpolate import BSpline, make_interp_spline
 
     t2 = np.sort(np.concatenate([t, t[4:-4]]))
-    greville = (t2[1:-3] + t2[2:-2] + t2[3:-1]) / 3.0
+    # the mean of three knots, from knot differences: a sum of knots near
+    # the float limit would overflow, and the chart's widths are finite
+    mid = t2[2:-2]
+    greville = mid + ((t2[1:-3] - mid) + (t2[3:-1] - mid)) / 3.0
     basis = BSpline(t, np.eye(len(t) - 4), 3)
     maps = make_interp_spline(greville, np.hstack([basis(greville), basis(greville, 1)]),
                               k=3, t=t2).c

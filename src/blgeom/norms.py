@@ -136,7 +136,8 @@ class MinkowskiNorm:
     family whose support function has a closed form also implements
     ``_support`` on (k, n) covectors and sets ``_exact_support = True``.
     The others inherit the boundary-cloud scan as ``_support``, which the
-    public ``support`` polishes.
+    public ``support`` polishes.  A family whose extremes over the sphere
+    have a closed form implements ``_exact_roundness``.
 
     The public ``values`` and ``support`` are the one boundary that
     validates input.  ``_values`` and ``_support`` get a validated real
@@ -214,6 +215,12 @@ class MinkowskiNorm:
     def extremal_candidates(self) -> np.ndarray:
         """Unit directions where extrema of F over the sphere may sit."""
         return np.empty((0, self.dim))
+
+    def _exact_roundness(self, A, inv):
+        """(min, max) of u -> F(A u) over unit vectors u, for an invertible
+        A with inverse ``inv``, where the family has a closed form; None
+        where it has not (the caller searches the sphere)."""
+        return None
 
     # boundary cloud cache, shared by generic support/extrema scans
     _cloud: Optional[np.ndarray] = None
@@ -348,7 +355,7 @@ class Euclidean(MinkowskiNorm):
         if not np.allclose(G, G.T, atol=1e-12 * max(1.0, np.abs(G).max())):
             raise InputError("matrix must be symmetric")
         try:
-            np.linalg.cholesky(G)
+            self._root = np.linalg.cholesky(G)     # F(xi) = |root^T xi|
         except np.linalg.LinAlgError as exc:
             raise InputError("matrix must be positive definite") from exc
         self.matrix = G
@@ -369,6 +376,9 @@ class Euclidean(MinkowskiNorm):
     def extremal_candidates(self):
         _, vecs = np.linalg.eigh(self.matrix)
         return np.vstack([vecs.T, -vecs.T])
+
+    def _exact_roundness(self, A, inv):
+        return _ellipsoid_roundness(self._root.T @ A)
 
     def __repr__(self):
         return f"Euclidean(dim={self.dim})"
@@ -392,6 +402,31 @@ def _lp_kink_angles(p, dim):
     if dim != 2 or 2.0 <= p < np.inf:
         return np.empty(0)
     return np.array([0.25, 0.75, 1.25, 1.75] if np.isinf(p) else [0.0, 0.5, 1.0, 1.5]) * np.pi
+
+
+def _axes_and_corners(dim):
+    """The 2n signed unit axes and the 2^n sign vectors (cube corners) of R^n."""
+    axes = np.vstack([np.eye(dim), -np.eye(dim)])
+    return axes, np.array(list(itertools.product([1.0, -1.0], repeat=dim)))
+
+
+def _ellipsoid_roundness(B):
+    """(min, max) of u -> |B u| over unit vectors u: B's extreme singular
+    values; NaN if B is not finite."""
+    if not np.isfinite(B).all():
+        return np.nan, np.nan
+    sigma = np.linalg.svd(B, compute_uv=False)
+    return float(sigma[-1]), float(sigma[0])
+
+
+def _gauge_roundness(A, inv, vertices, normals, offsets):
+    """(min, max) of u -> F(A u) over unit vectors u for the gauge F of the
+    polytope with ``vertices`` and facets {x : normals x <= offsets}.  The
+    farthest point of the body A^-1 P from 0 is a vertex, so the min is
+    1 / max |A^-1 v|; its nearest boundary point lies on a facet plane, at
+    distance b / |A^T n|, so the max is max |A^T n| / b."""
+    far = np.linalg.norm(vertices @ inv.T, axis=1).max()
+    return float(1.0 / far), float((np.linalg.norm(normals @ A, axis=1) / offsets).max())
 
 
 class LpNorm(MinkowskiNorm):
@@ -426,10 +461,22 @@ class LpNorm(MinkowskiNorm):
         return _lp_kink_angles(self._dual_exponent(), self.dim)
 
     def extremal_candidates(self):
-        # the 2n axis directions and the 2^n cube corners (n <= MAX_DIM)
-        axes = np.vstack([np.eye(self.dim), -np.eye(self.dim)])
-        corners = np.array(list(itertools.product([1.0, -1.0], repeat=self.dim)))
+        axes, corners = _axes_and_corners(self.dim)
         return np.vstack([axes, corners / np.sqrt(self.dim)])
+
+    def _exact_roundness(self, A, inv):
+        # p = 2 is the round ball; p = 1 is the cross-polytope, whose
+        # vertices are the axes and facet normals the corners, and p = inf
+        # the cube, the other way round; every facet offset is 1
+        if self.p == 2.0:
+            return _ellipsoid_roundness(A)
+        if self.p == 1.0:
+            vertices, normals = _axes_and_corners(self.dim)
+        elif np.isinf(self.p):
+            normals, vertices = _axes_and_corners(self.dim)
+        else:
+            return None
+        return _gauge_roundness(A, inv, vertices, normals, 1.0)
 
     def __repr__(self):
         return f"LpNorm(p={self.p}, dim={self.dim})"
@@ -488,6 +535,9 @@ class PolytopeGauge(MinkowskiNorm):
         vdirs = self.vertices / np.linalg.norm(self.vertices, axis=1, keepdims=True)
         return np.vstack([vdirs, self._facet_normals])
 
+    def _exact_roundness(self, A, inv):
+        return _gauge_roundness(A, inv, self.vertices, self._facet_normals, self._facet_offsets)
+
     def __repr__(self):
         return f"PolytopeGauge(dim={self.dim}, vertices={len(self.vertices)})"
 
@@ -536,6 +586,9 @@ class LinearImage(MinkowskiNorm):
         mapped = np.vstack([cand @ self._inv.T, cand @ self.matrix])
         return mapped / np.linalg.norm(mapped, axis=1, keepdims=True)
 
+    def _exact_roundness(self, A, inv):
+        return self.inner._exact_roundness(self.matrix @ A, inv @ self._inv)
+
     def __repr__(self):
         return f"LinearImage({self.inner!r})"
 
@@ -555,10 +608,11 @@ class WeightedSum(MinkowskiNorm):
 
     def _values(self, pts):
         out = 0.0
-        if self.w1:
-            out = self.w1 * self.first._values(pts)
-        if self.w2:
-            out = out + self.w2 * self.second._values(pts)
+        with np.errstate(over="ignore"):     # a huge weight gives inf, which ``values`` rejects
+            if self.w1:
+                out = self.w1 * self.first._values(pts)
+            if self.w2:
+                out = out + self.w2 * self.second._values(pts)
         return out
 
     def kink_angles(self):

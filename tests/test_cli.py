@@ -1159,3 +1159,47 @@ def test_read_cloud_reads_written_rows_exactly(tmp_path):
     path = tmp_path / "cloud.csv"
     cli._write_csv(path, "# blgeom cloud v1\nx1,x2,w0,w1,mu,m_max", rows)
     assert np.array_equal(cli._read_cloud(path), rows[:, 2:])
+
+
+# Values at the float limit: each case exits 2 or 3 with a message, never a
+# traceback, with RuntimeWarnings raised as errors (the CI flags).
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("axis", [0, 1])
+def test_berwald_chart_bound_at_float_limit(spec_dir, tmp_path, capsys, axis):
+    # the Greville abscissae of the spline refinement once summed three
+    # knots near 1e308 and overflowed
+    spec = json.loads((spec_dir / "structure-constant-square.json").read_text())
+    path = tmp_path / "big-chart.json"
+    path.write_text(json.dumps(_with(spec, ("chart", "hi", axis), 1e308)))
+    code = main(["berwald", "--structure", str(path)])
+    captured = capsys.readouterr()
+    assert code in (2, 3) and captured.out == ""
+    assert captured.err.startswith(("input error: ", "numerical failure: "))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["metric", "ellipsoid", "invariants"])
+def test_weight_at_float_limit_is_a_numerical_failure(spec_dir, tmp_path, capsys, command):
+    spec = json.loads((spec_dir / "norm-l1-l2-mix.json").read_text())
+    path = tmp_path / "big-weight.json"
+    path.write_text(json.dumps(_with(spec, ("w1",), 1e308)))
+    code = main([command, "--norm", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "numerical failure: norm value is not finite\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cells", [("1e308", "-1e308"), ("-1e308", "1e308")],
+                         ids=["plus-minus", "minus-plus"])
+def test_compare_cells_at_float_limit(tmp_path, capsys, cells):
+    # the interquartile range of a column holding +-1e308 overflows
+    big = ("x1,x2,w0,w1,mu,m_max\n"
+           f"0,0,{cells[0]},3.4,0.8,1.1\n1,0,{cells[1]},3.1,0.7,1.2\n2,0,3,3.3,0.9,1.0\n")
+    for text_a, text_b in ((big, _CLOUD), (_CLOUD, big)):
+        code = _compare(tmp_path, text_a, text_b)
+        captured = capsys.readouterr()
+        assert code in (2, 3) and captured.out == ""
+        assert captured.err.startswith(("input error: ", "numerical failure: "))

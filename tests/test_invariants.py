@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from blgeom import (Euclidean, InputError, LpNorm, PolytopeGauge, QuarticAxial,
-                    UnsupportedDimensionError, WeightedSum, auto_quadrature,
+from blgeom import (Euclidean, InputError, LpNorm, NumericalFailure, PolytopeGauge,
+                    QuarticAxial, UnsupportedDimensionError, WeightedSum, auto_quadrature,
                     bl_metric, compare_fingerprints, fingerprint_point,
                     isotropy_defect, linear_image, orthonormalize,
                     quermassintegrals, rescale, roundness)
 from blgeom import catalog, invariants
 from blgeom.invariants import _polytope_mean_width_term
-from blgeom.norms import sphere_directions, sphere_grid, sphere_polish
+from blgeom.norms import (LinearImage, MinkowskiNorm, sphere_directions, sphere_grid,
+                          sphere_polish)
 from counting import count_values_calls
 from oracles import mc_dilated_area, polytope_mean_width_term
 
@@ -217,6 +218,115 @@ class TestRoundnessSearch:
             calls.clear()
             roundness(norm, g)
             assert len(calls) <= limit
+
+
+def _polygon_facets(vertices):
+    """Outward facet normals and offsets of a polygon with counter-clockwise
+    ``vertices``: {x : normals x <= offsets}."""
+    v = np.asarray(vertices, dtype=float)
+    edges = np.roll(v, -1, axis=0) - v
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    return normals, np.einsum("ij,ij->i", normals, v)
+
+
+_CUBE = np.array(list(itertools.product([1.0, -1.0], repeat=3)))
+_AXES3 = np.vstack([np.eye(3), -np.eye(3)])
+_HEXAGON = [[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3.0]
+_TRIANGLE = [[2.0, -1.0], [-1.0, 2.0], [-1.0, -1.0]]
+_SHEAR3 = np.array([[1.0, 0.4, 0.1], [0.0, 1.0, 0.3], [0.2, 0.0, 1.0]])
+
+
+def gauge_extremes(vertices, normals, offsets, g):
+    """min and max of F(x) / |x|_g for the gauge F of {x : normals x <= offsets}
+    = conv(vertices): 1 / the g-farthest vertex, and the g-nearest facet."""
+    far = np.sqrt(np.einsum("ki,ij,kj->k", vertices, g, vertices)).max()
+    near = (np.sqrt(np.einsum("ki,ij,kj->k", normals, np.linalg.inv(g), normals)) / offsets).max()
+    return 1.0 / far, near
+
+
+def quadric_extremes(G, g):
+    """min and max of sqrt(x^T G x) / |x|_g: the extreme generalized eigenvalues."""
+    from scipy.linalg import eigh
+
+    lam = eigh(G, g, eigvals_only=True)
+    return np.sqrt(lam[0]), np.sqrt(lam[-1])
+
+
+def _closed_forms():
+    # (norm, its extremes against a metric g as a function of g)
+    square = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
+    tilt = np.array([[2.0, 0.3], [0.3, 1.0]])
+    cases = {
+        "square": (PolytopeGauge(square), lambda g: gauge_extremes(
+            np.array(square), *_polygon_facets(square), g)),
+        "hexagon": (PolytopeGauge(_HEXAGON), lambda g: gauge_extremes(
+            np.array(_HEXAGON), *_polygon_facets(_HEXAGON), g)),
+        "asymmetric-triangle": (PolytopeGauge(_TRIANGLE), lambda g: gauge_extremes(
+            np.array(_TRIANGLE), *_polygon_facets(_TRIANGLE), g)),
+        # the body of cube o A is A^-1 cube, with facets (A^T e) . x <= 1
+        "sheared-cube": (linear_image(PolytopeGauge(_CUBE), _SHEAR3), lambda g: gauge_extremes(
+            np.linalg.solve(_SHEAR3, _CUBE.T).T, _AXES3 @ _SHEAR3, np.ones(6), g)),
+        "tilted-ellipse": (Euclidean(tilt), lambda g: quadric_extremes(tilt, g)),
+    }
+    for n in (2, 3):
+        axes = np.vstack([np.eye(n), -np.eye(n)])
+        corners = np.array(list(itertools.product([1.0, -1.0], repeat=n)))
+        cases[f"l1-{n}d"] = (LpNorm(1, n), lambda g, a=axes, c=corners: gauge_extremes(
+            a, c, np.ones(len(c)), g))
+        cases[f"l2-{n}d"] = (LpNorm(2, n), lambda g, n=n: quadric_extremes(np.eye(n), g))
+        cases[f"linf-{n}d"] = (LpNorm(np.inf, n), lambda g, a=axes, c=corners: gauge_extremes(
+            c, a, np.ones(len(a)), g))
+    return cases
+
+
+_CLOSED_FORMS = _closed_forms()
+# the catalog norms with a closed form: polytope gauges, their images, euclidean
+_EXACT_CATALOG = ["euclidean-2d", "euclidean-3d", "anisotropic-euclidean", "square-max",
+                  "diamond-l1", "hexagon", "asymmetric-triangle", "sheared-square"]
+
+
+def _search_only(monkeypatch):
+    """Take every family's closed form away, so ``roundness`` searches."""
+    for family in (Euclidean, LpNorm, PolytopeGauge, LinearImage):
+        monkeypatch.setattr(family, "_exact_roundness", MinkowskiNorm._exact_roundness)
+
+
+class TestExactRoundness:
+    @pytest.mark.parametrize("metric", ["own", "random"])
+    @pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+    def test_against_closed_form(self, name, metric):
+        norm, extremes = _CLOSED_FORMS[name]
+        g = own_metric(norm) if metric == "own" else random_metric(norm.dim, seed=4)
+        np.testing.assert_allclose(roundness(norm, g), extremes(g), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", _EXACT_CATALOG)
+    def test_matches_the_search(self, monkeypatch, name):
+        norm = catalog.builtin_norm(name)
+        g = own_metric(norm)
+        exact = roundness(norm, g)
+        _search_only(monkeypatch)
+        np.testing.assert_allclose(exact, roundness(norm, g), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", _EXACT_CATALOG + ["l1-2d", "l2-3d", "linf-3d"])
+    def test_evaluates_no_norm(self, monkeypatch, name):
+        norm = (_CLOSED_FORMS[name][0] if name in _CLOSED_FORMS
+                else catalog.builtin_norm(name))
+        metrics = [own_metric(norm), random_metric(norm.dim, seed=4)]
+        calls = count_values_calls(monkeypatch)
+        for g in metrics:
+            roundness(norm, g)
+        assert calls == []
+
+    def test_overflowing_closed_form_is_a_numerical_failure(self):
+        # |A^T n| of the facets of 1e200 * square overflows, with no warning
+        with pytest.raises(NumericalFailure, match="roundness is not finite"):
+            roundness(rescale(SQUARE, 1e200), np.eye(2))
+
+    @pytest.mark.parametrize("norm", [LpNorm(1.5, 2), LpNorm(4, 3), QuarticAxial(2),
+                                      WeightedSum(0.5, 0.5, SQUARE, Euclidean(np.eye(2)))],
+                             ids=repr)
+    def test_no_closed_form(self, norm):
+        assert norm._exact_roundness(np.eye(norm.dim), np.eye(norm.dim)) is None
 
 
 class TestIsotropyDefect:
