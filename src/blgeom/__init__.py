@@ -2,8 +2,7 @@
 
 from .errors import (BlgeomError, ConstructionError, DefinitenessError,
                      InputError, NumericalFailure, QuadratureFailure,
-                     TransportAccuracyError, UnsupportedDimensionError,
-                     ValidationFailure)
+                     TransportAccuracyError, UnsupportedDimensionError)
 from .invariants import (FingerprintComparison, Quermassintegrals,
                          compare_fingerprints, fingerprint_point,
                          isotropy_defect, orthonormalize, quermassintegrals,

@@ -13,11 +13,10 @@ import sys
 import numpy as np
 
 from . import catalog, specio
-from .errors import BlgeomError, InputError, ValidationFailure
+from .errors import BlgeomError, InputError
 from .invariants import (compare_fingerprints, quermassintegrals, roundness)
 from .manifold import bl_field, fingerprint_cloud, is_locally_minkowski
 from .metric import bl_metric, bl_metric_converged
-from .norms import validate
 from .quadrature import MAX_QUAD_LEVEL, auto_quadrature
 from .verify import run_suite
 
@@ -80,17 +79,8 @@ def _write_csv(path, header, rows):
         fh.write(header + "\n" + (line * len(rows)) % tuple(text[index.ravel()].tolist()))
 
 
-def _load_validated_norm(path):
-    norm = specio.load_norm(path)
-    report = validate(norm, 300)
-    if not report.ok:
-        raise ValidationFailure(f"norm failed validation: {report.summary()}",
-                                report)
-    return norm
-
-
 def cmd_metric(args):
-    norm = _load_validated_norm(args.norm)
+    norm = specio.load_norm(args.norm)
     bl, info = bl_metric_converged(norm, tol=args.tol, level=args.quad_level)
     payload = {
         "metric": bl.metric.tolist(),
@@ -106,7 +96,7 @@ def cmd_metric(args):
 
 
 def cmd_ellipsoid(args):
-    norm = _load_validated_norm(args.norm)
+    norm = specio.load_norm(args.norm)
     quad = auto_quadrature(norm, level=args.quad_level)
     binet, legendre = bl_metric(norm, quad).ellipsoids()
     payload = {
@@ -120,7 +110,7 @@ def cmd_ellipsoid(args):
 
 
 def cmd_invariants(args):
-    norm = _load_validated_norm(args.norm)
+    norm = specio.load_norm(args.norm)
     quad = auto_quadrature(norm, level=args.quad_level)
     bl = bl_metric(norm, quad)
     qm = quermassintegrals(bl)

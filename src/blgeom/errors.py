@@ -1,7 +1,9 @@
 """Exception taxonomy shared by all blgeom modules.
 
 The CLI maps these onto its exit-code contract: input/construction
-problems exit with 2, numerical failures with 3.
+problems exit with 2, every other error with 3.  No error stands for a
+failed axiom: each norm family's constructor proves the axioms exactly, and
+the sampled ``norms.validate`` is an oracle of ``verify`` and the tests.
 """
 
 
@@ -19,14 +21,6 @@ class ConstructionError(InputError):
 
 class DefinitenessError(BlgeomError):
     """A norm evaluated to a non-positive value on a nonzero vector."""
-
-
-class ValidationFailure(BlgeomError):
-    """A norm failed its axiom checks; carries the offending report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class NumericalFailure(BlgeomError):

@@ -563,8 +563,9 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
                 raise NumericalFailure(f"{failure} {x}: {exc}") from exc
         records.append(memo[id(base)])
     g0 = np.array([bl.metric for bl in records])[base_of_point]
-    values = np.swapaxes(maps, 1, 2) @ g0 @ maps
-    values = 0.5 * (values + np.swapaxes(values, 1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite tensor is named below
+        values = np.swapaxes(maps, 1, 2) @ g0 @ maps
+        values = 0.5 * (values + np.swapaxes(values, 1, 2))
     finite = np.isfinite(values).all(axis=(1, 2))
     eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], values, np.eye(n)))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -25,6 +25,7 @@ inertia as Omega in every codirection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,7 @@ from .quadrature import (MAX_QUAD_LEVEL, SphericalQuadrature, auto_quadrature,
                          ball_volume)
 
 CONDITION_LIMIT = 1e12
+_TINY = np.finfo(float).tiny   # the smallest normal float
 
 
 def assert_spd(matrix: np.ndarray, what: str):
@@ -89,19 +91,25 @@ class BLMetric:
 
 def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> BLMetric:
     """The Binet-Legendre record of ``norm``: one evaluation of F over ``quad``,
-    each node once; F must be positive there."""
+    each node once; F must be positive there.  The sums take the powers of
+    2^-k F, with 2^k <= max F < 2^(k+1) (k = 0 on the catalog); the scaling
+    is exact, as is the way back by the conformal law (vol by 2^-nk, M* by
+    4^-k, g by 4^k), so the record is exact at any scale where those fit."""
     nodes, weights, n = quad.nodes, quad.weights, quad.dim
     f = norm.values(nodes)
     if np.any(f <= 0.0):
         k = int(np.argmin(f))
         raise DefinitenessError(f"norm is not positive at node {nodes[k]} (F = {f[k]:.3e})")
-    vol = float(np.dot(weights, f ** (-n)) / n)
-    m = np.einsum("k,ki,kj->ij", weights * f ** (-(n + 2)), nodes, nodes) / vol
+    k = math.frexp(f.max())[1] - 1
+    scaled = np.ldexp(f, -k)
+    with np.errstate(all="ignore"):      # a non-finite moment is rejected below
+        vol = float(np.dot(weights, scaled ** (-n)) / n)
+        m = np.einsum("k,ki,kj->ij", weights * scaled ** (-(n + 2)), nodes, nodes) / vol
     m = 0.5 * (m + m.T)
     if not np.isfinite(m).all():
         raise NumericalFailure(
-            "moment matrix is not finite (the norm's values over- or underflow "
-            f"in the powers F^-{n} and F^-{n + 2})")
+            "moment matrix is not finite (the norm's values span too many orders "
+            f"of magnitude for the powers F^-{n} and F^-{n + 2})")
     eigs = np.linalg.eigvalsh(m)
     if not (eigs[0] > 0.0):
         raise QuadratureFailure(
@@ -113,9 +121,15 @@ def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> BLMetric:
         raise NumericalFailure(
             f"dual moment matrix is too ill-conditioned to invert (cond = {cond:.3e})")
     g = np.linalg.inv(m)
-    if not np.isfinite(g).all():
-        raise NumericalFailure("metric is not finite (the moment matrix is too small to invert)")
-    return BLMetric(norm, quad, f, vol, m, 0.5 * (g + g.T), cond)
+    # every eigenvalue of M* and of g, and vol(Omega), a normal float at F's scale
+    with np.errstate(over="ignore"):
+        lo, hi, vol = np.ldexp([eigs[0], eigs[-1], vol], [-2 * k, -2 * k, -n * k]).tolist()
+    if not (_TINY <= lo and hi <= 1.0 / _TINY and _TINY <= vol < np.inf):
+        raise NumericalFailure(
+            f"moment matrix is not finite at the norm's scale 2^{k}: vol(Omega), "
+            "M* or g lies past the float range")
+    return BLMetric(norm, quad, f, vol, np.ldexp(m, -2 * k), np.ldexp(0.5 * (g + g.T), 2 * k),
+                    cond)
 
 
 @dataclass
@@ -138,7 +152,9 @@ def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0):
     while True:
         bl = bl_metric(norm, quad)
         if prev is not None:
-            achieved = float(np.linalg.norm(bl.metric - prev) / np.linalg.norm(bl.metric))
+            # both metrics scaled by one power of two, so no square in a norm overflows
+            cur, old = np.ldexp([bl.metric, prev], -math.frexp(np.abs(bl.metric).max())[1])
+            achieved = float(np.linalg.norm(cur - old) / np.linalg.norm(cur))
         converged = achieved is not None and achieved < tol
         if converged or quad.level >= MAX_QUAD_LEVEL:
             return bl, ConvergenceInfo(converged, achieved)

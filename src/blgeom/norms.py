@@ -153,7 +153,8 @@ class MinkowskiNorm:
     def values(self, xi) -> np.ndarray:
         """Evaluate F on a vector or a batch of row vectors."""
         pts, squeeze = _as_points(xi, self.dim)
-        out = self._values(pts)
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected below
+            out = self._values(pts)
         tiny = _row_max(np.abs(pts)) < ZERO_VECTOR_CUTOFF
         if np.any(tiny):
             out = np.where(tiny, 0.0, out)
@@ -584,6 +585,8 @@ class LinearImage(MinkowskiNorm):
     def extremal_candidates(self):
         cand = self.inner.extremal_candidates()
         mapped = np.vstack([cand @ self._inv.T, cand @ self.matrix])
+        # rows scaled by their largest entry first, so the norm does not overflow
+        mapped /= _row_max(np.abs(mapped))[:, None]
         return mapped / np.linalg.norm(mapped, axis=1, keepdims=True)
 
     def _exact_roundness(self, A, inv):
@@ -608,11 +611,10 @@ class WeightedSum(MinkowskiNorm):
 
     def _values(self, pts):
         out = 0.0
-        with np.errstate(over="ignore"):     # a huge weight gives inf, which ``values`` rejects
-            if self.w1:
-                out = self.w1 * self.first._values(pts)
-            if self.w2:
-                out = out + self.w2 * self.second._values(pts)
+        if self.w1:
+            out = self.w1 * self.first._values(pts)
+        if self.w2:
+            out = out + self.w2 * self.second._values(pts)
         return out
 
     def kink_angles(self):
@@ -695,12 +697,6 @@ class ValidationReport:
         return (self.homogeneity_residual <= AXIOM_TOL
                 and self.subadditivity_residual <= AXIOM_TOL
                 and self.min_on_unit_sphere > 0.0)
-
-    def summary(self) -> str:
-        state = "pass" if self.ok else "FAIL"
-        return (f"validation {state}: homogeneity {self.homogeneity_residual:.3e}, "
-                f"subadditivity {self.subadditivity_residual:.3e}, "
-                f"min F on sphere {self.min_on_unit_sphere:.6g} ({self.samples} samples)")
 
 
 def validate(norm: MinkowskiNorm, sample_count: int = 1000, seed: int = 0) -> ValidationReport:

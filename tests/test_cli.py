@@ -263,15 +263,14 @@ def test_interpolated_metric_loses_definiteness_exit_3(tmp_path, capsys, command
 
 
 def test_metric_exit_code_non_finite(tmp_path, capsys):
-    # F ~ 1e200 |x| over- and underflows in the moment integrals
+    # F ~ 1e200 |x|: its metric, about 1e400 g(square), lies past the float range
     inner = {"family": "linear-image", "matrix": [[1e100, 0.0], [0.0, 1e100]],
              "inner": _SQUARE_SPEC}
     spec = tmp_path / "nested.json"
     spec.write_text(json.dumps({"family": "linear-image",
                                 "matrix": [[1e100, 0.0], [0.0, 1e100]],
                                 "inner": inner}))
-    with pytest.warns(RuntimeWarning):
-        code, out = run(capsys, "metric", "--norm", str(spec))
+    code, out = run(capsys, "metric", "--norm", str(spec))
     assert code == 3 and out == ""
 
 
@@ -281,8 +280,7 @@ def test_metric_exit_code_overflowing_norm_value(tmp_path, capsys):
     spec.write_text(json.dumps({"family": "linear-image",
                                 "matrix": [[1e307, 0.0], [0.0, 1e307]],
                                 "inner": {"family": "lp", "p": 2, "dim": 2}}))
-    with pytest.warns(RuntimeWarning):
-        code = main(["metric", "--norm", str(spec)])
+    code = main(["metric", "--norm", str(spec)])
     assert code == 3
     assert "not finite" in capsys.readouterr().err
 
@@ -1188,7 +1186,49 @@ def test_weight_at_float_limit_is_a_numerical_failure(spec_dir, tmp_path, capsys
     code = main([command, "--norm", str(path)])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err == "numerical failure: norm value is not finite\n"
+    assert captured.err == ("numerical failure: moment matrix is not finite at the norm's "
+                            "scale 2^1023: vol(Omega), M* or g lies past the float range\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["square-max", "lp-1.5", "l1-l2-mix"])
+def test_metric_obeys_the_scaling_law_at_any_float_scale(spec_dir, tmp_path, capsys, name):
+    # g(kappa F) = kappa^2 g(F): bit for bit at a power of two, to round-off
+    # otherwise, and exit 3 once kappa^2 g or M* / kappa^2 lies past the float range
+    spec = json.loads((spec_dir / f"norm-{name}.json").read_text())
+    path = tmp_path / "scaled.json"
+
+    def metric(kappa):
+        path.write_text(json.dumps({"family": "linear-image", "inner": spec,
+                                    "matrix": (kappa * np.eye(2)).tolist()}))
+        return run(capsys, "metric", "--norm", str(path))
+
+    g = np.array(strict_json(metric(1.0)[1])["metric"])
+    for e in (400, -400):
+        code, out = metric(2.0 ** e)
+        assert code == 0 and np.array_equal(strict_json(out)["metric"], np.ldexp(g, 2 * e))
+    for kappa in (1e150, 1e-150):
+        code, out = metric(kappa)
+        scaled = np.array(strict_json(out)["metric"]) / kappa ** 2
+        assert code == 0 and np.linalg.norm(scaled - g) <= 1e-12 * np.linalg.norm(g)
+    for kappa in (1e160, 1e-160):
+        assert metric(kappa) == (3, "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["field", "fingerprint", "berwald"])
+def test_overflowing_node_tensor_is_a_numerical_failure(tmp_path, capsys, command):
+    # A^T g A of the map 1e200 I overflows; the node gate names the tensor
+    spec = tmp_path / "huge-map.json"
+    spec.write_text(json.dumps({
+        "chart": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "field": {"family": "constant",
+                  "norm": {"family": "linear-image", "matrix": [[1e200, 0.0], [0.0, 1e200]],
+                           "inner": _SQUARE_SPEC}}}))
+    code = main([command, "--structure", str(spec), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.endswith("metric tensor is not finite\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

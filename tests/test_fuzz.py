@@ -3,16 +3,19 @@
 Each example takes one catalog spec, drops one key or list entry or
 replaces one value anywhere in it, and runs ``metric`` (norms) or
 ``field --grid 5x5`` (structures).  The exit code must be 0, 2 or 3, and no
-exception may escape ``main``.
+exception may escape ``main``.  A sweep over every such mutation of every
+catalog norm checks that each norm a spec builds is a norm, with no
+sampled check on the CLI's side.
 """
 
 import copy
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blgeom import catalog
+from blgeom import InputError, NumericalFailure, catalog, specio, validate
 from blgeom.cli import main
 
 SPECS = ([("metric", spec) for _, spec in catalog.BUILTIN_NORMS.values()]
@@ -69,3 +72,30 @@ def test_mutated_spec_keeps_exit_code_contract(tmp_path, capsys, case, replaceme
     err = capsys.readouterr().err
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_norm_a_mutated_spec_builds_is_a_norm(tmp_path, capsys):
+    # each family's constructor proves the axioms, so every norm built passes
+    # the sampled check (or its values leave the float range there), and
+    # ``ellipsoid`` needs none: it exits 0, or 3 past the float range
+    path = tmp_path / "spec.json"
+    built = 0
+    for _, spec in catalog.BUILTIN_NORMS.values():
+        for key in _paths(spec):
+            for replacement in ["drop"] + REPLACEMENTS:
+                mutated = _mutated(spec, key, replacement)
+                try:
+                    norm = specio.norm_from_spec(mutated)
+                except InputError:
+                    continue
+                built += 1
+                try:
+                    assert validate(norm, 300).ok, mutated
+                except NumericalFailure:
+                    pass
+                path.write_text(json.dumps(mutated))
+                code = main(["ellipsoid", "--norm", str(path)])
+                err = capsys.readouterr().err
+                assert code in (0, 3), (mutated, err)
+    assert built == 266

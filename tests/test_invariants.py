@@ -168,6 +168,13 @@ class TestRoundness:
         b = roundness(rescale(SQUARE, kappa), kappa ** 2 * g)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
+    def test_searched_norm_under_a_huge_map(self):
+        # the extremal candidates of rescale(F, 1e200) are scaled to unit rows
+        # without squaring them, so the search neither overflows nor warns
+        norm = catalog.builtin_norm("l1-l2-mix")
+        np.testing.assert_allclose(roundness(rescale(norm, 1e200), np.eye(2)),
+                                   1e200 * np.array(roundness(norm, np.eye(2))), rtol=1e-12)
+
     def test_mu_le_m_on_zoo(self):
         for name in ("hexagon", "lp-1.5", "quartic-axial-2d", "l1-l2-mix"):
             norm = catalog.builtin_norm(name)

@@ -96,7 +96,7 @@ class TestEval:
         with pytest.raises(NumericalFailure, match="not finite"):
             Euclidean(np.eye(2)).values([1e200, 0.0])
         inner = LinearImage(1e200 * np.eye(2), LpNorm(2, 2))
-        with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match="not finite"):
+        with pytest.raises(NumericalFailure, match="not finite"):
             WeightedSum(1.0, 1.0, inner, LpNorm(1, 2)).values([1e200, 0.0])
 
     def test_composite_is_one_values_call(self, monkeypatch):
