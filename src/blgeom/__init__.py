@@ -19,10 +19,10 @@ from .metric import (BLMetric, Ellipsoid, MomentResult, bl_metric,
                      sampled_moment)
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,
                     PolytopeGauge, QuarticAxial, ValidationReport, WeightedSum,
-                    linear_image, rescale, validate)
+                    rescale, validate)
 from .quadrature import (SphericalQuadrature, auto_quadrature, ball_volume,
                          circle_panels, circle_trapezoid, sphere_orthant_gauss,
-                         sphere_product_gauss, sphere_surface_area)
+                         sphere_product_gauss)
 from .specio import (load_norm, load_structure, norm_from_spec,
                      structure_from_spec)
 

@@ -140,11 +140,12 @@ def cmd_fingerprint(args):
 
 def _read_cloud(path):
     """The fingerprint columns w0, w1, ..., mu, m_max of a cloud CSV, picked
-    by header name in any order, each cell read by ``float``.  Comment and
-    blank lines are skipped; a ragged, non-numeric or non-finite data row is
-    an input error naming the file and the row's number."""
+    by header name in any order, each cell read by ``float`` (so ``1_0`` is
+    10.0).  A UTF-8 byte-order mark, comment and blank lines are skipped; a
+    ragged, non-numeric or non-finite data row is an input error naming the
+    file and the row's number."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read cloud file {path}: {exc}") from exc

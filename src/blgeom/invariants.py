@@ -22,7 +22,7 @@ from .errors import InputError, NumericalFailure, UnsupportedDimensionError
 from .metric import BLMetric, assert_spd, bl_metric
 from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, as_finite,
                     sphere_directions, sphere_polish)
-from .quadrature import auto_quadrature, circle_rule
+from .quadrature import auto_quadrature, ball_volume, circle_rule
 
 
 def orthonormalize(norm: MinkowskiNorm, metric: np.ndarray) -> LinearImage:
@@ -57,23 +57,23 @@ def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
     """Steiner coefficients of the unit ball in coordinates where the
     record's metric G is the identity, at the record's quadrature level.
 
-    n = 2: W_0 = vol(Omega) sqrt(det G), the record's area in those
-    coordinates, W_1 = half the support-function integral over the circle
-    (Cauchy's perimeter formula), W_2 = pi.
+    W_n is the euclidean unit-ball volume omega_n.
+    n = 2: W_0 = the record's ``orthonormal_volume``, vol(Omega) sqrt(det G)
+    taken at the moment pass's own scale, W_1 = half the support-function
+    integral over the circle (Cauchy's perimeter formula).
     n = 3: the body is approximated by the polytope inscribed through
     20000 * 2^level directions; W_0 = volume, W_1 = surface/3, and W_2 comes
     from the exact polytope mean-width term sum(edge length * exterior
-    dihedral angle) / 6, with W_3 = 4 pi / 3.
+    dihedral angle) / 6.
     Other dimensions raise; there is no silent fallback.
     """
     n, level = bl.norm.dim, bl.quad.level
     body = orthonormalize(bl.norm, bl.metric)
     if n == 2:
-        w0 = bl.volume * float(np.sqrt(np.linalg.det(bl.metric)))
         squad = circle_rule(body.support_kink_angles(), level)
         h = body._support(squad.nodes)   # unpolished without a closed form; ROADMAP item 1 removes it
         w1 = 0.5 * float(np.dot(squad.weights, h))
-        return Quermassintegrals(np.array([w0, w1, np.pi]), 2)
+        return Quermassintegrals(np.array([bl.orthonormal_volume, w1, ball_volume(2)]), 2)
     if n == 3:
         from scipy.spatial import ConvexHull
 
@@ -83,7 +83,7 @@ def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
         w0 = hull.volume
         w1 = hull.area / 3.0
         w2 = _polytope_mean_width_term(hull) / 6.0
-        return Quermassintegrals(np.array([w0, w1, w2, 4.0 * np.pi / 3.0]), 3)
+        return Quermassintegrals(np.array([w0, w1, w2, ball_volume(3)]), 3)
     raise UnsupportedDimensionError(
         f"quermassintegrals are implemented for n in {{2, 3}}, got n = {n}")
 

@@ -41,7 +41,7 @@ from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
 from .metric import CONDITION_LIMIT, bl_metric
 from .norms import (LinearImage, LpNorm, MinkowskiNorm, PolytopeGauge,
-                    WeightedSum, as_finite, as_reals)
+                    WeightedSum, _box_corners, as_finite, as_reals)
 from .quadrature import auto_quadrature
 
 
@@ -238,13 +238,6 @@ def rigid_motion(structure: FinslerStructure, rotation, translation) -> FinslerS
         return maps @ R.T, bases, index
 
     return FinslerStructure(corners.min(axis=0), corners.max(axis=0), peel)
-
-
-def _box_corners(lo, hi):
-    """The 2^n corners of the box [lo, hi]: bit i of row k picks hi[i]."""
-    n = len(lo)
-    upper = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    return np.where(upper == 1, hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +769,7 @@ def _transport(field: MetricField, paths, frame) -> list:
         for v in range(width - 1):
             frames[:, v + 1] = frames[:, v] + devs[:, v] @ frames[:, v]
         gram = np.swapaxes(frames, -1, -2) @ field.at(padded[pending]) @ frames
-        drift = np.linalg.norm(gram - gram[:, :1], axis=(-2, -1)).max(axis=1)
-        residual = drift / np.linalg.norm(gram[:, 0], axis=(-2, -1))
+        residual = _relative_change(gram - gram[:, :1], gram[:, :1]).max(axis=1)
         ok = residual <= GRAM_TOL                     # a NaN residual fails
         for row in np.flatnonzero(ok):
             p = pending[row]
@@ -789,6 +781,14 @@ def _transport(field: MetricField, paths, frame) -> list:
     raise TransportAccuracyError(
         f"transport Gram residual {residual[~ok][0]:.3e} exceeds {GRAM_TOL:.1e} after "
         f"{MAX_HALVINGS} step halvings; use a finer lattice")
+
+
+def _relative_change(diff, ref):
+    """|diff| / |ref| in the Frobenius norm over the last two axes, both scaled
+    by the power of two of ref's largest entry, so no square over- or underflows."""
+    e = np.frexp(np.abs(ref).max(axis=(-2, -1), keepdims=True))[1]
+    return (np.linalg.norm(np.ldexp(diff, -e), axis=(-2, -1))
+            / np.linalg.norm(np.ldexp(ref, -e), axis=(-2, -1)))
 
 
 def holonomy_angle(field: MetricField, result: TransportResult) -> float:
@@ -852,10 +852,7 @@ def default_probes(dim: int) -> np.ndarray:
     if dim == 2:
         ang = np.arange(8) * (np.pi / 4.0)
         return np.column_stack([np.array([np.cos(a), np.sin(a)]) for a in ang])
-    axes = np.eye(dim)
-    corners = _box_corners(-np.ones(dim), np.ones(dim)).T
-    corners = corners / np.linalg.norm(corners, axis=0, keepdims=True)
-    return np.column_stack([axes, corners])
+    return np.column_stack([np.eye(dim), _box_corners(-np.ones(dim), np.ones(dim)).T / np.sqrt(dim)])
 
 
 @dataclass
@@ -901,6 +898,8 @@ def berwald_defect(structure: FinslerStructure, field: MetricField,
     # F at vertex v of its frame's column p is base_v(A_v xi_vp)
     vecs = np.einsum("vij,vjp->vpi", maps,
                      np.concatenate([result.frames for result in results]))
+    # one power of two (F is homogeneous): a tiny map's vectors stay off the zero cutoff
+    vecs = np.ldexp(vecs, -np.frexp(np.abs(vecs).max())[1])
     f = np.empty(vecs.shape[:2])
     for b, base in enumerate(bases):
         at = base_of_vertex == b
@@ -946,8 +945,7 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
     half = 0.5 * field.spacing
     _, mid = _lattice(field.lo + half, field.hi - half, [len(a) - 1 for a in field.axes])
     direct = _gl_metrics(structure, mid, level, "point", solved)[0]
-    band = float((np.linalg.norm(field.at(mid) - direct, axis=(1, 2))
-                  / np.linalg.norm(direct, axis=(1, 2))).max())
+    band = float(_relative_change(field.at(mid) - direct, direct).max())
     for name, value, tol in (("flat residual", flat, flat_tol),
                              ("Berwald defect", report.defect, berwald_tol)):
         if abs(value - tol) <= band:

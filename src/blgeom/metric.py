@@ -56,13 +56,14 @@ def assert_spd(matrix: np.ndarray, what: str):
 
 @dataclass(frozen=True, eq=False)
 class BLMetric:
-    """The Binet-Legendre record of ``norm`` on the rule ``quad``: F's
-    values on the rule's nodes, vol(Omega), the dual moment matrix M*, the
-    metric g = (M*)^-1 and the condition number of M*, all from one pass."""
+    """The Binet-Legendre record of ``norm`` on the rule ``quad``, all from
+    one pass: vol(Omega) sqrt(det g) (the volume of Omega where g is the
+    identity, taken at the pass's own scale), vol(Omega), the dual moment
+    matrix M*, the metric g = (M*)^-1 and the condition number of M*."""
 
     norm: MinkowskiNorm
     quad: SphericalQuadrature
-    values: np.ndarray
+    orthonormal_volume: float
     volume: float
     dual: np.ndarray
     metric: np.ndarray
@@ -73,12 +74,11 @@ class BLMetric:
 
         Binet is the unit ball of M* in dual-basis coordinates.  Legendre,
         the ellipsoid matching the unit ball's moments of inertia, is the
-        metric's unit ball scaled by (vol(Omega)/vol(B))^(1/(n+2)), with
-        vol(B) computed analytically from det of the metric.
+        metric's unit ball B scaled by (vol(Omega)/vol(B))^(1/(n+2)), that is
+        by (orthonormal_volume / omega_n)^(1/(n+2)).
         """
         n = self.norm.dim
-        vol_b = ball_volume(n) / np.sqrt(np.linalg.det(self.metric))
-        scale = (self.volume / vol_b) ** (1.0 / (n + 2))
+        scale = (self.orthonormal_volume / ball_volume(n)) ** (1.0 / (n + 2))
         return Ellipsoid(self.dual, 1.0), Ellipsoid(self.metric, scale)
 
     def moment_of_inertia(self, theta) -> float:
@@ -94,7 +94,8 @@ def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> BLMetric:
     each node once; F must be positive there.  The sums take the powers of
     2^-k F, with 2^k <= max F < 2^(k+1) (k = 0 on the catalog); the scaling
     is exact, as is the way back by the conformal law (vol by 2^-nk, M* by
-    4^-k, g by 4^k), so the record is exact at any scale where those fit."""
+    4^-k, g by 4^k), so the record is exact at any scale where those fit.
+    The checks and the scale-free vol(Omega) sqrt(det g) use 2^-k F."""
     nodes, weights, n = quad.nodes, quad.weights, quad.dim
     f = norm.values(nodes)
     if np.any(f <= 0.0):
@@ -121,6 +122,8 @@ def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> BLMetric:
         raise NumericalFailure(
             f"dual moment matrix is too ill-conditioned to invert (cond = {cond:.3e})")
     g = np.linalg.inv(m)
+    g = 0.5 * (g + g.T)
+    orthonormal_volume = vol * float(np.sqrt(np.linalg.det(g)))
     # every eigenvalue of M* and of g, and vol(Omega), a normal float at F's scale
     with np.errstate(over="ignore"):
         lo, hi, vol = np.ldexp([eigs[0], eigs[-1], vol], [-2 * k, -2 * k, -n * k]).tolist()
@@ -128,8 +131,8 @@ def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> BLMetric:
         raise NumericalFailure(
             f"moment matrix is not finite at the norm's scale 2^{k}: vol(Omega), "
             "M* or g lies past the float range")
-    return BLMetric(norm, quad, f, vol, np.ldexp(m, -2 * k), np.ldexp(0.5 * (g + g.T), 2 * k),
-                    cond)
+    return BLMetric(norm, quad, orthonormal_volume, vol, np.ldexp(m, -2 * k),
+                    np.ldexp(g, 2 * k), cond)
 
 
 @dataclass

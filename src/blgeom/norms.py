@@ -18,7 +18,6 @@ Families implemented here:
 from __future__ import annotations
 
 import functools
-import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -405,10 +404,17 @@ def _lp_kink_angles(p, dim):
     return np.array([0.25, 0.75, 1.25, 1.75] if np.isinf(p) else [0.0, 0.5, 1.0, 1.5]) * np.pi
 
 
+def _box_corners(lo, hi):
+    """The 2^n corners of the box [lo, hi]: bit i of row k picks hi[i]."""
+    n = len(lo)
+    upper = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    return np.where(upper == 1, hi, lo)
+
+
 def _axes_and_corners(dim):
-    """The 2n signed unit axes and the 2^n sign vectors (cube corners) of R^n."""
+    """The 2n signed unit axes and the 2^n sign vectors (cube corners, last sign fastest) of R^n."""
     axes = np.vstack([np.eye(dim), -np.eye(dim)])
-    return axes, np.array(list(itertools.product([1.0, -1.0], repeat=dim)))
+    return axes, _box_corners(np.ones(dim), -np.ones(dim))[:, ::-1]
 
 
 def _ellipsoid_roundness(B):
@@ -647,9 +653,10 @@ class QuarticAxial(MinkowskiNorm):
         self.dim = as_dimension(dim)
 
     def _values(self, pts):
+        # sqrt(ssq) (1 + (x_n^2 / ssq)^2)^(1/4) is exactly 2^m F at 2^m xi where ssq fits
         ssq = np.einsum("ki,ki->k", pts, pts)
-        last = pts[:, -1] * pts[:, -1]    # x ** 4 takes a slow pow for negative x
-        return (ssq * ssq + last * last) ** 0.25
+        ratio = pts[:, -1] * pts[:, -1] / ssq
+        return np.sqrt(ssq) * np.sqrt(np.sqrt(1.0 + ratio * ratio))
 
     def extremal_candidates(self):
         return np.vstack([np.eye(self.dim), -np.eye(self.dim)])
@@ -661,11 +668,6 @@ class QuarticAxial(MinkowskiNorm):
 # ---------------------------------------------------------------------------
 # free-function interface
 # ---------------------------------------------------------------------------
-
-
-def linear_image(norm: MinkowskiNorm, matrix) -> LinearImage:
-    """The norm xi -> F(A xi)."""
-    return LinearImage(matrix, norm)
 
 
 def rescale(norm: MinkowskiNorm, kappa: float) -> LinearImage:

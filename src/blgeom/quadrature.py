@@ -25,18 +25,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError
-from .norms import _TWO_PI, MinkowskiNorm, as_integer, sphere_grid
+from .norms import _TWO_PI, MinkowskiNorm, _box_corners, as_integer, sphere_grid
 
 MAX_QUAD_LEVEL = 4  # the finest level auto_quadrature builds
 
 
-def sphere_surface_area(dim: int) -> float:
-    """Measure of S^{dim-1}: 2 pi^{dim/2} / Gamma(dim/2)."""
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
 def ball_volume(dim: int) -> float:
-    """Volume of the euclidean unit ball in R^dim."""
+    """Volume omega_dim of the euclidean unit ball in R^dim; S^{dim-1} has measure dim omega_dim."""
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
@@ -61,9 +56,9 @@ class SphericalQuadrature:
         return float(self.weights.sum())
 
     def moment_defect(self) -> float:
-        """Max entrywise error of sum w u u^T against its exact value."""
+        """Max entrywise error of sum w u u^T against its exact value, omega_n I."""
         m = np.einsum("k,ki,kj->ij", self.weights, self.nodes, self.nodes)
-        exact = sphere_surface_area(self.dim) / self.dim * np.eye(self.dim)
+        exact = ball_volume(self.dim) * np.eye(self.dim)
         return float(np.abs(m - exact).max())
 
 
@@ -136,7 +131,7 @@ def sphere_orthant_gauss(dim: int, order: int, level: int = 0) -> SphericalQuadr
     x[:, -1] = rest
     r = np.sqrt(np.einsum("ij,ij->i", x, x))
     x /= r[:, None]
-    signs = 1.0 - 2.0 * ((np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1)
+    signs = _box_corners(np.ones(dim), -np.ones(dim))
     return SphericalQuadrature(dim, (signs[:, None, :] * x).reshape(-1, dim),
                                np.tile(weights / r ** dim, 2 ** dim), "orthant-gauss", level)
 

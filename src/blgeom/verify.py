@@ -20,8 +20,8 @@ from .manifold import (berwald_defect, bl_field, conformal_factor,
                        is_locally_minkowski, l1_l2_interpolation,
                        rectangle_loop, rigid_motion, square_gauge)
 from .metric import bl_metric, relative_qf_deviation, sampled_moment
-from .norms import (Euclidean, LpNorm, QuarticAxial, WeightedSum,
-                    linear_image, rescale, validate)
+from .norms import (Euclidean, LinearImage, LpNorm, QuarticAxial,
+                    WeightedSum, rescale, validate)
 from .quadrature import auto_quadrature
 
 
@@ -101,7 +101,7 @@ def suite_norms(seed: int = 0):
 
     tri = catalog.builtin_norm("asymmetric-triangle")
     a = _random_invertible(rng, 2)
-    twice = linear_image(linear_image(tri, a), np.linalg.inv(a))
+    twice = LinearImage(np.linalg.inv(a), LinearImage(a, tri))
     pts = rng.standard_normal((200, 2))
     rel = np.abs(twice.values(pts) - tri.values(pts)) / tri.values(pts)
     results.append(_check("linear image round-trip", rel.max(), 1e-9))
@@ -141,7 +141,7 @@ def suite_metric_properties(seed: int = 0):
     for norm in _sample_norms(rng):
         a = _random_invertible(rng, norm.dim)
         g = _bl(norm, 1).metric
-        g_img = _bl(linear_image(norm, a), 1).metric
+        g_img = _bl(LinearImage(a, norm), 1).metric
         target = a.T @ g @ a
         worst = max(worst, np.linalg.norm(g_img - target) / np.linalg.norm(target))
     results.append(_check("linear equivariance g(F o A) = A^T g A", worst, 1e-6))
@@ -253,7 +253,7 @@ def suite_ellipsoids(seed: int = 0):
                           worst_sigma, 4.0, note="units of MC standard error"))
 
     a = _random_invertible(rng, 2)
-    img = linear_image(sq, a)
+    img = LinearImage(a, sq)
     m_img = _bl(img, 1).dual
     m = _bl(sq, 1).dual
     # dual moment matrix pushes forward contravariantly: M*(F o A) = A^-1 M* A^-T
@@ -292,7 +292,7 @@ def suite_invariants(seed: int = 0):
                           np.abs(fp - fp_scaled).max() / np.abs(fp).max(), 1e-6))
 
     a = _random_invertible(rng, 2)
-    fp_img = fingerprint_point(_bl(linear_image(sq, a)))
+    fp_img = fingerprint_point(_bl(LinearImage(a, sq)))
     results.append(_check("fingerprint invariant under linear maps",
                           np.abs(fp - fp_img).max() / np.abs(fp).max(), 1e-5))
 

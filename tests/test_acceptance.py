@@ -9,13 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from blgeom import (Euclidean, LpNorm, PolytopeGauge, QuarticAxial,
+from blgeom import (Euclidean, LinearImage, LpNorm, PolytopeGauge, QuarticAxial,
                     WeightedSum, auto_quadrature, berwald_defect, bl_metric,
                     compare_fingerprints,
                     fingerprint_cloud, fingerprint_point, isotropy_defect,
                     bl_field, conformal_rescale, constant_structure,
                     is_locally_minkowski, l1_l2_interpolation,
-                    linear_image, rectangle_loop, rescale, rotor_structure,
+                    rectangle_loop, rescale, rotor_structure,
                     sampled_moment, square_gauge)
 from blgeom import catalog, specio
 from oracles import random_invertible, random_spd
@@ -66,7 +66,7 @@ def test_criterion_3_gl_equivariance():
     for k in range(50):
         norm = pool[k % len(pool)]
         a = random_invertible(rng, norm.dim)
-        img = linear_image(norm, a)
+        img = LinearImage(a, norm)
         g = bl_metric(norm, auto_quadrature(norm, level=1)).metric
         g_img = bl_metric(img, auto_quadrature(img, level=1)).metric
         target = a.T @ g @ a

@@ -1123,6 +1123,17 @@ def _compare(tmp_path, text_a, text_b):
     return main(["compare", "--a", str(a), "--b", str(b)])
 
 
+def test_compare_reads_a_bom_crlf_and_python_numerals(tmp_path, capsys):
+    # a byte-order mark and CRLF line ends are read through; a cell is read
+    # by Python's float, so the underscore numeral 3_5 is 35
+    plain = "# blgeom cloud v1\n" + _CLOUD.replace("3.5", "35")
+    for text in ("\ufeff" + plain, plain.replace("\n", "\r\n"), plain.replace("35", "3_5")):
+        (tmp_path / "b.csv").write_text(text, encoding="utf-8", newline="")
+        (tmp_path / "a.csv").write_text(plain)
+        code = main(["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")])
+        assert code == 0 and strict_json(capsys.readouterr().out)["hausdorff"] == 0.0
+
+
 def test_compare_rejects_header_only_cloud(tmp_path, capsys):
     code = _compare(tmp_path, "# blgeom cloud v1\n" + _CLOUD,
                     "# blgeom cloud v1\nx1,x2,w0,w1,mu,m_max\n")
@@ -1190,29 +1201,74 @@ def test_weight_at_float_limit_is_a_numerical_failure(spec_dir, tmp_path, capsys
                             "scale 2^1023: vol(Omega), M* or g lies past the float range\n")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name", ["square-max", "lp-1.5", "l1-l2-mix"])
-def test_metric_obeys_the_scaling_law_at_any_float_scale(spec_dir, tmp_path, capsys, name):
-    # g(kappa F) = kappa^2 g(F): bit for bit at a power of two, to round-off
-    # otherwise, and exit 3 once kappa^2 g or M* / kappa^2 lies past the float range
+def _scaled_norm(spec_dir, tmp_path, capsys, name):
+    """(run, n): ``run(command, kappa)`` runs ``command`` on the catalog norm
+    ``name`` wrapped as the linear image kappa I, and returns (exit code, stdout)."""
     spec = json.loads((spec_dir / f"norm-{name}.json").read_text())
+    n = catalog.builtin_norm(name).dim
     path = tmp_path / "scaled.json"
 
-    def metric(kappa):
+    def scaled(command, kappa):
         path.write_text(json.dumps({"family": "linear-image", "inner": spec,
-                                    "matrix": (kappa * np.eye(2)).tolist()}))
-        return run(capsys, "metric", "--norm", str(path))
+                                    "matrix": (kappa * np.eye(n)).tolist()}))
+        return run(capsys, command, "--norm", str(path))
 
-    g = np.array(strict_json(metric(1.0)[1])["metric"])
-    for e in (400, -400):
-        code, out = metric(2.0 ** e)
-        assert code == 0 and np.array_equal(strict_json(out)["metric"], np.ldexp(g, 2 * e))
-    for kappa in (1e150, 1e-150):
-        code, out = metric(kappa)
-        scaled = np.array(strict_json(out)["metric"]) / kappa ** 2
-        assert code == 0 and np.linalg.norm(scaled - g) <= 1e-12 * np.linalg.norm(g)
-    for kappa in (1e160, 1e-160):
+    return scaled, n
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(catalog.BUILTIN_NORMS))
+def test_metric_obeys_the_scaling_law_at_any_float_scale(spec_dir, tmp_path, capsys, name):
+    # g(kappa F) = kappa^2 g(F): bit for bit at a power of two, to round-off
+    # otherwise, and exit 3 once kappa^2 g, M* / kappa^2 or kappa^-n vol lies
+    # past the float range (a 3D vol does at 2^+-400)
+    scaled, n = _scaled_norm(spec_dir, tmp_path, capsys, name)
+
+    def metric(kappa):
+        code, out = scaled("metric", kappa)
+        return code, np.array(strict_json(out)["metric"]) if code == 0 else out
+
+    g = metric(1.0)[1]
+    exact, beyond = ((400, -400), (1e160, 1e-160)) if n == 2 else ((300, -300), (2.0 ** 400, 2.0 ** -400))
+    for e in exact:
+        code, ge = metric(2.0 ** e)
+        assert code == 0 and np.array_equal(ge, np.ldexp(g, 2 * e))
+    if n == 2:
+        for kappa in (1e150, 1e-150):
+            code, gk = metric(kappa)
+            assert code == 0 and np.linalg.norm(gk / kappa ** 2 - g) <= 1e-12 * np.linalg.norm(g)
+    for kappa in beyond:
         assert metric(kappa) == (3, "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(catalog.BUILTIN_NORMS))
+def test_conformal_invariants_do_not_move_with_the_norm_scale(spec_dir, tmp_path, capsys, name):
+    # the Legendre scale and every invariant of kappa F are those of F: bit
+    # for bit at a power of two, where the ellipsoid shapes are 4^-+e M* and
+    # 4^+-e g exactly, and to round-off at decimal scales
+    scaled, n = _scaled_norm(spec_dir, tmp_path, capsys, name)
+    code_e, ell = scaled("ellipsoid", 1.0)
+    code_i, inv = scaled("invariants", 1.0)
+    assert code_e == code_i == 0
+    ell = strict_json(ell)
+    weights = np.array(strict_json(inv)["quermassintegrals"])
+    for e in (300, -300):
+        code, out = scaled("ellipsoid", 2.0 ** e)
+        got = strict_json(out)
+        assert code == 0 and got["legendre"]["scale"] == ell["legendre"]["scale"]
+        assert np.array_equal(got["legendre"]["shape"], np.ldexp(ell["legendre"]["shape"], 2 * e))
+        assert np.array_equal(got["binet"]["shape"], np.ldexp(ell["binet"]["shape"], -2 * e))
+        assert scaled("invariants", 2.0 ** e) == (0, inv)
+    for kappa in (1e-100, 1e80):
+        code, out = scaled("ellipsoid", kappa)
+        assert code == 0
+        assert strict_json(out)["legendre"]["scale"] == pytest.approx(
+            ell["legendre"]["scale"], rel=1e-13, abs=0)
+        code, out = scaled("invariants", kappa)
+        assert code == 0
+        np.testing.assert_allclose(strict_json(out)["quermassintegrals"], weights,
+                                   rtol=1e-14 if n == 2 else 1e-11, atol=0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1229,6 +1285,29 @@ def test_overflowing_node_tensor_is_a_numerical_failure(tmp_path, capsys, comman
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.endswith("metric tensor is not finite\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["berwald", "fingerprint"])
+def test_structure_outputs_do_not_move_with_the_norm_scale(tmp_path, capsys, command):
+    # the Gram residual, the loop defect, the curvature and the fingerprint
+    # are conformal invariants: the square gauge scaled by 2^+-300 gives the
+    # unscaled bytes (the Gram and band norms once squared 1e180 entries, and
+    # a loop's vectors under a 2^-300 map fell below the zero-vector cutoff)
+    def output(kappa):
+        spec, out = tmp_path / "scaled.json", tmp_path / "out"
+        spec.write_text(json.dumps({
+            "chart": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            "field": {"family": "constant",
+                      "norm": {"family": "linear-image", "matrix": (kappa * np.eye(2)).tolist(),
+                               "inner": _SQUARE_SPEC}}}))
+        code = main([command, "--structure", str(spec), "--grid", "9x9", "--out", str(out)])
+        return code, out.read_text()
+
+    want = output(1.0)
+    assert want[0] == 0
+    for e in (300, -300):
+        assert output(2.0 ** e) == want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,16 +1,23 @@
-"""Mutated catalog specs keep the CLI's exit-code contract.
+"""Mutated catalog specs and clouds keep the CLI's exit-code contract.
 
 Each example takes one catalog spec, drops one key or list entry or
 replaces one value anywhere in it, and runs ``metric`` (norms) or
 ``field --grid 5x5`` (structures).  The exit code must be 0, 2 or 3, and no
-exception may escape ``main``.  A sweep over every such mutation of every
-catalog norm checks that each norm a spec builds is a norm, with no
+exception may escape ``main``.  A second pair of tests runs the same
+mutations, and a wrap of any norm in the spec as the linear image kappa I,
+through ``ellipsoid`` and ``invariants`` (norms) or ``berwald --grid 9x9``
+and ``fingerprint --grid 3x3`` (structures); one more runs ``compare`` on
+every single mutation of a cloud CSV.  A sweep over every mutation of
+every catalog norm checks that each norm a spec builds is a norm, with no
 sampled check on the CLI's side.
 """
 
 import copy
+import functools
 import json
+import operator
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -44,16 +51,52 @@ CASES = st.sampled_from(SPECS).flatmap(
     lambda case: st.tuples(st.just(case), st.sampled_from(list(_paths(case[1])))))
 
 
+class Scale(float):
+    """The replacement that wraps the norm at its path as linear-image kappa I."""
+
+
+# kappa of the wrap: exact (2^+-300), to round-off (1e+-100), and past the
+# float range of a 2D metric (1e+-160)
+SCALES = [Scale(k) for k in (2.0 ** 300, 2.0 ** -300, 1e100, 1e-100, 1e160, 1e-160)]
+
+
+def _mutations(spec):
+    """Every single mutation of ``spec``, as (path, replacement): a drop or a
+    ``REPLACEMENTS`` value at each path, and a ``SCALES`` wrap of each norm
+    in it, ``spec`` itself included."""
+    norms = [path for path in [(), *_paths(spec)]
+             if isinstance(node := functools.reduce(operator.getitem, path, spec), dict)
+             and node.get("family") in specio.NORM_KEYS]
+    return ([(path, r) for path in _paths(spec) for r in ["drop"] + REPLACEMENTS]
+            + [(path, kappa) for path in norms for kappa in SCALES])
+
+
+def _wrapped(norm, kappa):
+    dim = specio.norm_from_spec(norm).dim
+    return {"family": "linear-image", "inner": norm, "matrix": (kappa * np.eye(dim)).tolist()}
+
+
 def _mutated(spec, path, replacement):
     spec = copy.deepcopy(spec)
+    if not path:                      # only a wrap reaches the spec itself
+        return _wrapped(spec, replacement)
     parent = spec
     for key in path[:-1]:
         parent = parent[key]
-    if replacement == "drop":
+    if isinstance(replacement, Scale):
+        parent[path[-1]] = _wrapped(parent[path[-1]], replacement)
+    elif replacement == "drop":
         del parent[path[-1]]
     else:
         parent[path[-1]] = copy.deepcopy(replacement)
     return spec
+
+
+def _keeps_contract(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None,
@@ -99,3 +142,80 @@ def test_every_norm_a_mutated_spec_builds_is_a_norm(tmp_path, capsys):
                 err = capsys.readouterr().err
                 assert code in (0, 3), (mutated, err)
     assert built == 266
+
+
+def _spec_and_mutation(specs):
+    # one spec, then one of its mutations: every spec is picked equally often
+    return st.sampled_from(specs).flatmap(
+        lambda spec: st.tuples(st.just(spec), st.sampled_from(_mutations(spec))))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_spec_and_mutation([spec for _, spec in catalog.BUILTIN_NORMS.values()]))
+def test_mutated_norm_keeps_exit_code_contract_in_ellipsoid_and_invariants(tmp_path, capsys, case):
+    spec, (path, replacement) = case
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_mutated(spec, path, replacement)))
+    for command in ("ellipsoid", "invariants"):
+        _keeps_contract(capsys, [command, "--norm", str(spec_path)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_spec_and_mutation([spec for _, spec in catalog.BUILTIN_STRUCTURES.values()]))
+def test_mutated_structure_keeps_exit_code_contract_in_berwald_and_fingerprint(tmp_path, capsys,
+                                                                             case):
+    spec, (path, replacement) = case
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_mutated(spec, path, replacement)))
+    _keeps_contract(capsys, ["berwald", "--structure", str(spec_path), "--grid", "9x9"])
+    _keeps_contract(capsys, ["fingerprint", "--structure", str(spec_path), "--grid", "3x3",
+                             "--out", str(tmp_path / "cloud.csv")])
+
+
+_CLOUD = [["x1", "x2", "w0", "w1", "mu", "m_max"],
+          ["0", "0", "3", "3.4", "0.8", "1.1"],
+          ["1", "0", "3.5", "3.1", "0.7", "1.2"],
+          ["0", "1", "3.2", "3.3", "0.9", "1.0"]]
+CELLS = ["1e308", "-1e308", "5e-324", "nan", "1_0"]
+
+
+def _cloud_text(rows, end="\n"):
+    return "# blgeom cloud v1" + end + "".join(",".join(row) + end for row in rows)
+
+
+def _cloud_mutations():
+    """Every single mutation of ``_CLOUD`` as CSV text: a column dropped or
+    duplicated, a data row one cell short or long, a ``CELLS`` value in one
+    data cell, a byte-order mark, CRLF line ends."""
+    width = len(_CLOUD[0])
+    for j in range(width):
+        yield _cloud_text([row[:j] + row[j + 1:] for row in _CLOUD])
+        yield _cloud_text([row[:j + 1] + row[j:] for row in _CLOUD])
+    for i in range(1, len(_CLOUD)):
+        for ragged in (_CLOUD[i][:-1], _CLOUD[i] + ["1"]):
+            yield _cloud_text(_CLOUD[:i] + [ragged] + _CLOUD[i + 1:])
+        for j in range(width):
+            for cell in CELLS:
+                rows = copy.deepcopy(_CLOUD)
+                rows[i][j] = cell
+                yield _cloud_text(rows)
+    yield "\ufeff" + _cloud_text(_CLOUD)
+    yield _cloud_text(_CLOUD, end="\r\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mutated_cloud_keeps_exit_code_contract_in_compare(tmp_path, capsys):
+    # each mutation against the intact cloud, in both orders
+    intact, mutated = tmp_path / "intact.csv", tmp_path / "mutated.csv"
+    intact.write_text(_cloud_text(_CLOUD), encoding="utf-8")
+    cases = 0
+    for text in _cloud_mutations():
+        mutated.write_text(text, encoding="utf-8", newline="")
+        for a, b in ((mutated, intact), (intact, mutated)):
+            _keeps_contract(capsys, ["compare", "--a", str(a), "--b", str(b)])
+        cases += 1
+    assert cases == 12 + 3 * (2 + 6 * len(CELLS)) + 2

@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 from blgeom import (Euclidean, InputError, LpNorm, NumericalFailure, PolytopeGauge,
                     QuarticAxial, UnsupportedDimensionError, WeightedSum, auto_quadrature,
                     bl_metric, compare_fingerprints, fingerprint_point,
-                    isotropy_defect, linear_image, orthonormalize,
+                    isotropy_defect, orthonormalize,
                     quermassintegrals, rescale, roundness)
 from blgeom import catalog, invariants
 from blgeom.invariants import _polytope_mean_width_term
@@ -271,7 +271,7 @@ def _closed_forms():
         "asymmetric-triangle": (PolytopeGauge(_TRIANGLE), lambda g: gauge_extremes(
             np.array(_TRIANGLE), *_polygon_facets(_TRIANGLE), g)),
         # the body of cube o A is A^-1 cube, with facets (A^T e) . x <= 1
-        "sheared-cube": (linear_image(PolytopeGauge(_CUBE), _SHEAR3), lambda g: gauge_extremes(
+        "sheared-cube": (LinearImage(_SHEAR3, PolytopeGauge(_CUBE)), lambda g: gauge_extremes(
             np.linalg.solve(_SHEAR3, _CUBE.T).T, _AXES3 @ _SHEAR3, np.ones(6), g)),
         "tilted-ellipse": (Euclidean(tilt), lambda g: quadric_extremes(tilt, g)),
     }
@@ -370,7 +370,7 @@ class TestFingerprint:
     def test_linear_invariance(self):
         a = np.array([[1.2, 0.3], [-0.4, 0.8]])
         fp = fingerprint_point(own(catalog.builtin_norm("hexagon")))
-        fp_a = fingerprint_point(own(linear_image(catalog.builtin_norm("hexagon"), a)))
+        fp_a = fingerprint_point(own(LinearImage(a, catalog.builtin_norm("hexagon"))))
         np.testing.assert_allclose(fp_a, fp, rtol=1e-5)
 
 
