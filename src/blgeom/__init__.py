@@ -14,7 +14,7 @@ from .manifold import (BerwaldReport, FinslerStructure, FlatnessReport,
                        holonomy_angle, is_locally_minkowski,
                        l1_l2_interpolation, parallel_transport, rectangle_loop,
                        rigid_motion, rotor_structure, smoothstep, square_gauge)
-from .metric import (BLMetric, Ellipsoid, MomentResult, bl_metric,
+from .metric import (BLMetric, MomentResult, bl_metric,
                      bl_metric_converged, relative_qf_deviation,
                      sampled_moment)
 from .norms import (Euclidean, LinearImage, LpNorm, MinkowskiNorm,

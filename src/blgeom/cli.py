@@ -98,11 +98,10 @@ def cmd_metric(args):
 def cmd_ellipsoid(args):
     norm = specio.load_norm(args.norm)
     quad = auto_quadrature(norm, level=args.quad_level)
-    binet, legendre = bl_metric(norm, quad).ellipsoids()
+    bl = bl_metric(norm, quad)
     payload = {
-        "binet": {"shape": binet.shape.tolist(), "scale": binet.scale,
-                  "space": "dual"},
-        "legendre": {"shape": legendre.shape.tolist(), "scale": legendre.scale,
+        "binet": {"shape": bl.dual.tolist(), "scale": 1.0, "space": "dual"},
+        "legendre": {"shape": bl.metric.tolist(), "scale": bl.legendre_scale,
                      "space": "primal"},
     }
     _emit(specio.dump_json(payload), args.out)

@@ -619,21 +619,19 @@ class ConformalFactorResult:
 def conformal_factor(field_a: MetricField, field_b: MetricField) -> ConformalFactorResult:
     """Recover lambda with G_a = lambda^2 G_b, and report the residual.
 
-    lambda(x) = (det G_a / det G_b)^(1/(2n)); the fields are conformal when
-    the max relative residual stays below ``CONFORMAL_TOL``.
+    lambda(x) = (det G_a / det G_b)^(1/(2n)), from the log-determinants so
+    that no determinant leaves the float range; the fields are conformal
+    when the max relative residual stays below ``CONFORMAL_TOL``.
     """
     if len(field_a.axes) != len(field_b.axes) or any(
             a.shape != b.shape or not np.allclose(a, b)
             for a, b in zip(field_a.axes, field_b.axes)):
         raise InputError("fields must share the same lattice")
     n = field_a.dim
-    det_a = np.linalg.det(field_a.values)
-    det_b = np.linalg.det(field_b.values)
-    lam = (det_a / det_b) ** (1.0 / (2 * n))
+    lam = np.exp((np.linalg.slogdet(field_a.values)[1]
+                  - np.linalg.slogdet(field_b.values)[1]) / (2 * n))
     diff = field_a.values - lam[..., None, None] ** 2 * field_b.values
-    num = np.sqrt((diff ** 2).sum(axis=(-2, -1)))
-    den = np.sqrt((field_a.values ** 2).sum(axis=(-2, -1)))
-    residual = float((num / den).max())
+    residual = float(_relative_change(diff, field_a.values).max())
     return ConformalFactorResult(lam, residual, residual < CONFORMAL_TOL, CONFORMAL_TOL)
 
 
@@ -898,8 +896,6 @@ def berwald_defect(structure: FinslerStructure, field: MetricField,
     # F at vertex v of its frame's column p is base_v(A_v xi_vp)
     vecs = np.einsum("vij,vjp->vpi", maps,
                      np.concatenate([result.frames for result in results]))
-    # one power of two (F is homogeneous): a tiny map's vectors stay off the zero cutoff
-    vecs = np.ldexp(vecs, -np.frexp(np.abs(vecs).max())[1])
     f = np.empty(vecs.shape[:2])
     for b, base in enumerate(bases):
         at = base_of_vertex == b

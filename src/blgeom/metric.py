@@ -46,8 +46,7 @@ def assert_spd(matrix: np.ndarray, what: str):
     positive definite."""
     if not np.isfinite(matrix).all():
         raise NumericalFailure(f"{what} is not finite")
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if np.abs(matrix - matrix.T).max() > 1e-12 * scale:
+    if np.abs(matrix - matrix.T).max() > 1e-12 * np.abs(matrix).max():
         raise NumericalFailure(f"{what} is not symmetric")
     eigs = np.linalg.eigvalsh(matrix)
     if not (eigs[0] > 0.0):
@@ -69,17 +68,14 @@ class BLMetric:
     metric: np.ndarray
     condition_number: float
 
-    def ellipsoids(self):
-        """(Binet, Legendre) ellipsoids.
-
-        Binet is the unit ball of M* in dual-basis coordinates.  Legendre,
-        the ellipsoid matching the unit ball's moments of inertia, is the
-        metric's unit ball B scaled by (vol(Omega)/vol(B))^(1/(n+2)), that is
-        by (orthonormal_volume / omega_n)^(1/(n+2)).
-        """
+    @property
+    def legendre_scale(self) -> float:
+        """The s for which {xi : xi^T g xi <= s^2} is the Legendre ellipsoid:
+        the metric's unit ball B scaled by (vol(Omega)/vol(B))^(1/(n+2)),
+        that is by (orthonormal_volume / omega_n)^(1/(n+2)).  The Binet
+        ellipsoid is the unit ball of ``dual``, in the dual space."""
         n = self.norm.dim
-        scale = (self.orthonormal_volume / ball_volume(n)) ** (1.0 / (n + 2))
-        return Ellipsoid(self.dual, 1.0), Ellipsoid(self.metric, scale)
+        return (self.orthonormal_volume / ball_volume(n)) ** (1.0 / (n + 2))
 
     def moment_of_inertia(self, theta) -> float:
         """integral over Omega of (theta . xi)^2 d xi, which is
@@ -164,43 +160,6 @@ def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0):
         prev = bl.metric
         del bl
         quad = auto_quadrature(norm, level=quad.level + 1)
-
-
-# ---------------------------------------------------------------------------
-# ellipsoids
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Ellipsoid:
-    """The set { xi : xi^T Q xi <= scale^2 } for a positive definite Q."""
-
-    shape: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self):
-        self.shape = np.asarray(self.shape, dtype=float)
-        assert_spd(self.shape, "ellipsoid shape matrix")
-        if not self.scale > 0:
-            raise InputError("ellipsoid scale must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.shape.shape[0]
-
-    def volume(self) -> float:
-        return ball_volume(self.dim) * self.scale ** self.dim / np.sqrt(
-            np.linalg.det(self.shape))
-
-    def moment_of_inertia(self, theta) -> float:
-        """integral over the ellipsoid of (theta . xi)^2 d xi, closed form."""
-        theta = as_finite(theta, "theta", (self.dim,))
-        qinv = np.linalg.inv(self.shape)
-        return self.volume() / (self.dim + 2) * self.scale ** 2 * float(theta @ qinv @ theta)
-
-    def radii(self) -> np.ndarray:
-        """Semi-axis lengths."""
-        return self.scale / np.sqrt(np.linalg.eigvalsh(self.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,8 @@ import numpy as np
 from .errors import (ConstructionError, InputError, NumericalFailure,
                      UnsupportedDimensionError)
 
-# A vector whose largest entry is below this is treated as the zero vector
-# when deciding definiteness (F(xi) = 0 only for xi = 0).
-ZERO_VECTOR_CUTOFF = 1e-30
-
 _TWO_PI = 2.0 * np.pi
+_TINY = np.finfo(float).tiny   # the smallest normal float
 
 # sphere_polish: grid points per chart axis by dimension n (odd, so the
 # centre is a grid point; 5 past n = 4), and its cap on rounds
@@ -154,9 +151,6 @@ class MinkowskiNorm:
         pts, squeeze = _as_points(xi, self.dim)
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected below
             out = self._values(pts)
-        tiny = _row_max(np.abs(pts)) < ZERO_VECTOR_CUTOFF
-        if np.any(tiny):
-            out = np.where(tiny, 0.0, out)
         if not np.all(np.isfinite(out)):
             raise NumericalFailure("norm value is not finite")
         return out[0] if squeeze else out
@@ -653,9 +647,10 @@ class QuarticAxial(MinkowskiNorm):
         self.dim = as_dimension(dim)
 
     def _values(self, pts):
-        # sqrt(ssq) (1 + (x_n^2 / ssq)^2)^(1/4) is exactly 2^m F at 2^m xi where ssq fits
+        # sqrt(ssq) (1 + (x_n^2 / ssq)^2)^(1/4) is exactly 2^m F at 2^m xi where
+        # ssq is a normal float; dividing by at least the smallest one maps 0 to 0
         ssq = np.einsum("ki,ki->k", pts, pts)
-        ratio = pts[:, -1] * pts[:, -1] / ssq
+        ratio = pts[:, -1] * pts[:, -1] / np.maximum(ssq, _TINY)
         return np.sqrt(ssq) * np.sqrt(np.sqrt(1.0 + ratio * ratio))
 
     def extremal_candidates(self):

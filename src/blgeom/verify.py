@@ -22,7 +22,7 @@ from .manifold import (berwald_defect, bl_field, conformal_factor,
 from .metric import bl_metric, relative_qf_deviation, sampled_moment
 from .norms import (Euclidean, LinearImage, LpNorm, QuarticAxial,
                     WeightedSum, rescale, validate)
-from .quadrature import auto_quadrature
+from .quadrature import auto_quadrature, ball_volume
 
 
 @dataclass
@@ -51,6 +51,20 @@ def _check_at_least(name, value, tol, note=""):
 def _bl(norm, level=0):
     """The Binet-Legendre record of ``norm`` on its own rule at ``level``."""
     return bl_metric(norm, auto_quadrature(norm, level=level))
+
+
+def _radii(shape, scale):
+    """Semi-axis lengths of the ellipsoid {xi : xi^T shape xi <= scale^2}."""
+    return scale / np.sqrt(np.linalg.eigvalsh(shape))
+
+
+def _ellipsoid_moment(shape, scale, theta):
+    """integral over {xi : xi^T shape xi <= scale^2} of (theta . xi)^2 d xi,
+    closed form: vol / (n+2) * scale^2 theta^T shape^-1 theta."""
+    n = len(shape)
+    theta = np.asarray(theta, dtype=float)
+    volume = ball_volume(n) * scale ** n / np.sqrt(np.linalg.det(shape))
+    return volume / (n + 2) * scale ** 2 * float(theta @ np.linalg.inv(shape) @ theta)
 
 
 def _random_spd(rng, n, lo=0.5, hi=2.0):
@@ -221,33 +235,32 @@ def suite_ellipsoids(seed: int = 0):
     results = []
 
     eu = Euclidean(np.eye(2))
-    ell = _bl(eu).ellipsoids()[1]
     results.append(_check("euclidean ball is its own moment ellipsoid",
-                          abs(ell.scale - 1.0), 1e-8))
+                          abs(_bl(eu).legendre_scale - 1.0), 1e-8))
 
     sq = catalog.builtin_norm("square-max")
-    bin_ell = _bl(sq).ellipsoids()[0]
     results.append(_check("square dual ellipsoid radius sqrt(3)/2",
-                          abs(bin_ell.radii()[0] - np.sqrt(3.0) / 2.0), 1e-8))
+                          abs(_radii(_bl(sq).dual, 1.0)[0] - np.sqrt(3.0) / 2.0), 1e-8))
 
     # exact moments int_Omega <theta, x>^2 dx of the square [-1, 1]^2 and of
     # the diamond |x1| + |x2| <= 1, for theta = e1, e2 and (1, 1)
     worst = 0.0
     for name, exact in (("square-max", (4 / 3, 4 / 3, 8 / 3)),
                         ("diamond-l1", (1 / 3, 1 / 3, 2 / 3))):
-        ell = _bl(catalog.builtin_norm(name)).ellipsoids()[1]
+        bl = _bl(catalog.builtin_norm(name))
         for theta, want in zip(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]), exact):
-            worst = max(worst, abs(ell.moment_of_inertia(theta) - want) / want)
+            got = _ellipsoid_moment(bl.metric, bl.legendre_scale, theta)
+            worst = max(worst, abs(got - want) / want)
     results.append(_check("moment identity vs exact polygon moments", worst, 1e-9))
 
     # seed-robust: each deviation is bounded by its own sampling error
     worst_sigma = 0.0
     for name in ("square-max", "diamond-l1"):
         norm = catalog.builtin_norm(name)
-        ell = _bl(norm).ellipsoids()[1]
+        bl = _bl(norm)
         for k, theta in enumerate(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])):
             mc = sampled_moment(norm, theta, 10 ** 6, seed + k)
-            dev = abs(ell.moment_of_inertia(theta) - mc.value)
+            dev = abs(_ellipsoid_moment(bl.metric, bl.legendre_scale, theta) - mc.value)
             worst_sigma = max(worst_sigma, dev / mc.stderr)
     results.append(_check("moment identity vs Monte Carlo oracle (sigmas)",
                           worst_sigma, 4.0, note="units of MC standard error"))
@@ -262,10 +275,9 @@ def suite_ellipsoids(seed: int = 0):
                           np.linalg.norm(m_img - target) / np.linalg.norm(target), 1e-6))
 
     kappa = float(rng.uniform(0.5, 3.0))
-    ell1 = _bl(sq).ellipsoids()[1]
-    ell2 = _bl(rescale(sq, kappa)).ellipsoids()[1]
-    r1 = ell1.radii()
-    r2 = ell2.radii()
+    bl1, bl2 = _bl(sq), _bl(rescale(sq, kappa))
+    r1 = _radii(bl1.metric, bl1.legendre_scale)
+    r2 = _radii(bl2.metric, bl2.legendre_scale)
     results.append(_check("moment ellipsoid scales by 1/kappa",
                           np.abs(r2 * kappa - r1).max() / r1.max(), 1e-8))
     return results

@@ -37,6 +37,19 @@ def lp_ball_record(p, n):
     return vol, (n + 2) * second / vol
 
 
+def ellipsoid_moment(shape, scale, theta):
+    """integral over {xi : xi^T shape xi <= scale^2} of (theta . xi)^2 d xi:
+    the ellipsoid is L^-T (scale * ball) for shape = L L^T, whose volume is
+    omega_n scale^n / sqrt(det shape) and whose normalized second moment is
+    scale^2 shape^-1, so the integral is vol scale^2 theta^T shape^-1 theta / (n+2)."""
+    shape = np.asarray(shape, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    n = len(shape)
+    omega = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    vol = omega * scale ** n / math.sqrt(np.linalg.det(shape))
+    return vol * scale ** 2 * float(theta @ np.linalg.solve(shape, theta)) / (n + 2)
+
+
 def in_hull(vertices, point, tol=1e-10):
     """Convex-combination membership via NNLS (no half-space data).
 

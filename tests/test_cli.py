@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import blgeom
-from blgeom import (Ellipsoid, Euclidean, InputError, LpNorm, NumericalFailure,
+from blgeom import (Euclidean, InputError, LpNorm, NumericalFailure,
                     auto_quadrature, bl_metric, catalog, compare_fingerprints,
                     constant_structure, manifold, rigid_motion, sampled_moment,
                     specio)
@@ -464,11 +464,9 @@ _S2D = constant_structure(Euclidean(np.eye(2)))
     lambda: rigid_motion(_S2D, np.eye(3), [0, 0, 0]),
     lambda: rigid_motion(_S2D, np.eye(2), [0, 0, 0]),
     lambda: sampled_moment(LpNorm(2, 2), [1, 0, 0], 1, 0),
-    lambda: Ellipsoid(np.eye(2)).moment_of_inertia([1, 0, 0]),
     lambda: bl_metric(LpNorm(2, 2), auto_quadrature(LpNorm(2, 2))).moment_of_inertia([1, 0, 0]),
     lambda: compare_fingerprints([[np.nan, 1]], [[1, 1]]),
-], ids=["rotation-3x3", "translation-3", "norm-theta-3", "ellipsoid-theta-3",
-        "record-theta-3", "nan-cloud"])
+], ids=["rotation-3x3", "translation-3", "norm-theta-3", "record-theta-3", "nan-cloud"])
 def test_library_wrong_shape_or_nonfinite_is_input_error(call):
     with pytest.raises(InputError, match="must have shape|must be finite"):
         call()
@@ -1293,7 +1291,7 @@ def test_structure_outputs_do_not_move_with_the_norm_scale(tmp_path, capsys, com
     # the Gram residual, the loop defect, the curvature and the fingerprint
     # are conformal invariants: the square gauge scaled by 2^+-300 gives the
     # unscaled bytes (the Gram and band norms once squared 1e180 entries, and
-    # a loop's vectors under a 2^-300 map fell below the zero-vector cutoff)
+    # F of a loop's vectors under a 2^-300 map, ~1e-90, is exactly 2^-300 F)
     def output(kappa):
         spec, out = tmp_path / "scaled.json", tmp_path / "out"
         spec.write_text(json.dumps({

@@ -61,6 +61,15 @@ class TestOrthonormalize:
         with pytest.raises(Exception):
             orthonormalize(SQUARE, np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    def test_symmetry_is_checked_at_the_metric_scale(self):
+        # an asymmetric metric is rejected however small its entries; a
+        # symmetric one of the same scale is accepted
+        lower = np.array([[1.0, 0.0], [0.9, 1.0]])
+        with pytest.raises(NumericalFailure, match="not symmetric"):
+            roundness(Euclidean(np.eye(2)), 1e-20 * lower.T)
+        np.testing.assert_allclose(roundness(Euclidean(np.eye(2)), 1e-20 * np.eye(2)),
+                                   1e10, rtol=1e-14)
+
 
 class TestQuermassintegrals:
     def test_disk(self):

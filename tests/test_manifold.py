@@ -176,6 +176,15 @@ class TestField:
         res = conformal_factor(rot, aniso)
         assert not res.conformal and res.residual > 0.1
 
+    @pytest.mark.parametrize("kappa", [1e200, 1e-200])
+    def test_conformal_factor_at_any_float_scale(self, kappa):
+        # lambda comes from log-determinants and the residual from norms
+        # scaled by a power of two: det(1e200 G) itself overflows
+        fb = bl_field(constant_structure(square_gauge()), shape=(9, 9))
+        res = conformal_factor(MetricField(fb.axes, kappa * fb.values), fb)
+        np.testing.assert_allclose(res.factor, np.sqrt(kappa), rtol=1e-12)
+        assert res.conformal and res.residual < 1e-12
+
     def test_lattice_mismatch_rejected(self):
         fa = bl_field(constant_structure(square_gauge()), shape=(9, 9))
         fb = bl_field(constant_structure(square_gauge()), shape=(11, 9))

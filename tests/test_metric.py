@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from blgeom import (DefinitenessError, Ellipsoid, Euclidean, InputError,
+from blgeom import (DefinitenessError, Euclidean, InputError,
                     LinearImage, LpNorm, NumericalFailure, PolytopeGauge, QuarticAxial,
                     WeightedSum, auto_quadrature, bl_metric,
                     bl_metric_converged, rescale,
                     relative_qf_deviation, sampled_moment)
-from counting import CountingNorm
-from oracles import lp_ball_record, mc_body_moment, random_invertible, random_spd
+from counting import CountingNorm, count_values_calls
+from oracles import (ellipsoid_moment, lp_ball_record, mc_body_moment,
+                     random_invertible, random_spd)
 
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 DIAMOND = PolytopeGauge([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -174,13 +175,13 @@ class TestVolume:
 class TestEllipsoids:
     def test_binet_euclidean_is_unit_ball(self):
         eu = Euclidean(np.eye(2))
-        ell = bl_metric(eu, auto_quadrature(eu)).ellipsoids()[0]
-        np.testing.assert_allclose(ell.shape, np.eye(2), atol=1e-12)
-        assert ell.scale == 1.0
+        np.testing.assert_allclose(bl_metric(eu, auto_quadrature(eu)).dual, np.eye(2), atol=1e-12)
 
     def test_binet_square_radius(self):
-        ell = bl_metric(SQUARE, auto_quadrature(SQUARE)).ellipsoids()[0]
-        np.testing.assert_allclose(ell.radii(), np.sqrt(3) / 2, rtol=1e-10)
+        # the Binet ellipsoid is the unit ball of M*; its semi-axes are 1/sqrt(eigenvalues)
+        dual = bl_metric(SQUARE, auto_quadrature(SQUARE)).dual
+        np.testing.assert_allclose(1.0 / np.sqrt(np.linalg.eigvalsh(dual)), np.sqrt(3) / 2,
+                                   rtol=1e-10)
 
     def test_binet_contravariance(self):
         rng = np.random.default_rng(5)
@@ -193,29 +194,24 @@ class TestEllipsoids:
 
     def test_legendre_euclidean_scale_one(self):
         eu = Euclidean(np.eye(3))
-        ell = bl_metric(eu, auto_quadrature(eu)).ellipsoids()[1]
-        assert ell.scale == pytest.approx(1.0, abs=1e-9)
+        assert bl_metric(eu, auto_quadrature(eu)).legendre_scale == pytest.approx(1.0, abs=1e-9)
 
     def test_legendre_moment_identity(self):
         # the moment ellipsoid reproduces the body's moments in every codirection
         for norm in (SQUARE, DIAMOND):
             bl = bl_metric(norm, auto_quadrature(norm))
-            ell = bl.ellipsoids()[1]
             for theta in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
                 body = bl.moment_of_inertia(theta)
-                assert ell.moment_of_inertia(theta) == pytest.approx(body, rel=1e-10)
+                ell = ellipsoid_moment(bl.metric, bl.legendre_scale, theta)
+                assert ell == pytest.approx(body, rel=1e-10)
 
     def test_legendre_scaling(self):
-        ell1 = bl_metric(SQUARE, auto_quadrature(SQUARE)).ellipsoids()[1]
-        scaled = rescale(SQUARE, 3.0)
-        ell2 = bl_metric(scaled, auto_quadrature(scaled)).ellipsoids()[1]
-        np.testing.assert_allclose(ell2.radii() * 3.0, ell1.radii(), rtol=1e-10)
+        def radii(bl):
+            return bl.legendre_scale / np.sqrt(np.linalg.eigvalsh(bl.metric))
 
-    def test_ellipsoid_volume(self):
-        # {4x^2 + y^2 <= 4} has semi-axes 1 and 2
-        ell = Ellipsoid(np.diag([4.0, 1.0]), 2.0)
-        assert ell.volume() == pytest.approx(2.0 * np.pi)
-        np.testing.assert_allclose(sorted(ell.radii()), [1.0, 2.0])
+        scaled = rescale(SQUARE, 3.0)
+        np.testing.assert_allclose(radii(bl_metric(scaled, auto_quadrature(scaled))) * 3.0,
+                                   radii(bl_metric(SQUARE, auto_quadrature(SQUARE))), rtol=1e-10)
 
 
 class TestMoments:
@@ -236,9 +232,8 @@ class TestMoments:
     def test_mc_ellipsoid_matches_closed_form(self):
         # {xi^T Q xi <= s^2} is the unit ball of Euclidean(Q / s^2)
         q = np.array([[2.0, 0.3], [0.3, 1.0]])
-        ell = Ellipsoid(q, 1.3)
         mc = sampled_moment(Euclidean(q / 1.3 ** 2), [0.7, -0.2], 400_000, 5)
-        assert abs(mc.value - ell.moment_of_inertia([0.7, -0.2])) < 4 * mc.stderr
+        assert abs(mc.value - ellipsoid_moment(q, 1.3, [0.7, -0.2])) < 4 * mc.stderr
 
     def test_sampled_moment_needs_a_sample(self):
         with pytest.raises(InputError, match="samples must be >= 1"):
@@ -278,11 +273,15 @@ class TestOnePassPerRule:
         eigs = np.linalg.eigvalsh(bl.dual)
         assert bl.condition_number == eigs[-1] / eigs[0]
 
-    def test_legendre_ellipsoid_evaluates_once(self):
+    def test_legendre_ellipsoid_evaluates_once(self, monkeypatch):
         norm = CountingNorm(SQUARE)
         q = auto_quadrature(SQUARE)
-        binet, legendre = bl_metric(norm, q).ellipsoids()
+        bl = bl_metric(norm, q)
         assert norm.rule_calls == [len(q)]
+        calls = count_values_calls(monkeypatch)
+        scale = bl.legendre_scale     # read from the record: F is evaluated nowhere
+        assert calls == [] and norm.rule_calls == [len(q)]
         want = bl_metric(SQUARE, q)
-        np.testing.assert_array_equal(binet.shape, want.dual)
-        np.testing.assert_array_equal(legendre.shape, want.metric)
+        np.testing.assert_array_equal(bl.dual, want.dual)
+        np.testing.assert_array_equal(bl.metric, want.metric)
+        assert scale == want.legendre_scale

@@ -59,11 +59,22 @@ class TestEval:
         assert PolytopeGauge(SQUARE)([0.5, 1.0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_huge_entries_pass_the_zero_test(self):
-        # the zero test compares the largest entry with the cutoff, so no
-        # entry is squared and nothing overflows
+        # the l^p kernel scales each row by its largest entry, so no entry
+        # is squared and nothing overflows
         norm = LpNorm(400, 2)
         assert norm.values([[1e300, 1e300]])[0] == pytest.approx(1e300 * 2.0 ** (1 / 400))
         assert norm.support([1e300, 1e300]) == pytest.approx(1e300 * 2.0 ** (399 / 400))
+
+    def test_tiny_vectors_scale_exactly(self):
+        # F(2^-140 x) = 2^-140 F(x) bit for bit: no vector but 0 is read as
+        # the zero vector, however small its entries (here ~1e-42)
+        rng = np.random.default_rng(4)
+        for base in family_zoo():
+            a = rng.standard_normal((base.dim, base.dim)) + 2.0 * np.eye(base.dim)
+            pts = rng.standard_normal((50, base.dim))
+            for norm in (base, LinearImage(a, base)):
+                np.testing.assert_array_equal(norm.values(np.ldexp(pts, -140)),
+                                              np.ldexp(norm.values(pts), -140))
 
     def test_zero_maps_to_zero(self):
         for norm in family_zoo():
@@ -246,7 +257,7 @@ class TestLinearImage:
                                        rtol=1e-9)
 
     def test_zero_only_at_an_inner_layer(self):
-        # A xi = 1e-320 lies below the zero cutoff, but xi itself does not
+        # A xi = 1e-320 is subnormal, not zero, so F is positive
         norm = LinearImage(1e-300 * np.eye(2), LpNorm(2, 2))
         assert norm.values([1e-20, 0.0]) > 0.0
 
