@@ -17,7 +17,7 @@ from .errors import BlgeomError, InputError
 from .invariants import (compare_fingerprints, quermassintegrals, roundness)
 from .manifold import bl_field, fingerprint_cloud, is_locally_minkowski
 from .metric import bl_metric, bl_metric_converged
-from .quadrature import MAX_QUAD_LEVEL, auto_quadrature
+from .quadrature import MAX_QUAD_LEVEL
 from .verify import run_suite
 
 
@@ -97,8 +97,7 @@ def cmd_metric(args):
 
 def cmd_ellipsoid(args):
     norm = specio.load_norm(args.norm)
-    quad = auto_quadrature(norm, level=args.quad_level)
-    bl = bl_metric(norm, quad)
+    bl = bl_metric(norm, args.quad_level)
     payload = {
         "binet": {"shape": bl.dual.tolist(), "scale": 1.0, "space": "dual"},
         "legendre": {"shape": bl.metric.tolist(), "scale": bl.legendre_scale,
@@ -110,8 +109,7 @@ def cmd_ellipsoid(args):
 
 def cmd_invariants(args):
     norm = specio.load_norm(args.norm)
-    quad = auto_quadrature(norm, level=args.quad_level)
-    bl = bl_metric(norm, quad)
+    bl = bl_metric(norm, args.quad_level)
     qm = quermassintegrals(bl)
     mu, big_m = roundness(norm, bl.metric)
     payload = {
@@ -211,13 +209,12 @@ def cmd_field(args):
 def cmd_berwald(args):
     structure = specio.load_structure(args.structure)
     grid = _parse_grid(args.grid, structure.dim)
-    report = is_locally_minkowski(structure, shape=grid, level=args.quad_level,
-                                  flat_tol=args.tol, berwald_tol=args.tol)
+    report = is_locally_minkowski(structure, shape=grid, level=args.quad_level, tol=args.tol)
     payload = {
         "defect": report.berwald_defect,
         "flat_residual": report.flat_residual,
         "verdict": report.verdict,
-        "tolerances": {"flat": report.flat_tol, "berwald": report.berwald_tol},
+        "tolerances": {"flat": report.tol, "berwald": report.tol},
     }
     _emit(specio.dump_json(payload), args.out)
     if args.assert_verdict and not report.locally_minkowski:

@@ -42,7 +42,6 @@ from .invariants import fingerprint_point
 from .metric import CONDITION_LIMIT, bl_metric
 from .norms import (LinearImage, LpNorm, MinkowskiNorm, PolytopeGauge,
                     WeightedSum, _box_corners, as_finite, as_reals)
-from .quadrature import auto_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +280,22 @@ class MetricField:
 
     def at(self, x) -> np.ndarray:
         """Interpolated metric tensor at chart points, shape (..., n, n)."""
-        x = np.asarray(x, dtype=float)
-        self._check_inside(x, 0.0, "is outside the lattice box")
+        x = self._check_inside(x, 0.0, "is outside the lattice box")
         g = self._spline(x)
         return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def _check_inside(self, x, margin, problem):
+        """``x`` by ``as_reals``, with a last axis of length ``dim``; a point
+        not finite or outside the box shrunk by ``margin`` is an InputError."""
+        x = as_reals(x, "point")
+        if x.shape[-1:] != (self.dim,):
+            raise InputError(f"points need a last axis of length {self.dim}, got {x.shape}")
         # negated, so that a NaN coordinate (every comparison false) is outside
         outside = np.any(~(x >= self.lo + margin - 1e-12)
                          | ~(x <= self.hi - margin + 1e-12), axis=-1)
         if np.any(outside):
             raise InputError(f"point {x[outside][0]} {problem}")
+        return x
 
     @cached_property
     def _jet(self):
@@ -328,8 +332,7 @@ class MetricField:
         lattice spacings of the boundary, or not finite, raises
         ``InputError``; a tensor that is not positive definite there raises
         ``NumericalFailure``; both name the point."""
-        x = np.asarray(x, dtype=float)
-        self._check_inside(x, 2.0 * self.spacing, _NEAR_BOUNDARY)
+        x = self._check_inside(x, 2.0 * self.spacing, _NEAR_BOUNDARY)
         i, j, pair = _pairs(self.dim)
         l = np.arange(self.dim)[:, None]
         jet = self._jet(x)
@@ -358,9 +361,8 @@ class MetricField:
         ``_coincident``) are evaluated once, all in one ``christoffel`` call,
         and shared by every stencil that holds them; the stencil and its
         step are those of the plain central difference."""
-        x = np.asarray(x, dtype=float)
         # checked here too, so that an error names x and not a stencil point
-        self._check_inside(x, 2.0 * self.spacing, _NEAR_BOUNDARY)
+        x = self._check_inside(x, 2.0 * self.spacing, _NEAR_BOUNDARY)
         n = self.dim
         h = float(self.spacing.min())
         shifts = np.concatenate([np.zeros((1, n)), h * np.eye(n), -h * np.eye(n)])
@@ -550,7 +552,7 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
     for b, base in enumerate(bases):
         if id(base) not in memo:
             try:
-                memo[id(base)] = bl_metric(base, auto_quadrature(base, level=level))
+                memo[id(base)] = bl_metric(base, level)
             except Exception as exc:
                 x = pts[np.argmax(base_of_point == b)]
                 raise NumericalFailure(f"{failure} {x}: {exc}") from exc
@@ -581,8 +583,8 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
     """Metric of the structure's norm at every lattice node.
 
     One ``structure.peel`` call gives every node's norm as base o A, the
-    metric of every distinct base is solved once with its own
-    ``auto_quadrature`` (a base in ``memo`` is not solved again; see
+    metric of every distinct base is solved once by ``bl_metric`` at
+    ``level`` (a base in ``memo`` is not solved again; see
     ``_gl_metrics``), and the node tensors are assembled as
     A^T g_base A by GL-equivariance, g_{F o A} = A^T g_F A.  A failure at
     any node, or a node tensor that is not positive definite or exceeds
@@ -735,15 +737,15 @@ def _transport(field: MetricField, paths, frame) -> list:
     whose propagator is the identity.  After ``MAX_HALVINGS`` the error
     reports the first failing path's residual.
     """
-    paths = [np.asarray(path, dtype=float) for path in paths]
+    paths = [as_finite(path, "path") for path in paths]
     for path in paths:
         if path.ndim != 2 or len(path) < 2 or path.shape[1] != field.dim:
             raise InputError("path must be a polyline with at least two points")
-    frame = np.asarray(frame, dtype=float)
+    frame = as_finite(frame, "frame")
     if frame.ndim == 1:
         frame = frame[:, None]
-    if frame.shape[0] != field.dim:
-        raise InputError("frame vectors must match the field dimension")
+    if frame.ndim != 2 or frame.shape[0] != field.dim or frame.shape[1] == 0:
+        raise InputError(f"frame must be a vector or a ({field.dim}, k) array of k >= 1 columns")
     if not paths:
         return []
 
@@ -793,7 +795,13 @@ def holonomy_angle(field: MetricField, result: TransportResult) -> float:
     """Rotation angle of a closed-loop transport in a 2D isotropic field."""
     if field.dim != 2:
         raise InputError("holonomy angle is a planar diagnostic")
-    p = result.transported_frame @ np.linalg.inv(result.initial_frame)
+    shape = result.initial_frame.shape
+    if shape != (2, 2):
+        raise InputError(f"holonomy angle needs a frame of two vectors, got shape {shape}")
+    try:
+        p = result.transported_frame @ np.linalg.inv(result.initial_frame)
+    except np.linalg.LinAlgError as exc:
+        raise InputError("holonomy angle needs two independent frame vectors") from exc
     return float(np.arctan2(p[1, 0] - p[0, 1], p[0, 0] + p[1, 1]))
 
 
@@ -911,8 +919,7 @@ class FlatnessReport:
     flat_residual: float
     berwald_defect: float
     locally_minkowski: bool
-    flat_tol: float
-    berwald_tol: float
+    tol: float
 
     @property
     def verdict(self) -> str:
@@ -920,15 +927,14 @@ class FlatnessReport:
 
 
 def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
-                         level: int = 0, flat_tol: float = 1e-4,
-                         berwald_tol: float = 1e-4) -> FlatnessReport:
+                         level: int = 0, tol: float = 1e-4) -> FlatnessReport:
     """Flat metric + Berwald <=> the structure is locally a Minkowski space.
 
     flat_residual is the max curvature entry over interior lattice nodes;
-    the Berwald defect runs the default loops.  Both must fall below their
-    tolerances for a positive verdict.  If either lies within the largest
-    relative error of the field at the cell midpoints (against a direct
-    solve) of its tolerance, the verdict is undecided: ``NumericalFailure``.
+    the Berwald defect runs the default loops.  Both must fall below ``tol``
+    for a positive verdict.  If either lies within the largest relative
+    error of the field at the cell midpoints (against a direct solve) of
+    ``tol``, the verdict is undecided: ``NumericalFailure``.
     The midpoints reuse the metric of every base object the lattice solved.
     """
     solved = {}
@@ -942,14 +948,12 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
     _, mid = _lattice(field.lo + half, field.hi - half, [len(a) - 1 for a in field.axes])
     direct = _gl_metrics(structure, mid, level, "point", solved)[0]
     band = float(_relative_change(field.at(mid) - direct, direct).max())
-    for name, value, tol in (("flat residual", flat, flat_tol),
-                             ("Berwald defect", report.defect, berwald_tol)):
+    for name, value in (("flat residual", flat), ("Berwald defect", report.defect)):
         if abs(value - tol) <= band:
             raise NumericalFailure(
                 f"verdict undecided at this lattice: {name} {value:.3e} is within the "
                 f"interpolation error {band:.1e} of its tolerance {tol:.1e}; refine the lattice")
-    ok = flat < flat_tol and report.defect < berwald_tol
-    return FlatnessReport(flat, report.defect, ok, flat_tol, berwald_tol)
+    return FlatnessReport(flat, report.defect, flat < tol and report.defect < tol, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,15 @@ class BLMetric:
         return self.volume * float(theta @ self.dual @ theta) / (n + 2)
 
 
-def bl_metric(norm: MinkowskiNorm, quad: SphericalQuadrature) -> BLMetric:
-    """The Binet-Legendre record of ``norm``: one evaluation of F over ``quad``,
-    each node once; F must be positive there.  The sums take the powers of
-    2^-k F, with 2^k <= max F < 2^(k+1) (k = 0 on the catalog); the scaling
-    is exact, as is the way back by the conformal law (vol by 2^-nk, M* by
-    4^-k, g by 4^k), so the record is exact at any scale where those fit.
-    The checks and the scale-free vol(Omega) sqrt(det g) use 2^-k F."""
+def bl_metric(norm: MinkowskiNorm, level: int) -> BLMetric:
+    """The Binet-Legendre record of ``norm`` at quadrature ``level``, which
+    (norm, level) names: one evaluation of F over ``auto_quadrature(norm,
+    level)``, each node once; F must be positive there.  The sums take the
+    powers of 2^-k F, with 2^k <= max F < 2^(k+1) (k = 0 on the catalog); the
+    scaling is exact, as is the way back by the conformal law (vol by 2^-nk,
+    M* by 4^-k, g by 4^k), so the record is exact at any scale where those
+    fit.  The checks and the scale-free vol(Omega) sqrt(det g) use 2^-k F."""
+    quad = auto_quadrature(norm, level)
     nodes, weights, n = quad.nodes, quad.weights, quad.dim
     f = norm.values(nodes)
     if np.any(f <= 0.0):
@@ -146,20 +148,18 @@ def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0):
     the previous metric is kept, so each rule is freed before the next is
     evaluated.  Returns (BLMetric, ConvergenceInfo).
     """
-    quad = auto_quadrature(norm, level=level)
     prev, achieved = None, None
     while True:
-        bl = bl_metric(norm, quad)
+        bl = bl_metric(norm, level)
         if prev is not None:
             # both metrics scaled by one power of two, so no square in a norm overflows
             cur, old = np.ldexp([bl.metric, prev], -math.frexp(np.abs(bl.metric).max())[1])
             achieved = float(np.linalg.norm(cur - old) / np.linalg.norm(cur))
         converged = achieved is not None and achieved < tol
-        if converged or quad.level >= MAX_QUAD_LEVEL:
+        if converged or bl.quad.level >= MAX_QUAD_LEVEL:
             return bl, ConvergenceInfo(converged, achieved)
-        prev = bl.metric
+        prev, level = bl.metric, bl.quad.level + 1
         del bl
-        quad = auto_quadrature(norm, level=quad.level + 1)
 
 
 # ---------------------------------------------------------------------------

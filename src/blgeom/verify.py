@@ -22,7 +22,7 @@ from .manifold import (berwald_defect, bl_field, conformal_factor,
 from .metric import bl_metric, relative_qf_deviation, sampled_moment
 from .norms import (Euclidean, LinearImage, LpNorm, QuarticAxial,
                     WeightedSum, rescale, validate)
-from .quadrature import auto_quadrature, ball_volume
+from .quadrature import ball_volume
 
 
 @dataclass
@@ -46,11 +46,6 @@ def _check(name, value, tol, note=""):
 def _check_at_least(name, value, tol, note=""):
     return CheckResult(name, float(value), float(tol), bool(value >= tol),
                        note or "must be at least the bound")
-
-
-def _bl(norm, level=0):
-    """The Binet-Legendre record of ``norm`` on its own rule at ``level``."""
-    return bl_metric(norm, auto_quadrature(norm, level=level))
 
 
 def _radii(shape, scale):
@@ -138,14 +133,14 @@ def suite_metric_properties(seed: int = 0):
     for n in (2, 3):
         for _ in range(5):
             g0 = _random_spd(rng, n)
-            g = _bl(Euclidean(g0), 1).metric
+            g = bl_metric(Euclidean(g0), 1).metric
             worst = max(worst, np.linalg.norm(g - g0) / np.linalg.norm(g0))
     results.append(_check("euclidean recovery (metric equals input)", worst, 1e-8))
 
     sq = catalog.builtin_norm("square-max")
     dia = catalog.builtin_norm("diamond-l1")
-    g_sq = _bl(sq).metric
-    g_dia = _bl(dia).metric
+    g_sq = bl_metric(sq, 0).metric
+    g_dia = bl_metric(dia, 0).metric
     results.append(_check("square max-norm metric is 0.75 I",
                           np.abs(g_sq - 0.75 * np.eye(2)).max(), 1e-6))
     results.append(_check("diamond 1-norm metric is 1.5 I",
@@ -154,8 +149,8 @@ def suite_metric_properties(seed: int = 0):
     worst = 0.0
     for norm in _sample_norms(rng):
         a = _random_invertible(rng, norm.dim)
-        g = _bl(norm, 1).metric
-        g_img = _bl(LinearImage(a, norm), 1).metric
+        g = bl_metric(norm, 1).metric
+        g_img = bl_metric(LinearImage(a, norm), 1).metric
         target = a.T @ g @ a
         worst = max(worst, np.linalg.norm(g_img - target) / np.linalg.norm(target))
     results.append(_check("linear equivariance g(F o A) = A^T g A", worst, 1e-6))
@@ -163,8 +158,8 @@ def suite_metric_properties(seed: int = 0):
     worst = 0.0
     for norm in (sq, QuarticAxial(2), Euclidean(_random_spd(rng, 3))):
         kappa = float(rng.uniform(0.2, 5.0))
-        g = _bl(norm, 1).metric
-        g_scaled = _bl(rescale(norm, kappa), 1).metric
+        g = bl_metric(norm, 1).metric
+        g_scaled = bl_metric(rescale(norm, kappa), 1).metric
         worst = max(worst, np.linalg.norm(g_scaled - kappa ** 2 * g)
                     / np.linalg.norm(g_scaled))
     results.append(_check("scaling law g(kappa F) = kappa^2 g(F)", worst, 1e-8))
@@ -172,8 +167,8 @@ def suite_metric_properties(seed: int = 0):
     # sandwich bound from a measured bilipschitz constant
     f1 = catalog.builtin_norm("hexagon")
     f2 = WeightedSum(0.7, 0.3, f1, Euclidean(np.eye(2)))
-    g1 = _bl(f1, 1).metric
-    g2 = _bl(f2, 1).metric
+    g1 = bl_metric(f1, 1).metric
+    g2 = bl_metric(f2, 1).metric
     dirs = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
     u = np.column_stack([np.cos(dirs), np.sin(dirs)])
     ratio = f2.values(u) / f1.values(u)
@@ -192,8 +187,8 @@ def suite_metric_properties(seed: int = 0):
     pert = WeightedSum(1.0 - eps, eps * 0.9, base, Euclidean(np.eye(2)))
     ratio = pert.values(u) / base.values(u)
     eps_measured = float(np.abs(ratio - 1.0).max())
-    g_b = _bl(base, 1).metric
-    g_p = _bl(pert, 1).metric
+    g_b = bl_metric(base, 1).metric
+    g_p = bl_metric(pert, 1).metric
     bound = ((1 + eps_measured) / (1 - eps_measured)) ** (2 * n) - 1.0
     dev = relative_qf_deviation(g_p, g_b)
     results.append(_check("C0-stability quadratic-form deviation", dev, bound,
@@ -216,14 +211,14 @@ def suite_metric_properties(seed: int = 0):
 
     worst_smooth = 0.0
     for norm in (QuarticAxial(2), Euclidean(_random_spd(rng, 2)), LpNorm(4, 2)):
-        m0, m1 = _bl(norm, 0).dual, _bl(norm, 1).dual
+        m0, m1 = bl_metric(norm, 0).dual, bl_metric(norm, 1).dual
         worst_smooth = max(worst_smooth, np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     results.append(_check("quadrature doubling change, smooth families",
                           worst_smooth, 1e-8))
     worst_poly = 0.0
     for name in ("square-max", "diamond-l1", "hexagon", "asymmetric-triangle"):
         norm = catalog.builtin_norm(name)
-        m0, m1 = _bl(norm, 0).dual, _bl(norm, 1).dual
+        m0, m1 = bl_metric(norm, 0).dual, bl_metric(norm, 1).dual
         worst_poly = max(worst_poly, np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     results.append(_check("quadrature doubling change, polytope gauges",
                           worst_poly, 1e-6))
@@ -236,18 +231,18 @@ def suite_ellipsoids(seed: int = 0):
 
     eu = Euclidean(np.eye(2))
     results.append(_check("euclidean ball is its own moment ellipsoid",
-                          abs(_bl(eu).legendre_scale - 1.0), 1e-8))
+                          abs(bl_metric(eu, 0).legendre_scale - 1.0), 1e-8))
 
     sq = catalog.builtin_norm("square-max")
     results.append(_check("square dual ellipsoid radius sqrt(3)/2",
-                          abs(_radii(_bl(sq).dual, 1.0)[0] - np.sqrt(3.0) / 2.0), 1e-8))
+                          abs(_radii(bl_metric(sq, 0).dual, 1.0)[0] - np.sqrt(3.0) / 2.0), 1e-8))
 
     # exact moments int_Omega <theta, x>^2 dx of the square [-1, 1]^2 and of
     # the diamond |x1| + |x2| <= 1, for theta = e1, e2 and (1, 1)
     worst = 0.0
     for name, exact in (("square-max", (4 / 3, 4 / 3, 8 / 3)),
                         ("diamond-l1", (1 / 3, 1 / 3, 2 / 3))):
-        bl = _bl(catalog.builtin_norm(name))
+        bl = bl_metric(catalog.builtin_norm(name), 0)
         for theta, want in zip(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]), exact):
             got = _ellipsoid_moment(bl.metric, bl.legendre_scale, theta)
             worst = max(worst, abs(got - want) / want)
@@ -257,7 +252,7 @@ def suite_ellipsoids(seed: int = 0):
     worst_sigma = 0.0
     for name in ("square-max", "diamond-l1"):
         norm = catalog.builtin_norm(name)
-        bl = _bl(norm)
+        bl = bl_metric(norm, 0)
         for k, theta in enumerate(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])):
             mc = sampled_moment(norm, theta, 10 ** 6, seed + k)
             dev = abs(_ellipsoid_moment(bl.metric, bl.legendre_scale, theta) - mc.value)
@@ -267,15 +262,15 @@ def suite_ellipsoids(seed: int = 0):
 
     a = _random_invertible(rng, 2)
     img = LinearImage(a, sq)
-    m_img = _bl(img, 1).dual
-    m = _bl(sq, 1).dual
+    m_img = bl_metric(img, 1).dual
+    m = bl_metric(sq, 1).dual
     # dual moment matrix pushes forward contravariantly: M*(F o A) = A^-1 M* A^-T
     target = np.linalg.inv(a) @ m @ np.linalg.inv(a).T
     results.append(_check("dual ellipsoid transforms contravariantly",
                           np.linalg.norm(m_img - target) / np.linalg.norm(target), 1e-6))
 
     kappa = float(rng.uniform(0.5, 3.0))
-    bl1, bl2 = _bl(sq), _bl(rescale(sq, kappa))
+    bl1, bl2 = bl_metric(sq, 0), bl_metric(rescale(sq, kappa), 0)
     r1 = _radii(bl1.metric, bl1.legendre_scale)
     r2 = _radii(bl2.metric, bl2.legendre_scale)
     results.append(_check("moment ellipsoid scales by 1/kappa",
@@ -288,28 +283,28 @@ def suite_invariants(seed: int = 0):
     results = []
 
     sq = catalog.builtin_norm("square-max")
-    fp = fingerprint_point(_bl(sq))
+    fp = fingerprint_point(bl_metric(sq, 0))
     target = np.array([3.0, 2.0 * np.sqrt(3.0), np.sqrt(2.0 / 3.0), 2.0 / np.sqrt(3.0)])
     results.append(_check("square fingerprint (3, 2 sqrt 3, 0.8165, 1.1547)",
                           np.abs(fp - target).max(), 1e-4))
 
     eu = Euclidean(np.eye(2))
-    qm = quermassintegrals(_bl(eu))
+    qm = quermassintegrals(bl_metric(eu, 0))
     results.append(_check("disk Steiner coefficients are (pi, pi, pi)",
                           np.abs(qm.values - np.pi).max(), 1e-6))
 
     kappa = float(rng.uniform(0.3, 4.0))
-    fp_scaled = fingerprint_point(_bl(rescale(sq, kappa)))
+    fp_scaled = fingerprint_point(bl_metric(rescale(sq, kappa), 0))
     results.append(_check("fingerprint invariant under rescaling",
                           np.abs(fp - fp_scaled).max() / np.abs(fp).max(), 1e-6))
 
     a = _random_invertible(rng, 2)
-    fp_img = fingerprint_point(_bl(LinearImage(a, sq)))
+    fp_img = fingerprint_point(bl_metric(LinearImage(a, sq), 0))
     results.append(_check("fingerprint invariant under linear maps",
                           np.abs(fp - fp_img).max() / np.abs(fp).max(), 1e-5))
 
-    nb = orthonormalize(sq, _bl(sq).metric)
-    nb2 = orthonormalize(nb, _bl(nb).metric)
+    nb = orthonormalize(sq, bl_metric(sq, 0).metric)
+    nb2 = orthonormalize(nb, bl_metric(nb, 0).metric)
     pts = rng.standard_normal((200, 2))
     results.append(_check("orthonormalization is idempotent",
                           np.abs(nb2.values(pts) - nb.values(pts)).max(), 1e-9))
@@ -379,17 +374,17 @@ def suite_berwald(seed: int = 0):
 
     flat = is_locally_minkowski(const, shape=(17, 17))
     results.append(CheckResult("constant structure is locally flat",
-                               flat.flat_residual, flat.flat_tol,
+                               flat.flat_residual, flat.tol,
                                flat.locally_minkowski, note=flat.verdict))
     neg = is_locally_minkowski(interp, shape=(33, 17))
     results.append(CheckResult("interpolating structure is not flat",
-                               neg.flat_residual, neg.flat_tol,
+                               neg.flat_residual, neg.tol,
                                not neg.locally_minkowski, note=neg.verdict))
     negr = is_locally_minkowski(rotor, shape=(17, 17))
     results.append(CheckResult("rotating structure fails only the Berwald leg",
-                               negr.berwald_defect, negr.berwald_tol,
+                               negr.berwald_defect, negr.tol,
                                (not negr.locally_minkowski)
-                               and negr.flat_residual < negr.flat_tol,
+                               and negr.flat_residual < negr.tol,
                                note=negr.verdict))
 
     angle = np.pi / 6.0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from blgeom import (Euclidean, LinearImage, LpNorm, PolytopeGauge, QuarticAxial,
-                    WeightedSum, auto_quadrature, berwald_defect, bl_metric,
+                    WeightedSum, berwald_defect, bl_metric,
                     compare_fingerprints,
                     fingerprint_cloud, fingerprint_point, isotropy_defect,
                     bl_field, conformal_rescale, constant_structure,
@@ -38,7 +38,7 @@ def test_criterion_1_euclidean_recovery():
         for _ in range(10):
             g0 = random_spd(rng, n)
             norm = Euclidean(g0)
-            g = bl_metric(norm, auto_quadrature(norm, level=1)).metric
+            g = bl_metric(norm, 1).metric
             worst = max(worst, np.linalg.norm(g - g0) / np.linalg.norm(g0))
     elapsed = time.monotonic() - start
     report(1, "euclidean recovery, 20 random PD matrices", worst, 1e-8,
@@ -47,8 +47,8 @@ def test_criterion_1_euclidean_recovery():
 
 
 def test_criterion_2_closed_form_polytopes():
-    g_sq = bl_metric(SQUARE, auto_quadrature(SQUARE)).metric
-    g_dia = bl_metric(DIAMOND, auto_quadrature(DIAMOND)).metric
+    g_sq = bl_metric(SQUARE, 0).metric
+    g_dia = bl_metric(DIAMOND, 0).metric
     err = max(np.abs(g_sq - 0.75 * np.eye(2)).max(),
               np.abs(g_dia - 1.5 * np.eye(2)).max())
     report(2, "square metric 0.75 I and diamond metric 1.5 I", err, 1e-6,
@@ -67,8 +67,8 @@ def test_criterion_3_gl_equivariance():
         norm = pool[k % len(pool)]
         a = random_invertible(rng, norm.dim)
         img = LinearImage(a, norm)
-        g = bl_metric(norm, auto_quadrature(norm, level=1)).metric
-        g_img = bl_metric(img, auto_quadrature(img, level=1)).metric
+        g = bl_metric(norm, 1).metric
+        g_img = bl_metric(img, 1).metric
         target = a.T @ g @ a
         worst = max(worst, np.linalg.norm(g_img - target) / np.linalg.norm(target))
     report(3, "linear equivariance over 50 random (A, norm) pairs", worst,
@@ -80,9 +80,9 @@ def test_criterion_4_scaling_and_bilipschitz():
     worst_scale = 0.0
     for norm in (SQUARE, QuarticAxial(2), Euclidean(random_spd(rng, 3))):
         kappa = float(rng.uniform(0.2, 5.0))
-        g = bl_metric(norm, auto_quadrature(norm, level=1)).metric
+        g = bl_metric(norm, 1).metric
         scaled = rescale(norm, kappa)
-        g_s = bl_metric(scaled, auto_quadrature(scaled, level=1)).metric
+        g_s = bl_metric(scaled, 1).metric
         worst_scale = max(worst_scale,
                           np.linalg.norm(g_s - kappa ** 2 * g) / np.linalg.norm(g_s))
 
@@ -96,8 +96,8 @@ def test_criterion_4_scaling_and_bilipschitz():
         f2 = WeightedSum(1.0 - t, t, f1, Euclidean(np.eye(2)))
         ratio = f2.values(u) / f1.values(u)
         c = max(ratio.max(), 1.0 / ratio.min()) * (1 + 1e-12)
-        g1 = bl_metric(f1, auto_quadrature(f1, level=1)).metric
-        g2 = bl_metric(f2, auto_quadrature(f2, level=1)).metric
+        g1 = bl_metric(f1, 1).metric
+        g2 = bl_metric(f2, 1).metric
         lam = eigh(g2, g1, eigvals_only=True)
         if lam.min() < c ** -4 or lam.max() > c ** 4:
             violations += 1
@@ -111,7 +111,7 @@ def test_criterion_5_moment_identity():
     worst = 0.0
     for name in ("square-max", "diamond-l1"):
         norm = catalog.builtin_norm(name)
-        bl = bl_metric(norm, auto_quadrature(norm))
+        bl = bl_metric(norm, 0)
         for k, theta in enumerate(([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])):
             mc = sampled_moment(norm, theta, 10 ** 7, 2000 + k)
             ell = ellipsoid_moment(bl.metric, bl.legendre_scale, theta)
@@ -123,7 +123,7 @@ def test_criterion_5_moment_identity():
 def test_criterion_6_fingerprint():
     target = np.array([3.0, 2.0 * np.sqrt(3.0),
                        np.sqrt(2.0 / 3.0), 2.0 / np.sqrt(3.0)])
-    err_sq = np.abs(fingerprint_point(bl_metric(SQUARE, auto_quadrature(SQUARE))) - target).max()
+    err_sq = np.abs(fingerprint_point(bl_metric(SQUARE, 0)) - target).max()
 
     rng = np.random.default_rng(106)
     interp = l1_l2_interpolation()
@@ -207,7 +207,7 @@ def test_criterion_8_local_minkowski():
 
 def test_criterion_9_quartic_norm_metric():
     norm = QuarticAxial(3)
-    g = bl_metric(norm, auto_quadrature(norm, level=1)).metric
+    g = bl_metric(norm, 1).metric
     off = np.abs(g - np.diag(np.diag(g))).max()
     aniso = abs(g[0, 0] - g[1, 1])
     defect = isotropy_defect(norm)
@@ -224,16 +224,16 @@ def test_criterion_10_quadrature_convergence():
     worst_smooth = 0.0
     for norm in (QuarticAxial(2), Euclidean(np.diag([1.0, 2.0])),
                  LpNorm(4, 2), QuarticAxial(3)):
-        m0 = bl_metric(norm, auto_quadrature(norm)).dual
-        m1 = bl_metric(norm, auto_quadrature(norm, level=1)).dual
+        m0 = bl_metric(norm, 0).dual
+        m1 = bl_metric(norm, 1).dual
         worst_smooth = max(worst_smooth,
                            np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     worst_poly = 0.0
     for name in ("square-max", "diamond-l1", "hexagon", "asymmetric-triangle",
                  "sheared-square"):
         norm = catalog.builtin_norm(name)
-        m0 = bl_metric(norm, auto_quadrature(norm)).dual
-        m1 = bl_metric(norm, auto_quadrature(norm, level=1)).dual
+        m0 = bl_metric(norm, 0).dual
+        m1 = bl_metric(norm, 1).dual
         worst_poly = max(worst_poly, np.linalg.norm(m1 - m0) / np.linalg.norm(m1))
     ok = worst_smooth < 1e-8 and worst_poly < 1e-6
     report(10, "refinement doubling: smooth < 1e-8, polytopes < 1e-6",

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from blgeom import (Euclidean, InputError, LpNorm, NumericalFailure, PolytopeGauge,
-                    QuarticAxial, UnsupportedDimensionError, WeightedSum, auto_quadrature,
+                    QuarticAxial, UnsupportedDimensionError, WeightedSum,
                     bl_metric, compare_fingerprints, fingerprint_point,
                     isotropy_defect, orthonormalize,
                     quermassintegrals, rescale, roundness)
@@ -20,16 +20,16 @@ SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
 def own(norm):
-    """The norm's Binet-Legendre record on its own default rule."""
-    return bl_metric(norm, auto_quadrature(norm))
+    """The norm's Binet-Legendre record at level 0."""
+    return bl_metric(norm, 0)
 
 
 def own_metric(norm):
     return own(norm).metric
 
 
-def _no_second_rule(*args, **kwargs):
-    raise AssertionError("a second quadrature rule was built")
+def _no_second_pass(*args, **kwargs):
+    raise AssertionError("a second metric pass was made")
 
 
 def random_metric(dim, seed):
@@ -58,8 +58,15 @@ class TestOrthonormalize:
                                    atol=1e-9)
 
     def test_requires_pd_metric(self):
-        with pytest.raises(Exception):
-            orthonormalize(SQUARE, np.array([[1.0, 0.0], [0.0, -1.0]]))
+        for metric in ([[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, np.nan]]):
+            with pytest.raises(NumericalFailure, match="reference metric"):
+                orthonormalize(SQUARE, np.array(metric))
+
+    @pytest.mark.parametrize("metric", [[1.0, 1.0], np.eye(3), "ab"],
+                             ids=["vector", "3x3", "text"])
+    def test_metric_of_wrong_shape_or_kind_is_input_error(self, metric):
+        with pytest.raises(InputError, match="reference metric"):
+            roundness(SQUARE, metric)
 
     def test_symmetry_is_checked_at_the_metric_scale(self):
         # an asymmetric metric is rejected however small its entries; a
@@ -90,11 +97,11 @@ class TestQuermassintegrals:
         # the orthonormal body; the record's pass is the only one made
         norm = catalog.builtin_norm(name)
         for level in (0, 1, 2):
-            bl = bl_metric(norm, auto_quadrature(norm, level=level))
+            bl = bl_metric(norm, level)
             body = orthonormalize(norm, bl.metric)
-            want = bl_metric(body, auto_quadrature(body, level=level)).volume
+            want = bl_metric(body, level).volume
             with monkeypatch.context() as m:
-                m.setattr(invariants, "auto_quadrature", _no_second_rule)
+                m.setattr(invariants, "bl_metric", _no_second_pass)
                 qm = quermassintegrals(bl)
             assert qm.values[0] == pytest.approx(want, rel=1e-13, abs=0)
 

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import spsolve
 
 from blgeom import (Euclidean, InputError, LinearImage, LpNorm, MetricField, NumericalFailure,
                     PolytopeGauge, QuarticAxial, TransportAccuracyError, WeightedSum,
-                    auto_quadrature, berwald_defect, bl_field, bl_metric, conformal_factor,
+                    berwald_defect, bl_field, bl_metric, conformal_factor,
                     conformal_rescale, constant_structure, default_loops,
                     default_probes, fingerprint_cloud, fingerprint_point,
                     holonomy_angle, is_locally_minkowski,
@@ -247,7 +247,7 @@ class TestFieldAssembly:
         rng = np.random.default_rng(7)
         for k in rng.choice(len(pts), size=24, replace=False):
             norm = st.norm_at(pts[k])
-            want = bl_metric(norm, auto_quadrature(norm)).metric
+            want = bl_metric(norm, 0).metric
             err = np.linalg.norm(values[k] - want) / np.linalg.norm(want)
             assert err <= 1e-10, (name, pts[k], err)
 
@@ -300,9 +300,9 @@ class TestPeel:
         # 33 columns: 11 interior weights plus the pure l1 and l2 norms
         calls = []
 
-        def counting(norm, quad):
+        def counting(norm, level):
             calls.append(norm)
-            return bl_metric(norm, quad)
+            return bl_metric(norm, level)
 
         monkeypatch.setattr(manifold, "bl_metric", counting)
         bl_field(catalog.builtin_structure("l1-l2-interpolation"), shape=(33, 33))
@@ -311,9 +311,9 @@ class TestPeel:
     def test_fingerprint_cloud_solves_each_base_once(self, monkeypatch):
         calls = []
 
-        def counting(norm, quad):
+        def counting(norm, level):
             calls.append(norm)
-            return bl_metric(norm, quad)
+            return bl_metric(norm, level)
 
         monkeypatch.setattr(manifold, "bl_metric", counting)
         monkeypatch.setattr(invariants, "bl_metric", counting)
@@ -381,6 +381,13 @@ class TestInterpolant:
     def test_nan_point_rejected(self, interp_field, method):
         with pytest.raises(InputError, match=r"point \[nan +0\.\]"):
             getattr(interp_field, method)([[0.5, 0.0], [np.nan, 0.0]])
+
+    @pytest.mark.parametrize("method", ["at", "christoffel", "riemann"])
+    @pytest.mark.parametrize("x", [[0.1], [0.1, 0.2, 0.3], "ab"], ids=["short", "long", "text"])
+    def test_point_of_wrong_length_or_kind_rejected(self, interp_field, method, x):
+        # a 1-vector must not broadcast over the stencil of riemann
+        with pytest.raises(InputError, match="point"):
+            getattr(interp_field, method)(x)
 
     def test_positive_definite_check_locates_bad_node(self):
         axes = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 2.0, 7), np.linspace(1.0, 2.0, 5)]
@@ -744,6 +751,26 @@ class TestTransport:
         with pytest.raises(InputError):
             parallel_transport(interp_field, np.array([[0.0, 0.0]]), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_vertex_rejected(self, interp_field, bad):
+        path = [[0.0, 0.0], [0.1, bad], [0.2, 0.0]]
+        with pytest.raises(InputError, match="path must be finite"):
+            parallel_transport(interp_field, path, np.eye(2))
+
+    @pytest.mark.parametrize("frame", ["ab", np.ones((2, 2, 2)), np.zeros((2, 0))],
+                             ids=["text", "three-axes", "no-vectors"])
+    def test_bad_frame_rejected(self, interp_field, frame):
+        with pytest.raises(InputError, match="frame must"):
+            parallel_transport(interp_field, [[0.0, 0.0], [0.1, 0.0]], frame)
+
+    @pytest.mark.parametrize("frame", [default_probes(2), [[1.0, 1.0], [1.0, 1.0]]],
+                             ids=["eight-vectors", "singular"])
+    def test_holonomy_angle_needs_two_independent_vectors(self, frame):
+        field = bl_field(constant_structure(square_gauge()), shape=(9, 9))
+        res = parallel_transport(field, rectangle_loop([0.0, 0.0], [0.4, 0.4]), frame)
+        with pytest.raises(InputError, match="holonomy angle needs"):
+            holonomy_angle(field, res)
+
 
 class TestBerwald:
     def test_constant_structure(self):
@@ -842,6 +869,12 @@ class TestBerwald:
         with pytest.raises(InputError, match="two lattice spacings"):
             berwald_defect(l1_l2_interpolation(), interp_field, [loop, loop - 0.8])
 
+    def test_nonfinite_loop_vertex_rejected(self, interp_field):
+        loop = rectangle_loop([0.125, 0.0], [0.375, 0.5])
+        loop[3, 1] = np.nan
+        with pytest.raises(InputError, match="path must be finite"):
+            berwald_defect(l1_l2_interpolation(), interp_field, [loop])
+
     @pytest.mark.parametrize("axes", [(0, 0), (0, 2), (-1, 1), (1, -2)])
     def test_bad_loop_plane_rejected(self, axes):
         # a negative axis would pass as an index and give a loop on one line
@@ -874,7 +907,7 @@ class TestLocallyMinkowski:
     def test_interpolation_negative_by_curvature(self):
         rep = is_locally_minkowski(l1_l2_interpolation(), shape=(33, 17))
         assert not rep.locally_minkowski
-        assert rep.flat_residual > rep.flat_tol
+        assert rep.flat_residual > rep.tol
 
     def test_rotor_negative_by_berwald_only(self):
         rep = is_locally_minkowski(
@@ -882,8 +915,8 @@ class TestLocallyMinkowski:
                 {"kind": "linear", "slope": 0.8, "offset": 0.1}, 2, "psi")),
             shape=(17, 17))
         assert not rep.locally_minkowski
-        assert rep.flat_residual < rep.flat_tol
-        assert rep.berwald_defect > rep.berwald_tol
+        assert rep.flat_residual < rep.tol
+        assert rep.berwald_defect > rep.tol
 
 
 class TestOneCheck:
@@ -907,9 +940,9 @@ class TestOneCheck:
         # the midpoint error reuses the lattice's base metric
         solves = []
 
-        def counting(norm, quad):
+        def counting(norm, level):
             solves.append(norm)
-            return bl_metric(norm, quad)
+            return bl_metric(norm, level)
 
         monkeypatch.setattr(manifold, "bl_metric", counting)
         is_locally_minkowski(catalog.builtin_structure("constant-square"))
@@ -927,15 +960,14 @@ class TestVerdictMargin:
         # defect 9.3e-8 and flat residual 0.37026 of the catalog conformal field
         # at 33^2, whose interpolation error is about 1.5e-6
         st = catalog.builtin_structure("conformal-euclidean")
-        assert not is_locally_minkowski(st, berwald_tol=1e-4).locally_minkowski
+        assert not is_locally_minkowski(st, tol=1e-4).locally_minkowski
         with pytest.raises(NumericalFailure, match="undecided.*Berwald defect 9.3"):
-            is_locally_minkowski(st, berwald_tol=1e-7)
+            is_locally_minkowski(st, tol=1e-7)
         with pytest.raises(NumericalFailure, match="undecided.*flat residual 3.703e-01"):
-            is_locally_minkowski(st, flat_tol=0.3702575)
+            is_locally_minkowski(st, tol=0.3702575)
 
     def test_constant_field_has_no_interpolation_error(self):
-        rep = is_locally_minkowski(constant_structure(square_gauge()), shape=(17, 17),
-                                   berwald_tol=1e-13, flat_tol=1e-12)
+        rep = is_locally_minkowski(constant_structure(square_gauge()), shape=(17, 17), tol=1e-13)
         assert rep.locally_minkowski
 
 
@@ -1031,7 +1063,7 @@ class TestFingerprintCloud:
         # reference: the fingerprint of each point's own norm
         st = ASSEMBLY_CASES[name]
         pts, cloud = fingerprint_cloud(st, grid=(6, 4))
-        want = np.array([fingerprint_point(bl_metric(norm, auto_quadrature(norm)))
+        want = np.array([fingerprint_point(bl_metric(norm, 0))
                          for norm in map(st.norm_at, pts)])
         np.testing.assert_allclose(cloud, want, rtol=1e-10, atol=0)
 
