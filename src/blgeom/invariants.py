@@ -63,26 +63,37 @@ def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
     W_n is the euclidean unit-ball volume omega_n.
     n = 2: W_0 = the record's ``orthonormal_volume``, vol(Omega) sqrt(det G)
     taken at the moment pass's own scale, W_1 = half the support-function
-    integral over the circle (Cauchy's perimeter formula).
+    integral over the circle (Cauchy's perimeter formula); without a closed
+    form the support is the boundary cloud's best score (see
+    ``MinkowskiNorm._cloud_best``).
     n = 3: the body is approximated by the polytope inscribed through
     20000 * 2^level directions; W_0 = volume, W_1 = surface/3, and W_2 comes
     from the exact polytope mean-width term sum(edge length * exterior
-    dihedral angle) / 6.
+    dihedral angle) / 6.  The radial samples are in convex position, so the
+    hull is built without Qhull's pre-merge and kept if Qhull raised no
+    error and every edge is convex (the vertex of a facet opposite a shared
+    edge lies at most 1e-12 max|coordinate| above the neighbour's plane);
+    otherwise Qhull's default, merged hull is built.
     Other dimensions raise; there is no silent fallback.
     """
     n, level = bl.norm.dim, bl.quad.level
     body = orthonormalize(bl.norm, bl.metric)
     if n == 2:
         squad = circle_rule(body.support_kink_angles(), level)
-        h = body._support(squad.nodes)   # unpolished without a closed form; ROADMAP item 1 removes it
+        h = body._support(squad.nodes)   # unpolished without a closed form; ROADMAP item 16 removes it
         w1 = 0.5 * float(np.dot(squad.weights, h))
         return Quermassintegrals(np.array([bl.orthonormal_volume, w1, ball_volume(2)]), 2)
     if n == 3:
-        from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
 
         dirs = sphere_directions(body, 20000 << level)
         verts = dirs / body.values(dirs)[:, None]
-        hull = ConvexHull(verts)
+        try:   # pre-merge only absorbs near-coplanar facets; samples in convex position need none
+            hull = ConvexHull(verts, qhull_options="Qt Q0")
+        except QhullError:
+            hull = None
+        if hull is None or not _bulge(hull) <= 1e-12 * np.abs(verts).max():
+            hull = ConvexHull(verts)
         w0 = hull.volume
         w1 = hull.area / 3.0
         w2 = _polytope_mean_width_term(hull) / 6.0
@@ -91,13 +102,26 @@ def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
         f"quermassintegrals are implemented for n in {{2, 3}}, got n = {n}")
 
 
+def _ridges(hull):
+    """(k, i, m): facet k of a 3D ConvexHull meets its neighbour m > k across
+    the edge opposite its vertex slot i; each edge once."""
+    k, i = np.nonzero(hull.neighbors > np.arange(len(hull.simplices))[:, None])
+    return k, i, hull.neighbors[k, i]
+
+
+def _bulge(hull) -> float:
+    """Largest height, above the plane of its neighbour, of a facet's vertex
+    opposite a shared edge; at most 0 on every edge when the surface is convex."""
+    k, i, m = _ridges(hull)
+    opposite = hull.points[hull.simplices[k, i]]
+    return float((np.einsum("ij,ij->i", hull.equations[m, :3], opposite) + hull.equations[m, 3]).max())
+
+
 def _polytope_mean_width_term(hull) -> float:
     """sum over ConvexHull edges of edge length times exterior dihedral angle."""
-    simplices, neighbors = hull.simplices, hull.neighbors
-    # each edge once: facet k meets its neighbour m > k across the edge
-    # opposite vertex slot i, whose end points are the other two slots
-    k, i = np.nonzero(neighbors > np.arange(len(simplices))[:, None])
-    m = neighbors[k, i]
+    k, i, m = _ridges(hull)
+    simplices = hull.simplices
+    # the edge's end points are the two slots other than i
     ends = hull.points[simplices[k, (i + 1) % 3]] - hull.points[simplices[k, (i + 2) % 3]]
     normals = hull.equations[:, :3]
     cos = np.clip(np.einsum("ij,ij->i", normals[k], normals[m]), -1.0, 1.0)

@@ -748,6 +748,10 @@ def _transport(field: MetricField, paths, frame) -> list:
         raise InputError(f"frame must be a vector or a ({field.dim}, k) array of k >= 1 columns")
     if not paths:
         return []
+    # transport is linear in the frame: carry it scaled by the power of two
+    # of its largest entry, so its Gram matrices neither over- nor underflow
+    scale = np.frexp(np.abs(frame).max())[1]
+    unit = np.ldexp(frame, -scale)
 
     width = max(len(path) for path in paths)
     padded = np.array([np.concatenate([path, np.repeat(path[-1:], width - len(path), axis=0)])
@@ -765,7 +769,7 @@ def _transport(field: MetricField, paths, frame) -> list:
                                     segs[pending].reshape(-1, field.dim), steps.ravel())
         devs = devs.reshape(steps.shape + devs.shape[1:])
         frames = np.empty((len(pending), width) + frame.shape)
-        frames[:, 0] = frame
+        frames[:, 0] = unit
         for v in range(width - 1):
             frames[:, v + 1] = frames[:, v] + devs[:, v] @ frames[:, v]
         gram = np.swapaxes(frames, -1, -2) @ field.at(padded[pending]) @ frames
@@ -773,7 +777,8 @@ def _transport(field: MetricField, paths, frame) -> list:
         ok = residual <= GRAM_TOL                     # a NaN residual fails
         for row in np.flatnonzero(ok):
             p = pending[row]
-            results[p] = TransportResult(paths[p], frame, list(frames[row, :len(paths[p])]),
+            reached = np.ldexp(frames[row, :len(paths[p])], scale)
+            results[p] = TransportResult(paths[p], frame, list(reached),
                                          int(steps[row].sum()), float(residual[row]), attempt)
         if ok.all():
             return results

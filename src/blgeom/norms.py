@@ -29,6 +29,7 @@ from .errors import (ConstructionError, InputError, NumericalFailure,
 
 _TWO_PI = 2.0 * np.pi
 _TINY = np.finfo(float).tiny   # the smallest normal float
+_HUGE = np.finfo(float).max
 
 # sphere_polish: grid points per chart axis by dimension n (odd, so the
 # centre is a grid point; 5 past n = 4), and its cap on rounds
@@ -36,6 +37,8 @@ _ZOOM_POINTS = {2: 65, 3: 17, 4: 9}
 _ZOOM_ROUNDS = 200
 
 _SUPPORT_BLOCK = 256   # covectors per cloud scan: 32 MiB of scores against 16384 points
+# boundary_cloud's directions outside 3D; in 2D a ring in angular order
+_RING = 8192
 
 # Largest dimension of a norm: the orthant rule (n >= 4) holds about 1e6 * 2^level
 # points of R^n, and a polytope hull can have exponentially many facets.
@@ -110,6 +113,24 @@ def _row_max(a):
     return functools.reduce(np.maximum, a.T)
 
 
+def _rescaled_rows(kernel):
+    """``kernel``, the ``_values`` of a family that squares its input, made
+    exact where the squares leave the float range: a row whose value is 0,
+    subnormal or not finite is evaluated again scaled by the power of two
+    of its largest entry, and its value scaled back, so F(2^m xi) =
+    2^m F(xi) bit for bit wherever the value is a normal float.  Other rows
+    are evaluated once."""
+    @functools.wraps(kernel)
+    def values(self, pts):
+        out = kernel(self, pts)
+        bad = ~((out >= _TINY) & (out <= _HUGE))     # NaN included
+        if bad.any():
+            e = np.frexp(_row_max(np.abs(pts[bad])))[1]
+            out[bad] = np.ldexp(kernel(self, np.ldexp(pts[bad], -e[:, None])), e)
+        return out
+    return values
+
+
 def _as_points(xi, dim, what="input"):
     """``xi`` as a finite real (k, dim) array, and whether it was one vector."""
     pts = as_reals(xi, what)
@@ -131,9 +152,10 @@ class MinkowskiNorm:
     """Base class.  Subclasses implement ``_values`` on (k, n) arrays; a
     family whose support function has a closed form also implements
     ``_support`` on (k, n) covectors and sets ``_exact_support = True``.
-    The others inherit the boundary-cloud scan as ``_support``, which the
-    public ``support`` polishes.  A family whose extremes over the sphere
-    have a closed form implements ``_exact_roundness``.
+    The others inherit the boundary cloud's best score as ``_support``
+    (found by angle in 2D, by a scan otherwise; see ``_cloud_best``),
+    which the public ``support`` polishes.  A family whose extremes over
+    the sphere have a closed form implements ``_exact_roundness``.
 
     The public ``values`` and ``support`` are the one boundary that
     validates input.  ``_values`` and ``_support`` get a validated real
@@ -174,27 +196,62 @@ class MinkowskiNorm:
         return float(out[0]) if squeeze else out
 
     def _support(self, thetas):
-        # the boundary-cloud scan: a lower bound with O(grid^-2) error
-        cloud = self.boundary_cloud()
-        out = np.empty(len(thetas))
-        for start in range(0, len(thetas), _SUPPORT_BLOCK):
-            out[start:start + _SUPPORT_BLOCK] = (thetas[start:start + _SUPPORT_BLOCK] @ cloud.T).max(axis=1)
-        return out
+        # the boundary cloud's best score: a lower bound with O(grid^-2) error
+        return self._cloud_best(thetas)[0]
 
     def _polished_support(self, thetas):
         # each row's best boundary-cloud point, polished on the sphere
-        cloud = self.boundary_cloud()
+        top, best = self._cloud_best(thetas)
+        width = _TWO_PI / len(self.boundary_cloud()) * 4.0
         out = np.empty(len(thetas))
         for start in range(0, len(thetas), _SUPPORT_BLOCK):
-            block = thetas[start:start + _SUPPORT_BLOCK]
-            scores = block @ cloud.T
-            best = cloud[scores.argmax(axis=1)]
-            neg = sphere_polish(lambda u, b=block: -np.einsum("skn,sn->sk", u, b)
+            rows = slice(start, start + _SUPPORT_BLOCK)
+            neg = sphere_polish(lambda u, b=thetas[rows]: -np.einsum("skn,sn->sk", u, b)
                                 / self.values(u.reshape(-1, self.dim)).reshape(u.shape[:-1]),
-                                best / np.linalg.norm(best, axis=1, keepdims=True),
-                                _TWO_PI / len(cloud) * 4.0)
-            out[start:start + _SUPPORT_BLOCK] = np.maximum(scores.max(axis=1), -neg)
+                                best[rows] / np.linalg.norm(best[rows], axis=1, keepdims=True),
+                                width)
+            out[rows] = np.maximum(top[rows], -neg)
         return out
+
+    def _cloud_best(self, thetas):
+        """(best score, best point) of the boundary cloud for every covector row.
+
+        In 2D the cloud's first ``_RING`` points lie on a convex curve in
+        angular order, so the outward normal angles of the polygon through
+        them increase, and the point between the two edges whose normals
+        bracket a covector's angle maximises it.  ``np.searchsorted`` finds
+        that point; it is scored with two neighbours on either side (round-off
+        may misorder the normals of a flat side) and with the extremal
+        candidates after the ring.  Other clouds have no order and are
+        scanned in blocks of ``_SUPPORT_BLOCK`` covectors.
+        """
+        cloud = self.boundary_cloud()
+        if self.dim != 2:
+            top, best = np.empty(len(thetas)), np.empty(len(thetas), dtype=int)
+            for start in range(0, len(thetas), _SUPPORT_BLOCK):
+                block = slice(start, start + _SUPPORT_BLOCK)
+                scores = thetas[block] @ cloud.T
+                best[block] = scores.argmax(axis=1)
+                top[block] = scores.max(axis=1)
+            return top, cloud[best]
+        normals = self._ring_normal_angles()
+        angle = normals[0] + np.mod(np.arctan2(thetas[:, 1], thetas[:, 0]) - normals[0], _TWO_PI)
+        window = (np.searchsorted(normals, angle)[:, None] + np.arange(-2, 3)) % _RING
+        extra = np.arange(_RING, len(cloud))
+        candidates = np.hstack([window, np.broadcast_to(extra, (len(thetas), len(extra)))])
+        scores = np.einsum("kci,ki->kc", cloud[candidates], thetas)
+        pick = scores.argmax(axis=1)
+        rows = np.arange(len(thetas))
+        return scores[rows, pick], cloud[candidates[rows, pick]]
+
+    def _ring_normal_angles(self):
+        """Outward normal angles, increasing from the first, of the edges
+        from ring point j to j + 1 of the 2D boundary cloud, computed once."""
+        if self._normals is None:
+            ring = self.boundary_cloud()[:_RING]
+            edges = np.roll(ring, -1, axis=0) - ring
+            self._normals = np.unwrap(np.arctan2(-edges[:, 0], edges[:, 1]))
+        return self._normals
 
     # -- structure hints used by quadrature and sphere optimizers ---------
 
@@ -216,13 +273,15 @@ class MinkowskiNorm:
         where it has not (the caller searches the sphere)."""
         return None
 
-    # boundary cloud cache, shared by generic support/extrema scans
+    # boundary cloud cache, shared by generic support/extrema scans, and the
+    # outward normal angles of its 2D ring
     _cloud: Optional[np.ndarray] = None
+    _normals: Optional[np.ndarray] = None
 
     def boundary_cloud(self) -> np.ndarray:
         """Dense sample of the unit-ball boundary, u / F(u), computed once."""
         if self._cloud is None:
-            dirs = sphere_directions(self, 16384 if self.dim == 3 else 8192)
+            dirs = sphere_directions(self, 16384 if self.dim == 3 else _RING)
             self._cloud = dirs / self.values(dirs)[:, None]
         return self._cloud
 
@@ -355,6 +414,7 @@ class Euclidean(MinkowskiNorm):
         self.matrix = G
         self._inv = np.linalg.inv(G)
 
+    @_rescaled_rows
     def _values(self, pts):
         return np.sqrt(np.einsum("ki,ij,kj->k", pts, self.matrix, pts))
 
@@ -646,6 +706,7 @@ class QuarticAxial(MinkowskiNorm):
     def __init__(self, dim):
         self.dim = as_dimension(dim)
 
+    @_rescaled_rows
     def _values(self, pts):
         # sqrt(ssq) (1 + (x_n^2 / ssq)^2)^(1/4) is exactly 2^m F at 2^m xi where
         # ssq is a normal float; dividing by at least the smallest one maps 0 to 0

@@ -6,7 +6,7 @@ on a read-only array is an evaluation of F on a rule; every other attribute
 is the wrapped norm's own.
 
 ``count_values_calls`` counts the ``MinkowskiNorm.values`` calls of every
-norm.
+norm; ``count_hulls`` records the Qhull options of every ``ConvexHull`` built.
 """
 
 import numpy as np
@@ -38,4 +38,19 @@ def count_values_calls(monkeypatch) -> list:
         return values(self, xi)
 
     monkeypatch.setattr(MinkowskiNorm, "values", counted)
+    return calls
+
+
+def count_hulls(monkeypatch) -> list:
+    """Patch ``scipy.spatial.ConvexHull`` to record the ``qhull_options`` of every hull."""
+    import scipy.spatial
+
+    calls = []
+    hull = scipy.spatial.ConvexHull
+
+    def counted(points, qhull_options=None):
+        calls.append(qhull_options)
+        return hull(points, qhull_options=qhull_options)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counted)
     return calls

@@ -208,3 +208,11 @@ def polytope_mean_width_term(hull):
             c = float(np.clip(normals[k] @ normals[m], -1.0, 1.0))
             total += length * np.arccos(c)
     return total
+
+
+def cloud_scan(cloud, thetas):
+    """(best score, best point) of the points ``cloud`` for every covector
+    row of ``thetas``: every point scored, one covector at a time."""
+    cloud = np.asarray(cloud, dtype=float)
+    best = [int(np.argmax(cloud @ theta)) for theta in np.asarray(thetas, dtype=float)]
+    return np.einsum("ki,ki->k", cloud[best], thetas), cloud[best]

@@ -10,13 +10,14 @@ from blgeom import (Euclidean, InputError, LpNorm, NumericalFailure, PolytopeGau
                     isotropy_defect, orthonormalize,
                     quermassintegrals, rescale, roundness)
 from blgeom import catalog, invariants
-from blgeom.invariants import _polytope_mean_width_term
+from blgeom.invariants import _bulge, _polytope_mean_width_term
 from blgeom.norms import (LinearImage, MinkowskiNorm, sphere_directions, sphere_grid,
                           sphere_polish)
-from counting import count_values_calls
+from counting import count_hulls, count_values_calls
 from oracles import mc_dilated_area, polytope_mean_width_term
 
 SQUARE = PolytopeGauge([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+CUBE = PolytopeGauge(np.array(list(itertools.product([-1.0, 1.0], repeat=3))))
 
 
 def own(norm):
@@ -123,6 +124,50 @@ class TestQuermassintegrals:
         hull = ConvexHull(dirs / norm.values(dirs)[:, None])
         want = polytope_mean_width_term(hull)
         assert _polytope_mean_width_term(hull) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("norm, level, rtol", [
+        (LpNorm(8, 3), 0, 1e-12),      # the hull without pre-merge raises
+        (CUBE, 0, 1e-12),              # most samples lie in the six facet planes
+        (catalog.builtin_norm("euclidean-3d"), 0, 1e-10),
+        (catalog.builtin_norm("euclidean-3d"), 1, 1e-10),
+        (catalog.builtin_norm("quartic-axial-3d"), 0, 1e-10),
+        (catalog.builtin_norm("quartic-axial-3d"), 1, 1e-10),
+    ], ids=["lp-8", "cube", "euclidean-0", "euclidean-1", "quartic-0", "quartic-1"])
+    def test_3d_as_from_the_merged_hull(self, norm, level, rtol):
+        # the values of Qhull's default (pre-merged) hull of the same samples
+        bl = bl_metric(norm, level)
+        body = orthonormalize(norm, bl.metric)
+        dirs = sphere_directions(body, 20000 << level)
+        hull = ConvexHull(dirs / body.values(dirs)[:, None])
+        want = [hull.volume, hull.area / 3.0, _polytope_mean_width_term(hull) / 6.0]
+        np.testing.assert_allclose(quermassintegrals(bl).values[:3], want, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("norm, hulls", [
+        (catalog.builtin_norm("euclidean-3d"), ["Qt Q0"]),
+        (catalog.builtin_norm("quartic-axial-3d"), ["Qt Q0"]),
+        (LpNorm(8, 3), ["Qt Q0", None]),
+    ], ids=["euclidean-3d", "quartic-axial-3d", "lp-8"])
+    def test_3d_hulls_built(self, monkeypatch, norm, hulls):
+        # one hull without pre-merge; Qhull's default hull only where that fails
+        bl = own(norm)
+        calls = count_hulls(monkeypatch)
+        quermassintegrals(bl)
+        assert calls == hulls
+
+    def test_3d_hull_failing_the_edge_check_is_rebuilt_merged(self, monkeypatch):
+        bl = own(catalog.builtin_norm("euclidean-3d"))
+        want = quermassintegrals(bl).values
+        monkeypatch.setattr(invariants, "_bulge", lambda hull: 1.0)
+        calls = count_hulls(monkeypatch)
+        got = quermassintegrals(bl).values
+        assert calls == ["Qt Q0", None]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_bulge_of_octahedron(self):
+        # across every edge the opposite vertex lies 2/sqrt(3) below the
+        # neighbouring facet's plane
+        hull = ConvexHull(np.vstack([np.eye(3), -np.eye(3)]))
+        assert _bulge(hull) == pytest.approx(-2.0 / np.sqrt(3.0), rel=1e-14)
 
     def test_unsupported_dimension_is_loud(self):
         bl4 = own(LpNorm(2, 4))

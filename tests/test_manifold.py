@@ -612,6 +612,17 @@ class TestTransport:
         np.testing.assert_allclose(res.transported_frame, np.eye(2), atol=1e-12)
         assert res.gram_residual < 1e-12
 
+    def test_huge_frame_is_carried_scaled(self):
+        # transport is linear in the frame; a frame near the float limit is
+        # carried scaled by a power of two, so no Gram matrix overflows
+        field = bl_field(constant_structure(Euclidean(np.eye(2))), shape=(9, 9))
+        loop = rectangle_loop([0.0, 0.0], [0.4, 0.4])
+        unit = parallel_transport(field, loop, np.eye(2))
+        huge = parallel_transport(field, loop, [[1e308, 0.0], [0.0, 1e308]])
+        np.testing.assert_allclose(huge.transported_frame, 1e308 * unit.transported_frame,
+                                   rtol=1e-15, atol=1e308 * 1e-15)
+        assert huge.steps == unit.steps and huge.gram_residual < 1e-15
+
     def test_holonomy_matches_curvature_integral(self):
         st = conformal_rescale(
             constant_structure(Euclidean(np.eye(2)), lo=(-1.5, -1.5), hi=(1.5, 1.5)),

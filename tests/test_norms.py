@@ -7,9 +7,9 @@ from blgeom import (ConstructionError, Euclidean, InputError, LinearImage,
                     LpNorm, NumericalFailure, PolytopeGauge, QuarticAxial,
                     WeightedSum, rescale, validate)
 from blgeom.manifold import FinslerStructure, constant_structure
-from blgeom.norms import as_real, as_reals, sphere_grid
+from blgeom.norms import MinkowskiNorm, as_real, as_reals, sphere_grid
 from counting import count_values_calls
-from oracles import gauge_by_bisection
+from oracles import cloud_scan, gauge_by_bisection
 
 SQUARE = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
 DIAMOND = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
@@ -66,15 +66,24 @@ class TestEval:
         assert norm.support([1e300, 1e300]) == pytest.approx(1e300 * 2.0 ** (399 / 400))
 
     def test_tiny_vectors_scale_exactly(self):
-        # F(2^-140 x) = 2^-140 F(x) bit for bit: no vector but 0 is read as
-        # the zero vector, however small its entries (here ~1e-42)
+        # F(2^m x) = 2^m F(x) bit for bit: no vector but 0 is read as the
+        # zero vector, however small its entries (~1e-42 at m = -140, ~1e-271
+        # at -900, where squares underflow), and at m = 900 squares overflow
+        # but F does not
         rng = np.random.default_rng(4)
         for base in family_zoo():
             a = rng.standard_normal((base.dim, base.dim)) + 2.0 * np.eye(base.dim)
             pts = rng.standard_normal((50, base.dim))
             for norm in (base, LinearImage(a, base)):
-                np.testing.assert_array_equal(norm.values(np.ldexp(pts, -140)),
-                                              np.ldexp(norm.values(pts), -140))
+                for m in (-140, -900, 900):
+                    np.testing.assert_array_equal(norm.values(np.ldexp(pts, m)),
+                                                  np.ldexp(norm.values(pts), m))
+
+    @pytest.mark.parametrize("norm", [Euclidean(np.eye(2)), QuarticAxial(2)], ids=repr)
+    def test_squaring_kernels_read_far_vectors(self, norm):
+        # x^2 underflows at 1e-200 and overflows at 1e200; F does neither
+        for x in (1e-200, 1e200):
+            assert norm.values([x, 0.0]) == x
 
     def test_zero_maps_to_zero(self):
         for norm in family_zoo():
@@ -105,7 +114,7 @@ class TestEval:
     def test_overflowing_value_rejected(self):
         # F itself overflows: a NumericalFailure, never inf or NaN
         with pytest.raises(NumericalFailure, match="not finite"):
-            Euclidean(np.eye(2)).values([1e200, 0.0])
+            Euclidean(4.0 * np.eye(2)).values([1e308, 0.0])
         inner = LinearImage(1e200 * np.eye(2), LpNorm(2, 2))
         with pytest.raises(NumericalFailure, match="not finite"):
             WeightedSum(1.0, 1.0, inner, LpNorm(1, 2)).values([1e200, 0.0])
@@ -365,6 +374,47 @@ class TestSupport:
             t2 = rng.standard_normal(2)
             assert (mix.support(t1 + t2)
                     <= mix.support(t1) + mix.support(t2) + 1e-8)
+
+
+def cloud_support_zoo():
+    """2D norms without a closed-form support: smooth, flat-sided (l1 + l-inf,
+    two polygons), mixed, and a linear image of each."""
+    bases = [QuarticAxial(2),
+            WeightedSum(0.5, 0.5, LpNorm(1, 2), LpNorm(np.inf, 2)),
+            WeightedSum(0.3, 0.7, PolytopeGauge(SQUARE),
+                        PolytopeGauge([[2.0, -1.0], [-1.0, 2.0], [-1.0, -1.0]])),
+            WeightedSum(0.5, 0.5, LpNorm(1, 2), LpNorm(2, 2))]
+    return bases + [LinearImage([[2.0, 0.7], [0.1, 0.5]], norm) for norm in bases]
+
+
+def scanned(norm, thetas):
+    """The scan of the cloud ``_support`` reads: a linear image reads its inner norm's."""
+    if isinstance(norm, LinearImage):
+        return scanned(norm.inner, thetas @ norm._inv)
+    return cloud_scan(norm.boundary_cloud(), thetas)
+
+
+def scan_best(self, thetas):
+    return cloud_scan(self.boundary_cloud(), thetas)
+
+
+class TestCloudSupport:
+    @pytest.mark.parametrize("norm", cloud_support_zoo(), ids=repr)
+    def test_lookup_matches_the_scan(self, norm):
+        # the angular lookup finds the scan's best point: the scores agree to
+        # round-off, on random covectors and on the axes and diagonals
+        thetas = np.vstack([np.random.default_rng(6).standard_normal((10_000, 2)),
+                            np.eye(2), -np.eye(2), [[1, 1], [1, -1], [-1, 1], [-1, -1]]])
+        want = scanned(norm, thetas)[0]
+        np.testing.assert_allclose(norm._support(thetas), want, rtol=4.4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("norm", cloud_support_zoo(), ids=repr)
+    def test_public_support_as_from_the_scan(self, monkeypatch, norm):
+        # polished from the lookup's best point or from the scan's, the same
+        thetas = np.random.default_rng(7).standard_normal((300, 2))
+        got = norm.support(thetas)
+        monkeypatch.setattr(MinkowskiNorm, "_cloud_best", scan_best)
+        np.testing.assert_allclose(got, norm.support(thetas), rtol=1e-12, atol=0.0)
 
 
 class TestValidate:
