@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalFailure, UnsupportedDimensionError
+from .hull import hull_steiner, lattice_steiner
 from .metric import BLMetric, assert_spd, bl_metric
 from .norms import (_TWO_PI, LinearImage, MinkowskiNorm, as_finite, as_reals,
                     sphere_directions, sphere_polish)
@@ -67,13 +68,12 @@ def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
     form the support is the boundary cloud's best score (see
     ``MinkowskiNorm._cloud_best``).
     n = 3: the body is approximated by the polytope inscribed through
-    20000 * 2^level directions; W_0 = volume, W_1 = surface/3, and W_2 comes
-    from the exact polytope mean-width term sum(edge length * exterior
-    dihedral angle) / 6.  The radial samples are in convex position, so the
-    hull is built without Qhull's pre-merge and kept if Qhull raised no
-    error and every edge is convex (the vertex of a facet opposite a shared
-    edge lies at most 1e-12 max|coordinate| above the neighbour's plane);
-    otherwise Qhull's default, merged hull is built.
+    20000 * 2^level directions (the Fibonacci lattice plus the norm's
+    extremal candidates); W_0 = volume, W_1 = surface/3, and W_2 comes from
+    the exact polytope mean-width term sum(edge length * exterior dihedral
+    angle) / 6.  The surface is the lattice's own triangulation, kept when
+    it is certified to be the convex hull (see ``hull.lattice_steiner``);
+    otherwise Qhull's default hull is built and measured the same way.
     Other dimensions raise; there is no silent fallback.
     """
     n, level = bl.norm.dim, bl.quad.level
@@ -84,48 +84,17 @@ def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
         w1 = 0.5 * float(np.dot(squad.weights, h))
         return Quermassintegrals(np.array([bl.orthonormal_volume, w1, ball_volume(2)]), 2)
     if n == 3:
-        from scipy.spatial import ConvexHull, QhullError
-
-        dirs = sphere_directions(body, 20000 << level)
+        size = 20000 << level
+        dirs = sphere_directions(body, size)
         verts = dirs / body.values(dirs)[:, None]
-        try:   # pre-merge only absorbs near-coplanar facets; samples in convex position need none
-            hull = ConvexHull(verts, qhull_options="Qt Q0")
-        except QhullError:
-            hull = None
-        if hull is None or not _bulge(hull) <= 1e-12 * np.abs(verts).max():
-            hull = ConvexHull(verts)
-        w0 = hull.volume
-        w1 = hull.area / 3.0
-        w2 = _polytope_mean_width_term(hull) / 6.0
-        return Quermassintegrals(np.array([w0, w1, w2, ball_volume(3)]), 3)
+        w = lattice_steiner(verts, size)
+        if w is None:
+            from scipy.spatial import ConvexHull
+
+            w = hull_steiner(ConvexHull(verts))
+        return Quermassintegrals(np.append(w, ball_volume(3)), 3)
     raise UnsupportedDimensionError(
         f"quermassintegrals are implemented for n in {{2, 3}}, got n = {n}")
-
-
-def _ridges(hull):
-    """(k, i, m): facet k of a 3D ConvexHull meets its neighbour m > k across
-    the edge opposite its vertex slot i; each edge once."""
-    k, i = np.nonzero(hull.neighbors > np.arange(len(hull.simplices))[:, None])
-    return k, i, hull.neighbors[k, i]
-
-
-def _bulge(hull) -> float:
-    """Largest height, above the plane of its neighbour, of a facet's vertex
-    opposite a shared edge; at most 0 on every edge when the surface is convex."""
-    k, i, m = _ridges(hull)
-    opposite = hull.points[hull.simplices[k, i]]
-    return float((np.einsum("ij,ij->i", hull.equations[m, :3], opposite) + hull.equations[m, 3]).max())
-
-
-def _polytope_mean_width_term(hull) -> float:
-    """sum over ConvexHull edges of edge length times exterior dihedral angle."""
-    k, i, m = _ridges(hull)
-    simplices = hull.simplices
-    # the edge's end points are the two slots other than i
-    ends = hull.points[simplices[k, (i + 1) % 3]] - hull.points[simplices[k, (i + 2) % 3]]
-    normals = hull.equations[:, :3]
-    cos = np.clip(np.einsum("ij,ij->i", normals[k], normals[m]), -1.0, 1.0)
-    return float(np.linalg.norm(ends, axis=1) @ np.arccos(cos))
 
 
 def roundness(norm: MinkowskiNorm, metric: np.ndarray) -> tuple[float, float]:

@@ -313,6 +313,15 @@ def suite_invariants(seed: int = 0):
     results.append(_check_at_least("quartic norm isotropy defect exceeds 1e-2",
                                    isotropy_defect(QuarticAxial(3)), 1e-2))
 
+    ball = quermassintegrals(bl_metric(Euclidean(np.eye(3)), 0))
+    results.append(_check("ball Steiner coefficients are 4 pi / 3 (3D)",
+                          np.abs(ball.values / (4.0 * np.pi / 3.0) - 1.0).max(), 1e-3))
+    quartic = QuarticAxial(3)
+    fp3 = fingerprint_point(bl_metric(quartic, 0))
+    fp3_img = fingerprint_point(bl_metric(LinearImage(_random_invertible(rng, 3), quartic), 0))
+    results.append(_check("3D fingerprint invariant under linear maps",
+                          np.abs(fp3 - fp3_img).max() / np.abs(fp3).max(), 1e-3))
+
     interp = l1_l2_interpolation()
     from .manifold import fingerprint_cloud
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from blgeom import (Euclidean, InputError, LpNorm, NumericalFailure, PolytopeGau
                     bl_metric, compare_fingerprints, fingerprint_point,
                     isotropy_defect, orthonormalize,
                     quermassintegrals, rescale, roundness)
-from blgeom import catalog, invariants
-from blgeom.invariants import _bulge, _polytope_mean_width_term
+from blgeom import catalog, hull, invariants
+from blgeom.hull import (_facets, _lattice_triangles, _steiner, _twins, hull_steiner,
+                         lattice_steiner)
 from blgeom.norms import (LinearImage, MinkowskiNorm, sphere_directions, sphere_grid,
                           sphere_polish)
+from blgeom.quadrature import MAX_QUAD_LEVEL
 from counting import count_hulls, count_values_calls
 from oracles import mc_dilated_area, polytope_mean_width_term
 
@@ -31,6 +34,21 @@ def own_metric(norm):
 
 def _no_second_pass(*args, **kwargs):
     raise AssertionError("a second metric pass was made")
+
+
+def _polytope_mean_width_term(hull):
+    """sum over the edges of a 3D ConvexHull of edge length times exterior
+    dihedral angle, as the fallback of ``quermassintegrals`` measures it."""
+    return 6.0 * hull_steiner(hull)[2]
+
+
+def _radial_samples(norm, level):
+    """The points quermassintegrals triangulates: radial samples of the
+    norm's orthonormal body at the record's level."""
+    bl = bl_metric(norm, level)
+    body = orthonormalize(norm, bl.metric)
+    dirs = sphere_directions(body, 20000 << level)
+    return bl, dirs / body.values(dirs)[:, None]
 
 
 def random_metric(dim, seed):
@@ -143,12 +161,13 @@ class TestQuermassintegrals:
         np.testing.assert_allclose(quermassintegrals(bl).values[:3], want, rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize("norm, hulls", [
-        (catalog.builtin_norm("euclidean-3d"), ["Qt Q0"]),
-        (catalog.builtin_norm("quartic-axial-3d"), ["Qt Q0"]),
-        (LpNorm(8, 3), ["Qt Q0", None]),
+        (catalog.builtin_norm("euclidean-3d"), []),
+        (catalog.builtin_norm("quartic-axial-3d"), []),
+        (LpNorm(8, 3), [None]),
     ], ids=["euclidean-3d", "quartic-axial-3d", "lp-8"])
     def test_3d_hulls_built(self, monkeypatch, norm, hulls):
-        # one hull without pre-merge; Qhull's default hull only where that fails
+        # the lattice surface for the catalog norms; lp with p = 8 is flat
+        # within the tolerance near its axes and builds Qhull's default hull only
         bl = own(norm)
         calls = count_hulls(monkeypatch)
         quermassintegrals(bl)
@@ -157,17 +176,99 @@ class TestQuermassintegrals:
     def test_3d_hull_failing_the_edge_check_is_rebuilt_merged(self, monkeypatch):
         bl = own(catalog.builtin_norm("euclidean-3d"))
         want = quermassintegrals(bl).values
-        monkeypatch.setattr(invariants, "_bulge", lambda hull: 1.0)
+        monkeypatch.setattr(hull, "_certified", lambda *args: None)
         calls = count_hulls(monkeypatch)
         got = quermassintegrals(bl).values
-        assert calls == ["Qt Q0", None]
+        assert calls == [None]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_bulge_of_octahedron(self):
         # across every edge the opposite vertex lies 2/sqrt(3) below the
-        # neighbouring facet's plane
-        hull = ConvexHull(np.vstack([np.eye(3), -np.eye(3)]))
-        assert _bulge(hull) == pytest.approx(-2.0 / np.sqrt(3.0), rel=1e-14)
+        # neighbouring facet's plane: all 12 edges are reflex against a
+        # tolerance just below that height, and none just above it
+        octahedron = ConvexHull(np.vstack([np.eye(3), -np.eye(3)]))
+        x = np.ascontiguousarray(octahedron.points.T)
+        tri = np.ascontiguousarray(octahedron.simplices.T, dtype=np.int32)
+        nbr = np.ascontiguousarray(octahedron.neighbors.T, dtype=np.int32)
+        planes = (np.ascontiguousarray(octahedron.equations[:, :3].T), -octahedron.equations[:, 3])
+        areas = _facets(x, tri)[2]
+        height = -2.0 / np.sqrt(3.0)
+        for tol, reflex in ((height * (1.0 + 1e-14), 12), (height * (1.0 - 1e-14), 0)):
+            assert _steiner(x, tri, nbr, *planes, areas, tol)[1].size == reflex
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("name", ["euclidean-3d", "quartic-axial-3d"])
+    def test_3d_linear_images_take_the_lattice(self, monkeypatch, name, level):
+        # a seeded linear image moves the extremal candidates off the axes
+        a = np.random.default_rng(11).standard_normal((3, 3))
+        norm = LinearImage(a, catalog.builtin_norm(name))
+        bl, verts = _radial_samples(norm, level)
+        want = hull_steiner(ConvexHull(verts))
+        calls = count_hulls(monkeypatch)
+        got = quermassintegrals(bl).values
+        assert calls == []
+        np.testing.assert_allclose(got[:3], want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["euclidean-3d", "quartic-axial-3d"])
+    def test_3d_powers_of_two_are_exact(self, name):
+        norm = catalog.builtin_norm(name)
+        want = quermassintegrals(own(norm)).values
+        for m in (-300, 300):
+            assert np.array_equal(quermassintegrals(own(rescale(norm, 2.0 ** m))).values, want)
+
+    @pytest.mark.parametrize("norm", [LpNorm(1.5, 3), WeightedSum(0.5, 0.5, LpNorm(1, 3), LpNorm(2, 3))],
+                             ids=["lp-1.5", "l1-l2-mix"])
+    def test_3d_repaired_lattice_matches_qhull(self, monkeypatch, norm):
+        # the near-square diagonals leave hundreds of reflex edges on these
+        # bodies; Lawson flips repair them within the budget
+        bl, verts = _radial_samples(norm, 0)
+        want = hull_steiner(ConvexHull(verts))
+        calls = count_hulls(monkeypatch)
+        got = quermassintegrals(bl).values
+        assert calls == []
+        np.testing.assert_allclose(got[:3], want, rtol=1e-10, atol=0.0)
+
+    def test_exterior_angles_near_zero(self):
+        # a cube with a pyramid of height h on its top face: the top edges
+        # bend by pi/2 - atan(h), the four ridges by atan(h sqrt(2 + h^2));
+        # arccos of the normals' dot product would lose half the digits
+        h = 1e-7
+        corners = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+        pyramid = ConvexHull(np.vstack([corners, [0.0, 0.0, 1.0 + h]]))
+        ridge = np.sqrt(2.0 + h * h)
+        want = 16.0 * np.pi / 2.0 + 8.0 * (np.pi / 2.0 - np.arctan(h)) + 4.0 * ridge * np.arctan(h * ridge)
+        assert _polytope_mean_width_term(pyramid) == pytest.approx(want, rel=1e-14)
+
+    def test_3d_octahedron_under_a_map_gives_the_fallback_values(self, monkeypatch):
+        # coplanar samples: the flat faces are left to Qhull's merged facets
+        a = np.random.default_rng(5).standard_normal((3, 3))
+        norm = LinearImage(a, PolytopeGauge(np.vstack([np.eye(3), -np.eye(3)])))
+        bl, verts = _radial_samples(norm, 0)
+        want = hull_steiner(ConvexHull(verts))
+        calls = count_hulls(monkeypatch)
+        got = quermassintegrals(bl).values
+        assert calls == [None]
+        np.testing.assert_allclose(got[:3], want, rtol=1e-12, atol=0.0)
+
+    def test_shuffled_lattice_is_refused(self):
+        # points that are not the lattice's radial images: the certificate
+        # refuses the surface, without a warning and within the bounded walk
+        size = 20000
+        verts = np.random.default_rng(3).permutation(np.asarray(sphere_grid(3, size)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lattice_steiner(np.vstack([verts, np.eye(3)]), size) is None
+
+    @pytest.mark.parametrize("level", range(MAX_QUAD_LEVEL + 1))
+    def test_lattice_surface_is_closed(self, level):
+        # seeded radii decide the near-square cells at random; every choice
+        # closes the surface with 2V - 4 faces
+        size = 20000 << level
+        radii = np.random.default_rng(level).uniform(0.5, 2.0, size)
+        x = np.ascontiguousarray(sphere_grid(3, size).T * radii)
+        tri = _lattice_triangles(x, size, 1e-12 * np.abs(x).max())
+        assert tri.shape == (3, 2 * size - 4)
+        assert _twins(tri, size) is not None
 
     def test_unsupported_dimension_is_loud(self):
         bl4 = own(LpNorm(2, 4))
