@@ -7,8 +7,8 @@ running out of memory).
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,21 +39,21 @@ def _parse_grid(text, dim):
 def quad_level(text):
     level = int(text)
     if not 0 <= level <= MAX_QUAD_LEVEL:
-        raise argparse.ArgumentTypeError(f"must be between 0 and {MAX_QUAD_LEVEL}, got {level}")
+        raise ValueError(f"must be between 0 and {MAX_QUAD_LEVEL}, got {level}")
     return level
 
 
 def random_seed(text):
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise ValueError(f"must be >= 0, got {value}")
     return value
 
 
 def tolerance(text):
     tol = float(text)
     if not (np.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        raise ValueError(f"must be finite and > 0, got {text}")
     return tol
 
 
@@ -242,8 +242,14 @@ def cmd_examples(args):
     return 0
 
 
-def _flag(*names, **options):
-    return names, options
+def _flag(name, **options):
+    """A flag of a command: ``name`` and how it is read.  Options: ``help``;
+    ``required``; ``type``, which turns the value's text into the value or
+    raises ValueError; ``default`` (None if not given); ``dest``, the
+    attribute the value goes to (``name`` without its dashes, ``-`` read as
+    ``_``, if not given); ``metavar``; and ``action="store_true"`` for a flag
+    that takes no value and sets True."""
+    return name, options
 
 
 _NORM = _flag("--norm", required=True, help="path to a norm spec JSON")
@@ -269,7 +275,8 @@ _COMMANDS = {
         _STRUCTURE, _QUAD_LEVEL, _OUT_FILE,
         _flag("--grid", help="grid, e.g. 32x32 (default: 8 points per axis)")]),
     "compare": ("compare two fingerprint clouds", cmd_compare, [
-        _flag("--a", required=True), _flag("--b", required=True),
+        _flag("--a", required=True, help="first fingerprint cloud CSV"),
+        _flag("--b", required=True, help="second fingerprint cloud CSV"),
         _flag("--tol", type=tolerance, default=1e-3,
               help="normalized Hausdorff tolerance"),
         _flag("--assert", dest="assert_verdict", action="store_true",
@@ -293,39 +300,131 @@ _COMMANDS = {
 }
 
 
-def build_parser(command):
-    """The parser with every subcommand for ``command`` None, or, for a
-    ``command`` named in ``_COMMANDS``, with that subcommand only: it parses
-    that command's argv, and prints its help and errors, as the full parser
-    does."""
-    parser = argparse.ArgumentParser(
-        prog="blgeom",
-        description="metrics, ellipsoids and conformal invariants of Minkowski "
-                    "norm fields")
-    # the full parser's usage line names every subcommand; so must one built
-    # for a single command, which prints that line for an unrecognized flag
-    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for name in _COMMANDS if command is None else [command]:
-        help_text, func, flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for names, options in flags:
-            p.add_argument(*names, **options)
-        p.set_defaults(func=func)
-    return parser
+_DESCRIPTION = "metrics, ellipsoids and conformal invariants of Minkowski norm fields"
+
+
+def _dest(name, options):
+    return options.get("dest") or name[2:].replace("-", "_")
+
+
+def _shown(name, options):
+    """``name`` as usage and help show it: with its value's placeholder."""
+    if options.get("action") == "store_true":
+        return name
+    return f"{name} {options.get('metavar') or _dest(name, options).upper()}"
+
+
+def _usage(command):
+    """The usage line of ``command``, or of blgeom itself for None."""
+    if command is None:
+        return "usage: blgeom [-h] {" + ",".join(_COMMANDS) + "} ..."
+    shown = [_shown(name, options) if options.get("required")
+             else f"[{_shown(name, options)}]" for name, options in _COMMANDS[command][2]]
+    return " ".join(["usage: blgeom", command, "[-h]", *shown])
+
+
+def _help(command):
+    """The help of ``command``, or of blgeom itself for None: the usage line,
+    a summary, and a line for each subcommand or flag."""
+    if command is None:
+        summary, title = _DESCRIPTION, "commands:"
+        rows = [(name, help_text) for name, (help_text, _, _) in _COMMANDS.items()]
+    else:
+        summary, _, flags = _COMMANDS[command]
+        title = "flags:"
+        rows = [("-h, --help", "show this help and exit")] + [
+            (_shown(name, options), options.get("help", "")) for name, options in flags]
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [_usage(command), "", summary, "", title]
+    lines += [f"  {left:<{width}}{text}".rstrip() for left, text in rows]
+    return "\n".join(lines)
+
+
+def _negative_number(text):
+    """Whether ``text`` reads as a finite negative number: a token a flag
+    takes as its value although it starts with ``-``."""
+    try:
+        return text.startswith("-") and bool(np.isfinite(float(text)))
+    except ValueError:
+        return False
+
+
+def _parse(command, argv):
+    """The flags of ``command``, which ``argv[0]`` names (None if it names
+    none), read from the rest of ``argv``, as attributes.  Each token names
+    a flag in full or by a unique prefix (an exact name wins), with its
+    value after ``=`` or as the next token; a value token starting with
+    ``-`` must read as a negative number.  A flag given twice keeps its
+    last value.  ValueError says what does not parse."""
+    if command is None:
+        raise ValueError(f"invalid command {argv[0]!r} (choose from {', '.join(_COMMANDS)})"
+                         if argv and not argv[0].startswith("-")
+                         else "the following arguments are required: command")
+    tokens = argv[1:]
+    flags = dict(_COMMANDS[command][2])
+    values = {_dest(name, options):
+              options.get("default", False if options.get("action") == "store_true" else None)
+              for name, options in flags.items()}
+    given, extras = set(), []
+    k = 0
+    while k < len(tokens):
+        token = tokens[k]
+        k += 1
+        name, eq, value = token.partition("=")
+        if name in flags:
+            matches = [name]
+        elif name.startswith("--") and name != "--":
+            matches = [flag for flag in flags if flag.startswith(name)]
+        else:
+            matches = []
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if not matches:
+            extras.append(token)
+            continue
+        name = matches[0]
+        options = flags[name]
+        if options.get("action") == "store_true":
+            if eq:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if not eq:
+                if k == len(tokens) or (tokens[k].startswith("-")
+                                        and not _negative_number(tokens[k])):
+                    raise ValueError(f"argument {name}: expected one argument")
+                value = tokens[k]
+                k += 1
+            if "type" in options:
+                try:
+                    value = options["type"](value)
+                except ValueError as exc:
+                    raise ValueError(f"argument {name}: {exc}") from None
+        values[_dest(name, options)] = value
+        given.add(name)
+    missing = [name for name, options in flags.items()
+               if options.get("required") and name not in given]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the parser for the invoked subcommand only; argv that names none (no
-    # argument, -h, an unknown command) gets the full parser and its messages
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        print(_help(command))
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _parse(command, argv)
+    except ValueError as exc:
+        prog = "blgeom" if command is None else f"blgeom {command}"
+        print(f"{_usage(command)}\n{prog}: error: {exc}", file=sys.stderr)
+        return 2
     try:
-        return args.func(args)
+        return _COMMANDS[command][1](args)
     except (InputError, OSError) as exc:   # OSError: a file that cannot be read or written
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -95,7 +95,12 @@ def bl_metric(norm: MinkowskiNorm, level: int) -> BLMetric:
     fit.  The checks and the scale-free vol(Omega) sqrt(det g) use 2^-k F."""
     quad = auto_quadrature(norm, level)
     nodes, weights, n = quad.nodes, quad.weights, quad.dim
-    f = norm.values(nodes)
+    # the rule's nodes are finite (k, n) floats already: F's kernel takes them
+    # without the input checks of ``values``, under its checks on the output
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = norm._values(nodes)
+    if not np.all(np.isfinite(f)):
+        raise NumericalFailure("norm value is not finite")
     if np.any(f <= 0.0):
         k = int(np.argmin(f))
         raise DefinitenessError(f"norm is not positive at node {nodes[k]} (F = {f[k]:.3e})")

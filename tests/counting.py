@@ -1,9 +1,9 @@
 """Counting norm evaluations.
 
 ``CountingNorm`` wraps a norm and counts evaluations on quadrature nodes:
-quadrature rules hold their nodes in read-only arrays, so a ``values`` call
-on a read-only array is an evaluation of F on a rule; every other attribute
-is the wrapped norm's own.
+quadrature rules hold their nodes in read-only arrays, so a ``values`` or
+``_values`` call on a read-only array is an evaluation of F on a rule; every
+other attribute is the wrapped norm's own.
 
 ``count_values_calls`` counts the ``MinkowskiNorm.values`` calls of every
 norm; ``count_hulls`` records the Qhull options of every ``ConvexHull`` built.
@@ -26,6 +26,11 @@ class CountingNorm:
         if isinstance(xi, np.ndarray) and not xi.flags.writeable:
             self.rule_calls.append(len(xi))
         return self.inner.values(xi)
+
+    def _values(self, pts):
+        if not pts.flags.writeable:
+            self.rule_calls.append(len(pts))
+        return self.inner._values(pts)
 
 
 def count_values_calls(monkeypatch) -> list:

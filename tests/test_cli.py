@@ -1,4 +1,3 @@
-import argparse
 import copy
 import io
 import json
@@ -1062,34 +1061,85 @@ _PARSER_CORPUS = [
     ["metric", "--norm", "norm-square-max.json", "--tol", "nan"],
     ["compare", "--a", "a.csv", "--b", "b.csv", "--tol", "-1", "--assert", "extra"],
     ["verify", "--seed", "-1"],
-    ["examples"],
+    ["examples", "--emit"],
 ]
 
 
 @pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-argument")
-def test_subcommand_parser_matches_full_parser(spec_dir, capsys, monkeypatch, argv):
-    # main builds the parser for argv[0] alone; whatever it prints and
-    # returns, the parser with every subcommand prints and returns too
+def test_parser_exit_codes_and_streams(spec_dir, capsys, argv):
+    # help prints the subcommands, or the command's flags, to stdout and
+    # exits 0; every other argument list here is a parse error: exit 2,
+    # nothing on stdout, the usage line and the error on stderr
     argv = [str(spec_dir / a) if a.endswith(".json") else a for a in argv]
     code = main(list(argv))
     captured = capsys.readouterr()
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command: full(None))
-    assert main(list(argv)) == code
-    assert capsys.readouterr() == captured
+    if "-h" in argv or "--help" in argv:
+        command = argv[0] if argv[0] in cli._COMMANDS else None
+        names = (list(cli._COMMANDS) if command is None
+                 else [name for name, _ in cli._COMMANDS[command][2]])
+        assert code == 0 and captured.err == ""
+        assert all(name in captured.out for name in names)
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: blgeom") and "error:" in captured.err
 
 
-def test_metric_builds_one_subparser(spec_dir, capsys, monkeypatch):
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
+@pytest.mark.parametrize("flag", [["--structure={}"], ["--struct", "{}"], ["--s={}"]],
+                         ids=["joined", "prefix", "joined-prefix"])
+def test_flag_by_prefix_or_joined_value(spec_dir, tmp_path, capsys, flag):
+    spec = str(spec_dir / "structure-constant-square.json")
+    out, ref = tmp_path / "field.csv", tmp_path / "ref.csv"
+    assert main(["field", *[f.format(spec) for f in flag], "--grid=5x5", "--out", str(out)]) == 0
+    assert main(["field", "--structure", spec, "--grid", "5x5", "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
 
-    def counting(self, name, **options):
-        added.append(name)
-        return add_parser(self, name, **options)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    assert main(["metric", "--norm", str(spec_dir / "norm-square-max.json")]) == 0
-    assert added == ["metric"]
+def _cloud(tmp_path):
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("# blgeom cloud v1\nx1,x2,w0,w1,mu,m_max\n0,0,3,3.4,0.8,1.1\n")
+    return str(cloud)
+
+
+def test_exact_flag_wins_over_prefix(tmp_path, capsys):
+    # --a names --a, not --assert, which it is also a prefix of; --as names --assert
+    cloud = _cloud(tmp_path)
+    code, out = run(capsys, "compare", "--a", cloud, "--b", cloud)
+    assert code == 0 and strict_json(out)["verdict"] == "cannot distinguish"
+    code, out = run(capsys, "compare", "--a", cloud, "--b", cloud, "--as", "--t", "0.5")
+    assert code == 0 and strict_json(out)["tol"] == 0.5
+
+
+def test_repeated_flag_keeps_its_last_value(spec_dir, capsys):
+    norm = str(spec_dir / "norm-square-max.json")
+    code, out = run(capsys, "metric", "--norm", "/does/not/exist.json", "--norm", norm,
+                    "--quad-level", "4", "--quad-level", "1")
+    _, want = run(capsys, "metric", "--norm", norm, "--quad-level", "1")
+    assert code == 0 and out == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--a", "a.csv", "--b", "b.csv", "--assert=x"],
+     "argument --assert: ignored explicit argument 'x'"),
+    (["metric", "--norm", "norm-square-max.json", "--out", "-x"],
+     "argument --out: expected one argument"),
+    (["metric", "--norm"], "argument --norm: expected one argument"),
+    (["verify", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["metric", "--norm", "norm-square-max.json", "--tol", "-1e-3"],
+     "argument --tol: must be finite and > 0, got -1e-3"),
+    (["metric", "--norm", "norm-square-max.json", "--quad-level", "x"],
+     "argument --quad-level: "),
+    (["berwald", "--structure", "x", "--tol", "-inf"], "argument --tol: expected one argument"),
+    (["verify", "--s", "norms"], "ambiguous option: --s could match --suite, --seed"),
+    (["metric", "--norm", "x", "--nope", "y", "--"], "unrecognized arguments: --nope y --"),
+], ids=["store-true-with-value", "dash-value", "no-value", "negative-seed",
+        "negative-number-value", "non-integer-level", "non-finite-dash-value", "ambiguous-prefix",
+        "unknown-flag"])
+def test_parse_error_message(spec_dir, capsys, argv, message):
+    argv = [str(spec_dir / a) if a.endswith(".json") else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"blgeom {argv[0]}: error: {message}" in captured.err
 
 
 _DISTINCT_BITS = np.array([

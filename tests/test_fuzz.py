@@ -9,7 +9,9 @@ through ``ellipsoid`` and ``invariants`` (norms) or ``berwald --grid 9x9``
 and ``fingerprint --grid 3x3`` (structures); one more runs ``compare`` on
 every single mutation of a cloud CSV.  A sweep over every mutation of
 every catalog norm checks that each norm a spec builds is a norm, with no
-sampled check on the CLI's side.
+sampled check on the CLI's side.  Last, argument lists drawn from the
+subcommand names, every flag, help, negative numbers and junk keep the
+parser's contract: help exits 0, anything else that does not run exits 2.
 """
 
 import copy
@@ -23,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blgeom import InputError, NumericalFailure, catalog, specio, validate
-from blgeom.cli import main
+from blgeom.cli import _COMMANDS, main
 
 SPECS = ([("metric", spec) for _, spec in catalog.BUILTIN_NORMS.values()]
          + [("field", spec) for _, spec in catalog.BUILTIN_STRUCTURES.values()])
@@ -219,3 +221,39 @@ def test_mutated_cloud_keeps_exit_code_contract_in_compare(tmp_path, capsys):
             _keeps_contract(capsys, ["compare", "--a", str(a), "--b", str(b)])
         cases += 1
     assert cases == 12 + 3 * (2 + 6 * len(CELLS)) + 2
+
+
+# every command that reads an input, and every flag of any command: whole,
+# cut to each prefix, and joined by = to a value
+ARGV_COMMANDS = [name for name in _COMMANDS if name not in ("verify", "examples")]
+FLAGS = sorted({name for _, _, flags in _COMMANDS.values() for name, _ in flags})
+PREFIXES = sorted({flag[:k] for flag in FLAGS for k in range(3, len(flag))})
+JUNK = ["-h", "--help", "--", "-", "=", "--=x", "", "-1", "-0.5", "-1e-3", "-inf", "-nan",
+        "0", "4", "1e-3", "nan", "9x9", "0x3", "x", "-x", "--x", "--norm=", "ünïcode"]
+
+
+def _argv_tokens(paths):
+    values = st.sampled_from(JUNK + paths)
+    flags = st.sampled_from(FLAGS + PREFIXES)
+    return st.one_of(st.sampled_from(ARGV_COMMANDS), flags, values,
+                     st.builds(lambda flag, value: f"{flag}={value}", flags, values))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_exits_0_for_help_and_2_otherwise(tmp_path, capsys, data):
+    # every spec path names a file in an empty directory, or the directory:
+    # no command gets as far as writing, so only help exits 0
+    paths = [str(tmp_path), str(tmp_path / "spec.json"), str(tmp_path / "out.csv")]
+    argv = data.draw(st.one_of(
+        st.lists(_argv_tokens(paths), max_size=8),
+        st.tuples(st.sampled_from(ARGV_COMMANDS), st.lists(_argv_tokens(paths), max_size=8)).map(
+            lambda case: [case[0], *case[1]])))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == (0 if "-h" in argv or "--help" in argv else 2), (argv, captured.err)
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
