@@ -87,7 +87,7 @@ def cmd_metric(args):
         "dual_matrix": bl.dual.tolist(),
         "unit_ball_volume": bl.volume,
         "condition_number": bl.condition_number,
-        "quadrature": {"scheme": bl.quad.scheme, "level": bl.quad.level,
+        "quadrature": {"scheme": bl.scheme, "level": bl.level,
                        "converged": info.converged,
                        "achieved_tol": info.achieved_tol},
     }

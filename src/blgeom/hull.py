@@ -17,7 +17,7 @@ instead of searched for:
   the triangle of the first (last) three points at each pole.
 
 Any choice in the near-square cells gives a closed surface (checked at
-every size ``auto_quadrature``'s levels use).  The norm's extremal
+every size ``quermassintegrals`` uses, 20000 * 2^level for levels 0 to 4).  The norm's extremal
 candidates are then inserted, except those within the tolerance of a kept
 point, and reflex edges are repaired by Lawson flips.  The result is kept
 only if it is certified to be the convex hull of its points; otherwise, and

@@ -76,7 +76,7 @@ def quermassintegrals(bl: BLMetric) -> Quermassintegrals:
     otherwise Qhull's default hull is built and measured the same way.
     Other dimensions raise; there is no silent fallback.
     """
-    n, level = bl.norm.dim, bl.quad.level
+    n, level = bl.norm.dim, bl.level
     body = orthonormalize(bl.norm, bl.metric)
     if n == 2:
         squad = circle_rule(body.support_kink_angles(), level)

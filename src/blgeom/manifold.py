@@ -264,6 +264,8 @@ class MetricField:
         grid_shape = tuple(len(a) for a in self.axes)
         if self.values.shape != grid_shape + (self.dim, self.dim):
             raise InputError("field values must have shape grid + (n, n)")
+        for i, a in enumerate(self.axes):
+            _increasing(a, f"the nodes of lattice axis {i}")
         self.spacing = np.array([a[1] - a[0] for a in self.axes])
         self.lo = np.array([a[0] for a in self.axes])
         self.hi = np.array([a[-1] for a in self.axes])
@@ -286,13 +288,14 @@ class MetricField:
 
     def _check_inside(self, x, margin, problem):
         """``x`` by ``as_reals``, with a last axis of length ``dim``; a point
-        not finite or outside the box shrunk by ``margin`` is an InputError."""
+        not finite or outside the box shrunk by ``margin``, with a slack of
+        1e-12 lattice spacings, is an InputError."""
         x = as_reals(x, "point")
         if x.shape[-1:] != (self.dim,):
             raise InputError(f"points need a last axis of length {self.dim}, got {x.shape}")
+        margin = margin - 1e-12 * self.spacing
         # negated, so that a NaN coordinate (every comparison false) is outside
-        outside = np.any(~(x >= self.lo + margin - 1e-12)
-                         | ~(x <= self.hi - margin + 1e-12), axis=-1)
+        outside = np.any(~(x >= self.lo + margin) | ~(x <= self.hi - margin), axis=-1)
         if np.any(outside):
             raise InputError(f"point {x[outside][0]} {problem}")
         return x
@@ -316,7 +319,7 @@ class MetricField:
         blocks = 0.5 * (c + np.swapaxes(c, -1, -2))[..., None, i, j]
         knots = []
         for axis, t in enumerate(self._spline.t):
-            t2, value, slope = _refine(t)
+            t2, value, slope = _refine(t, axis)
             knots.append(t2)
             blocks = np.concatenate(
                 [np.moveaxis(np.tensordot(m, b, axes=(1, axis)), 0, axis)
@@ -477,11 +480,19 @@ def _coincident(pts: np.ndarray):
     return order[new], groups
 
 
-def _refine(t):
-    """Cubic knots ``t`` with every interior knot doubled, and the maps of
-    shape (refined, original) that take coefficients on ``t`` to those of
-    the same spline and of its derivative on the refined knots.  Each map
-    interpolates the original basis at the refined Greville abscissae,
+def _increasing(a: np.ndarray, what: str):
+    """Raise an InputError unless ``a`` is strictly increasing: the floats
+    near a chart far from the origin may not resolve its spacing."""
+    if not np.all(np.diff(a) > 0.0):
+        raise InputError(f"{what} are not strictly increasing: the chart's spacing "
+                         "is below the float resolution at its coordinates")
+
+
+def _refine(t, axis: int):
+    """Cubic knots ``t`` of chart ``axis`` with every interior knot doubled, and
+    the maps of shape (refined, original) that take coefficients on ``t`` to
+    those of the same spline and of its derivative on the refined knots.  Each
+    map interpolates the original basis at the refined Greville abscissae,
     which recovers a spline of the refined space exactly."""
     from scipy.interpolate import BSpline, make_interp_spline
 
@@ -490,6 +501,7 @@ def _refine(t):
     # the float limit would overflow, and the chart's widths are finite
     mid = t2[2:-2]
     greville = mid + ((t2[1:-3] - mid) + (t2[3:-1] - mid)) / 3.0
+    _increasing(greville, f"the Greville abscissae of lattice axis {axis}'s refined knots")
     basis = BSpline(t, np.eye(len(t) - 4), 3)
     maps = make_interp_spline(greville, np.hstack([basis(greville), basis(greville, 1)]),
                               k=3, t=t2).c

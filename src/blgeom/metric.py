@@ -34,8 +34,7 @@ import numpy as np
 from .errors import (DefinitenessError, InputError, NumericalFailure,
                      QuadratureFailure)
 from .norms import MinkowskiNorm, as_finite
-from .quadrature import (MAX_QUAD_LEVEL, SphericalQuadrature, auto_quadrature,
-                         ball_volume)
+from .quadrature import MAX_QUAD_LEVEL, auto_quadrature, ball_volume
 
 CONDITION_LIMIT = 1e12
 _TINY = np.finfo(float).tiny   # the smallest normal float
@@ -55,13 +54,14 @@ def assert_spd(matrix: np.ndarray, what: str):
 
 @dataclass(frozen=True, eq=False)
 class BLMetric:
-    """The Binet-Legendre record of ``norm`` on the rule ``quad``, all from
-    one pass: vol(Omega) sqrt(det g) (the volume of Omega where g is the
-    identity, taken at the pass's own scale), vol(Omega), the dual moment
-    matrix M*, the metric g = (M*)^-1 and the condition number of M*."""
+    """The Binet-Legendre record of ``norm`` at quadrature ``level``, on a
+    rule it names by ``scheme`` only, all from one pass: vol(Omega) sqrt(det g)
+    (the volume of Omega where g is the identity, at the pass's own scale),
+    vol(Omega), the dual moment matrix M*, g = (M*)^-1 and the condition number of M*."""
 
     norm: MinkowskiNorm
-    quad: SphericalQuadrature
+    level: int
+    scheme: str
     orthonormal_volume: float
     volume: float
     dual: np.ndarray
@@ -134,8 +134,9 @@ def bl_metric(norm: MinkowskiNorm, level: int) -> BLMetric:
         raise NumericalFailure(
             f"moment matrix is not finite at the norm's scale 2^{k}: vol(Omega), "
             "M* or g lies past the float range")
-    return BLMetric(norm, quad, orthonormal_volume, vol, np.ldexp(m, -2 * k),
-                    np.ldexp(g, 2 * k), cond)
+    # auto_quadrature accepted ``level``, so int() is the level it validated
+    return BLMetric(norm, int(level), quad.scheme, orthonormal_volume, vol,
+                    np.ldexp(m, -2 * k), np.ldexp(g, 2 * k), cond)
 
 
 @dataclass
@@ -149,9 +150,8 @@ def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0):
 
     Runs ``bl_metric`` once per level from ``level`` up to ``MAX_QUAD_LEVEL``
     and accepts once the relative Frobenius change of the metric drops below
-    ``tol``; ``achieved_tol`` is None when no two levels were compared.  Only
-    the previous metric is kept, so each rule is freed before the next is
-    evaluated.  Returns (BLMetric, ConvergenceInfo).
+    ``tol``; ``achieved_tol`` is None when no two levels were compared.
+    Returns (BLMetric, ConvergenceInfo).
     """
     prev, achieved = None, None
     while True:
@@ -161,10 +161,9 @@ def bl_metric_converged(norm: MinkowskiNorm, tol: float = 1e-8, level: int = 0):
             cur, old = np.ldexp([bl.metric, prev], -math.frexp(np.abs(bl.metric).max())[1])
             achieved = float(np.linalg.norm(cur - old) / np.linalg.norm(cur))
         converged = achieved is not None and achieved < tol
-        if converged or bl.quad.level >= MAX_QUAD_LEVEL:
+        if converged or bl.level >= MAX_QUAD_LEVEL:
             return bl, ConvergenceInfo(converged, achieved)
-        prev, level = bl.metric, bl.quad.level + 1
-        del bl
+        prev, level = bl.metric, bl.level + 1
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,12 @@ def ball_volume(dim: int) -> float:
 
 @dataclass(frozen=True)
 class SphericalQuadrature:
-    """Nodes and weights on S^{n-1}, built by ``auto_quadrature`` at ``level``."""
+    """Nodes and weights on S^{n-1}, the rule ``scheme``."""
 
     dim: int
     nodes: np.ndarray
     weights: np.ndarray
     scheme: str
-    level: int = 0
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -71,14 +70,14 @@ def _gauss_legendre(order: int):
     return x, w
 
 
-def circle_trapezoid(nodes: int, level: int = 0) -> SphericalQuadrature:
+def circle_trapezoid(nodes: int) -> SphericalQuadrature:
     if nodes < 4:
         raise InputError("need at least 4 circle nodes")
     w = np.full(nodes, _TWO_PI / nodes)
-    return SphericalQuadrature(2, sphere_grid(2, nodes), w, "circle-trapezoid", level)
+    return SphericalQuadrature(2, sphere_grid(2, nodes), w, "circle-trapezoid")
 
 
-def circle_panels(break_angles, subdiv: int, level: int = 0) -> SphericalQuadrature:
+def circle_panels(break_angles, subdiv: int) -> SphericalQuadrature:
     """Composite 32-point Gauss rule on the circle: the arcs between
     consecutive ``break_angles`` are each split into ``subdiv`` panels."""
     br = np.mod(np.asarray(break_angles, dtype=float), _TWO_PI)
@@ -98,10 +97,10 @@ def circle_panels(break_angles, subdiv: int, level: int = 0) -> SphericalQuadrat
             weights.append(half * w)
     ang = np.concatenate(angles)
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    return SphericalQuadrature(2, pts, np.concatenate(weights), "circle-panels", level)
+    return SphericalQuadrature(2, pts, np.concatenate(weights), "circle-panels")
 
 
-def sphere_product_gauss(n_polar: int, n_azimuth: int, level: int = 0) -> SphericalQuadrature:
+def sphere_product_gauss(n_polar: int, n_azimuth: int) -> SphericalQuadrature:
     """Gauss-Legendre in cos(theta) x uniform trapezoid in phi on S^2."""
     t, wt = _gauss_legendre(n_polar)   # t = cos(theta) on [-1, 1]
     phi = np.arange(n_azimuth) * (_TWO_PI / n_azimuth)
@@ -112,10 +111,10 @@ def sphere_product_gauss(n_polar: int, n_azimuth: int, level: int = 0) -> Spheri
     nodes[:, 1] = np.outer(st, np.sin(phi)).ravel()
     nodes[:, 2] = np.repeat(t, n_azimuth)
     weights = np.repeat(wt * wp, n_azimuth)
-    return SphericalQuadrature(3, nodes, weights, "product-gauss", level)
+    return SphericalQuadrature(3, nodes, weights, "product-gauss")
 
 
-def sphere_orthant_gauss(dim: int, order: int, level: int = 0) -> SphericalQuadrature:
+def sphere_orthant_gauss(dim: int, order: int) -> SphericalQuadrature:
     """2^dim * order^(dim-1) nodes on S^{dim-1}.  The simplex {x >= 0, sum x = 1},
     whose radial image has surface element dx_1 ... dx_{dim-1} / |x|^dim, takes
     ``order``-point Gauss-Legendre a_i on [0, 1] in collapsed coordinates
@@ -133,18 +132,18 @@ def sphere_orthant_gauss(dim: int, order: int, level: int = 0) -> SphericalQuadr
     x /= r[:, None]
     signs = _box_corners(np.ones(dim), -np.ones(dim))
     return SphericalQuadrature(dim, (signs[:, None, :] * x).reshape(-1, dim),
-                               np.tile(weights / r ** dim, 2 ** dim), "orthant-gauss", level)
+                               np.tile(weights / r ** dim, 2 ** dim), "orthant-gauss")
 
 
 def circle_rule(kinks, level: int) -> SphericalQuadrature:
     """The circle rule of ``level`` for an integrand that is smooth except
     at the angles ``kinks`` (see ``auto_quadrature``)."""
     if len(kinks):
-        return circle_panels(kinks, subdiv=2 ** (level + 1), level=level)
-    return circle_trapezoid(2048 * 2 ** level, level=level)
+        return circle_panels(kinks, subdiv=2 ** (level + 1))
+    return circle_trapezoid(2048 * 2 ** level)
 
 
-def auto_quadrature(norm: MinkowskiNorm, level: int = 0) -> SphericalQuadrature:
+def auto_quadrature(norm: MinkowskiNorm, level: int) -> SphericalQuadrature:
     """The sphere rule of ``level`` for ``norm``: the one place that maps a
     level to a rule, so level L + 1 is the refinement of level L.
 
@@ -163,6 +162,6 @@ def auto_quadrature(norm: MinkowskiNorm, level: int = 0) -> SphericalQuadrature:
     if n == 2:
         return circle_rule(norm.kink_angles(), level)
     if n == 3:
-        return sphere_product_gauss(64 * 2 ** level, 128 * 2 ** level, level=level)
+        return sphere_product_gauss(64 * 2 ** level, 128 * 2 ** level)
     order = round((1e6 * 2 ** level / 2 ** n) ** (1.0 / (n - 1)))
-    return sphere_orthant_gauss(n, order, level=level)
+    return sphere_orthant_gauss(n, order)

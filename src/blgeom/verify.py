@@ -93,7 +93,7 @@ def _sample_norms(rng, dims=(2, 3)):
 # ---------------------------------------------------------------------------
 
 
-def suite_norms(seed: int = 0):
+def suite_norms(seed: int):
     rng = np.random.default_rng(seed)
     results = []
     worst = 0.0
@@ -125,7 +125,7 @@ def suite_norms(seed: int = 0):
     return results
 
 
-def suite_metric_properties(seed: int = 0):
+def suite_metric_properties(seed: int):
     rng = np.random.default_rng(seed)
     results = []
 
@@ -225,7 +225,7 @@ def suite_metric_properties(seed: int = 0):
     return results
 
 
-def suite_ellipsoids(seed: int = 0):
+def suite_ellipsoids(seed: int):
     rng = np.random.default_rng(seed)
     results = []
 
@@ -278,7 +278,7 @@ def suite_ellipsoids(seed: int = 0):
     return results
 
 
-def suite_invariants(seed: int = 0):
+def suite_invariants(seed: int):
     rng = np.random.default_rng(seed)
     results = []
 
@@ -344,7 +344,7 @@ def suite_invariants(seed: int = 0):
     return results
 
 
-def suite_berwald(seed: int = 0):
+def suite_berwald(seed: int):
     results = []
 
     const = constant_structure(square_gauge())
@@ -417,7 +417,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0):
+def run_suite(name: str, seed: int):
     if name == "all":
         return [check for suite in SUITES.values() for check in suite(seed)]
     if name not in SUITES:

@@ -262,6 +262,38 @@ def test_interpolated_metric_loses_definiteness_exit_3(tmp_path, capsys, command
     assert "interpolated metric loses positive definiteness near" in capsys.readouterr().err
 
 
+def _far_chart(path, lo, width):
+    """A constant euclidean field on [lo, lo + width] x [0, 1]."""
+    path.write_text(json.dumps({
+        "chart": {"lo": [lo, 0.0], "hi": [lo + width, 1.0]},
+        "field": {"family": "constant",
+                  "norm": {"family": "euclidean", "matrix": [[1.0, 0.0], [0.0, 1.0]]}}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, lo, width", [
+    ("field", 1e17, 64.0),     # linspace repeats lattice nodes
+    ("berwald", 1e15, 10.0),   # distinct nodes, colliding refined Greville abscissae
+], ids=["field-nodes", "berwald-greville"])
+def test_chart_below_float_resolution_exit_2(tmp_path, capsys, command, lo, width):
+    spec = _far_chart(tmp_path / "far.json", lo, width)
+    code = main([command, "--structure", spec, "--out", str(tmp_path / "far.csv")]
+                if command == "field" else [command, "--structure", spec])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error:") and "axis 0" in captured.err
+    # the fingerprint grid needs no spline, so it still runs on the chart
+    code, _ = run(capsys, "fingerprint", "--structure", spec, "--grid", "3x3",
+                  "--out", str(tmp_path / "far-fingerprint.csv"))
+    assert code == 0
+
+
+def test_far_chart_the_floats_resolve_runs_berwald(tmp_path, capsys):
+    spec = _far_chart(tmp_path / "far.json", 1e14, 2.0)
+    code, out = run(capsys, "berwald", "--structure", spec)
+    assert code == 0 and strict_json(out)["verdict"] == "locally Minkowski"
+
+
 def test_metric_exit_code_non_finite(tmp_path, capsys):
     # F ~ 1e200 |x|: its metric, about 1e400 g(square), lies past the float range
     inner = {"family": "linear-image", "matrix": [[1e100, 0.0], [0.0, 1e100]],
@@ -991,7 +1023,7 @@ def test_ellipsoid_evaluates_f_once(spec_dir, capsys, monkeypatch, name):
     code, _ = run(capsys, "ellipsoid", "--norm", str(spec_dir / f"norm-{name}.json"))
     assert code == 0
     norm = loaded[0]
-    assert norm.rule_calls == [len(auto_quadrature(norm.inner))]
+    assert norm.rule_calls == [len(auto_quadrature(norm.inner, 0))]
 
 
 _ONE_PLUS_SIN = {"kind": "one-plus-sin", "amp": 0.3, "freq": 1.0, "phase": 0.0}

@@ -4,14 +4,17 @@ Each example takes one catalog spec, drops one key or list entry or
 replaces one value anywhere in it, and runs ``metric`` (norms) or
 ``field --grid 5x5`` (structures).  The exit code must be 0, 2 or 3, and no
 exception may escape ``main``.  A second pair of tests runs the same
-mutations, and a wrap of any norm in the spec as the linear image kappa I,
-through ``ellipsoid`` and ``invariants`` (norms) or ``berwald --grid 9x9``
-and ``fingerprint --grid 3x3`` (structures); one more runs ``compare`` on
-every single mutation of a cloud CSV.  A sweep over every mutation of
-every catalog norm checks that each norm a spec builds is a norm, with no
-sampled check on the CLI's side.  Last, argument lists drawn from the
-subcommand names, every flag, help, negative numbers and junk keep the
-parser's contract: help exits 0, anything else that does not run exits 2.
+mutations, and a wrap of any norm in the spec as the linear image kappa I
+or a shift of one chart axis far from the origin, through ``ellipsoid``
+and ``invariants`` (norms) or ``berwald --grid 9x9`` and ``fingerprint
+--grid 3x3`` (structures); every chart shift of every catalog structure
+also runs through all three structure commands.  One more runs
+``compare`` on every single mutation of a cloud CSV.  A sweep over every
+mutation of every catalog norm checks that each norm a spec builds is a
+norm, with no sampled check on the CLI's side.  Last, argument lists
+drawn from the subcommand names, every flag, help, negative numbers and
+junk keep the parser's contract: help exits 0, anything else that does not
+run exits 2.
 """
 
 import copy
@@ -62,15 +65,32 @@ class Scale(float):
 SCALES = [Scale(k) for k in (2.0 ** 300, 2.0 ** -300, 1e100, 1e-100, 1e160, 1e-160)]
 
 
+class Shift(float):
+    """The replacement that adds itself to both bounds of the chart axis at its
+    path ("chart", axis)."""
+
+
+# far enough that the floats there resolve a catalog chart's lattice
+# finely (1e12), barely (1e15) or not at all (1e17)
+SHIFTS = [Shift(s) for s in (1e12, 1e15, 1e17)]
+
+
+def _shifts(spec):
+    """Every ``SHIFTS`` mutation of the chart axes of the structure ``spec``."""
+    return [(("chart", axis), shift) for axis in range(len(spec["chart"]["lo"]))
+            for shift in SHIFTS]
+
+
 def _mutations(spec):
     """Every single mutation of ``spec``, as (path, replacement): a drop or a
-    ``REPLACEMENTS`` value at each path, and a ``SCALES`` wrap of each norm
-    in it, ``spec`` itself included."""
+    ``REPLACEMENTS`` value at each path, a ``SCALES`` wrap of each norm in
+    it, ``spec`` itself included, and the ``SHIFTS`` of a structure's chart."""
     norms = [path for path in [(), *_paths(spec)]
              if isinstance(node := functools.reduce(operator.getitem, path, spec), dict)
              and node.get("family") in specio.NORM_KEYS]
     return ([(path, r) for path in _paths(spec) for r in ["drop"] + REPLACEMENTS]
-            + [(path, kappa) for path in norms for kappa in SCALES])
+            + [(path, kappa) for path in norms for kappa in SCALES]
+            + (_shifts(spec) if "chart" in spec else []))
 
 
 def _wrapped(norm, kappa):
@@ -87,11 +107,25 @@ def _mutated(spec, path, replacement):
         parent = parent[key]
     if isinstance(replacement, Scale):
         parent[path[-1]] = _wrapped(parent[path[-1]], replacement)
+    elif isinstance(replacement, Shift):
+        for bound in ("lo", "hi"):
+            parent[bound][path[-1]] += replacement
     elif replacement == "drop":
         del parent[path[-1]]
     else:
         parent[path[-1]] = copy.deepcopy(replacement)
     return spec
+
+
+def _field_argv(spec_path, tmp_path):
+    return ["field", "--structure", str(spec_path), "--grid", "5x5",
+            "--out", str(tmp_path / "field.csv")]
+
+
+def _berwald_and_fingerprint_argvs(spec_path, tmp_path):
+    return [["berwald", "--structure", str(spec_path), "--grid", "9x9"],
+            ["fingerprint", "--structure", str(spec_path), "--grid", "3x3",
+             "--out", str(tmp_path / "cloud.csv")]]
 
 
 def _keeps_contract(capsys, argv):
@@ -109,14 +143,9 @@ def test_mutated_spec_keeps_exit_code_contract(tmp_path, capsys, case, replaceme
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(_mutated(spec, path, replacement)))
     if command == "metric":
-        argv = ["metric", "--norm", str(spec_path)]
+        _keeps_contract(capsys, ["metric", "--norm", str(spec_path)])
     else:
-        argv = ["field", "--structure", str(spec_path), "--grid", "5x5",
-                "--out", str(tmp_path / "field.csv")]
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3), (argv, err)
-    assert "Traceback" not in err
+        _keeps_contract(capsys, _field_argv(spec_path, tmp_path))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -173,9 +202,22 @@ def test_mutated_structure_keeps_exit_code_contract_in_berwald_and_fingerprint(t
     spec, (path, replacement) = case
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(_mutated(spec, path, replacement)))
-    _keeps_contract(capsys, ["berwald", "--structure", str(spec_path), "--grid", "9x9"])
-    _keeps_contract(capsys, ["fingerprint", "--structure", str(spec_path), "--grid", "3x3",
-                             "--out", str(tmp_path / "cloud.csv")])
+    for argv in _berwald_and_fingerprint_argvs(spec_path, tmp_path):
+        _keeps_contract(capsys, argv)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shifted_chart_keeps_exit_code_contract(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    cases = 0
+    for _, spec in catalog.BUILTIN_STRUCTURES.values():
+        for path, shift in _shifts(spec):
+            spec_path.write_text(json.dumps(_mutated(spec, path, shift)))
+            for argv in [_field_argv(spec_path, tmp_path),
+                         *_berwald_and_fingerprint_argvs(spec_path, tmp_path)]:
+                _keeps_contract(capsys, argv)
+            cases += 1
+    assert cases == 2 * len(SHIFTS) * len(catalog.BUILTIN_STRUCTURES)
 
 
 _CLOUD = [["x1", "x2", "w0", "w1", "mu", "m_max"],

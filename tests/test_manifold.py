@@ -377,6 +377,22 @@ class TestInterpolant:
         with pytest.raises(InputError, match="outside"):
             interp_field.at([[0.5, 0.0], [2.5, 0.0]])
 
+    def test_inside_slack_scales_with_the_lattice(self):
+        # on [0, 2^-60]^2, -1e-13 is about 1e5 chart widths outside; a fixed
+        # slack of 1e-12 would extrapolate there to an indefinite tensor
+        width = 2.0 ** -60
+        axes = [np.linspace(0.0, width, 33)] * 2
+        field = MetricField(axes, np.broadcast_to(np.eye(2), (33, 33, 2, 2)))
+        np.testing.assert_array_equal(field.at([[0.0, 0.0], [width, width]]),
+                                      [np.eye(2)] * 2)
+        with pytest.raises(InputError, match="outside"):
+            field.at([-1e-13, 0.0])
+
+    def test_lattice_axis_must_increase(self):
+        axes = [np.array([0.0, 1.0, 1.0, 2.0]), np.linspace(0.0, 1.0, 4)]
+        with pytest.raises(InputError, match="lattice axis 0 are not strictly increasing"):
+            MetricField(axes, np.broadcast_to(np.eye(2), (4, 4, 2, 2)))
+
     @pytest.mark.parametrize("method", ["at", "christoffel", "riemann"])
     def test_nan_point_rejected(self, interp_field, method):
         with pytest.raises(InputError, match=r"point \[nan +0\.\]"):

@@ -263,10 +263,10 @@ class TestOnePassPerRule:
     def test_converge_evaluates_once_per_level(self):
         norm = CountingNorm(QuarticAxial(2))
         bl, info = bl_metric_converged(norm, tol=1e-10)
-        sizes = [len(auto_quadrature(norm, level=lvl)) for lvl in range(bl.quad.level + 1)]
+        sizes = [len(auto_quadrature(norm, level=lvl)) for lvl in range(bl.level + 1)]
         assert norm.rule_calls == sizes
         # the record is the converged rule's own
-        want = bl_metric(QuarticAxial(2), bl.quad.level)
+        want = bl_metric(QuarticAxial(2), bl.level)
         for name in ("orthonormal_volume", "dual", "metric"):
             np.testing.assert_array_equal(getattr(bl, name), getattr(want, name))
         assert (bl.volume, bl.condition_number) == (want.volume, want.condition_number)
@@ -276,11 +276,30 @@ class TestOnePassPerRule:
     def test_legendre_ellipsoid_evaluates_once(self, monkeypatch):
         norm = CountingNorm(SQUARE)
         bl = bl_metric(norm, 0)
-        assert norm.rule_calls == [len(bl.quad)]
+        assert norm.rule_calls == [len(auto_quadrature(SQUARE, 0))]
         calls = count_values_calls(monkeypatch)
         scale = bl.legendre_scale     # read from the record: F is evaluated nowhere
-        assert calls == [] and norm.rule_calls == [len(bl.quad)]
+        assert calls == [] and norm.rule_calls == [len(auto_quadrature(SQUARE, 0))]
         want = bl_metric(SQUARE, 0)
         np.testing.assert_array_equal(bl.dual, want.dual)
         np.testing.assert_array_equal(bl.metric, want.metric)
         assert scale == want.legendre_scale
+
+    def test_record_names_its_rule_without_holding_it(self, monkeypatch):
+        import gc
+        import weakref
+
+        import blgeom.metric
+
+        built, rules = blgeom.metric.auto_quadrature, []
+
+        def build_and_watch(norm, level):
+            quad = built(norm, level)
+            rules.append(weakref.ref(quad))
+            return quad
+
+        monkeypatch.setattr(blgeom.metric, "auto_quadrature", build_and_watch)
+        bl = bl_metric(QuarticAxial(3), 0)
+        gc.collect()
+        assert len(rules) == 1 and rules[0]() is None
+        assert (bl.level, bl.scheme) == (0, "product-gauss")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blgeom import (InputError, LpNorm, PolytopeGauge, QuarticAxial,
-                    auto_quadrature, bl_metric_converged, circle_panels,
+                    auto_quadrature, bl_metric, bl_metric_converged, circle_panels,
                     ball_volume, circle_trapezoid, sphere_orthant_gauss,
                     sphere_product_gauss)
 from blgeom.quadrature import MAX_QUAD_LEVEL
@@ -37,23 +37,25 @@ def test_second_moment_exactness(make):
 ], ids=["smooth-2d", "kinked-2d", "3d"])
 def test_refinement_doubles_resolution(norm, growth):
     q0, q1 = auto_quadrature(norm, level=0), auto_quadrature(norm, level=1)
-    assert (q0.level, q1.level, q1.scheme) == (0, 1, q0.scheme)
+    assert q1.scheme == q0.scheme
+    assert [(bl.level, bl.scheme) for bl in (bl_metric(norm, 0), bl_metric(norm, 1))] \
+        == [(0, q0.scheme), (1, q0.scheme)]
     assert len(q1) == growth * len(q0)
 
 
 def test_auto_quadrature_picks_panels_for_kinked_norms():
-    assert auto_quadrature(PolytopeGauge([[1, 1], [-1, 1], [-1, -1], [1, -1]])).scheme \
+    assert auto_quadrature(PolytopeGauge([[1, 1], [-1, 1], [-1, -1], [1, -1]]), 0).scheme \
         == "circle-panels"
-    assert auto_quadrature(LpNorm(1, 2)).scheme == "circle-panels"
-    assert auto_quadrature(QuarticAxial(2)).scheme == "circle-trapezoid"
-    assert auto_quadrature(QuarticAxial(3)).scheme == "product-gauss"
-    assert auto_quadrature(LpNorm(2, 5)).scheme == "orthant-gauss"
+    assert auto_quadrature(LpNorm(1, 2), 0).scheme == "circle-panels"
+    assert auto_quadrature(QuarticAxial(2), 0).scheme == "circle-trapezoid"
+    assert auto_quadrature(QuarticAxial(3), 0).scheme == "product-gauss"
+    assert auto_quadrature(LpNorm(2, 5), 0).scheme == "orthant-gauss"
 
 
 def test_panels_align_with_polytope_vertices():
     verts = [[2.0, -1.0], [-1.0, 2.0], [-1.0, -1.0]]
     gauge = PolytopeGauge(verts)
-    q = auto_quadrature(gauge)
+    q = auto_quadrature(gauge, 0)
     vertex_angles = np.mod(np.arctan2(*np.asarray(verts).T[::-1]), 2 * np.pi)
     want = circle_panels(vertex_angles, subdiv=2)
     np.testing.assert_array_equal(q.nodes, want.nodes)
@@ -69,7 +71,9 @@ def test_nodes_are_unit_vectors():
 @pytest.mark.parametrize("dim", [4, 5, 6])
 def test_orthant_rule_level_0_holds_a_million_unit_nodes(dim):
     q = auto_quadrature(LpNorm(2, dim), level=0)
-    assert (q.scheme, q.level, q.dim) == ("orthant-gauss", 0, dim)
+    assert (q.scheme, q.dim) == ("orthant-gauss", dim)
+    bl = bl_metric(LpNorm(2, dim), 0)
+    assert (bl.level, bl.scheme) == (0, "orthant-gauss")
     assert abs(len(q) / 1e6 - 1.0) < 0.1
     np.testing.assert_allclose(np.linalg.norm(q.nodes, axis=1), 1.0, rtol=1e-14)
 
@@ -90,7 +94,7 @@ def test_orthant_rule_order_per_level(dim, orders):
 
 
 def test_orthant_rule_is_bit_identical_across_builds():
-    a, b = auto_quadrature(LpNorm(2, 5)), auto_quadrature(LpNorm(2, 5))
+    a, b = auto_quadrature(LpNorm(2, 5), 0), auto_quadrature(LpNorm(2, 5), 0)
     assert a.nodes.tobytes() == b.nodes.tobytes()
     assert a.weights.tobytes() == b.weights.tobytes()
 
