@@ -22,6 +22,12 @@ forms every step's matrix from one batch of Christoffel symbols and
 multiplies them into one propagator per polyline segment (see
 ``_segment_propagators``), with no loop over steps.
 
+A structure whose lattice peels to one base needs no interpolation: its
+metric is A(x)^T g0 A(x) at every point, and ``is_locally_minkowski``
+checks it on ``_ExactField``, which takes G and its first partials from
+the peel itself (d_k A by a complex step) and shares the symbols, the
+curvature and the transport with ``MetricField``.
+
 The Berwald defect of a structure transports probe vectors along closed
 loops, all loops in one batch per attempt (see ``_transport``), and
 compares norm values both at intermediate points (open-path defect,
@@ -64,6 +70,13 @@ class FinslerStructure:
     ``rotor_structure``, factor of ``conformal_rescale``) maps coordinates
     x, each x[i] a number or an array of one shape, to a value of that
     shape; a peel of points X calls it once, on X.T.
+
+    A peel must also accept complex points and be analytic in them near
+    the real chart: its maps at X + i h e_k then carry h d_k A(X) in their
+    imaginary part, which is how ``_ExactField`` differentiates them.  Its
+    checks (a positive conformal factor) and its choice of base read the
+    real part.  Every built-in structure and every scalar kind of a spec is
+    such a peel.
     """
 
     chart_lo: np.ndarray
@@ -106,12 +119,15 @@ class PointFailure(Exception):
 
 
 def smoothstep(t):
-    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
+    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1.  A complex t
+    stays complex, with its cases taken on the real part, so the step is
+    analytic near the real axis."""
+    t = np.asarray(t)
+    t = t.astype(complex if np.iscomplexobj(t) else float, copy=False)
 
     def bump(s):
         out = np.zeros_like(s)
-        pos = s > 0
+        pos = s.real > 0
         out[pos] = np.exp(-1.0 / s[pos])
         return out
 
@@ -157,13 +173,13 @@ def l1_l2_interpolation(lo=(-1.0, -1.0), hi=(2.0, 1.0)) -> FinslerStructure:
     depends only on x_1; every unit ball is symmetric under the axis
     reflections and the coordinate swap, so the metric field is a scalar
     multiple of the identity at every point.  Points with one weight f
-    share one base norm.
+    share one base norm, chosen by the real part of the weight.
     """
     l1 = LpNorm(1, 2)
     l2 = LpNorm(2, 2)
 
     def peel(X):
-        weights, index = np.unique(smoothstep(X[:, 0]), return_inverse=True)
+        weights, index = np.unique(smoothstep(X[:, 0]).real, return_inverse=True)
         bases = [l1 if f <= 0.0 else l2 if f >= 1.0 else WeightedSum(1.0 - f, f, l1, l2)
                  for f in weights]
         return np.broadcast_to(np.eye(2), (len(X), 2, 2)), bases, index
@@ -207,11 +223,11 @@ def conformal_rescale(base: FinslerStructure, factor: Callable) -> FinslerStruct
     def peel(X):
         maps, bases, index = base.peel(X)
         lam = np.broadcast_to(factor(X.T), len(X))
-        bad = ~(lam > 0)
+        bad = ~(lam.real > 0)
         if np.any(bad):
             k = int(np.argmax(bad))
             raise PointFailure(k) from InputError(
-                f"conformal factor must be positive, got {lam[k]} at {X[k]}")
+                f"conformal factor must be positive, got {lam[k].real} at {X[k].real}")
         return maps * lam[:, None, None], bases, index
 
     return FinslerStructure(base.chart_lo.copy(), base.chart_hi.copy(), peel)
@@ -326,10 +342,17 @@ class MetricField:
                  for m, b in ((value, blocks), (slope, blocks[..., :1, :]))], axis=-2)
         return NdBSpline(tuple(knots), blocks, 3)
 
+    def _metric_jet(self, x):
+        """G at the points x, shape (..., n, n), and its first partials on the
+        upper-triangle pairs, (..., k, pair) = d_k G_pair: one ``_jet``
+        evaluation; the partials are a view of it."""
+        jet = self._jet(x)
+        return jet[..., 0, _pairs(self.dim)[2]], jet[..., 1:, :]
+
     def christoffel(self, x) -> np.ndarray:
         """Levi-Civita symbols Gamma[..., k, i, j] at x (symmetric in i, j),
-        from the exact derivatives of the spline: one ``_jet`` evaluation
-        gives G and every d_k G, and Gamma^k_ij = 1/2 G^kl T_l,ij with
+        from the exact derivatives of the metric: ``_metric_jet`` gives G and
+        every d_k G, and Gamma^k_ij = 1/2 G^kl T_l,ij with
         T_l,ij = d_i G_jl + d_j G_il - d_l G_ij on the pairs i <= j, solved
         for every point at once by ``_spd_solve``.  A point within two
         lattice spacings of the boundary, or not finite, raises
@@ -338,12 +361,11 @@ class MetricField:
         x = self._check_inside(x, 2.0 * self.spacing, _NEAR_BOUNDARY)
         i, j, pair = _pairs(self.dim)
         l = np.arange(self.dim)[:, None]
-        jet = self._jet(x)
-        g, d = jet[..., 0, pair], jet[..., 1:, :]    # d[k, pair] = d_k G_pair
+        g, d = self._metric_jet(x)
         t = d[..., i, pair[j, l]]
         t += d[..., j, pair[i, l]]
         t -= d[..., l, pair[i, j]]
-        del jet, d           # in place and freed early: a transport batch is large
+        del d                # freed early: a transport batch is large
         try:
             t = _spd_solve(g, t)
         except NumericalFailure as exc:
@@ -366,20 +388,31 @@ class MetricField:
         step are those of the plain central difference."""
         # checked here too, so that an error names x and not a stencil point
         x = self._check_inside(x, 2.0 * self.spacing, _NEAR_BOUNDARY)
+        return self._riemann([(x, float(self.spacing.min()))])[0]
+
+    def _riemann(self, stencils) -> list:
+        """``riemann`` at the points x of each (x, h) of ``stencils`` with its
+        own step h; the stencil points of all of them share one
+        ``christoffel`` call."""
         n = self.dim
-        h = float(self.spacing.min())
-        shifts = np.concatenate([np.zeros((1, n)), h * np.eye(n), -h * np.eye(n)])
-        pts = (x[..., None, :] + shifts).reshape(-1, n)
+        pts = [(x[..., None, :] + np.concatenate([np.zeros((1, n)), h * np.eye(n),
+                                                 -h * np.eye(n)])).reshape(-1, n)
+               for x, h in stencils]
+        pts = np.concatenate(pts)
         first, back = _coincident(pts)
         gam_all = self.christoffel(pts[first])[back]
-        gam_all = gam_all.reshape(x.shape[:-1] + (2 * n + 1,) + gam_all.shape[1:])
-        gam = gam_all[..., 0, :, :, :]
-        dgam = (gam_all[..., 1:n + 1, :, :, :] - gam_all[..., n + 1:, :, :, :]) / (2.0 * h)
-        t1 = np.einsum("...iljk->...lkij", dgam)        # d_i Gamma^l_{jk}
-        t2 = np.swapaxes(t1, -1, -2)                    # d_j Gamma^l_{ik}
-        t3 = np.einsum("...lis,...sjk->...lkij", gam, gam)   # Gamma^l_{is} Gamma^s_{jk}
-        t4 = np.swapaxes(t3, -1, -2)
-        return t1 - t2 + t3 - t4
+        out = []
+        for x, h in stencils:
+            gam_x, gam_all = np.split(gam_all, [x[..., 0].size * (2 * n + 1)])
+            gam_x = gam_x.reshape(x.shape[:-1] + (2 * n + 1,) + gam_x.shape[1:])
+            gam = gam_x[..., 0, :, :, :]
+            dgam = (gam_x[..., 1:n + 1, :, :, :] - gam_x[..., n + 1:, :, :, :]) / (2.0 * h)
+            t1 = np.einsum("...iljk->...lkij", dgam)        # d_i Gamma^l_{jk}
+            t2 = np.swapaxes(t1, -1, -2)                    # d_j Gamma^l_{ik}
+            t3 = np.einsum("...lis,...sjk->...lkij", gam, gam)   # Gamma^l_{is} Gamma^s_{jk}
+            t4 = np.swapaxes(t3, -1, -2)
+            out.append(t1 - t2 + t3 - t4)
+        return out
 
     def check_positive_definite(self):
         """Raise ``NumericalFailure`` unless the interpolated tensor is
@@ -517,6 +550,79 @@ def _definite(g: np.ndarray) -> bool:
         return False
 
 
+# Imaginary step of the complex-step derivative d_k A = Im A(x + i h e_k) / h:
+# no difference is taken, so h can lie far below round-off (Squire & Trapp,
+# SIAM Review 40, 1998).
+_COMPLEX_STEP = 1e-30
+
+
+class _ExactField:
+    """The metric field of a structure whose lattice peels to one base,
+    with the ``MetricField`` interface and no interpolation: at any point x
+    of the lattice box, G(x) = A(x)^T g0 A(x) from the structure's own peel,
+    and d_k G = (d_k A)^T g0 A + A^T g0 d_k A with d_k A from one peel of
+    the complex-stepped points x + i h e_k (see ``FinslerStructure``).  The
+    symbols, the curvature and the inside test are ``MetricField``'s.  A
+    peel whose norm at a point is not the lattice's base raises
+    ``NumericalFailure`` naming the point."""
+
+    _check_inside = MetricField._check_inside
+    christoffel = MetricField.christoffel
+    riemann = MetricField.riemann
+    _riemann = MetricField._riemann
+
+    def __init__(self, structure: FinslerStructure, axes, values, record):
+        self.axes, self.values, self.dim = axes, values, len(axes)
+        self.spacing = np.array([a[1] - a[0] for a in axes])
+        self.lo = np.array([a[0] for a in axes])
+        self.hi = np.array([a[-1] for a in axes])
+        self._structure, self._base, self._g0 = structure, record.norm, record.metric
+
+    def _maps(self, pts, step: bool):
+        """The peel's maps A at the points ``pts`` (m, n); with ``step``, also
+        every d_k A, shape (m, k, n, n), from one peel of the n copies of
+        ``pts`` stepped along each axis."""
+        m, n = pts.shape
+        peeled = (pts + 1j * _COMPLEX_STEP * np.eye(n)[:, None, :]).reshape(-1, n) if step else pts
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite map fails the solve
+            maps, bases, index = _peel(self._structure, peeled, "metric evaluation failed at point")
+        other = np.array([base is not self._base for base in bases])[index]
+        if np.any(other):
+            raise NumericalFailure(f"metric evaluation failed at point "
+                                   f"{pts[int(np.argmax(other)) % m]}: its norm is not "
+                                   "the lattice's one base norm")
+        if not step:
+            return maps
+        return maps[:m].real, np.moveaxis(maps.imag.reshape(n, m, n, n), 0, 1) / _COMPLEX_STEP
+
+    def at(self, x) -> np.ndarray:
+        """Metric tensor at chart points, shape (..., n, n)."""
+        x = self._check_inside(x, 0.0, "is outside the lattice box")
+        g = _pullback(self._maps(x.reshape(-1, self.dim), False), self._g0)
+        return g.reshape(x.shape + (self.dim,))
+
+    def _metric_jet(self, x):
+        """G and its first partials as ``MetricField._metric_jet`` has them."""
+        n = self.dim
+        i, j, _ = _pairs(n)
+        A, dA = self._maps(x.reshape(-1, n), True)
+        g = _pullback(A, self._g0)
+        # d_k G = P_k + P_k^T with P_k = A^T g0 d_k A, for the symmetric part
+        # of g0, which is what the symmetrized G pulls back
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = (np.swapaxes(A, 1, 2) @ (0.5 * (self._g0 + self._g0.T)))[:, None] @ dA
+            d = p[..., i, j] + p[..., j, i]
+        return g.reshape(x.shape + (n,)), d.reshape(x.shape[:-1] + d.shape[1:])
+
+
+def _pullback(maps, g0):
+    """A^T g0 A for every map A of ``maps`` (k, n, n), symmetrized; a tensor
+    past the float range is left non-finite for the caller's checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.swapaxes(maps, 1, 2) @ g0 @ maps
+        return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+
 def default_lattice_shape(dim: int) -> tuple:
     return (33, 33) if dim == 2 else (9,) * dim
 
@@ -534,18 +640,21 @@ def _lattice(lo, hi, shape):
         raise InputError(f"lattice shape {tuple(shape)} has more than "
                          f"{MAX_LATTICE_NODES} nodes")
     axes = [np.linspace(a, b, int(s)) for a, b, s in zip(lo, hi, shape)]
+    for i, a in enumerate(axes):
+        _increasing(a, f"the nodes of lattice axis {i}")
     mesh = np.meshgrid(*axes, indexing="ij")
     return axes, np.column_stack([m.ravel() for m in mesh])
 
 
 def _peel(structure: FinslerStructure, pts: np.ndarray, failure: str):
     """``structure.peel(pts)``; a failure at a point becomes a
-    ``NumericalFailure`` that reads ``failure``, then the point."""
+    ``NumericalFailure`` that reads ``failure``, then the (real part of the)
+    point."""
     try:
         return structure.peel(pts)
     except PointFailure as exc:
         raise NumericalFailure(
-            f"{failure} {pts[exc.index]}: {exc.__cause__}") from exc.__cause__
+            f"{failure} {pts[exc.index].real}: {exc.__cause__}") from exc.__cause__
 
 
 def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: str,
@@ -569,10 +678,7 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
                 x = pts[np.argmax(base_of_point == b)]
                 raise NumericalFailure(f"{failure} {x}: {exc}") from exc
         records.append(memo[id(base)])
-    g0 = np.array([bl.metric for bl in records])[base_of_point]
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite tensor is named below
-        values = np.swapaxes(maps, 1, 2) @ g0 @ maps
-        values = 0.5 * (values + np.swapaxes(values, 1, 2))
+    values = _pullback(maps, np.array([bl.metric for bl in records])[base_of_point])
     finite = np.isfinite(values).all(axis=(1, 2))
     eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], values, np.eye(n)))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -590,29 +696,36 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
     return values, base_of_point, records
 
 
-def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
-             level: int = 0, *, memo: dict | None = None) -> MetricField:
-    """Metric of the structure's norm at every lattice node.
-
-    One ``structure.peel`` call gives every node's norm as base o A, the
-    metric of every distinct base is solved once by ``bl_metric`` at
-    ``level`` (a base in ``memo`` is not solved again; see
-    ``_gl_metrics``), and the node tensors are assembled as
-    A^T g_base A by GL-equivariance, g_{F o A} = A^T g_F A.  A failure at
-    any node, or a node tensor that is not positive definite or exceeds
-    ``CONDITION_LIMIT``, aborts with the offending node in the message.
-    The interpolated field then passes ``MetricField.check_positive_definite``:
-    its spline coefficients certify the whole box, or else a 4 times finer
-    grid is tested and a failure names its grid point.
-    """
+def _lattice_metrics(structure: FinslerStructure, shape, level: int, memo: dict | None = None):
+    """The lattice axes of ``shape`` (default ``default_lattice_shape``) over
+    the chart, the checked metric tensors at its nodes, shape grid + (n, n),
+    and the base records, as ``bl_field`` describes (``memo``: see
+    ``_gl_metrics``)."""
     n = structure.dim
     if shape is None:
         shape = default_lattice_shape(n)
     axes, pts = _lattice(structure.chart_lo, structure.chart_hi, shape)
     if min(len(a) for a in axes) < 5:
         raise InputError("need at least 5 lattice nodes per axis for cubic interpolation")
-    values = _gl_metrics(structure, pts, level, "node", memo)[0]
-    field = MetricField(axes, values.reshape(tuple(len(a) for a in axes) + (n, n)))
+    values, _, records = _gl_metrics(structure, pts, level, "node", memo)
+    return axes, values.reshape(tuple(len(a) for a in axes) + (n, n)), records
+
+
+def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
+             level: int = 0) -> MetricField:
+    """Metric of the structure's norm at every lattice node.
+
+    One ``structure.peel`` call gives every node's norm as base o A, the
+    metric of every distinct base is solved once by ``bl_metric`` at
+    ``level``, and the node tensors are assembled as A^T g_base A by
+    GL-equivariance, g_{F o A} = A^T g_F A.  A failure at any node, or a
+    node tensor that is not positive definite or exceeds
+    ``CONDITION_LIMIT``, aborts with the offending node in the message.
+    The interpolated field then passes ``MetricField.check_positive_definite``:
+    its spline coefficients certify the whole box, or else a 4 times finer
+    grid is tested and a failure names its grid point.
+    """
+    field = MetricField(*_lattice_metrics(structure, shape, level)[:2])
     field.check_positive_definite()
     return field
 
@@ -949,27 +1062,51 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
 
     flat_residual is the max curvature entry over interior lattice nodes;
     the Berwald defect runs the default loops.  Both must fall below ``tol``
-    for a positive verdict.  If either lies within the largest relative
-    error of the field at the cell midpoints (against a direct solve) of
-    ``tol``, the verdict is undecided: ``NumericalFailure``.
-    The midpoints reuse the metric of every base object the lattice solved.
+    for a positive verdict.  The lattice is solved once (``_lattice_metrics``).
+
+    When every node peels to one base, both legs run on the exact field
+    (``_ExactField``), with no interpolation.  The flat residual then errs
+    only by the truncation of its stencil, estimated as max |R_h - R_2h|
+    over the nodes at least four spacings inside (their 2h stencil keeps
+    ``christoffel``'s margin, and on a lattice of exact binary fractions
+    its points are ones the h stencil already holds; a lattice of 8 nodes
+    on an axis has no such node, and its band is 0).  Otherwise the field
+    is the spline of ``bl_field``, and the error of both legs is its
+    largest relative error at the cell midpoints against a direct solve,
+    which reuses the metric of every base object the lattice solved.  If
+    a leg lies within its error of ``tol``, the verdict is undecided:
+    ``NumericalFailure``.
     """
     solved = {}
-    field = bl_field(structure, shape=shape, level=level, memo=solved)
+    axes, values, records = _lattice_metrics(structure, shape, level, solved)
     # nodes at least three spacings inside: riemann's stencil reaches one
     # spacing out, christoffel's margin is two
-    interior = np.meshgrid(*[a[3:-3] for a in field.axes], indexing="ij")
-    flat = float(np.abs(field.riemann(np.stack(interior, axis=-1))).max(initial=0.0))
-    report = berwald_defect(structure, field)
-    half = 0.5 * field.spacing
-    _, mid = _lattice(field.lo + half, field.hi - half, [len(a) - 1 for a in field.axes])
-    direct = _gl_metrics(structure, mid, level, "point", solved)[0]
-    band = float(_relative_change(field.at(mid) - direct, direct).max())
-    for name, value in (("flat residual", flat), ("Berwald defect", report.defect)):
+    interior = np.stack(np.meshgrid(*[a[3:-3] for a in axes], indexing="ij"), axis=-1)
+    if len(records) == 1:
+        field = _ExactField(structure, axes, values, records[0])
+        h = float(field.spacing.min())
+        inner = (slice(1, -1),) * field.dim
+        fine, coarse = field._riemann([(interior, h), (interior[inner], 2.0 * h)])
+        flat = float(np.abs(fine).max(initial=0.0))
+        error = "truncation error"
+        bands = (float(np.abs(fine[inner] - coarse).max(initial=0.0)), 0.0)
+        report = berwald_defect(structure, field)
+    else:
+        field = MetricField(axes, values)
+        field.check_positive_definite()
+        flat = float(np.abs(field.riemann(interior)).max(initial=0.0))
+        report = berwald_defect(structure, field)
+        half = 0.5 * field.spacing
+        _, mid = _lattice(field.lo + half, field.hi - half, [len(a) - 1 for a in axes])
+        direct = _gl_metrics(structure, mid, level, "point", solved)[0]
+        error = "interpolation error"
+        bands = (float(_relative_change(field.at(mid) - direct, direct).max()),) * 2
+    for name, value, band in (("flat residual", flat, bands[0]),
+                              ("Berwald defect", report.defect, bands[1])):
         if abs(value - tol) <= band:
             raise NumericalFailure(
                 f"verdict undecided at this lattice: {name} {value:.3e} is within the "
-                f"interpolation error {band:.1e} of its tolerance {tol:.1e}; refine the lattice")
+                f"{error} {band:.1e} of its tolerance {tol:.1e}; refine the lattice")
     return FlatnessReport(flat, report.defect, flat < tol and report.defect < tol, tol)
 
 

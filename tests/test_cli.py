@@ -172,12 +172,17 @@ print(json.dumps([code, [m for m in ("scipy.spatial", "scipy.interpolate") if m 
     (["ellipsoid", "--norm", "norm-euclidean-2d.json"], []),
     (["ellipsoid", "--norm", "norm-lp-4.json"], []),
     (["examples", "--list"], []),
-    (["invariants", "--norm", "norm-euclidean-3d.json"], [])],
+    (["invariants", "--norm", "norm-euclidean-3d.json"], []),
+    (["berwald", "--structure", "structure-conformal-euclidean.json"], []),
+    (["berwald", "--structure", "structure-constant-square.json"], ["scipy.spatial"])],
     ids=["metric-euclidean-2d", "metric-lp-4", "ellipsoid-euclidean-2d", "ellipsoid-lp-4",
-         "examples-list", "invariants-euclidean-3d"])
+         "examples-list", "invariants-euclidean-3d", "berwald-conformal-euclidean",
+         "berwald-constant-square"])
 def test_command_loads_only_the_scipy_it_needs(spec_dir, argv, loads):
     # every command is a fresh process: the Binet-Legendre metric needs numpy
-    # alone, and so does the lattice surface of a smooth 3D norm
+    # alone, and so does the lattice surface of a smooth 3D norm; a
+    # single-base structure's berwald check needs no spline, and the square
+    # gauge builds its facets with scipy.spatial
     argv = [str(spec_dir / a) if a.endswith(".json") else a for a in argv]
     src = str(Path(blgeom.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -247,14 +252,13 @@ def test_field_exit_code_numerical_failure(field, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["field", "berwald"])
 def test_interpolated_metric_loses_definiteness_exit_3(tmp_path, capsys, command):
-    # every node tensor is (1 + 0.9 sin 9x)^2 I >= 0.01 I, but at the default
-    # 33x33 lattice the spline through them is indefinite between nodes
+    # every node tensor is (1 + 0.9 sin 9x)^2 g >= 0.01 g, but at the default
+    # 33x33 lattice the spline through them is indefinite between nodes; the
+    # l1-l2 base has many bases, so berwald interpolates it too
     spec = tmp_path / "wiggle.json"
     spec.write_text(json.dumps({
-        "chart": {"lo": [-1.5, -1.5], "hi": [1.5, 1.5]},
         "field": {"family": "conformal-rescale",
-                  "base": {"family": "constant",
-                           "norm": {"family": "euclidean", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+                  "base": {"family": "l1-l2-interpolation"},
                   "factor": {"kind": "one-plus-sin", "amp": 0.9, "freq": 9}}}))
     out = ["--out", str(tmp_path / "wiggle.csv")] if command == "field" else []
     code = main([command, "--structure", str(spec), *out])
@@ -277,15 +281,38 @@ def _far_chart(path, lo, width):
 ], ids=["field-nodes", "berwald-greville"])
 def test_chart_below_float_resolution_exit_2(tmp_path, capsys, command, lo, width):
     spec = _far_chart(tmp_path / "far.json", lo, width)
-    code = main([command, "--structure", spec, "--out", str(tmp_path / "far.csv")]
-                if command == "field" else [command, "--structure", spec])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("input error:") and "axis 0" in captured.err
-    # the fingerprint grid needs no spline, so it still runs on the chart
+    if command == "field":
+        code = main([command, "--structure", spec, "--out", str(tmp_path / "far.csv")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error:") and "axis 0" in captured.err
+    else:
+        # the spline's symbols need the refined knots; the berwald check on
+        # this single-base field needs no spline, but the 10 x 1 chart
+        # leaves its loops no room
+        field = manifold.bl_field(specio.load_structure(spec))
+        with pytest.raises(InputError, match="Greville abscissae of lattice axis 0"):
+            field.christoffel([lo + 5.0, 0.5])
+        code = main([command, "--structure", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: lattice 33x33 is too coarse for the "
+                                       "Berwald loops")
+    # a 3x3 fingerprint grid is resolved on the chart
     code, _ = run(capsys, "fingerprint", "--structure", spec, "--grid", "3x3",
                   "--out", str(tmp_path / "far-fingerprint.csv"))
     assert code == 0
+
+
+def test_fingerprint_grid_below_float_resolution_exit_2(tmp_path, capsys):
+    # 8 points over [1e17 + 3.2, 1e17 + 60.8], where the floats are 16 apart
+    spec = _far_chart(tmp_path / "far.json", 1e17, 64.0)
+    out = tmp_path / "far-fingerprint.csv"
+    code = main(["fingerprint", "--structure", spec, "--grid", "8x2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("input error: the nodes of lattice axis 0 are not "
+                                   "strictly increasing")
 
 
 def test_far_chart_the_floats_resolve_runs_berwald(tmp_path, capsys):
@@ -705,13 +732,32 @@ _BENCH_3D = {
 }
 
 
-def test_berwald_3d_conformal_undecided_at_9(tmp_path, capsys):
+def test_berwald_3d_conformal_decided_at_9(tmp_path, capsys):
+    # Riemannian, so Berwald: the exact field's defect is round-off
     spec = tmp_path / "conformal-3d.json"
     spec.write_text(json.dumps(_BENCH_3D["conformal-euclidean"]))
-    assert main(["berwald", "--structure", str(spec), "--grid", "9x9x9"]) == 3
+    code, out = run(capsys, "berwald", "--structure", str(spec), "--grid", "9x9x9")
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["defect"] <= 1e-6 and payload["verdict"] == "not locally Minkowski"
+
+
+@pytest.mark.parametrize("freq, code", [(8, 0), (20, 3)])
+def test_berwald_flat_leg_within_its_truncation_error_exit_3(tmp_path, capsys, freq, code):
+    # true max |R| is 3.125e-7 freq^2, 1.25e-4 at freq 20 (above the
+    # tolerance), where the 33^2 stencil reads 9.2e-5: undecided, never 0
+    spec = tmp_path / "ripple.json"
+    spec.write_text(json.dumps({
+        "chart": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        "field": {"family": "conformal-rescale",
+                  "base": {"family": "constant",
+                           "norm": {"family": "euclidean", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+                  "factor": {"kind": "one-plus-sin", "amp": 3.125e-7, "freq": freq}}}))
+    assert main(["berwald", "--structure", str(spec), "--assert"]) == code
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "verdict undecided at this lattice: Berwald defect" in captured.err
+    if code == 3:
+        assert captured.out == ""
+        assert "undecided at this lattice: flat residual" in captured.err
 
 
 def test_berwald_3d_quartic_locally_minkowski(tmp_path, capsys):
