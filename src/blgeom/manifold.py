@@ -6,7 +6,8 @@ norms at an array of points are base o A(x), with one linear map per point
 and bases keyed by value; its scalar fields are callables on arrays of
 coordinates (see ``FinslerStructure``).  The metric field evaluates the
 norm's metric on a regular lattice (one solve per distinct base norm, by
-GL-equivariance; see ``bl_field``) and interpolates it with one
+GL-equivariance, and one rule build per group of bases that share a rule;
+see ``bl_field``) and interpolates it with one
 tensor-product cubic spline.  The Christoffel symbols use the spline's
 exact derivatives in every dimension, all taken with the metric in one
 evaluation of a second spline on doubled knots (``MetricField._jet``), and
@@ -37,6 +38,7 @@ and after the full loop (holonomy defect)."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -45,9 +47,10 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure, TransportAccuracyError
 from .invariants import fingerprint_point
-from .metric import CONDITION_LIMIT, bl_metric
+from .metric import CONDITION_LIMIT, _bl_record, bl_metric
 from .norms import (LinearImage, LpNorm, MinkowskiNorm, PolytopeGauge,
                     WeightedSum, _box_corners, as_finite, as_reals)
+from .quadrature import _rule, _rule_key
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +412,11 @@ class MetricField:
             dgam = (gam_x[..., 1:n + 1, :, :, :] - gam_x[..., n + 1:, :, :, :]) / (2.0 * h)
             t1 = np.einsum("...iljk->...lkij", dgam)        # d_i Gamma^l_{jk}
             t2 = np.swapaxes(t1, -1, -2)                    # d_j Gamma^l_{ik}
-            t3 = np.einsum("...lis,...sjk->...lkij", gam, gam)   # Gamma^l_{is} Gamma^s_{jk}
+            # Gamma^l_{is} Gamma^s_{jk}: one stacked (n^2, n) @ (n, n^2) product per
+            # point, rows (l, i) and columns (j, k), with k then moved before i
+            lead = gam.shape[:-3]
+            t3 = gam.reshape(lead + (n * n, n)) @ gam.reshape(lead + (n, n * n))
+            t3 = np.moveaxis(t3.reshape(lead + (n,) * 4), -1, -3)
             t4 = np.swapaxes(t3, -1, -2)
             out.append(t1 - t2 + t3 - t4)
         return out
@@ -664,20 +671,46 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
     ``memo`` maps id(base) to the ``BLMetric`` record of a base already
     solved at this level (the record holds the base, so the id stays
     taken), and gains every new solve.
+
+    The bases to solve are grouped by rule (``_rule_key``).  A base alone
+    in its group is solved by ``bl_metric``; a larger group builds its
+    rule once, for this call only, evaluates each distinct norm on it once,
+    a ``WeightedSum``'s components included (``_values_once``), and takes
+    each base through ``bl_metric``'s moment pass and checks (``_bl_record``).
     Returns (tensors, base index of each point, base records)."""
     n = structure.dim
     failure = f"metric evaluation failed at {site}"
     maps, bases, base_of_point = _peel(structure, pts, failure)
     memo = {} if memo is None else memo
-    records = []
+
+    def failed(b, exc):
+        x = pts[np.argmax(base_of_point == b)]
+        return NumericalFailure(f"{failure} {x}: {exc}")
+
+    keys = {}
     for b, base in enumerate(bases):
         if id(base) not in memo:
             try:
-                memo[id(base)] = bl_metric(base, level)
+                keys[b] = _rule_key(base, level)
             except Exception as exc:
-                x = pts[np.argmax(base_of_point == b)]
-                raise NumericalFailure(f"{failure} {x}: {exc}") from exc
-        records.append(memo[id(base)])
+                raise failed(b, exc) from exc
+    sizes = Counter(keys.values())
+    rules = {}    # rule key -> (rule, values of each norm evaluated on its nodes)
+    for b, key in keys.items():
+        base = bases[b]
+        try:
+            if sizes[key] == 1:
+                memo[id(base)] = bl_metric(base, level)
+                continue
+            if key not in rules:
+                rules[key] = _rule(*key), {}
+            quad, values = rules[key]
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = base._values_once(quad.nodes, values)
+            memo[id(base)] = _bl_record(base, key[1], quad, f)
+        except Exception as exc:
+            raise failed(b, exc) from exc
+    records = [memo[id(base)] for base in bases]
     values = _pullback(maps, np.array([bl.metric for bl in records])[base_of_point])
     finite = np.isfinite(values).all(axis=(1, 2))
     eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], values, np.eye(n)))
@@ -716,11 +749,14 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
     """Metric of the structure's norm at every lattice node.
 
     One ``structure.peel`` call gives every node's norm as base o A, the
-    metric of every distinct base is solved once by ``bl_metric`` at
-    ``level``, and the node tensors are assembled as A^T g_base A by
-    GL-equivariance, g_{F o A} = A^T g_F A.  A failure at any node, or a
-    node tensor that is not positive definite or exceeds
-    ``CONDITION_LIMIT``, aborts with the offending node in the message.
+    metric of every distinct base is solved once at ``level``, and the node
+    tensors are assembled as A^T g_base A by GL-equivariance,
+    g_{F o A} = A^T g_F A.  The bases that share a quadrature rule share
+    one build of it and one evaluation of each component norm on its
+    nodes, and each base's moments are one matrix product (``_gl_metrics``).
+    A failure at any node, or a node tensor that is not positive definite
+    or exceeds ``CONDITION_LIMIT``, aborts with the offending node in the
+    message.
     The interpolated field then passes ``MetricField.check_positive_definite``:
     its spline coefficients certify the whole box, or else a 4 times finer
     grid is tested and a failure names its grid point.

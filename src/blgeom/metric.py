@@ -88,17 +88,27 @@ class BLMetric:
 def bl_metric(norm: MinkowskiNorm, level: int) -> BLMetric:
     """The Binet-Legendre record of ``norm`` at quadrature ``level``, which
     (norm, level) names: one evaluation of F over ``auto_quadrature(norm,
-    level)``, each node once; F must be positive there.  The sums take the
-    powers of 2^-k F, with 2^k <= max F < 2^(k+1) (k = 0 on the catalog); the
-    scaling is exact, as is the way back by the conformal law (vol by 2^-nk,
-    M* by 4^-k, g by 4^k), so the record is exact at any scale where those
-    fit.  The checks and the scale-free vol(Omega) sqrt(det g) use 2^-k F."""
+    level)``, each node once, and the moment pass of ``_bl_record``."""
     quad = auto_quadrature(norm, level)
-    nodes, weights, n = quad.nodes, quad.weights, quad.dim
     # the rule's nodes are finite (k, n) floats already: F's kernel takes them
     # without the input checks of ``values``, under its checks on the output
     with np.errstate(over="ignore", invalid="ignore"):
-        f = norm._values(nodes)
+        f = norm._values(quad.nodes)
+    # auto_quadrature accepted ``level``, so int() is the level it validated
+    return _bl_record(norm, int(level), quad, f)
+
+
+def _bl_record(norm: MinkowskiNorm, level: int, quad, f: np.ndarray) -> BLMetric:
+    """The record of ``norm`` at ``level`` from its values ``f`` on the nodes
+    of ``quad``, its rule at that level; F must be finite and positive there.
+    The sums take the powers of 2^-k F, with 2^k <= max F < 2^(k+1) (k = 0
+    on the catalog); the scaling is exact, as is the way back by the
+    conformal law (vol by 2^-nk, M* by 4^-k, g by 4^k), so the record is
+    exact at any scale where those fit.  The checks and the scale-free
+    vol(Omega) sqrt(det g) use 2^-k F.  vol is numpy's pairwise sum and M*
+    one matrix product, (w F^-(n+2) u)^T u: neither splits its sum over the
+    nodes by the BLAS thread count, so the record does not depend on it."""
+    nodes, weights, n = quad.nodes, quad.weights, quad.dim
     if not np.all(np.isfinite(f)):
         raise NumericalFailure("norm value is not finite")
     if np.any(f <= 0.0):
@@ -107,8 +117,8 @@ def bl_metric(norm: MinkowskiNorm, level: int) -> BLMetric:
     k = math.frexp(f.max())[1] - 1
     scaled = np.ldexp(f, -k)
     with np.errstate(all="ignore"):      # a non-finite moment is rejected below
-        vol = float(np.dot(weights, scaled ** (-n)) / n)
-        m = np.einsum("k,ki,kj->ij", weights * scaled ** (-(n + 2)), nodes, nodes) / vol
+        vol = float((weights * scaled ** (-n)).sum() / n)
+        m = (nodes * (weights * scaled ** (-(n + 2)))[:, None]).T @ nodes / vol
     m = 0.5 * (m + m.T)
     if not np.isfinite(m).all():
         raise NumericalFailure(
@@ -134,8 +144,7 @@ def bl_metric(norm: MinkowskiNorm, level: int) -> BLMetric:
         raise NumericalFailure(
             f"moment matrix is not finite at the norm's scale 2^{k}: vol(Omega), "
             "M* or g lies past the float range")
-    # auto_quadrature accepted ``level``, so int() is the level it validated
-    return BLMetric(norm, int(level), quad.scheme, orthonormal_volume, vol,
+    return BLMetric(norm, level, quad.scheme, orthonormal_volume, vol,
                     np.ldexp(m, -2 * k), np.ldexp(g, 2 * k), cond)
 
 

@@ -168,6 +168,14 @@ class MinkowskiNorm:
     def _values(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _values_once(self, pts: np.ndarray, memo: dict) -> np.ndarray:
+        """``_values(pts)`` through ``memo``, which maps id(norm) to the values
+        on ``pts`` of each norm evaluated so far: a norm evaluated before,
+        on its own or as a component, is not evaluated again."""
+        if id(self) not in memo:
+            memo[id(self)] = self._values(pts)
+        return memo[id(self)]
+
     def values(self, xi) -> np.ndarray:
         """Evaluate F on a vector or a batch of row vectors."""
         pts, squeeze = _as_points(xi, self.dim)
@@ -412,11 +420,13 @@ class Euclidean(MinkowskiNorm):
         except np.linalg.LinAlgError as exc:
             raise InputError("matrix must be positive definite") from exc
         self.matrix = G
-        self._inv = np.linalg.inv(G)
+        # G^-1 = root^-T root^-1, so h(theta) = |root^-1 theta| = |theta^T dual_root|
+        self._dual_root = np.linalg.inv(self._root).T
 
     @_rescaled_rows
     def _values(self, pts):
-        return np.sqrt(np.einsum("ki,ij,kj->k", pts, self.matrix, pts))
+        y = pts @ self._root
+        return np.sqrt(np.einsum("ij,ij->i", y, y))
 
     _exact_support = True
 
@@ -424,8 +434,8 @@ class Euclidean(MinkowskiNorm):
         # rows scaled by their largest entry, so tiny covectors do not underflow
         top = _row_max(np.abs(thetas))
         top = np.where(top > 0.0, top, 1.0)          # a zero row stays zero
-        unit = thetas / top[:, None]
-        return top * np.sqrt(np.einsum("ki,ij,kj->k", unit, self._inv, unit))
+        y = (thetas / top[:, None]) @ self._dual_root
+        return top * np.sqrt(np.einsum("ij,ij->i", y, y))
 
     def extremal_candidates(self):
         _, vecs = np.linalg.eigh(self.matrix)
@@ -670,11 +680,15 @@ class WeightedSum(MinkowskiNorm):
         self.first, self.second = first, second
 
     def _values(self, pts):
+        return self._values_once(pts, {})
+
+    def _values_once(self, pts, memo):
+        # each component through ``memo``; a zero weight's component is not evaluated
         out = 0.0
         if self.w1:
-            out = self.w1 * self.first._values(pts)
+            out = self.w1 * self.first._values_once(pts, memo)
         if self.w2:
-            out = out + self.w2 * self.second._values(pts)
+            out = out + self.w2 * self.second._values_once(pts, memo)
         return out
 
     def kink_angles(self):

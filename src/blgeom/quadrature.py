@@ -155,12 +155,24 @@ def auto_quadrature(norm: MinkowskiNorm, level: int) -> SphericalQuadrature:
     * n >= 4: the orthant rule of order round((1e6 * 2^level / 2^n)^(1/(n-1))),
       about 1e6 * 2^level nodes.
     """
+    return _rule(*_rule_key(norm, level))
+
+
+def _rule_key(norm: MinkowskiNorm, level: int) -> tuple:
+    """(n, level, kinks): all that ``auto_quadrature``'s rule for ``norm``
+    depends on, with ``level`` validated and the kink angles kept in 2D
+    only, so norms with one key share one rule."""
     level = as_integer(level, "quadrature level")
     if not 0 <= level <= MAX_QUAD_LEVEL:
         raise InputError(f"quadrature level must be between 0 and {MAX_QUAD_LEVEL}, got {level}")
     n = norm.dim
+    return n, level, tuple(norm.kink_angles()) if n == 2 else ()
+
+
+def _rule(n: int, level: int, kinks: tuple) -> SphericalQuadrature:
+    """The rule of the key (n, level, kinks) from ``_rule_key``."""
     if n == 2:
-        return circle_rule(norm.kink_angles(), level)
+        return circle_rule(kinks, level)
     if n == 3:
         return sphere_product_gauss(64 * 2 ** level, 128 * 2 ** level)
     order = round((1e6 * 2 ** level / 2 ** n) ** (1.0 / (n - 1)))

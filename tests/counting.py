@@ -6,7 +6,9 @@ quadrature rules hold their nodes in read-only arrays, so a ``values`` or
 other attribute is the wrapped norm's own.
 
 ``count_values_calls`` counts the ``MinkowskiNorm.values`` calls of every
-norm; ``count_hulls`` records the Qhull options of every ``ConvexHull`` built.
+norm; ``count_hulls`` records the Qhull options of every ``ConvexHull`` built;
+``count_solves`` records the norm of every Binet-Legendre record made, and
+``count_rules`` the key of every quadrature rule built, whichever path made it.
 """
 
 import numpy as np
@@ -58,4 +60,41 @@ def count_hulls(monkeypatch) -> list:
         return hull(points, qhull_options=qhull_options)
 
     monkeypatch.setattr(scipy.spatial, "ConvexHull", counted)
+    return calls
+
+
+def count_solves(monkeypatch) -> list:
+    """Patch the moment pass ``_bl_record`` (the copy in ``metric``, which
+    ``bl_metric`` calls, and the one in ``manifold``, which a group of bases
+    calls) to record the norm of every record made."""
+    from blgeom import manifold, metric
+
+    calls = []
+    record = metric._bl_record
+
+    def counted(norm, level, quad, f):
+        calls.append(norm)
+        return record(norm, level, quad, f)
+
+    for module in (metric, manifold):
+        monkeypatch.setattr(module, "_bl_record", counted)
+    return calls
+
+
+def count_rules(monkeypatch) -> list:
+    """Patch the rule builder ``_rule`` (the copy in ``quadrature``, which
+    ``auto_quadrature`` calls, and the one in ``manifold``) to record
+    (key, node count) of every rule built."""
+    from blgeom import manifold, quadrature
+
+    calls = []
+    rule = quadrature._rule
+
+    def counted(*key):
+        quad = rule(*key)
+        calls.append((key, len(quad)))
+        return quad
+
+    for module in (quadrature, manifold):
+        monkeypatch.setattr(module, "_rule", counted)
     return calls

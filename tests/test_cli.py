@@ -192,6 +192,31 @@ def test_command_loads_only_the_scipy_it_needs(spec_dir, argv, loads):
     assert json.loads(proc.stdout) == [0, loads]
 
 
+@pytest.mark.parametrize("spec", ["norm-euclidean-3d.json", {"family": "lp", "p": 1, "dim": 3}],
+                         ids=["euclidean-3d", "lp-1-3d"])
+def test_metric_bytes_do_not_depend_on_blas_threads(spec_dir, tmp_path, spec):
+    # one process per BLAS thread count: no sum of the moment pass may be
+    # split by thread (OpenBLAS's dot product of 32768 or more nodes was,
+    # and moved the last digits of the 3D volume and condition number);
+    # lp with p = 1 refines to level 4, 2^21 nodes
+    if isinstance(spec, dict):
+        path = tmp_path / "norm.json"
+        path.write_text(json.dumps(spec))
+    else:
+        path = spec_dir / spec
+    src = str(Path(blgeom.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"metric-{threads}.json"
+        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "blgeom", "metric", "--norm", str(path),
+                        "--out", str(out)], env=env, timeout=300, check=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_verify_smoke(capsys):
     code, out = run(capsys, "verify", "--suite", "norms", "--seed", "7")
     assert code == 0

@@ -1,3 +1,4 @@
+import copy
 import re
 import warnings
 
@@ -16,8 +17,8 @@ from blgeom import (Euclidean, InputError, LinearImage, LpNorm, MetricField, Num
                     l1_l2_interpolation, parallel_transport, rectangle_loop,
                     rigid_motion, rotor_structure, smoothstep, square_gauge,
                     structure_from_spec, validate)
-from blgeom import catalog, invariants, manifold, specio
-from counting import count_values_calls
+from blgeom import catalog, manifold, specio
+from counting import count_rules, count_solves, count_values_calls
 from oracles import conformal_christoffel
 
 
@@ -298,28 +299,110 @@ class TestPeel:
 
     def test_interpolation_bases_keyed_by_weight(self, monkeypatch):
         # 33 columns: 11 interior weights plus the pure l1 and l2 norms
-        calls = []
-
-        def counting(norm, level):
-            calls.append(norm)
-            return bl_metric(norm, level)
-
-        monkeypatch.setattr(manifold, "bl_metric", counting)
+        calls = count_solves(monkeypatch)
         bl_field(catalog.builtin_structure("l1-l2-interpolation"), shape=(33, 33))
-        assert len(calls) == 13
+        assert len(calls) == len({id(norm) for norm in calls}) == 13
 
     def test_fingerprint_cloud_solves_each_base_once(self, monkeypatch):
-        calls = []
-
-        def counting(norm, level):
-            calls.append(norm)
-            return bl_metric(norm, level)
-
-        monkeypatch.setattr(manifold, "bl_metric", counting)
-        monkeypatch.setattr(invariants, "bl_metric", counting)
+        calls = count_solves(monkeypatch)
         pts, cloud = fingerprint_cloud(catalog.builtin_structure("l1-l2-interpolation"))
         # one solve per distinct weight, none repeated inside fingerprint_point
         assert len(calls) == len(np.unique(smoothstep(pts[:, 0]))) == 4
+
+
+def _bases_structure(bases):
+    """A structure over [0, 1]^n whose peel gives the k-th point of a batch
+    the base ``bases[k % len(bases)]`` and the identity map."""
+    n = bases[0].dim
+
+    def peel(X):
+        return (np.broadcast_to(np.eye(n), (len(X), n, n)), bases,
+                np.arange(len(X)) % len(bases))
+
+    return manifold.FinslerStructure(np.zeros(n), np.ones(n), peel)
+
+
+def _solve_bases(bases):
+    """The records of ``_gl_metrics`` at level 0 with one point per base,
+    the k-th at 0.1 + 0.8 k / (len(bases) - 1) on every axis."""
+    pts = np.linspace(0.1, 0.9, len(bases))[:, None] * np.ones(bases[0].dim)
+    return manifold._gl_metrics(_bases_structure(bases), pts, 0, "point")[2]
+
+
+def _rule_evaluations(monkeypatch):
+    """Record (p, node count) of every l^p evaluation on a rule's nodes,
+    which are read-only arrays."""
+    calls = []
+    values = LpNorm._values
+
+    def counted(self, pts):
+        if not pts.flags.writeable:
+            calls.append((self.p, len(pts)))
+        return values(self, pts)
+
+    monkeypatch.setattr(LpNorm, "_values", counted)
+    return calls
+
+
+class TestGroupedSolves:
+    """The bases of one call that share a rule are solved on one build of it."""
+
+    @pytest.mark.parametrize("check, builds", [(bl_field, 2), (is_locally_minkowski, 3)])
+    def test_l1_l2_builds_each_rule_once(self, monkeypatch, check, builds):
+        # the lattice's 11 interior bases and l1 share the kinked rule, and l2
+        # has the smooth one; the midpoint solve of the check builds the
+        # kinked rule once more for its new bases
+        rules, evaluations = count_rules(monkeypatch), _rule_evaluations(monkeypatch)
+        check(catalog.builtin_structure("l1-l2-interpolation"))
+        assert len(rules) == builds
+        # l1 is evaluated once on each kinked rule, l2 once on every rule
+        want = [(2.0, size) for _, size in rules] + [(1.0, size) for key, size in rules if key[2]]
+        assert sorted(evaluations) == sorted(want)
+
+    def test_interpolation_bases_match_single_solves(self):
+        st = catalog.builtin_structure("l1-l2-interpolation")
+        _, pts = manifold._lattice(st.chart_lo, st.chart_hi, (33, 33))
+        _, bases, _ = st.peel(pts)
+        assert len(bases) == 13
+        for bl in _solve_bases(bases):
+            _assert_same_record(bl, bl_metric(bl.norm, 0))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_catalog_bases_match_single_solves(self, dim):
+        # each catalog base twice (a copy is another base of equal value), so
+        # every one of them is solved in a group of at least two
+        bases = [manifold._linear_chain(catalog.builtin_norm(name))[1]
+                 for name in catalog.BUILTIN_NORMS]
+        bases = [b for base in bases if base.dim == dim for b in (base, copy.copy(base))]
+        for bl in _solve_bases(bases):
+            _assert_same_record(bl, bl_metric(bl.norm, 0))
+
+    def test_failing_base_in_a_group_names_its_point(self):
+        # the third base shares the kinked rule of the first two, and its F
+        # ~ 1e200 |x| puts its moments past the float range
+        l1, l2 = LpNorm(1, 2), LpNorm(2, 2)
+        bases = [l1, WeightedSum(0.5, 0.5, l1, l2), WeightedSum(1e200, 1e200, l1, l2)]
+        with pytest.raises(NumericalFailure,
+                           match=r"failed at point \[0\.9 0\.9\]: moment matrix is not finite"):
+            _solve_bases(bases)
+
+    def test_component_failure_in_a_group_names_its_point(self):
+        # the second base's own component is not positive on the rule
+        class Negative(LpNorm):
+            def _values(self, pts):
+                return -super()._values(pts)
+
+        l1 = LpNorm(1, 2)
+        bases = [l1, WeightedSum(0.5, 0.5, l1, Negative(1, 2)), WeightedSum(0.5, 0.5, l1, l1)]
+        with pytest.raises(NumericalFailure, match=r"failed at point \[0\.5 0\.5\]: norm is not positive"):
+            _solve_bases(bases)
+
+
+def _assert_same_record(got, want):
+    assert (got.level, got.scheme) == (want.level, want.scheme)
+    for name in ("orthonormal_volume", "volume", "dual", "metric", "condition_number"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), (got.norm, name)
 
 
 def _interior_points(field, margin, count):
@@ -967,13 +1050,7 @@ class TestOneCheck:
 
     def test_one_solve_per_base(self, monkeypatch):
         # the midpoint error reuses the lattice's base metric
-        solves = []
-
-        def counting(norm, level):
-            solves.append(norm)
-            return bl_metric(norm, level)
-
-        monkeypatch.setattr(manifold, "bl_metric", counting)
+        solves = count_solves(monkeypatch)
         is_locally_minkowski(catalog.builtin_structure("constant-square"))
         assert len(solves) == 1
 
