@@ -4,30 +4,28 @@ Berwald-defect and local-flatness checks, and conformal-factor recovery.
 A structure is a chart box plus a batched norm oracle, its peel: the
 norms at an array of points are base o A(x), with one linear map per point
 and bases keyed by value; its scalar fields are callables on arrays of
-coordinates (see ``FinslerStructure``).  The metric field evaluates the
+coordinates (see ``FinslerStructure``).  ``bl_field`` evaluates the
 norm's metric on a regular lattice (one solve per distinct base norm, by
-GL-equivariance, and one rule build per group of bases that share a rule;
-see ``bl_field``) and interpolates it with one
-tensor-product cubic spline.  The Christoffel symbols use the spline's
-exact derivatives in every dimension, all taken with the metric in one
-evaluation of a second spline on doubled knots (``MetricField._jet``), and
-one batched Cholesky solve with the metric (``_spd_solve``), so the
-transport ODE preserves the interpolated metric to integrator accuracy;
-that preservation is monitored on every transport and doubles as the
-accuracy gate.  The curvature is the plain central difference of the
-symbols at the smallest lattice spacing; a stencil point shared by
-several nodes is evaluated once, which changes only how often each
-point is evaluated (see ``MetricField.riemann``).  Transport integrates
-a linear ODE with fixed-step RK4, so each step is a matrix: an attempt
-forms every step's matrix from one batch of Christoffel symbols and
-multiplies them into one propagator per polyline segment (see
-``_segment_propagators``), with no loop over steps.
-
-A structure whose lattice peels to one base needs no interpolation: its
-metric is A(x)^T g0 A(x) at every point, and ``is_locally_minkowski``
-checks it on ``_ExactField``, which takes G and its first partials from
-the peel itself (d_k A by a complex step) and shares the symbols, the
-curvature and the transport with ``MetricField``.
+GL-equivariance, and one rule build per group of bases that share a rule)
+and picks the structure's one metric field.  A lattice that peels to one
+base needs no interpolation: its metric is A(x)^T g0 A(x) at every point,
+and ``_ExactField`` takes G and its first partials from the peel itself
+(d_k A by a complex step).  Only a lattice of several bases is
+interpolated, by ``MetricField``, one tensor-product cubic spline whose
+exact derivatives in every dimension are all taken with the metric in
+one evaluation of a second spline on doubled knots (``MetricField._jet``).
+Both share the rest: the Christoffel symbols are one batched Cholesky
+solve with the metric (``_spd_solve``), so the transport ODE preserves
+the field's metric to integrator accuracy; that preservation is
+monitored on every transport and doubles as the accuracy gate.  The
+curvature is the plain central difference of the symbols at the smallest
+lattice spacing; a stencil point shared by several nodes is evaluated
+once, which changes only how often each point is evaluated (see
+``MetricField.riemann``).  Transport integrates a linear ODE with
+fixed-step RK4, so each step is a matrix: an attempt forms every step's
+matrix from one batch of Christoffel symbols and multiplies them into one
+propagator per polyline segment (see ``_segment_propagators``), with no
+loop over steps.
 
 The Berwald defect of a structure transports probe vectors along closed
 loops, all loops in one batch per attempt (see ``_transport``), and
@@ -272,7 +270,8 @@ class MetricField:
     (n,) or a batch (..., n) of points.  The interpolant need not be positive
     definite between nodes even where every node tensor is;
     ``check_positive_definite`` certifies it from the spline coefficients or
-    names a point where it fails."""
+    names a point where it fails.  ``_ExactField`` replaces the spline by
+    the exact metric and keeps the rest."""
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
         from scipy.interpolate import NdBSpline, make_interp_spline
@@ -563,20 +562,17 @@ def _definite(g: np.ndarray) -> bool:
 _COMPLEX_STEP = 1e-30
 
 
-class _ExactField:
-    """The metric field of a structure whose lattice peels to one base,
-    with the ``MetricField`` interface and no interpolation: at any point x
-    of the lattice box, G(x) = A(x)^T g0 A(x) from the structure's own peel,
-    and d_k G = (d_k A)^T g0 A + A^T g0 d_k A with d_k A from one peel of
-    the complex-stepped points x + i h e_k (see ``FinslerStructure``).  The
-    symbols, the curvature and the inside test are ``MetricField``'s.  A
-    peel whose norm at a point is not the lattice's base raises
-    ``NumericalFailure`` naming the point."""
-
-    _check_inside = MetricField._check_inside
-    christoffel = MetricField.christoffel
-    riemann = MetricField.riemann
-    _riemann = MetricField._riemann
+class _ExactField(MetricField):
+    """The metric field of a structure whose lattice peels to one base, with
+    no interpolation: at any point x of the lattice box,
+    G(x) = A(x)^T g0 A(x) from the structure's own peel, and
+    d_k G = (d_k A)^T g0 A + A^T g0 d_k A with d_k A from one peel of the
+    complex-stepped points x + i h e_k (see ``FinslerStructure``).  It
+    overrides ``at`` and ``_metric_jet`` and inherits the symbols, the
+    curvature, the inside test and the node variation; the spline's
+    certificate and ``_jet`` have no spline here to act on.  A peel whose
+    norm at a point is not the lattice's base raises ``NumericalFailure``
+    naming the point."""
 
     def __init__(self, structure: FinslerStructure, axes, values, record):
         self.axes, self.values, self.dim = axes, values, len(axes)
@@ -729,24 +725,10 @@ def _gl_metrics(structure: FinslerStructure, pts: np.ndarray, level: int, site: 
     return values, base_of_point, records
 
 
-def _lattice_metrics(structure: FinslerStructure, shape, level: int, memo: dict | None = None):
-    """The lattice axes of ``shape`` (default ``default_lattice_shape``) over
-    the chart, the checked metric tensors at its nodes, shape grid + (n, n),
-    and the base records, as ``bl_field`` describes (``memo``: see
-    ``_gl_metrics``)."""
-    n = structure.dim
-    if shape is None:
-        shape = default_lattice_shape(n)
-    axes, pts = _lattice(structure.chart_lo, structure.chart_hi, shape)
-    if min(len(a) for a in axes) < 5:
-        raise InputError("need at least 5 lattice nodes per axis for cubic interpolation")
-    values, _, records = _gl_metrics(structure, pts, level, "node", memo)
-    return axes, values.reshape(tuple(len(a) for a in axes) + (n, n)), records
-
-
 def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
              level: int = 0) -> MetricField:
-    """Metric of the structure's norm at every lattice node.
+    """The structure's metric field, from its metric at every node of the
+    lattice ``shape`` (default ``default_lattice_shape``) over the chart.
 
     One ``structure.peel`` call gives every node's norm as base o A, the
     metric of every distinct base is solved once at ``level``, and the node
@@ -757,12 +739,28 @@ def bl_field(structure: FinslerStructure, shape: Sequence[int] | None = None,
     A failure at any node, or a node tensor that is not positive definite
     or exceeds ``CONDITION_LIMIT``, aborts with the offending node in the
     message.
-    The interpolated field then passes ``MetricField.check_positive_definite``:
-    its spline coefficients certify the whole box, or else a 4 times finer
-    grid is tested and a failure names its grid point.
+
+    A lattice that peels to one base gives the exact field
+    (``_ExactField``), with no interpolation.  A lattice of several bases
+    gives their spline, ``MetricField``, which then passes
+    ``MetricField.check_positive_definite``: its spline coefficients
+    certify the whole box, or else a 4 times finer grid is tested and a
+    failure names its grid point.  The spline keeps the records of its
+    bases, which ``is_locally_minkowski`` reuses off the lattice.
     """
-    field = MetricField(*_lattice_metrics(structure, shape, level)[:2])
+    n = structure.dim
+    axes, pts = _lattice(structure.chart_lo, structure.chart_hi,
+                         default_lattice_shape(n) if shape is None else shape)
+    if min(len(a) for a in axes) < 5:
+        raise InputError("need at least 5 lattice nodes per axis for cubic interpolation")
+    solved = {}
+    values, _, records = _gl_metrics(structure, pts, level, "node", solved)
+    values = values.reshape(tuple(len(a) for a in axes) + (n, n))
+    if len(records) == 1:
+        return _ExactField(structure, axes, values, records[0])
+    field = MetricField(axes, values)
     field.check_positive_definite()
+    field._solved = solved
     return field
 
 
@@ -844,9 +842,8 @@ def _segment_propagators(field: MetricField, starts, segs, steps) -> np.ndarray:
     first = np.cumsum(stages) - stages
     seg_of = np.repeat(np.arange(len(segs)), stages)
     t = (np.arange(stages.sum()) - first[seg_of]) / (2 * steps[seg_of])
-    rates = -np.einsum("pkij,pi->pkj",
-                       field.christoffel(starts[seg_of] + t[:, None] * segs[seg_of]),
-                       segs[seg_of])
+    gamma = field.christoffel(starts[seg_of] + t[:, None] * segs[seg_of])
+    rates = -(segs[seg_of][:, None, None, :] @ gamma)[:, :, 0, :]
 
     n = field.dim
     eye = np.eye(n)
@@ -875,10 +872,11 @@ def parallel_transport(field: MetricField, path, frame) -> TransportResult:
 
     Classical fixed-step RK4 on the linear transport ODE, with up to
     ``MAX_HALVINGS`` step halvings until the frame's Gram matrix in the
-    interpolated metric is preserved within ``GRAM_TOL`` (metric
-    preservation is exact for the continuous problem, so the drift
-    measures integration error).  This is the one-path view of
-    ``_transport``, which ``berwald_defect`` runs on all its loops at once.
+    field's metric (exact or interpolated, as ``bl_field`` picks it) is
+    preserved within ``GRAM_TOL`` (metric preservation is exact for the
+    continuous problem, so the drift measures integration error).  This is
+    the one-path view of ``_transport``, which ``berwald_defect`` runs on
+    all its loops at once.
     """
     return _transport(field, [path], frame)[0]
 
@@ -1098,43 +1096,35 @@ def is_locally_minkowski(structure: FinslerStructure, *, shape=None,
 
     flat_residual is the max curvature entry over interior lattice nodes;
     the Berwald defect runs the default loops.  Both must fall below ``tol``
-    for a positive verdict.  The lattice is solved once (``_lattice_metrics``).
+    for a positive verdict.  Both legs run on the one field of ``bl_field``.
 
-    When every node peels to one base, both legs run on the exact field
-    (``_ExactField``), with no interpolation.  The flat residual then errs
-    only by the truncation of its stencil, estimated as max |R_h - R_2h|
-    over the nodes at least four spacings inside (their 2h stencil keeps
-    ``christoffel``'s margin, and on a lattice of exact binary fractions
-    its points are ones the h stencil already holds; a lattice of 8 nodes
-    on an axis has no such node, and its band is 0).  Otherwise the field
-    is the spline of ``bl_field``, and the error of both legs is its
-    largest relative error at the cell midpoints against a direct solve,
-    which reuses the metric of every base object the lattice solved.  If
-    a leg lies within its error of ``tol``, the verdict is undecided:
-    ``NumericalFailure``.
+    On the exact field of a lattice that peels to one base, the flat
+    residual errs only by the truncation of its stencil, estimated as
+    max |R_h - R_2h| over the nodes at least four spacings inside (their 2h
+    stencil keeps ``christoffel``'s margin, and on a lattice of exact
+    binary fractions its points are ones the h stencil already holds; a
+    lattice of 8 nodes on an axis has no such node, and its band is 0).  On
+    a spline, the error of both legs is its largest relative error at the
+    cell midpoints against a direct solve, which reuses the metric of every
+    base object the lattice solved.  If a leg lies within its error of
+    ``tol``, the verdict is undecided: ``NumericalFailure``.
     """
-    solved = {}
-    axes, values, records = _lattice_metrics(structure, shape, level, solved)
+    field = bl_field(structure, shape, level)
     # nodes at least three spacings inside: riemann's stencil reaches one
     # spacing out, christoffel's margin is two
-    interior = np.stack(np.meshgrid(*[a[3:-3] for a in axes], indexing="ij"), axis=-1)
-    if len(records) == 1:
-        field = _ExactField(structure, axes, values, records[0])
-        h = float(field.spacing.min())
-        inner = (slice(1, -1),) * field.dim
-        fine, coarse = field._riemann([(interior, h), (interior[inner], 2.0 * h)])
-        flat = float(np.abs(fine).max(initial=0.0))
+    interior = np.stack(np.meshgrid(*[a[3:-3] for a in field.axes], indexing="ij"), axis=-1)
+    h = float(field.spacing.min())
+    inner = (slice(1, -1),) * field.dim
+    fine, coarse = field._riemann([(interior, h), (interior[inner], 2.0 * h)])
+    flat = float(np.abs(fine).max(initial=0.0))
+    report = berwald_defect(structure, field)
+    if isinstance(field, _ExactField):
         error = "truncation error"
         bands = (float(np.abs(fine[inner] - coarse).max(initial=0.0)), 0.0)
-        report = berwald_defect(structure, field)
     else:
-        field = MetricField(axes, values)
-        field.check_positive_definite()
-        flat = float(np.abs(field.riemann(interior)).max(initial=0.0))
-        report = berwald_defect(structure, field)
         half = 0.5 * field.spacing
-        _, mid = _lattice(field.lo + half, field.hi - half, [len(a) - 1 for a in axes])
-        direct = _gl_metrics(structure, mid, level, "point", solved)[0]
+        _, mid = _lattice(field.lo + half, field.hi - half, [len(a) - 1 for a in field.axes])
+        direct = _gl_metrics(structure, mid, level, "point", field._solved)[0]
         error = "interpolation error"
         bands = (float(_relative_change(field.at(mid) - direct, direct).max()),) * 2
     for name, value, band in (("flat residual", flat, bands[0]),

@@ -370,8 +370,8 @@ def suite_berwald(seed: int):
     gram_worst = max(gram_worst, rep.gram_residual)
     results.append(_check("frozen rotor defect at noise level", rep.defect, 1e-6))
 
-    # Riemannian, hence Berwald; needs the finer lattice because the defect
-    # floor is the O(h^4) interpolation error of the curved metric field.
+    # Riemannian, hence Berwald; its lattice peels to one base, so the
+    # transport runs on the exact metric and the defect is integration error.
     conf = catalog.builtin_structure("conformal-euclidean")
     rep = berwald_defect(conf, bl_field(conf, shape=(33, 33)))
     gram_worst = max(gram_worst, rep.gram_residual)

@@ -174,16 +174,23 @@ print(json.dumps([code, [m for m in ("scipy.spatial", "scipy.interpolate") if m 
     (["examples", "--list"], []),
     (["invariants", "--norm", "norm-euclidean-3d.json"], []),
     (["berwald", "--structure", "structure-conformal-euclidean.json"], []),
-    (["berwald", "--structure", "structure-constant-square.json"], ["scipy.spatial"])],
+    (["berwald", "--structure", "structure-constant-square.json"], ["scipy.spatial"]),
+    (["field", "--structure", "structure-conformal-euclidean.json", "--out", "out.csv"], []),
+    (["field", "--structure", "structure-constant-square.json", "--out", "out.csv"],
+     ["scipy.spatial"]),
+    (["field", "--structure", "structure-l1-l2-interpolation.json", "--out", "out.csv"],
+     ["scipy.spatial", "scipy.interpolate"])],
     ids=["metric-euclidean-2d", "metric-lp-4", "ellipsoid-euclidean-2d", "ellipsoid-lp-4",
          "examples-list", "invariants-euclidean-3d", "berwald-conformal-euclidean",
-         "berwald-constant-square"])
-def test_command_loads_only_the_scipy_it_needs(spec_dir, argv, loads):
+         "berwald-constant-square", "field-conformal-euclidean", "field-constant-square",
+         "field-l1-l2-interpolation"])
+def test_command_loads_only_the_scipy_it_needs(spec_dir, tmp_path, argv, loads):
     # every command is a fresh process: the Binet-Legendre metric needs numpy
     # alone, and so does the lattice surface of a smooth 3D norm; a
-    # single-base structure's berwald check needs no spline, and the square
-    # gauge builds its facets with scipy.spatial
-    argv = [str(spec_dir / a) if a.endswith(".json") else a for a in argv]
+    # single-base structure's field and berwald check need no spline, and
+    # the square gauge builds its facets with scipy.spatial
+    argv = [str(spec_dir / a) if a.endswith(".json") else
+            str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
     src = str(Path(blgeom.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -315,7 +322,8 @@ def test_chart_below_float_resolution_exit_2(tmp_path, capsys, command, lo, widt
         # the spline's symbols need the refined knots; the berwald check on
         # this single-base field needs no spline, but the 10 x 1 chart
         # leaves its loops no room
-        field = manifold.bl_field(specio.load_structure(spec))
+        exact = manifold.bl_field(specio.load_structure(spec))
+        field = manifold.MetricField(exact.axes, exact.values)
         with pytest.raises(InputError, match="Greville abscissae of lattice axis 0"):
             field.christoffel([lo + 5.0, 0.5])
         code = main([command, "--structure", spec])
@@ -843,12 +851,13 @@ def test_csv_bytes_match_savetxt(spec_dir, tmp_path, capsys, command, name):
 
 
 def test_field_builds_no_derivative_spline(spec_dir, tmp_path, monkeypatch):
-    # only christoffel needs the spline of the metric's partials
+    # only christoffel needs the spline of the metric's partials; l1-l2 has
+    # several bases, so its field is a spline
     def no_jet(self):
         raise AssertionError("field built the derivative spline")
 
     monkeypatch.setattr(manifold.MetricField, "_jet", property(no_jet))
-    assert main(["field", "--structure", str(spec_dir / "structure-conformal-euclidean.json"),
+    assert main(["field", "--structure", str(spec_dir / "structure-l1-l2-interpolation.json"),
                  "--out", str(tmp_path / "field.csv")]) == 0
 
 

@@ -411,6 +411,13 @@ def _interior_points(field, margin, count):
                        field.hi - margin * field.spacing, (count, field.dim))
 
 
+def _spline_field(structure, shape=None):
+    """The spline ``MetricField`` of the structure's lattice, built directly
+    from the node tensors of ``bl_field``, whichever field that picks."""
+    field = bl_field(structure, shape)
+    return MetricField(field.axes, field.values)
+
+
 def _jet_tensors(field, pts):
     """G and d_k G[..., k, i, j] at pts from the field's one-spline jet."""
     jet = field._jet(pts)[..., manifold._pairs(field.dim)[2]]
@@ -421,7 +428,7 @@ class TestInterpolant:
     # references: RectBivariateSpline(s=0) and cubic RegularGridInterpolator
     # build the same not-a-knot spline as the field's NdBSpline
     def test_matches_rect_bivariate_spline_2d(self):
-        field = bl_field(ASSEMBLY_CASES["moved-sheared-rotor"])
+        field = _spline_field(ASSEMBLY_CASES["moved-sheared-rotor"])
         pts = _interior_points(field, 0.0, 200)
         g, jac = _jet_tensors(field, pts)
         got = {"": field.at(pts), "jet": g, "dx": jac[:, 0], "dy": jac[:, 1]}
@@ -436,7 +443,7 @@ class TestInterpolant:
             assert np.abs(values - want).max() <= 1e-12 * np.abs(want).max(), kind
 
     def test_matches_cubic_grid_interpolator_3d(self):
-        field = bl_field(ASSEMBLY_CASES["3d-conformal"])
+        field = _spline_field(ASSEMBLY_CASES["3d-conformal"])
         pts = _interior_points(field, 0.0, 200)
         # a direct solve; the default iterative one (gcrotmk) stops near 1e-7
         rgi = RegularGridInterpolator(tuple(field.axes), field.values, method="cubic",
@@ -514,7 +521,9 @@ class TestInterpolant:
 
         monkeypatch.setattr(BSpline, "design_matrix", no_grid)
         st = ASSEMBLY_CASES[name]
-        assert bl_field(st, shape=shape).values.shape == shape + (st.dim, st.dim)
+        field = _spline_field(st, shape)
+        field.check_positive_definite()
+        assert field.values.shape == shape + (st.dim, st.dim)
 
     @pytest.mark.parametrize("name", sorted(catalog.BUILTIN_STRUCTURES) + sorted(BENCHMARK_3D))
     def test_jet_matches_spline_derivatives(self, name):
@@ -522,7 +531,7 @@ class TestInterpolant:
         # d_k G is at least max |G| over a spacing, so near-constant fields
         # are held to their round-off and not to a relative error of noise
         st = {**ASSEMBLY_CASES, **BENCHMARK_3D}[name]
-        field = bl_field(st)
+        field = _spline_field(st)
         pts = _interior_points(field, 0.0, 400)
         g, jac = _jet_tensors(field, pts)
         scale = np.abs(field.values).max()
@@ -905,8 +914,9 @@ class TestBerwald:
     @pytest.mark.parametrize("name", ["l1-l2-interpolation", "3d-quartic-axial"])
     def test_one_peel_and_one_values_call_per_base(self, monkeypatch, name):
         # every loop's vertices in one peel; each distinct base evaluated once
+        # (on the spline, whose transport peels nothing)
         st = {**ASSEMBLY_CASES, **BENCHMARK_3D}[name]
-        field = bl_field(st)
+        field = _spline_field(st)
         peel, peels = st.peel, []
 
         def counting_peel(pts):
@@ -1035,7 +1045,7 @@ class TestOneCheck:
     def test_christoffel_calls_per_check(self, monkeypatch, name, calls):
         # riemann's one call, then one per transport attempt for all loops
         # (l1-l2 halves two of its three loops once); the conformal field
-        # peels to one base, so its calls are the exact field's
+        # peels to one base, and its exact field inherits MetricField's symbols
         count = []
         christoffel = MetricField.christoffel
 
@@ -1043,8 +1053,7 @@ class TestOneCheck:
             count.append(len(x))
             return christoffel(self, x)
 
-        for geometry in (MetricField, manifold._ExactField):
-            monkeypatch.setattr(geometry, "christoffel", counting)
+        monkeypatch.setattr(MetricField, "christoffel", counting)
         is_locally_minkowski(catalog.builtin_structure(name))
         assert len(count) == calls
 
@@ -1103,9 +1112,9 @@ class TestVerdictMargin:
 
 def _exact_field(structure, shape=None):
     """The exact field of a structure whose lattice peels to one base."""
-    axes, values, records = manifold._lattice_metrics(structure, shape, 0)
-    assert len(records) == 1
-    return manifold._ExactField(structure, axes, values, records[0])
+    field = bl_field(structure, shape)
+    assert type(field) is manifold._ExactField
+    return field
 
 
 # catalog structures, the benchmark's 3D specs, a moved rotor and l1-l2 on a
@@ -1118,6 +1127,27 @@ COMPLEX_STEP_CASES = {**{name: catalog.builtin_structure(name)
 
 
 class TestExactField:
+    @pytest.mark.parametrize("name", sorted(set(catalog.BUILTIN_STRUCTURES)
+                                            - {"l1-l2-interpolation"}) + sorted(BENCHMARK_3D))
+    def test_single_base_lattice_gives_the_exact_field(self, name):
+        # no interpolation, and the exact metric is the node tensors bit for
+        # bit at the nodes
+        field = _exact_field(COMPLEX_STEP_CASES[name])
+        nodes = np.stack(np.meshgrid(*field.axes, indexing="ij"), axis=-1)
+        np.testing.assert_array_equal(field.at(nodes), field.values)
+
+    def test_several_bases_give_the_certified_spline(self, monkeypatch):
+        certified = []
+        check = MetricField.check_positive_definite
+
+        def counting(self):
+            certified.append(self)
+            return check(self)
+
+        monkeypatch.setattr(MetricField, "check_positive_definite", counting)
+        field = bl_field(catalog.builtin_structure("l1-l2-interpolation"))
+        assert type(field) is MetricField and certified == [field]
+
     @pytest.mark.parametrize("name", sorted(COMPLEX_STEP_CASES))
     def test_complex_step_matches_central_differences(self, name):
         st = COMPLEX_STEP_CASES[name]
@@ -1256,7 +1286,7 @@ class TestThreeDimensional:
     def test_jacobian_is_the_spline_derivative(self):
         # exact nu= derivatives: a central difference of the spline itself at
         # a small step agrees (half-spacing differences were 3.1e-2 off)
-        field = bl_field(structure_from_spec(CONFORMAL_3D), shape=(9, 9, 9))
+        field = _spline_field(structure_from_spec(CONFORMAL_3D), shape=(9, 9, 9))
         pts = _interior_points(field, 2.0, 50)
         h = 1e-6
         want = np.stack([(field.at(pts + h * e) - field.at(pts - h * e)) / (2.0 * h)
